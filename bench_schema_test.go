@@ -18,17 +18,13 @@ import (
 // acceptance of the θ-ordered probe index: per-event probe-cost fields
 // on every point, a curve ratio that rules out the old ingest cliff,
 // and a 1M-query ingest rate at least 25× the pre-θ-index record.
-// BENCH_WINDOW.json must match the window schema and hold the blocked
-// posting layout's two headline acceptances against its embedded slice
-// baseline: ≥50% bytes/posting reduction and no probe-latency
-// regression at the paper-scale 100k window.
 func TestBenchJSONSchemas(t *testing.T) {
 	files, err := filepath.Glob("BENCH_*.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 8 {
-		t.Fatalf("found %d BENCH_*.json files, want at least 8 (sharded, batch, reads, recovery, scale, failover, cluster, window)", len(files))
+	if len(files) < 7 {
+		t.Fatalf("found %d BENCH_*.json files, want at least 7 (sharded, batch, reads, recovery, scale, failover, cluster)", len(files))
 	}
 	for _, f := range files {
 		f := f
@@ -114,46 +110,6 @@ func TestBenchJSONSchemas(t *testing.T) {
 				if phases["ingest"] < 2 || phases["read"] < 2 || maxNodes < 2 {
 					t.Fatalf("cluster report phase coverage %v (max %d nodes), want ingest and read cells for a multi-node count",
 						phases, maxNodes)
-				}
-			}
-
-			if f == "BENCH_WINDOW.json" {
-				var rep harness.WindowReport
-				if err := json.Unmarshal(data, &rep); err != nil {
-					t.Fatal(err)
-				}
-				if rep.Schema != harness.WindowSchema {
-					t.Fatalf("schema %q, want %q", rep.Schema, harness.WindowSchema)
-				}
-				maxW := 0
-				for _, pt := range rep.Points {
-					if pt.Window <= 0 || pt.Postings == 0 || pt.PostingBytes == 0 ||
-						pt.BytesPerPosting <= 0 || pt.IngestPerSec <= 0 || pt.ProbeLatencyUs <= 0 {
-						t.Fatalf("malformed window point %+v", pt)
-					}
-					if pt.Window > maxW {
-						maxW = pt.Window
-					}
-				}
-				if maxW < 100_000 {
-					t.Fatalf("window sweep tops out at %d, want the paper-scale 100k window", maxW)
-				}
-				if rep.Baseline == nil || len(rep.Baseline.Points) == 0 {
-					t.Fatal("window report has no embedded slice baseline")
-				}
-				if rep.Layout == rep.Baseline.Layout {
-					t.Fatalf("report and baseline both measure layout %q", rep.Layout)
-				}
-				// The two headline acceptances of the blocked layout: the
-				// compression must halve the storage bill at the largest
-				// window, and it must not cost the read path anything there.
-				if rep.BytesReductionPct < 50 {
-					t.Fatalf("bytes/posting reduction vs %q is %.1f%%, want >= 50%%",
-						rep.Baseline.Layout, rep.BytesReductionPct)
-				}
-				if rep.ProbeLatencyRatio <= 0 || rep.ProbeLatencyRatio > 1.0 {
-					t.Fatalf("probe latency ratio vs %q is %.2f, want in (0, 1.0] (no read-path regression)",
-						rep.Baseline.Layout, rep.ProbeLatencyRatio)
 				}
 			}
 

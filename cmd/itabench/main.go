@@ -13,7 +13,6 @@
 //	itabench -exp recovery -queries 2000 -ckpts 0,64,512 -json BENCH_RECOVERY.json
 //	itabench -exp failover -queries 2000 -behind 4,16,64 -json BENCH_FAILOVER.json
 //	itabench -exp cluster -queries 2000 -nodes 1,2,3 -json BENCH_CLUSTER.json
-//	itabench -exp window -windows 1000,10000,100000 -json BENCH_WINDOW.json
 //
 // The paper profile reproduces the published configuration (1,000
 // queries, 181,978-term dictionary, windows up to 100,000 documents) and
@@ -36,7 +35,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: setup|validate|explain|fig3a|fig3b|fig3a-time|headline|ablations|throughput|batch|reads|recovery|scale|window|failover|cluster|all")
+		exp     = flag.String("exp", "all", "experiment: setup|validate|explain|fig3a|fig3b|fig3a-time|headline|ablations|throughput|batch|reads|recovery|scale|failover|cluster|all")
 		profile = flag.String("profile", "quick", "workload profile: quick|paper")
 		csvDir  = flag.String("csv", "", "directory to write per-figure CSV files (optional)")
 		quiet   = flag.Bool("q", false, "suppress progress lines")
@@ -70,12 +69,8 @@ func main() {
 		// deltas around registration) and ingest throughput.
 		countSet = flag.String("counts", "10000,100000,1000000", "scale: comma-separated registered-query counts")
 		scaleWin = flag.Int("scalewin", 32768, "scale: count-window size during the sweep")
-		// -exp window knobs: the posting-layout experiment sweeps window
-		// sizes, measuring bytes/posting and cold-search latency for the
-		// blocked layout against the slice layout over the same windows.
-		windowSet = flag.String("windows", "1000,10000,100000", "window: comma-separated window sizes")
-		layout    = flag.String("layout", "theta-probe", "scale: label for the query-state layout under measurement")
-		baseline  = flag.String("baseline", "", "scale: path to an earlier layout's scale JSON to embed as the comparison baseline")
+		layout   = flag.String("layout", "theta-probe", "scale: label for the query-state layout under measurement")
+		baseline = flag.String("baseline", "", "scale: path to an earlier layout's scale JSON to embed as the comparison baseline")
 	)
 	flag.Parse()
 
@@ -164,14 +159,6 @@ func main() {
 				fail(fmt.Errorf("parse -baseline %s: %w", *baseline, err))
 			}
 			rep.AttachBaseline(base)
-		}
-		fmt.Print(rep.Format())
-		writeJSON(*jsonOut, rep.JSON, *quiet)
-		return
-	case "window":
-		rep, err := harness.WindowSweep(p, parseInts(*windowSet, "-windows", 1), 4, progress)
-		if err != nil {
-			fail(err)
 		}
 		fmt.Print(rep.Format())
 		writeJSON(*jsonOut, rep.JSON, *quiet)

@@ -313,26 +313,22 @@
 // ratio (events/s at the largest query count over the smallest) — the
 // flatness number that catches a probe-cost regression as a cliff.
 //
-// # Compressed posting storage
+// # Posting storage
 //
-// The window side scales the same way: posting lists default to a
-// block-compressed layout (WithPostingLayout, LayoutBlocked). Each
-// per-term list is an array of ~128-entry flat blocks in impact order,
-// carrying per-block max-weight/min-key/count metadata; packed blocks
-// FOR-code doc ids against the block minimum and store weights exactly,
-// as the smaller of sortable-bits frame-of-reference or a per-block
-// weight dictionary. Point mutations decode their target block once
-// and splice it as raw entries — the slice layout's cost — and every
-// epoch boundary repacks what its batch left decoded, so the
-// epoch-batched pipeline converges to fully packed lists. Iterators
-// switch from per-entry extraction to whole-block decode once a
-// descent runs deep, which makes large-window threshold searches
-// faster than the uncompressed layout while using under half the
-// memory (BENCH_WINDOW.json, itabench -exp window: 60.8% fewer
-// bytes/posting and 0.89x cold-search latency at the paper-scale
-// 100k-document window). LayoutSlices retains the original layout;
-// the metamorphic suites pin their oracle engines to it, so every
-// equivalence run doubles as a blocked-versus-slice differential twin.
+// The window side has one layout: each per-term list is a chunked
+// sorted array of raw ⟨weight, doc⟩ entries sized to fit. Almost every
+// dictionary term is rare, so the layout spends its effort on per-list
+// overhead — a one-chunk list keeps its chunk directory inline, chunks
+// grow by an eighth so a singleton costs one 16-byte allocation, an
+// emptied list parks its small chunk for the term's next arrival, and
+// the term table is a flat slice over the dictionary's dense ids. An
+// earlier block-compressed layout and the option selecting it are
+// gone: it reached 9.5 bytes/posting at a 100k-document window, about
+// half of what raw entries need, but cost a decode and a repack per
+// touched list. Against it, bench/run.sh -compare records 3.07x the
+// ingest rate on the wide-window workload (924 → 2,833 docs/s) at
+// 0.82x the live heap, and 1.17–1.45x on the other three at no more
+// heap. Snapshots that recorded either layout still restore.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured comparison of every figure.

@@ -28,7 +28,9 @@ import (
 // same port). Every run ends with a promote-under-partition: the
 // standby is promoted while the primary is unreachable, must equal the
 // reference exactly, and must keep lockstep with it as a writable
-// primary afterwards.
+// primary afterwards. The reference no longer runs a different posting
+// layout from the replicated pair (there is only one); the time that
+// frees goes to a further seed.
 
 // faultReplTuning returns the follower tuning of a fault run: dials go
 // through the fault domain, and backoffs are tight enough that injected
@@ -102,10 +104,7 @@ func runReplicatedSequence(t *testing.T, data []byte, seed int64, cfg faults.Con
 		pol = WithCountWindow(10)
 	}
 
-	// The reference runs the slice posting layout while the primary and
-	// standby keep the default blocked layout, making every replication
-	// cell a differential twin for the compressed postings too.
-	ref, err := New(pol, WithPostingLayout(LayoutSlices))
+	ref, err := New(pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +282,7 @@ var faultGrid = []struct {
 // schedule seed is derived as seed*31+cell index, so the whole cell
 // reproduces).
 func TestMetamorphicReplication(t *testing.T) {
-	seeds := []int64{1, 2, 3}
+	seeds := []int64{1, 2, 3, 4}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}

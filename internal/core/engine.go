@@ -115,8 +115,8 @@ type Memory struct {
 	ViewBytes       uint64 `json:"view_bytes"`        // published slots + ext→dense lookup
 	// PostingBytes is the inverted-list share of IndexBytes (already
 	// counted there, so Total does not add it), and Postings the entry
-	// count behind it — together the bytes-per-posting gauge of the
-	// window-sweep benchmark.
+	// count behind it — together the invindex.bytes_per_posting gauge
+	// of the benchmark's traced pass.
 	PostingBytes uint64 `json:"posting_bytes"`
 	Postings     uint64 `json:"postings"`
 }

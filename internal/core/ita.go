@@ -69,13 +69,6 @@ func WithFloorMargins(target, raise int) ITAOption {
 	}
 }
 
-// WithPostingLayout selects the inverted-index posting layout; the
-// default is the block-compressed layout. The slice layout is the
-// differential-twin reference of the equivalence suites.
-func WithPostingLayout(l invindex.Layout) ITAOption {
-	return func(e *ITA) { e.cfg.PostingLayout = l }
-}
-
 // NewITA returns an empty ITA engine over the given window policy.
 func NewITA(policy window.Policy, opts ...ITAOption) *ITA {
 	e := &ITA{
@@ -85,7 +78,7 @@ func NewITA(policy window.Policy, opts ...ITAOption) *ITA {
 	for _, o := range opts {
 		o(e)
 	}
-	e.index = invindex.NewIndexLayout(e.cfg.Seed, e.cfg.PostingLayout)
+	e.index = invindex.NewIndex(e.cfg.Seed)
 	e.m = NewMaintainer(e.index, &e.stats, e.cfg)
 	return e
 }

@@ -154,9 +154,6 @@ type MaintainerConfig struct {
 	// maintenance margins; zero selects the defaults (see floor.go).
 	FloorTargetMargin int
 	FloorRaiseMargin  int
-	// PostingLayout selects the inverted-list representation; the zero
-	// value is the block-compressed default (see invindex.Layout).
-	PostingLayout invindex.Layout
 }
 
 // NewMaintainer returns an empty maintainer reading from index and

@@ -3,10 +3,15 @@ package invindex
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+	"time"
 
 	"ita/internal/model"
 )
+
+// sortEntries orders es in list order.
+func sortEntries(es []EntryKey) { slices.SortFunc(es, compareKeys) }
 
 // randomDoc builds a document with 1–6 random terms over the vocabulary.
 func randomDoc(rng *rand.Rand, id model.DocID, seq, vocab int) *model.Document {
@@ -28,23 +33,14 @@ func randomDoc(rng *rand.Rand, id model.DocID, seq, vocab int) *model.Document {
 	return d
 }
 
-// listEntries flattens a list into a single slice for comparison.
-func listEntries(l *List) []EntryKey {
-	var out []EntryKey
-	for it := l.First(); it.Valid(); it.Next() {
-		out = append(out, it.Key())
-	}
-	return out
-}
-
 // indexState captures everything ApplyBatch is allowed to change.
 func indexState(t *testing.T, x *Index) (fifo []model.DocID, lists map[model.TermID][]EntryKey) {
 	t.Helper()
 	x.Docs(func(d *model.Document) { fifo = append(fifo, d.ID) })
 	lists = make(map[model.TermID][]EntryKey)
 	for term, l := range x.lists {
-		if l.Len() > 0 {
-			lists[term] = listEntries(l)
+		if l != nil && l.Len() > 0 {
+			lists[model.TermID(term)] = listContents(l)
 		}
 	}
 	return fifo, lists
@@ -181,15 +177,8 @@ func TestListApplyBatchRebuild(t *testing.T) {
 	rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
 	del = append(del, present[:1000]...)
 
-	sortKeys := func(ks []EntryKey) {
-		for i := 1; i < len(ks); i++ {
-			for j := i; j > 0 && Before(ks[j], ks[j-1]); j-- {
-				ks[j], ks[j-1] = ks[j-1], ks[j]
-			}
-		}
-	}
-	sortKeys(ins)
-	sortKeys(del)
+	sortEntries(ins)
+	sortEntries(del)
 	a.applyBatch(ins, del, nil)
 	for _, e := range del {
 		b.delete(e)
@@ -197,13 +186,50 @@ func TestListApplyBatchRebuild(t *testing.T) {
 	for _, e := range ins {
 		b.insert(e)
 	}
-	if got, want := listEntries(a), listEntries(b); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := listContents(a), listContents(b); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("rebuild diverged: %d vs %d entries", len(got), len(want))
 	}
-	// Chunk invariants: non-empty, within bounds, globally sorted.
-	for ci, ch := range a.chunks {
-		if len(ch) == 0 || len(ch) > maxChunk {
-			t.Fatalf("chunk %d has %d entries", ci, len(ch))
+	checkListInvariants(t, a, 0)
+}
+
+// TestBatchScratchShrink verifies the index releases the hot-list merge
+// scratch after sustained small epochs — one burst must not pin its
+// high-water capacity forever.
+func TestBatchScratchShrink(t *testing.T) {
+	x := NewIndex(1)
+	docAt := func(id int, term model.TermID, n int) []*model.Document {
+		docs := make([]*model.Document, n)
+		for i := range docs {
+			d, err := model.NewDocument(model.DocID(id+i), time.Unix(int64(id+i), 0),
+				[]model.Posting{{Term: term, Weight: float64(id+i) + 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[i] = d
 		}
+		return docs
+	}
+	never := func(*model.Document, int) bool { return false }
+
+	// A burst epoch rebuilds one hot list at several thousand entries.
+	if _, err := x.ApplyBatch(docAt(0, 7, 4096), never); err != nil {
+		t.Fatal(err)
+	}
+	high := cap(x.batchScratch)
+	if high < 4096 {
+		t.Fatalf("burst did not grow scratch: cap=%d", high)
+	}
+	// Sustained small epochs: each rebuilds a tiny fresh hot term (8
+	// mutations clears hotTermMutations; a new term keeps the list size
+	// below the point-op cutoff).
+	id := 1 << 20
+	for epoch := 0; epoch < 40; epoch++ {
+		if _, err := x.ApplyBatch(docAt(id, model.TermID(100+epoch), hotTermMutations), never); err != nil {
+			t.Fatal(err)
+		}
+		id += hotTermMutations
+	}
+	if got := cap(x.batchScratch); got >= high {
+		t.Fatalf("scratch cap %d never shrank from high water %d", got, high)
 	}
 }

@@ -9,20 +9,18 @@
 // meaningful across arbitrary insertions and deletions, including the
 // deletion of the entry it was derived from.
 //
-// Two physical layouts implement the same list contract (see Layout):
-// chunked sorted slices of raw EntryKeys, and block-compressed postings
-// (block.go) that pack each 128-entry block's doc ids and weights at
-// per-block fixed bit widths behind max-weight/min-weight/count summary
-// metadata. Every observable — iteration order, seeks, predecessors,
-// lengths, batch semantics — is identical between the layouts; the
-// metamorphic differential twin holds them byte-identical through the
-// whole engine stack.
+// Every list is a chunked sorted array of raw EntryKeys whose chunks
+// are allocated to fit. Almost every term of a real dictionary is rare,
+// so what a window's index costs is set by the overhead around a
+// handful of entries per list, not by how densely the few Zipf-head
+// lists pack.
 package invindex
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"unsafe"
 
 	"ita/internal/model"
 )
@@ -45,6 +43,17 @@ func Before(a, b EntryKey) bool {
 	return a.Doc < b.Doc
 }
 
+// compareKeys is the list order as a three-way comparison.
+func compareKeys(a, b EntryKey) int {
+	switch {
+	case Before(a, b):
+		return -1
+	case Before(b, a):
+		return 1
+	}
+	return 0
+}
+
 // Top returns the sentinel position before every possible entry. A
 // local threshold at Top has consumed nothing.
 func Top() EntryKey { return EntryKey{W: math.Inf(1), Doc: 0} }
@@ -54,163 +63,141 @@ func Top() EntryKey { return EntryKey{W: math.Inf(1), Doc: 0} }
 // arrival with a positive weight lands ahead of it.
 func Bottom() EntryKey { return EntryKey{W: 0, Doc: math.MaxUint64} }
 
-// Layout selects the physical representation of the inverted lists.
-type Layout uint8
+// List is one inverted list: impact entries in list order, held as a
+// chunked sorted array (a tiered vector). At realistic dictionary sizes
+// the vast majority of lists hold a handful of entries
+// (window·terms/dictionary ≈ 1 for the paper's configuration), so the
+// layout is built around their overhead: a one-chunk list keeps its
+// chunk directory inline (chunks aliases one — no directory
+// allocation), and chunks grow by an eighth, never by doubling, so a
+// singleton's storage is one 16-byte allocation. The Zipf-head terms,
+// which at a 100,000-document window appear in essentially every
+// document, spread across chunks so that an insert or delete rewrites
+// at most one chunk's worth of memory instead of O(list) — the
+// difference between microseconds and milliseconds per arrival at the
+// paper's largest window.
+//
+// A List is always handled by pointer, because chunks may point into
+// one.
+type List struct {
+	chunks [][]EntryKey // each non-empty and sorted; nil while the list is empty
+	// one is the directory of a one-chunk list. While the list is
+	// empty, one[0] parks the emptied chunk's capacity (up to parkMax
+	// entries) for the term's next arrival.
+	one    [1][]EntryKey
+	length int
+}
 
 const (
-	// LayoutBlocked (the default) stores each list as flat compressed
-	// blocks: frame-of-reference doc ids and dictionary- or FOR-coded
-	// weights at per-block fixed widths, with per-block max-weight,
-	// min-weight and entry-count metadata routing seeks and predecessor
-	// queries through a block directory. Roughly a third the bytes per
-	// posting of the slice layout on natural workloads, which is what
-	// makes 100x-larger windows fit in memory.
-	LayoutBlocked Layout = iota
-	// LayoutSlices stores each list as chunked sorted slices of raw
-	// EntryKeys — the original layout, kept as the differential-twin
-	// reference and selectable via the facade's WithPostingLayout.
-	LayoutSlices
+	// maxChunk bounds chunk size; a full chunk splits in two. 256
+	// entries (4 KiB of EntryKeys) keeps the memmove within a couple of
+	// cache lines' worth of pages while keeping the chunk directory
+	// tiny.
+	maxChunk = 256
+	// rebuildChunk is the chunk size a merge rebuild lays down: half
+	// fill, the steady state that splits leave behind.
+	rebuildChunk = maxChunk / 2
+	// parkMax is the largest emptied chunk an empty list holds on to.
+	parkMax = 8
 )
 
-// String implements fmt.Stringer.
-func (l Layout) String() string {
-	switch l {
-	case LayoutBlocked:
-		return "blocked"
-	case LayoutSlices:
-		return "slices"
-	default:
-		return fmt.Sprintf("layout(%d)", int(l))
-	}
-}
-
-// List is one inverted list: impact entries in list order. The slice
-// layout backs it with a chunked sorted array (a tiered vector); the
-// blocked layout with the compressed blocks of block.go. At realistic
-// dictionary sizes the vast majority of lists hold a handful of entries
-// (window·terms/dictionary ≈ 1 for the paper's configuration) and live
-// in a single chunk or block with no per-entry allocation; the
-// Zipf-head terms, which at a 100,000-document window appear in
-// essentially every document, spread across chunks/blocks so that an
-// insert or delete rewrites at most one chunk's or block's worth of
-// memory instead of O(list) — the difference between microseconds and
-// milliseconds per arrival at the paper's largest window.
-type List struct {
-	chunks [][]EntryKey // slice layout: each non-empty and sorted
-	spare  []EntryKey   // slice layout: capacity recycled from the last emptied chunk
-	blocks []block      // blocked layout: compressed blocks in list order
-	length int
-	// nraw counts the blocked layout's currently decoded blocks — the
-	// point-mutation working set awaiting a repack (see Index.compact).
-	nraw    int
-	blocked bool
-	// queued marks the list as sitting in the index's compaction queue.
-	queued bool
-}
-
-// maxChunk bounds chunk size; a full chunk splits in two. 256 entries
-// (4 KiB of EntryKeys) keeps the memmove within a couple of cache
-// lines' worth of pages while keeping the chunk directory tiny.
-const maxChunk = 256
-
-func newList() *List        { return &List{} }
-func newBlockedList() *List { return &List{blocked: true} }
-
-func newListLayout(lay Layout) *List {
-	return &List{blocked: lay == LayoutBlocked}
-}
+func newList() *List { return &List{} }
 
 // Len returns the number of entries.
 func (l *List) Len() int { return l.length }
 
-// chunkFor returns the index of the chunk that does (or would) contain
-// pos: the first chunk whose last element is not before pos, clamped to
-// the final chunk.
-func (l *List) chunkFor(pos EntryKey) int {
-	n := len(l.chunks)
-	c := sort.Search(n, func(i int) bool {
-		ch := l.chunks[i]
-		return !Before(ch[len(ch)-1], pos)
-	})
-	if c == n && n > 0 {
-		c = n - 1
+// setChunks installs dir as the chunk directory: a one-chunk directory
+// moves inline, and anything one held before is released.
+func (l *List) setChunks(dir [][]EntryKey) {
+	switch len(dir) {
+	case 0:
+		l.chunks, l.one[0] = nil, nil
+	case 1:
+		l.one[0] = dir[0]
+		l.chunks = l.one[:]
+	default:
+		l.chunks, l.one[0] = dir, nil
 	}
-	return c
 }
 
 // lowerBound locates the first entry not before pos as a (chunk,
-// offset) pair; offset may equal the chunk length (insertion at the
-// very end). Blocked lists route through the block directory instead:
-// the per-block last-entry summaries find the one candidate block and
-// the O(1) random access of the codec binary-searches inside it, so no
-// block below the target is ever decoded.
+// offset) pair. The chunk is the first whose last element is not before
+// pos, clamped to the final chunk, so offset may equal the chunk length
+// (insertion at the very end). The list must not be empty.
 func (l *List) lowerBound(pos EntryKey) (int, int) {
-	if l.blocked {
-		return l.blockBound(pos)
+	c, hi := 0, len(l.chunks)-1
+	for c < hi {
+		mid := int(uint(c+hi) >> 1)
+		if ch := l.chunks[mid]; Before(ch[len(ch)-1], pos) {
+			c = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	if len(l.chunks) == 0 {
-		return 0, 0
-	}
-	c := l.chunkFor(pos)
 	ch := l.chunks[c]
-	i := sort.Search(len(ch), func(i int) bool { return !Before(ch[i], pos) })
-	return c, i
-}
-
-// blockBound is lowerBound over the block directory.
-func (l *List) blockBound(pos EntryKey) (int, int) {
-	n := len(l.blocks)
-	if n == 0 {
-		return 0, 0
+	i, n := 0, len(ch)
+	for i < n {
+		mid := int(uint(i+n) >> 1)
+		if Before(ch[mid], pos) {
+			i = mid + 1
+		} else {
+			n = mid
+		}
 	}
-	c := sort.Search(n, func(i int) bool { return !Before(l.blocks[i].last, pos) })
-	if c == n {
-		c = n - 1
-	}
-	b := &l.blocks[c]
-	i := sort.Search(int(b.count), func(i int) bool { return !Before(b.at(i), pos) })
 	return c, i
 }
 
 func (l *List) insert(e EntryKey) {
-	if l.blocked {
-		l.blockInsert(e)
-		return
-	}
+	l.length++
 	if len(l.chunks) == 0 {
-		first := l.spare
-		if first == nil {
-			first = make([]EntryKey, 0, 8)
+		ch := l.one[0]
+		if ch == nil {
+			ch = make([]EntryKey, 0, 1)
 		}
-		l.spare = nil
-		l.chunks = append(l.chunks, append(first, e))
-		l.length++
+		l.one[0] = append(ch, e)
+		l.chunks = l.one[:]
 		return
 	}
 	c, i := l.lowerBound(e)
 	ch := l.chunks[c]
-	ch = append(ch, EntryKey{})
-	copy(ch[i+1:], ch[i:])
-	ch[i] = e
-	l.chunks[c] = ch
-	l.length++
-	if len(ch) > maxChunk {
-		// Split the full chunk in half; the right half is a fresh
-		// allocation so the halves stop sharing growth.
-		mid := len(ch) / 2
-		right := append(make([]EntryKey, 0, maxChunk), ch[mid:]...)
-		l.chunks[c] = ch[:mid:mid]
-		l.chunks = append(l.chunks, nil)
-		copy(l.chunks[c+2:], l.chunks[c+1:])
-		l.chunks[c+1] = right
+	n := len(ch)
+	switch {
+	case n < cap(ch):
+		ch = ch[:n+1]
+		copy(ch[i+1:], ch[i:n])
+		ch[i] = e
+		l.chunks[c] = ch
+	case n < maxChunk:
+		// Grow by an eighth: the steps land on the allocator's size
+		// classes for the short chunks that make up most of a
+		// dictionary, and leave at most 12.5 % slack on the long ones.
+		grown := make([]EntryKey, n+1, min(n+n/8+1, maxChunk))
+		copy(grown, ch[:i])
+		grown[i] = e
+		copy(grown[i+1:], ch[i:])
+		l.chunks[c] = grown
+	default:
+		// A full chunk splits into two exact-fit halves around e.
+		mid := (n + 1) / 2
+		left, right := make([]EntryKey, mid), make([]EntryKey, n+1-mid)
+		if i < mid {
+			copy(left, ch[:i])
+			left[i] = e
+			copy(left[i+1:], ch[i:mid-1])
+			copy(right, ch[mid-1:])
+		} else {
+			copy(left, ch[:mid])
+			copy(right, ch[mid:i])
+			right[i-mid] = e
+			copy(right[i-mid+1:], ch[i:])
+		}
+		l.chunks[c] = left
+		l.setChunks(slices.Insert(l.chunks, c+1, right))
 	}
 }
 
 func (l *List) delete(e EntryKey) bool {
-	if l.blocked {
-		return l.blockDelete(e)
-	}
-	if len(l.chunks) == 0 {
+	if l.length == 0 {
 		return false
 	}
 	c, i := l.lowerBound(e)
@@ -218,82 +205,19 @@ func (l *List) delete(e EntryKey) bool {
 	if i >= len(ch) || ch[i] != e {
 		return false
 	}
-	copy(ch[i:], ch[i+1:])
-	l.chunks[c] = ch[:len(ch)-1]
 	l.length--
-	if len(l.chunks[c]) == 0 {
-		if l.length == 0 {
-			l.spare = l.chunks[c][:0]
+	switch {
+	case len(ch) > 1:
+		copy(ch[i:], ch[i+1:])
+		l.chunks[c] = ch[:len(ch)-1]
+	case l.length > 0:
+		l.setChunks(slices.Delete(l.chunks, c, c+1))
+	default:
+		l.setChunks(nil)
+		if cap(ch) <= parkMax {
+			l.one[0] = ch[:0]
 		}
-		l.chunks = append(l.chunks[:c], l.chunks[c+1:]...)
 	}
-	return true
-}
-
-// blockInsert is a point insert on the blocked layout: the target
-// block is decoded once (block.decode — an O(block) one-time cost) and
-// the splice itself is a sub-block memmove, exactly the cost profile of
-// the slice layout's chunks. The block stays decoded through further
-// point churn and is re-packed by the list's next merge rebuild.
-func (l *List) blockInsert(e EntryKey) {
-	l.length++
-	if len(l.blocks) == 0 {
-		l.blocks = append(l.blocks, rawBlock(append(make([]EntryKey, 0, 8), e)))
-		l.nraw = 1
-		return
-	}
-	c, i := l.blockBound(e)
-	b := &l.blocks[c]
-	if b.raw == nil {
-		b.decode()
-		l.nraw++
-	}
-	b.raw = append(b.raw, EntryKey{})
-	copy(b.raw[i+1:], b.raw[i:])
-	b.raw[i] = e
-	if len(b.raw) > blockMax {
-		// Split the full block in half; the right half is a fresh
-		// allocation so the halves stop sharing growth.
-		es := b.raw
-		mid := len(es) / 2
-		right := append(make([]EntryKey, 0, blockMax), es[mid:]...)
-		l.blocks[c] = rawBlock(es[:mid:mid])
-		l.blocks = append(l.blocks, block{})
-		copy(l.blocks[c+2:], l.blocks[c+1:])
-		l.blocks[c+1] = rawBlock(right)
-		l.nraw++
-		return
-	}
-	b.refresh()
-}
-
-// blockDelete is the point delete analog of blockInsert.
-func (l *List) blockDelete(e EntryKey) bool {
-	if len(l.blocks) == 0 {
-		return false
-	}
-	c, i := l.blockBound(e)
-	b := &l.blocks[c]
-	if i >= int(b.count) || b.at(i) != e {
-		return false
-	}
-	l.length--
-	if b.count == 1 {
-		if b.raw != nil {
-			l.nraw--
-		}
-		l.blocks = append(l.blocks[:c], l.blocks[c+1:]...)
-		if l.length == 0 {
-			l.blocks = nil
-		}
-		return true
-	}
-	if b.raw == nil {
-		b.decode()
-		l.nraw++
-	}
-	b.raw = append(b.raw[:i], b.raw[i+1:]...)
-	b.refresh()
 	return true
 }
 
@@ -313,12 +237,12 @@ func (l *List) applyBatch(ins, del, scratch []EntryKey) []EntryKey {
 	}
 	// Point operations win whenever the mutation set is small — in
 	// absolute terms (each point op is a binary search plus one
-	// sub-chunk memmove or block re-encode, allocation-free, and at
-	// realistic dictionary sparsity almost every touched list takes a
-	// handful of mutations) or relative to the list (the rebuild walks
-	// everything). The rebuild pays off only once a large fraction of
-	// the list changes in one epoch: one merge sweep and one allocation
-	// replace m searches and m memmoves or re-encodes.
+	// sub-chunk memmove, allocation-free, and at realistic dictionary
+	// sparsity almost every touched list takes a handful of mutations)
+	// or relative to the list (the rebuild walks everything). The
+	// rebuild pays off only once a large fraction of the list changes
+	// in one epoch: one merge sweep and one allocation replace m
+	// searches and m memmoves.
 	if m < hotTermMutations || m*2 < l.length {
 		for _, e := range del {
 			l.delete(e)
@@ -330,164 +254,68 @@ func (l *List) applyBatch(ins, del, scratch []EntryKey) []EntryKey {
 	}
 	merged := scratch[:0]
 	ii, di := 0, 0
-	take := func(e EntryKey) {
-		for ii < len(ins) && Before(ins[ii], e) {
-			merged = append(merged, ins[ii])
-			ii++
-		}
-		for di < len(del) && Before(del[di], e) {
-			di++ // delete key not present; tolerate and move on
-		}
-		if di < len(del) && del[di] == e {
-			di++
-			return
-		}
-		merged = append(merged, e)
-	}
-	if l.blocked {
-		for bi := range l.blocks {
-			b := &l.blocks[bi]
-			for i := 0; i < int(b.count); i++ {
-				take(b.at(i))
+	for _, ch := range l.chunks {
+		for _, e := range ch {
+			for ii < len(ins) && Before(ins[ii], e) {
+				merged = append(merged, ins[ii])
+				ii++
 			}
-		}
-	} else {
-		for _, ch := range l.chunks {
-			for _, e := range ch {
-				take(e)
+			for di < len(del) && Before(del[di], e) {
+				di++ // delete key not present; tolerate and move on
 			}
+			if di < len(del) && del[di] == e {
+				di++
+				continue
+			}
+			merged = append(merged, e)
 		}
 	}
 	merged = append(merged, ins[ii:]...)
 	l.length = len(merged)
-	if l.blocked {
-		l.rebuildBlocks(merged)
-		return merged
-	}
 	if l.length == 0 {
-		l.chunks = nil
+		l.setChunks(nil)
 		return merged
 	}
-	// Re-chunk at half fill so subsequent point inserts have headroom
-	// before forcing splits, matching the steady state split leaves.
-	// All chunks slice one backing array (capacity-capped, so a growing
-	// chunk copies out instead of clobbering its neighbor), keeping the
-	// rebuild at a single persistent allocation.
-	const target = maxChunk / 2
-	backing := make([]EntryKey, len(merged))
-	copy(backing, merged)
-	l.chunks = l.chunks[:0]
-	for start := 0; start < len(backing); start += target {
-		end := start + target
-		if end > len(backing) {
-			end = len(backing)
-		}
-		l.chunks = append(l.chunks, backing[start:end:end])
+	// All chunks slice one exact-fit backing array (capacity-capped, so
+	// a growing chunk copies out instead of clobbering its neighbor),
+	// keeping the rebuild at a single persistent allocation.
+	backing := slices.Clone(merged)
+	dir := l.chunks[:0]
+	clear(l.chunks)
+	if need := (len(backing) + rebuildChunk - 1) / rebuildChunk; cap(dir) < need {
+		dir = make([][]EntryKey, 0, need)
 	}
+	for start := 0; start < len(backing); start += rebuildChunk {
+		end := min(start+rebuildChunk, len(backing))
+		dir = append(dir, backing[start:end:end])
+	}
+	l.setChunks(dir)
 	return merged
 }
 
-// rebuildBlocks re-encodes the whole list from merged at blockTarget
-// fill, reusing the block directory's capacity.
-func (l *List) rebuildBlocks(merged []EntryKey) {
-	l.nraw = 0
-	if len(merged) == 0 {
-		l.blocks = nil
-		return
-	}
-	l.blocks = l.blocks[:0]
-	for start := 0; start < len(merged); start += blockTarget {
-		end := start + blockTarget
-		if end > len(merged) {
-			end = len(merged)
-		}
-		l.blocks = append(l.blocks, encodeBlock(merged[start:end]))
-	}
-}
-
-// repack re-encodes the list's decoded blocks until none remain or
-// budget (in entries) runs out, returning the remaining budget. Blocks
-// keep their boundaries — repacking is local, never a list rewrite.
-func (l *List) repack(budget int) int {
-	for i := range l.blocks {
-		if l.nraw == 0 || budget <= 0 {
-			break
-		}
-		b := &l.blocks[i]
-		if b.raw == nil {
-			continue
-		}
-		budget -= len(b.raw)
-		l.blocks[i] = encodeBlock(b.raw)
-		l.nraw--
-	}
-	return budget
-}
-
 // Iterator walks a list from a position towards lower impacts. It stays
-// valid only while the list is not modified. The current entry is
-// decoded once per position into k, so the refill loops that re-read
-// Key() many times per consumed entry pay the (blocked-layout) decode
-// exactly once.
+// valid only while the list is not modified. The refill loops re-read
+// Key() many times per consumed entry, so the current entry is loaded
+// once per position into k.
 type Iterator struct {
 	l  *List
-	c  int // chunk/block index
-	i  int // offset within chunk/block
-	n  int // entries consumed inside the current block (blocked layout)
+	c  int // chunk index
+	i  int // offset within chunk
 	ok bool
 	k  EntryKey
-	// buf caches a whole packed block decoded in one pass. A shallow
-	// read (a refill resuming near its stored threshold) pays per-entry
-	// extraction and never allocates; once a descent has consumed
-	// seqDecodeAfter entries of one packed block it is a deep scan, and
-	// decoding the rest of the block in one tight pass makes every
-	// further Key a plain slice read.
-	dc  int // block index buf holds
-	buf []EntryKey
 }
 
-// seqDecodeAfter is the per-block consumption depth at which an
-// iterator switches from per-entry extraction to whole-block decode.
-const seqDecodeAfter = 16
-
-// load decodes the entry at the iterator's position into the cache,
-// clearing ok when the position is past the end.
+// load caches the entry at the iterator's position, stepping over a
+// chunk end first, and clears ok when the position is past the end.
 func (it *Iterator) load() {
 	l := it.l
-	if l == nil {
-		it.ok = false
-		return
+	if it.c < len(l.chunks) && it.i >= len(l.chunks[it.c]) {
+		it.c++
+		it.i = 0
 	}
-	if l.blocked {
-		if it.c >= len(l.blocks) {
-			it.ok = false
-			return
-		}
-		it.ok = true
-		b := &l.blocks[it.c]
-		if b.raw != nil {
-			it.k = b.raw[it.i]
-			return
-		}
-		if it.dc == it.c && len(it.buf) > 0 {
-			it.k = it.buf[it.i]
-			return
-		}
-		if it.n >= seqDecodeAfter {
-			it.buf = b.appendTo(it.buf[:0])
-			it.dc = it.c
-			it.k = it.buf[it.i]
-			return
-		}
-		it.k = b.at(it.i)
-		return
+	if it.ok = it.c < len(l.chunks); it.ok {
+		it.k = l.chunks[it.c][it.i]
 	}
-	if it.c >= len(l.chunks) || it.i >= len(l.chunks[it.c]) {
-		it.ok = false
-		return
-	}
-	it.ok = true
-	it.k = l.chunks[it.c][it.i]
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -496,20 +324,6 @@ func (it *Iterator) Valid() bool { return it.ok }
 // Next advances towards the tail (lower impact).
 func (it *Iterator) Next() {
 	it.i++
-	l := it.l
-	if l.blocked {
-		it.n++
-		if it.c < len(l.blocks) && it.i >= int(l.blocks[it.c].count) {
-			it.c++
-			it.i = 0
-			it.n = 0
-		}
-	} else {
-		if it.c < len(l.chunks) && it.i >= len(l.chunks[it.c]) {
-			it.c++
-			it.i = 0
-		}
-	}
 	it.load()
 }
 
@@ -519,21 +333,11 @@ func (it *Iterator) Key() EntryKey { return it.k }
 // SeekGE returns an iterator at the first entry at or after pos in list
 // order — the resume point for a threshold stored as pos.
 func (l *List) SeekGE(pos EntryKey) Iterator {
-	if l.length == 0 {
-		return Iterator{l: l}
-	}
-	c, i := l.lowerBound(pos)
-	it := Iterator{l: l, c: c, i: i}
-	if l.blocked {
-		if c < len(l.blocks) && i >= int(l.blocks[c].count) {
-			it.c++
-			it.i = 0
-		}
-	} else if c < len(l.chunks) && i >= len(l.chunks[c]) {
-		// Insertion point at the end of a chunk: the next real entry
-		// starts the following chunk.
-		it.c++
-		it.i = 0
+	it := Iterator{l: l}
+	if l.length > 0 {
+		// An insertion point at the end of a chunk is the start of the
+		// following one; load steps over it.
+		it.c, it.i = l.lowerBound(pos)
 	}
 	it.load()
 	return it
@@ -554,15 +358,6 @@ func (l *List) PredBefore(pos EntryKey) (EntryKey, bool) {
 		return EntryKey{}, false
 	}
 	c, i := l.lowerBound(pos)
-	if l.blocked {
-		if i == 0 {
-			if c == 0 {
-				return EntryKey{}, false
-			}
-			return l.blocks[c-1].last, true
-		}
-		return l.blocks[c].at(i - 1), true
-	}
 	if i == 0 {
 		if c == 0 {
 			return EntryKey{}, false
@@ -576,104 +371,75 @@ func (l *List) PredBefore(pos EntryKey) (EntryKey, bool) {
 // Index is the document store plus the inverted lists over it.
 type Index struct {
 	*Store
-	lists  map[model.TermID]*List
-	layout Layout
-	// nonEmpty counts lists with at least one entry. The term map
-	// deliberately retains emptied lists (see RemoveOldest), so Terms()
-	// would otherwise need a full map scan — a dictionary-sized cost on
-	// what callers treat as a cheap gauge.
+	// lists is indexed by term id. Ids are dictionary-dense (see
+	// model.TermID), so a flat table costs 8 bytes a term where a map
+	// cost a bucket slot and a hash per posting. Emptied lists stay in
+	// the table (see RemoveOldest).
+	lists []*List
+	// nonEmpty counts lists with at least one entry, so Terms() is a
+	// cheap gauge and not a dictionary-sized scan.
 	nonEmpty int
-	// batchCounts is ApplyBatch's reusable per-term mutation counter,
-	// cleared after every call; batchScratch is the reusable merge
-	// space of hot-list rebuilds, with batchLow counting consecutive
-	// low-usage epochs towards a shrink (see shrinkBatchScratch).
-	batchCounts  map[model.TermID]int32
+	// batchCounts is ApplyBatch's per-term mutation counter, indexed
+	// like lists and all zero between calls; batchScratch is the
+	// reusable merge space of hot-list rebuilds, with batchLow counting
+	// consecutive low-usage epochs towards a shrink (see
+	// shrinkBatchScratch).
+	batchCounts  []int32
 	batchScratch []EntryKey
 	batchLow     int
-	// dirty queues blocked lists holding decoded (point-mutated) blocks
-	// for the budgeted repack at the next epoch boundary (see compact).
-	dirty []*List
 }
 
-// NewIndex returns an empty index in the default (blocked) layout. The
-// seed is accepted for interface stability and reproducibility
-// bookkeeping; both layouts are fully deterministic regardless.
-func NewIndex(seed uint64) *Index { return NewIndexLayout(seed, LayoutBlocked) }
-
-// NewIndexLayout returns an empty index in the given posting layout.
-func NewIndexLayout(seed uint64, lay Layout) *Index {
+// NewIndex returns an empty index. The seed is accepted for interface
+// stability and reproducibility bookkeeping; the index is fully
+// deterministic regardless.
+func NewIndex(seed uint64) *Index {
 	_ = seed
-	return &Index{
-		Store:  NewStore(),
-		lists:  make(map[model.TermID]*List),
-		layout: lay,
-	}
+	return &Index{Store: NewStore()}
 }
 
-// Layout returns the index's posting layout.
-func (x *Index) Layout() Layout { return x.layout }
+// List returns the inverted list for term t, or nil when no document
+// containing t has been indexed.
+func (x *Index) List(t model.TermID) *List {
+	if int(t) < len(x.lists) {
+		return x.lists[t]
+	}
+	return nil
+}
 
-// List returns the inverted list for term t, or nil when no valid
-// document contains t.
-func (x *Index) List(t model.TermID) *List { return x.lists[t] }
+// covering returns table, reallocated with an eighth of headroom when
+// it does not reach index t.
+func covering[T any](table []T, t model.TermID) []T {
+	if int(t) < len(table) {
+		return table
+	}
+	n := int(t) + 1
+	return append(make([]T, 0, n+n/8), table...)[:n+n/8]
+}
+
+// listFor returns term t's list, creating it on first use.
+func (x *Index) listFor(t model.TermID) *List {
+	x.lists = covering(x.lists, t)
+	l := x.lists[t]
+	if l == nil {
+		l = newList()
+		x.lists[t] = l
+	}
+	return l
+}
 
 // insertEntry posts one impact entry, maintaining the non-empty count.
 func (x *Index) insertEntry(t model.TermID, e EntryKey) {
-	l := x.lists[t]
-	if l == nil {
-		l = newListLayout(x.layout)
-		x.lists[t] = l
-	}
+	l := x.listFor(t)
 	if l.length == 0 {
 		x.nonEmpty++
 	}
 	l.insert(e)
-	x.markDirty(l)
 }
 
 // deleteEntry removes one impact entry, maintaining the non-empty count.
 func (x *Index) deleteEntry(t model.TermID, e EntryKey) {
-	if l := x.lists[t]; l != nil {
-		if l.delete(e) && l.length == 0 {
-			x.nonEmpty--
-		}
-		x.markDirty(l)
-	}
-}
-
-// markDirty queues a blocked list whose point mutations left decoded
-// blocks behind, so the next epoch boundary can repack it.
-func (x *Index) markDirty(l *List) {
-	if l.nraw > 0 && !l.queued {
-		l.queued = true
-		x.dirty = append(x.dirty, l)
-	}
-}
-
-// compact re-encodes the decoded blocks queued by point mutations, at
-// most budget entries' worth (one queue pass maximum). ApplyBatch calls
-// it with a budget proportional to the epoch's own mutation work, so
-// compaction can never dominate an epoch; whatever the budget leaves
-// decoded stays queued for the following epochs. Under the epoch
-// pipeline the index therefore converges to fully packed lists a
-// bounded distance behind the write front, while an engine driving
-// point mutations only (no epochs) keeps its mutation working set
-// decoded — which is exactly the slice layout's cost, and the right
-// trade for a list the next mutation is about to splice again.
-func (x *Index) compact(budget int) {
-	n := len(x.dirty)
-	for i := 0; i < n && budget > 0 && len(x.dirty) > 0; i++ {
-		l := x.dirty[0]
-		x.dirty = x.dirty[1:]
-		budget = l.repack(budget)
-		if l.nraw > 0 {
-			x.dirty = append(x.dirty, l) // budget ran out mid-list
-		} else {
-			l.queued = false
-		}
-	}
-	if len(x.dirty) == 0 {
-		x.dirty = nil
+	if l := x.List(t); l != nil && l.delete(e) && l.length == 0 {
+		x.nonEmpty--
 	}
 }
 
@@ -692,11 +458,12 @@ func (x *Index) Insert(d *model.Document) error {
 
 // RemoveOldest removes the FIFO head document and its impact entries,
 // returning the removed document. It returns nil on an empty index.
-// Emptied lists are kept in the term map: at realistic dictionary
-// sparsity the same rare terms keep reappearing, and recreating a list
-// per reappearance costs two allocations per term per event — measured
-// as a third of the whole per-event index cost. The retained residue is
-// bounded by the dictionary size.
+// Emptied lists are kept, with the capacity of their last small chunk
+// parked: at realistic dictionary sparsity the same rare terms keep
+// reappearing, and recreating a list per reappearance costs two
+// allocations per term per event — measured as a third of the whole
+// per-event index cost. The retained residue is bounded by the
+// dictionary size.
 func (x *Index) RemoveOldest() *model.Document {
 	d := x.Store.RemoveOldest()
 	if d == nil {
@@ -742,15 +509,20 @@ type BatchResult struct {
 // store or within the batch) fails the call before any mutation.
 func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool) (BatchResult, error) {
 	var res BatchResult
-	ids := make(map[model.DocID]struct{}, len(arrivals))
+	var ids map[model.DocID]struct{} // only a batch of several can repeat an id
+	if len(arrivals) > 1 {
+		ids = make(map[model.DocID]struct{}, len(arrivals))
+	}
 	for _, d := range arrivals {
 		if _, dup := x.Store.Get(d.ID); dup {
 			return res, fmt.Errorf("invindex: duplicate document id %d", d.ID)
 		}
-		if _, dup := ids[d.ID]; dup {
-			return res, fmt.Errorf("invindex: duplicate document id %d within batch", d.ID)
+		if ids != nil {
+			if _, dup := ids[d.ID]; dup {
+				return res, fmt.Errorf("invindex: duplicate document id %d within batch", d.ID)
+			}
+			ids[d.ID] = struct{}{}
 		}
-		ids[d.ID] = struct{}{}
 	}
 	for _, d := range arrivals {
 		if err := x.Store.Insert(d); err != nil {
@@ -763,7 +535,9 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 			break
 		}
 		x.Store.RemoveOldest()
-		if _, transient := ids[oldest.ID]; transient {
+		// The FIFO reaches this epoch's arrivals only after every older
+		// document is gone, and then in batch order.
+		if res.Dropped < len(arrivals) && oldest == arrivals[res.Dropped] {
 			res.Dropped++
 		} else {
 			res.Expired = append(res.Expired, oldest)
@@ -778,26 +552,21 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 	// operations it saves. So a cheap counting pass finds the hot
 	// terms, cold terms take direct point operations with no buffering,
 	// and only hot terms are grouped and merge-applied.
-	counts := x.batchCounts
-	if counts == nil {
-		counts = make(map[model.TermID]int32)
-		x.batchCounts = counts
-	}
 	survivors := arrivals[res.Dropped:]
-	for _, d := range survivors {
-		for _, p := range d.Postings {
-			counts[p.Term]++
+	counts := x.batchCounts
+	count := func(docs []*model.Document) (postings int) {
+		for _, d := range docs {
+			for _, p := range d.Postings {
+				counts = covering(counts, p.Term)
+				counts[p.Term]++
+			}
+			postings += len(d.Postings)
 		}
-		res.Inserts += len(d.Postings)
+		return postings
 	}
-	for _, d := range res.Expired {
-		for _, p := range d.Postings {
-			counts[p.Term]++
-		}
-		res.Deletes += len(d.Postings)
-	}
-	type listMut struct{ ins, del []EntryKey }
-	var muts map[model.TermID]listMut
+	res.Inserts = count(survivors)
+	res.Deletes = count(res.Expired)
+	x.batchCounts = counts
 	// hot reports whether term t's mutations are worth grouping: enough
 	// of them in absolute terms AND a meaningful fraction of the
 	// current list, mirroring applyBatch's rebuild condition — there is
@@ -808,54 +577,61 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 		if c < hotTermMutations {
 			return false
 		}
-		l := x.lists[t]
+		l := x.List(t)
 		return l == nil || int(c)*2 >= l.length
+	}
+	type listMut struct{ ins, del []EntryKey }
+	var muts map[model.TermID]*listMut
+	mutFor := func(t model.TermID) *listMut {
+		mu := muts[t]
+		if mu == nil {
+			if muts == nil {
+				muts = make(map[model.TermID]*listMut)
+			}
+			mu = new(listMut)
+			muts[t] = mu
+		}
+		return mu
 	}
 	for _, d := range res.Expired {
 		for _, p := range d.Postings {
 			e := EntryKey{W: p.Weight, Doc: d.ID}
-			if !hot(p.Term) {
+			if hot(p.Term) {
+				mu := mutFor(p.Term)
+				mu.del = append(mu.del, e)
+			} else {
 				x.deleteEntry(p.Term, e)
-				continue
 			}
-			if muts == nil {
-				muts = make(map[model.TermID]listMut)
-			}
-			mu := muts[p.Term]
-			mu.del = append(mu.del, e)
-			muts[p.Term] = mu
 		}
 	}
 	for _, d := range survivors {
 		for _, p := range d.Postings {
 			e := EntryKey{W: p.Weight, Doc: d.ID}
-			if !hot(p.Term) {
+			if hot(p.Term) {
+				mu := mutFor(p.Term)
+				mu.ins = append(mu.ins, e)
+			} else {
 				x.insertEntry(p.Term, e)
-				continue
 			}
-			if muts == nil {
-				muts = make(map[model.TermID]listMut)
-			}
-			mu := muts[p.Term]
-			mu.ins = append(mu.ins, e)
-			muts[p.Term] = mu
 		}
 	}
-	clear(counts)
+	// Re-zero the counters by the postings that raised them; the table
+	// is dictionary-sized and an epoch touches a sliver of it.
+	for _, docs := range [2][]*model.Document{survivors, res.Expired} {
+		for _, d := range docs {
+			for _, p := range d.Postings {
+				counts[p.Term] = 0
+			}
+		}
+	}
 	used := 0
 	for t, mu := range muts {
-		sort.Slice(mu.ins, func(i, j int) bool { return Before(mu.ins[i], mu.ins[j]) })
-		sort.Slice(mu.del, func(i, j int) bool { return Before(mu.del[i], mu.del[j]) })
-		l := x.lists[t]
-		if l == nil {
-			l = newListLayout(x.layout)
-			x.lists[t] = l
-		}
+		slices.SortFunc(mu.ins, compareKeys)
+		slices.SortFunc(mu.del, compareKeys)
+		l := x.listFor(t)
 		wasEmpty := l.length == 0
 		x.batchScratch = l.applyBatch(mu.ins, mu.del, x.batchScratch)
-		if len(x.batchScratch) > used {
-			used = len(x.batchScratch)
-		}
+		used = max(used, len(x.batchScratch))
 		if wasEmpty && l.length > 0 {
 			x.nonEmpty++
 		} else if !wasEmpty && l.length == 0 {
@@ -863,10 +639,6 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 		}
 	}
 	x.shrinkBatchScratch(used)
-	// Epoch boundary: repack what the epoch's point mutations (and any
-	// earlier backlog) left decoded, at a budget tied to the epoch's own
-	// mutation volume so compaction rides along instead of dominating.
-	x.compact(math.MaxInt)
 	return res, nil
 }
 
@@ -899,47 +671,76 @@ func (x *Index) shrinkBatchScratch(used int) {
 	x.batchScratch = make([]EntryKey, 0, newCap)
 }
 
-// listBytes estimates one list's heap footprint (struct, directories,
-// entry storage; excludes the shared FIFO store and the term map).
-func listBytes(l *List) uint64 {
-	// Three slice headers, the length and the layout flag, padded.
-	const listStruct = 88
-	b := uint64(listStruct)
-	if l.blocked {
-		const blockStruct = 96 // measured unsafe.Sizeof(block{})
-		b += uint64(cap(l.blocks)) * blockStruct
-		for i := range l.blocks {
-			b += l.blocks[i].bytes()
-		}
-		return b
+// sizeClasses are the Go allocator's small-object sizes; a larger
+// object takes whole 8 KiB pages. The gauges below round every
+// allocation up the way the allocator does, so they can be held against
+// the collector's own live-heap figure.
+var sizeClasses = [...]uint64{
+	8, 16, 24, 32, 48, 64, 80, 96, 112, 128, 144, 160, 176, 192, 208, 224, 240, 256,
+	288, 320, 352, 384, 416, 448, 480, 512, 576, 640, 704, 768, 896, 1024, 1152, 1280,
+	1408, 1536, 1792, 2048, 2304, 2688, 3072, 3200, 3456, 4096, 4864, 5376, 6144, 6528,
+	6784, 6912, 8192, 9472, 9728, 10240, 10880, 12288, 13568, 14336, 16384, 18432,
+	19072, 20480, 21760, 24576, 27264, 28672, 32768,
+}
+
+// allocSize returns the heap bytes an n-byte allocation occupies.
+func allocSize(n uint64) uint64 {
+	if n == 0 {
+		return 0
 	}
-	b += uint64(cap(l.chunks))*24 + uint64(cap(l.spare))*16
+	if i, _ := slices.BinarySearch(sizeClasses[:], n); i < len(sizeClasses) {
+		return sizeClasses[i]
+	}
+	const page = 8192
+	return (n + page - 1) / page * page
+}
+
+const (
+	entryBytes  = uint64(unsafe.Sizeof(EntryKey{}))
+	chunkBytes  = uint64(unsafe.Sizeof([]EntryKey(nil)))
+	structBytes = uint64(unsafe.Sizeof(List{}))
+	slotBytes   = uint64(unsafe.Sizeof((*List)(nil)))
+	countBytes  = uint64(unsafe.Sizeof(int32(0)))
+)
+
+// listBytes is one list's heap footprint: the struct, the chunk
+// directory unless it is the inline one, and the chunks' (or the parked
+// chunk's) capacity. Chunks a merge rebuild cut from one backing array
+// are counted one by one, which the half-fill chunk size makes exact
+// for all but the last.
+func listBytes(l *List) uint64 {
+	b := allocSize(structBytes)
+	if len(l.chunks) == 0 {
+		return b + allocSize(uint64(cap(l.one[0]))*entryBytes)
+	}
+	if len(l.chunks) > 1 {
+		b += allocSize(uint64(cap(l.chunks)) * chunkBytes)
+	}
 	for _, ch := range l.chunks {
-		b += uint64(cap(ch)) * 16
+		b += allocSize(uint64(cap(ch)) * entryBytes)
 	}
 	return b
 }
 
-// MemoryBytes estimates the index's heap footprint: the FIFO store plus
-// every inverted list's storage and directory, plus the term map
-// (estimated at Go's measured per-entry bucket cost).
+// MemoryBytes is the index's heap footprint: the FIFO store, every
+// inverted list, the term table and the epoch scratch.
 func (x *Index) MemoryBytes() uint64 {
-	const mapEntry = 48
-	b := x.Store.MemoryBytes() + uint64(len(x.lists))*mapEntry
-	for _, l := range x.lists {
-		b += listBytes(l)
-	}
-	return b
+	return x.Store.MemoryBytes() + x.PostingBytes() +
+		allocSize(uint64(cap(x.lists))*slotBytes) +
+		allocSize(uint64(cap(x.batchCounts))*countBytes) +
+		allocSize(uint64(cap(x.batchScratch))*entryBytes)
 }
 
 // PostingBytes is the inverted-list portion of MemoryBytes: every
 // list's struct, directory and entry storage, excluding the FIFO store
-// and the term map. PostingBytes over PostingCount is the
-// bytes-per-posting figure the window-sweep benchmark records.
+// and the term table. PostingBytes over PostingCount is the
+// bytes-per-posting figure the benchmark's traced pass records.
 func (x *Index) PostingBytes() uint64 {
 	var b uint64
 	for _, l := range x.lists {
-		b += listBytes(l)
+		if l != nil {
+			b += listBytes(l)
+		}
 	}
 	return b
 }
@@ -948,7 +749,9 @@ func (x *Index) PostingBytes() uint64 {
 func (x *Index) PostingCount() int {
 	n := 0
 	for _, l := range x.lists {
-		n += l.length
+		if l != nil {
+			n += l.length
+		}
 	}
 	return n
 }

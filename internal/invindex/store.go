@@ -2,6 +2,7 @@ package invindex
 
 import (
 	"fmt"
+	"unsafe"
 
 	"ita/internal/model"
 )
@@ -55,6 +56,7 @@ func (s *Store) RemoveOldest() *model.Document {
 	if d == nil {
 		return nil
 	}
+	s.fifo[s.head] = nil // the drained prefix must not pin expired documents
 	s.head++
 	// Reclaim the drained prefix once it dominates the backing array so
 	// the store uses O(window) rather than O(stream) memory.
@@ -72,7 +74,8 @@ func (s *Store) MemoryBytes() uint64 {
 	const mapEntry = 48
 	b := uint64(len(s.docs))*mapEntry + uint64(cap(s.fifo))*8
 	for i := s.head; i < len(s.fifo); i++ {
-		b += 48 + uint64(cap(s.fifo[i].Postings))*16
+		b += allocSize(uint64(unsafe.Sizeof(model.Document{}))) +
+			allocSize(uint64(cap(s.fifo[i].Postings))*uint64(unsafe.Sizeof(model.Posting{})))
 	}
 	return b
 }

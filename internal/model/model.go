@@ -20,7 +20,10 @@ import (
 type DocID uint64
 
 // TermID identifies a dictionary term. Term ids are assigned by the
-// textproc dictionary; the engine treats them as opaque.
+// textproc dictionary, which hands out the next unused integer
+// (Dictionary.Intern), so the ids in use are dense in [0, dictionary
+// size) and a table indexed by TermID wastes nothing — the inverted
+// index relies on that. The engine otherwise treats them as opaque.
 type TermID uint32
 
 // QueryID identifies a registered continuous query.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"net"
 	"os"
@@ -506,5 +507,81 @@ func TestDefaultBackoffSeedsDistinct(t *testing.T) {
 	}
 	if same {
 		t.Fatal("distinct seeds produced identical jitter prefixes")
+	}
+}
+
+// TestOvertakenDisconnectKeepsFollowerConnected is the regression test
+// for a follower whose new connection registers before the handler of
+// its old one has noticed the peer is gone — every standby that fetches
+// a snapshot and then opens its stream does this, as does a reconnect
+// that overtakes a slow teardown. The old handler's exit must not mark
+// the follower disconnected; only the last connection leaving does.
+// The order is forced by hand: the test speaks hello on two raw
+// connections and closes the older one only after the newer has
+// registered.
+func TestOvertakenDisconnectKeepsFollowerConnected(t *testing.T) {
+	p := newTestPrimary(t)
+	p.ingest("crude oil shipment")
+	srv := NewServer(ServerConfig{Dir: p.dir, Tracker: p.tr, Heartbeat: 5 * time.Millisecond})
+	defer srv.Close()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+
+	hello := func() net.Conn {
+		conn, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := writeMessage(conn, &message{Type: msgHello, ID: "standby"}, nil); err != nil {
+			t.Fatal(err)
+		}
+		go io.Copy(io.Discard, conn) // keep the server's stream writes flowing
+		return conn
+	}
+	// state returns the follower's stats and the number of connections
+	// whose handler has not finished. A handler drops its connection
+	// from the server's set after its disconnect has run.
+	state := func() (FollowerStats, int) {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		var st FollowerStats
+		if f := srv.followers["standby"]; f != nil {
+			st = f.stats
+		}
+		return st, len(srv.conns)
+	}
+	waitFor := func(what string, cond func(FollowerStats, int) bool) FollowerStats {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st, conns := state()
+			if cond(st, conns) {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s: %+v, %d connections", what, st, conns)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	older := hello()
+	waitFor("the first connection to register", func(st FollowerStats, _ int) bool { return st.Connected })
+	newer := hello()
+	waitFor("the second connection to register", func(st FollowerStats, _ int) bool { return st.Reconnects == 1 })
+
+	older.Close()
+	st := waitFor("the older handler to exit", func(_ FollowerStats, conns int) bool { return conns == 1 })
+	if !st.Connected {
+		t.Fatalf("older connection's exit marked a connected follower down: %+v", st)
+	}
+	newer.Close()
+	st = waitFor("the newer handler to exit", func(_ FollowerStats, conns int) bool { return conns == 0 })
+	if st.Connected {
+		t.Fatalf("follower still reported connected with no connection left: %+v", st)
 	}
 }

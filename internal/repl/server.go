@@ -51,7 +51,12 @@ type FollowerStats struct {
 }
 
 type followerInfo struct {
-	stats         FollowerStats
+	stats FollowerStats
+	// live counts the follower's open connections. A reconnect (or the
+	// stream that follows a snapshot fetch) can register before the
+	// older connection's handler notices its peer is gone, so Connected
+	// is "any connection left", not "the last handler to speak".
+	live          int
 	forceSnapshot bool // set when streaming lost the follower's position
 	acked         bool // at least one ack received (pin is meaningful)
 }
@@ -248,13 +253,15 @@ func (s *Server) register(id, addr string) *followerInfo {
 		f.stats.Reconnects++
 	}
 	f.stats.Addr = addr
+	f.live++
 	f.stats.Connected = true
 	return f
 }
 
 func (s *Server) disconnect(f *followerInfo) {
 	s.mu.Lock()
-	f.stats.Connected = false
+	f.live--
+	f.stats.Connected = f.live > 0
 	s.mu.Unlock()
 }
 

@@ -137,12 +137,6 @@ func WithFloorMargins(target, raise int) Option {
 	}
 }
 
-// WithPostingLayout selects the inverted-index posting layout, matching
-// core.WithPostingLayout (the default is the block-compressed layout).
-func WithPostingLayout(l invindex.Layout) Option {
-	return func(c *core.MaintainerConfig) { c.PostingLayout = l }
-}
-
 // New returns an empty sharded engine with the given shard count;
 // shards <= 0 selects runtime.GOMAXPROCS(0). With one shard the engine
 // runs maintenance inline on the caller's goroutine (no workers, no
@@ -159,7 +153,7 @@ func New(policy window.Policy, shards int, opts ...Option) *Engine {
 	}
 	e := &Engine{
 		policy: policy,
-		index:  invindex.NewIndexLayout(cfg.Seed, cfg.PostingLayout),
+		index:  invindex.NewIndex(cfg.Seed),
 		shards: make([]*shardState, shards),
 	}
 	for i := range e.shards {

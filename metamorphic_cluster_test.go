@@ -25,7 +25,9 @@ import (
 // opCrash alternates standby kill/rejoin with node kill -9 + recovery
 // from its own WAL; every run ends with a node lost for good and its
 // standby promoted under a network partition and swapped into the
-// router in its place.
+// router in its place. The reference no longer runs a different posting
+// layout from the nodes (there is only one); the time that frees goes
+// to further seeds of the cheaper equivalence and replication grids.
 
 // clusterMember is one node slot: a durable primary engine, its WAL
 // directory, its replication address, and a warm standby connected
@@ -106,10 +108,7 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 		base = append(base, WithBatchSize(4))
 	}
 
-	// The reference runs the slice posting layout while the cluster nodes
-	// keep the default blocked layout, so every cell of this suite is
-	// also a differential twin for the compressed postings.
-	ref, err := New(append([]Option{WithPostingLayout(LayoutSlices)}, base...)...)
+	ref, err := New(base...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,11 @@ import (
 // continues on it. CI runs the suite under -race; a failing seed is
 // printed and can be replayed with ITA_EQ_SEED=<seed> go test -run
 // TestMetamorphicEquivalence.
+//
+// The grid used to carry a posting-layout axis as well (the scan-all
+// twins were pinned to the slice layout, the rest ran blocked). There
+// is one layout now; the wall time the slower codec took is spent on
+// more seeds instead.
 
 // opKind enumerates the generated facade operations.
 const (
@@ -240,15 +245,13 @@ func runOpSequence(t *testing.T, data []byte) {
 	}
 	serial := eqEngine{name: "serial", e: mk(), watched: map[QueryID]map[DocID]bool{}}
 	// scan-all-trees pins the probe trees to the entry-ordered scan-all
-	// representation AND the inverted lists to the slice layout on an
-	// otherwise identical serial engine: the θ-ordered probe index and
-	// the block-compressed postings must be byte-identical to it in
-	// results AND in every operation counter at every boundary (both are
-	// physical representation choices — θ-ordering changes which queries
-	// a probe visits first, never which it visits; the blocked codec
-	// changes the bytes behind the lists, never an entry or a counter).
+	// representation on an otherwise identical serial engine: the
+	// θ-ordered probe index must be byte-identical to it in results AND
+	// in every operation counter at every boundary (a physical
+	// representation choice — θ-ordering changes which queries a probe
+	// visits first, never which it visits).
 	scanTrees := eqEngine{name: "scan-all-trees",
-		e: mk(withScanAllTrees(), WithPostingLayout(LayoutSlices)), watched: map[QueryID]map[DocID]bool{}}
+		e: mk(withScanAllTrees()), watched: map[QueryID]map[DocID]bool{}}
 	grid := []eqEngine{
 		serial,
 		scanTrees,
@@ -278,7 +281,7 @@ func runOpSequence(t *testing.T, data []byte) {
 				}
 				name := fmt.Sprintf("s%d_b%d", s, b)
 				if scan {
-					opts = append(opts, withScanAllTrees(), WithPostingLayout(LayoutSlices))
+					opts = append(opts, withScanAllTrees())
 					name += "_scan"
 				}
 				e, err := Open(dir, append([]Option{pol}, opts...)...)
@@ -549,10 +552,7 @@ func crashAndReopen(t *testing.T, g *eqEngine, context string, forbidden map[Que
 	opts := []Option{WithDurability(DurabilityOff), WithCheckpointEvery(24),
 		withFloorMargins(1, 1)}
 	if g.scan {
-		// The slice-layout pin rides with the scan pin (snapshots restore
-		// the layout, but a crash before the first checkpoint recovers
-		// from the WAL alone and would silently fall back to blocked).
-		opts = append(opts, withScanAllTrees(), WithPostingLayout(LayoutSlices))
+		opts = append(opts, withScanAllTrees())
 	}
 	ne, err := Open(g.walDir, opts...)
 	if err != nil {
@@ -570,7 +570,7 @@ func crashAndReopen(t *testing.T, g *eqEngine, context string, forbidden map[Que
 // (fewer under -short). Replay a single failing sequence with
 // ITA_EQ_SEED=<seed>.
 func TestMetamorphicEquivalence(t *testing.T) {
-	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
+	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
 	if testing.Short() {
 		seeds = seeds[:4]
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ita/internal/core"
-	"ita/internal/invindex"
 	"ita/internal/shard"
 	"ita/internal/vsm"
 	"ita/internal/wal"
@@ -62,7 +61,6 @@ type config struct {
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
-	postingLayout PostingLayout
 	shards        int // ShardedIncrementalThreshold only; 0 = GOMAXPROCS
 	shardsSet     bool
 	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
@@ -301,64 +299,6 @@ func walAttached() Option {
 	return func(c *config) error { c.walAttach = true; return nil }
 }
 
-// PostingLayout selects the physical representation of the inverted
-// index's per-term posting lists; see WithPostingLayout.
-type PostingLayout int
-
-const (
-	// LayoutBlocked (the default) stores postings as flat compressed
-	// blocks — frame-of-reference doc ids and dictionary- or FOR-coded
-	// weights at per-block fixed bit widths, with per-block max-weight/
-	// min-weight/count summaries routing seeks through a block
-	// directory. Roughly a third of the slice layout's bytes per
-	// posting on natural workloads; results, counters and every
-	// maintenance decision are byte-identical to LayoutSlices.
-	LayoutBlocked PostingLayout = iota
-	// LayoutSlices stores postings as chunked sorted slices of raw
-	// 16-byte entries — the original layout, kept as the reference the
-	// equivalence suites hold the blocked layout byte-identical to.
-	LayoutSlices
-)
-
-// String implements fmt.Stringer.
-func (l PostingLayout) String() string {
-	switch l {
-	case LayoutBlocked:
-		return "blocked"
-	case LayoutSlices:
-		return "slices"
-	default:
-		return fmt.Sprintf("posting-layout(%d)", int(l))
-	}
-}
-
-// WithPostingLayout selects the inverted-index posting layout (default
-// LayoutBlocked). The layout is a purely physical choice: both layouts
-// produce byte-identical results, statistics, snapshots and WAL
-// streams, so an engine may be snapshotted under one layout and
-// restored under the other. The choice is recorded in snapshots, and
-// durable recovery reopens with the recorded layout unless an explicit
-// WithPostingLayout is passed to Open.
-func WithPostingLayout(l PostingLayout) Option {
-	return func(c *config) error {
-		switch l {
-		case LayoutBlocked, LayoutSlices:
-			c.postingLayout = l
-			return nil
-		default:
-			return fmt.Errorf("ita: unknown posting layout %d", int(l))
-		}
-	}
-}
-
-// internal maps the facade layout onto the index package's enum.
-func (l PostingLayout) internal() invindex.Layout {
-	if l == LayoutSlices {
-		return invindex.LayoutSlices
-	}
-	return invindex.LayoutBlocked
-}
-
 // WithOkapiScoring replaces cosine similarity with the Okapi BM25
 // formulation, calibrated around the given average document length in
 // tokens (the paper notes ITA applies unchanged to Okapi weights).
@@ -439,9 +379,6 @@ func (c *config) build() core.Engine {
 		if c.floorTarget != 0 || c.floorRaise != 0 {
 			opts = append(opts, shard.WithFloorMargins(c.floorTarget, c.floorRaise))
 		}
-		if c.postingLayout != LayoutBlocked {
-			opts = append(opts, shard.WithPostingLayout(c.postingLayout.internal()))
-		}
 		return shard.New(c.policy, c.shards, opts...)
 	default:
 		opts := []core.ITAOption{core.WithITASeed(c.seed)}
@@ -453,9 +390,6 @@ func (c *config) build() core.Engine {
 		}
 		if c.floorTarget != 0 || c.floorRaise != 0 {
 			opts = append(opts, core.WithFloorMargins(c.floorTarget, c.floorRaise))
-		}
-		if c.postingLayout != LayoutBlocked {
-			opts = append(opts, core.WithPostingLayout(c.postingLayout.internal()))
 		}
 		return core.NewITA(c.policy, opts...)
 	}

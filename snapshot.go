@@ -40,6 +40,9 @@ const snapshotVersion = 3
 // result-equivalent — the property the WAL's crash-recovery equivalence
 // guarantee is built on. The inverted index itself remains derivable
 // (it is a pure function of the window documents) and is still rebuilt.
+// Snapshots written while the engine had two posting layouts also carry
+// a PostingLayout field; gob drops a field the struct no longer has, so
+// they restore onto the one layout there is.
 type snapshot struct {
 	Version   int
 	Algorithm Algorithm
@@ -60,12 +63,6 @@ type snapshot struct {
 	// Epoch size of WithBatchSize. Older snapshots decode it as zero,
 	// which restores unbatched — the pre-batching behavior.
 	BatchSize int
-	// Posting layout of the inverted index (WithPostingLayout). The
-	// lists themselves are derivable state and never serialized, so the
-	// layout is free to differ between a snapshot and its restored twin;
-	// recording it keeps a durable engine's configuration sticky across
-	// reopen. Older snapshots decode it as zero — the blocked default.
-	PostingLayout int
 	// Dictionary terms in id order, so interned ids survive the round
 	// trip and query/document term ids keep matching.
 	Terms []string
@@ -153,20 +150,19 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 		return fmt.Errorf("ita: snapshot with %d buffered documents", len(e.pending))
 	}
 	s := snapshot{
-		Version:       snapshotVersion,
-		Algorithm:     e.cfg.algorithm,
-		Stemming:      e.cfg.stemming,
-		Stopwords:     e.cfg.stopwords,
-		RetainText:    e.cfg.retainText,
-		Seed:          e.cfg.seed,
-		Shards:        e.cfg.shards,
-		BatchSize:     e.cfg.batchSize,
-		PostingLayout: int(e.cfg.postingLayout),
-		NextDoc:       uint64(e.nextDoc),
-		NextQuery:     uint64(e.nextQuery),
-		LastAtNs:      e.lastAt.UnixNano(),
-		Counters:      *e.inner.Stats(),
-		EpochSeq:      e.walEpochSeq(),
+		Version:    snapshotVersion,
+		Algorithm:  e.cfg.algorithm,
+		Stemming:   e.cfg.stemming,
+		Stopwords:  e.cfg.stopwords,
+		RetainText: e.cfg.retainText,
+		Seed:       e.cfg.seed,
+		Shards:     e.cfg.shards,
+		BatchSize:  e.cfg.batchSize,
+		NextDoc:    uint64(e.nextDoc),
+		NextQuery:  uint64(e.nextQuery),
+		LastAtNs:   e.lastAt.UnixNano(),
+		Counters:   *e.inner.Stats(),
+		EpochSeq:   e.walEpochSeq(),
 	}
 	switch pol := e.cfg.policy.(type) {
 	case window.Count:
@@ -235,9 +231,6 @@ func (s *snapshot) options() []Option {
 	}
 	if s.BatchSize > 1 {
 		opts = append(opts, WithBatchSize(s.BatchSize))
-	}
-	if s.PostingLayout != 0 {
-		opts = append(opts, WithPostingLayout(PostingLayout(s.PostingLayout)))
 	}
 	if s.CountN > 0 {
 		opts = append(opts, WithCountWindow(s.CountN))

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ita/internal/model"
+	"ita/internal/wal"
 )
 
 // Wire-format back-compat: a version-1 snapshot (the format before the
@@ -154,31 +155,38 @@ func TestSnapshotV1FixtureRestores(t *testing.T) {
 		t.Fatalf("restore v1 fixture: %v", err)
 	}
 	defer r.Close()
+	requireFixtureEngine(t, r)
+}
 
+// requireFixtureEngine holds r, restored from a fixture that captured
+// buildV1FixtureEngine's workload, against a fresh engine fed the same
+// stream: same shape, same results and retained texts now, and the
+// same results after both ingest further (the contract of an old
+// snapshot is result equivalence, not counter equivalence).
+func requireFixtureEngine(t *testing.T, r *Engine) {
+	t.Helper()
 	ref := buildV1FixtureEngine(t)
 	defer ref.Close()
 
 	if r.Queries() != ref.Queries() || r.WindowLen() != ref.WindowLen() ||
 		r.DictionarySize() != ref.DictionarySize() {
-		t.Fatalf("v1 restore shape: queries %d/%d window %d/%d dict %d/%d",
+		t.Fatalf("restored shape: queries %d/%d window %d/%d dict %d/%d",
 			r.Queries(), ref.Queries(), r.WindowLen(), ref.WindowLen(),
 			r.DictionarySize(), ref.DictionarySize())
 	}
 	for _, q := range []QueryID{1, 2} {
 		if err := sameTopK(r.Results(q), ref.Results(q)); err != nil {
-			t.Fatalf("v1 restore, query %d: %v", q, err)
+			t.Fatalf("restored query %d: %v", q, err)
 		}
 		if txt, ok := r.QueryText(q); !ok || txt == "" {
-			t.Fatalf("v1 restore lost query text for %d", q)
+			t.Fatalf("restore lost query text for %d", q)
 		}
 		for _, m := range r.Results(q) {
 			if m.Text == "" {
-				t.Fatalf("v1 restore lost retained text for doc %d", m.Doc)
+				t.Fatalf("restore lost retained text for doc %d", m.Doc)
 			}
 		}
 	}
-	// Both engines must keep serving identical results (the version-1
-	// contract is result equivalence, not counter equivalence).
 	for i := 9; i < 20; i++ {
 		text := "oil market turbine report"
 		if _, err := r.IngestText(text, at(i*10)); err != nil {
@@ -190,7 +198,64 @@ func TestSnapshotV1FixtureRestores(t *testing.T) {
 	}
 	for _, q := range []QueryID{1, 2} {
 		if err := sameTopK(r.Results(q), ref.Results(q)); err != nil {
-			t.Fatalf("v1 post-restore evolution, query %d: %v", q, err)
+			t.Fatalf("post-restore evolution, query %d: %v", q, err)
 		}
+	}
+}
+
+// slicesFixturePath is a snapshot of buildV1FixtureEngine's workload
+// taken by the last commit that had two posting layouts, from an engine
+// built with the option selecting the slice layout — the non-default
+// choice, which the snapshot recorded as PostingLayout = 1. It cannot be
+// regenerated: the option is gone, and the point of the file is that
+// bytes written back then keep opening.
+const slicesFixturePath = "testdata/snapshot_v2_slices.snap"
+
+// TestRecordedPostingLayoutIsIgnored restores the fixture that recorded
+// a posting layout: the field no longer exists, gob drops it, and the
+// engine comes back on the one layout there is.
+func TestRecordedPostingLayoutIsIgnored(t *testing.T) {
+	data, err := os.ReadFile(slicesFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded struct{ PostingLayout int }
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recorded); err != nil {
+		t.Fatal(err)
+	}
+	if recorded.PostingLayout != 1 {
+		t.Fatalf("fixture records posting layout %d, want 1 (the old slice layout)", recorded.PostingLayout)
+	}
+	r, err := Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	requireFixtureEngine(t, r)
+}
+
+// TestOpenCheckpointFromEitherLayout plants each fixture as the genesis
+// checkpoint of a durable directory — one written under the old default
+// layout (which recorded nothing), one under the old alternative — and
+// opens it with the options of the engine that took it: no
+// configuration conflict, same engine.
+func TestOpenCheckpointFromEitherLayout(t *testing.T) {
+	for _, fixture := range []string{v1FixturePath, slicesFixturePath} {
+		t.Run(filepath.Base(fixture), func(t *testing.T) {
+			data, err := os.ReadFile(fixture)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(wal.CheckpointPath(dir, 0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e, err := Open(dir, WithCountWindow(6), WithTextRetention(), WithDurability(DurabilityOff))
+			if err != nil {
+				t.Fatalf("open over a %s checkpoint: %v", fixture, err)
+			}
+			defer e.Close()
+			requireFixtureEngine(t, e)
+		})
 	}
 }
