@@ -330,6 +330,22 @@
 // 0.82x the live heap, and 1.17–1.45x on the other three at no more
 // heap. Snapshots that recorded either layout still restore.
 //
+// # Text analysis
+//
+// Documents and queries are analysed alike. A token is a maximal run of
+// letters and digits with at least two runes and a letter, lowercased;
+// stopwords are dropped and the rest are Porter-stemmed (see
+// WithoutStopwords and WithoutStemming), and each new term takes the
+// next dense term id, in first-seen order. Term ids order the score
+// summation, so recovery, standbys and cluster nodes depend on
+// re-analysed text landing on the same ids. The analysis pass allocates
+// nothing for text it has seen before, apart from the document's
+// postings. A term whose lowercased surface is neither a stopword nor
+// changed by the stemmer is marked in a bitset over term ids, and a
+// later ASCII token spelling it is counted without re-checking either.
+// The dictionary is append-only, so a marked term stays a fixed point,
+// and the shortcut cannot change which id a token gets.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured comparison of every figure.
 package ita

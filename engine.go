@@ -241,8 +241,7 @@ func (e *Engine) ingestLocked(text string, at time.Time) (DocID, []pendingDelta,
 	if at.Before(e.lastAt) {
 		return 0, nil, fmt.Errorf("%w: %s < %s", ErrTimeRegression, at, e.lastAt)
 	}
-	freqs := e.pipeline.TermFreqs(text)
-	doc, err := model.NewDocument(e.nextDoc, at, e.cfg.weighter.DocPostings(freqs))
+	doc, err := model.NewDocument(e.nextDoc, at, e.cfg.weighter.Weigh(e.pipeline.Counts(text)))
 	if err != nil {
 		return 0, nil, fmt.Errorf("ita: analyze document: %w", err)
 	}
@@ -341,7 +340,7 @@ func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, 
 	ids := make([]DocID, len(items))
 	docs := make([]*model.Document, len(items))
 	for i, it := range items {
-		doc, err := model.NewDocument(e.nextDoc+model.DocID(i), it.At, e.cfg.weighter.DocPostings(e.pipeline.TermFreqs(it.Text)))
+		doc, err := model.NewDocument(e.nextDoc+model.DocID(i), it.At, e.cfg.weighter.Weigh(e.pipeline.Counts(it.Text)))
 		if err != nil {
 			return nil, nil, fmt.Errorf("ita: analyze document %d: %w", i, err)
 		}
@@ -592,13 +591,13 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 	if id < e.nextQuery {
 		return 0, nil, fmt.Errorf("ita: register id %d already consumed (next is %d)", id, e.nextQuery)
 	}
-	freqs := e.pipeline.TermFreqs(queryText)
-	if len(freqs) == 0 {
+	counts := e.pipeline.Counts(queryText)
+	if len(counts) == 0 {
 		return 0, nil, ErrNoQueryTerms
 	}
 	terms := e.internedTermsLocked(queryText)
 	if terms == nil {
-		terms = e.cfg.weighter.QueryTerms(freqs)
+		terms = e.cfg.weighter.WeighQuery(counts)
 	}
 	q, err := model.NewQuery(id, k, terms)
 	if err != nil {
@@ -685,7 +684,7 @@ func (e *Engine) alignRegisterLocked(id QueryID, queryText string) ([]pendingDel
 	// Intern before the flush, exactly where registerAtLocked interns:
 	// buffered documents took their term ids at ingest time, so the
 	// query text's terms land in the same dictionary order either way.
-	if freqs := e.pipeline.TermFreqs(queryText); len(freqs) == 0 {
+	if len(e.pipeline.Counts(queryText)) == 0 {
 		return nil, ErrNoQueryTerms
 	}
 	if err := e.walAppendLocked(&wal.Record{

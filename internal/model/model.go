@@ -8,8 +8,10 @@
 package model
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -28,6 +30,14 @@ type TermID uint32
 
 // QueryID identifies a registered continuous query.
 type QueryID uint64
+
+// TermCount is one analysed term with its raw frequency f_{x,t} in a
+// document or query text. Analysis emits them sorted by ascending
+// TermID, the order the weighting layer keeps.
+type TermCount struct {
+	Term  TermID
+	Count int
+}
 
 // Posting is one entry of a document's composition list: the impact
 // weight w_{d,t} of term t in document d.
@@ -55,11 +65,12 @@ var (
 )
 
 // NewDocument validates and builds a Document. The postings slice is
-// sorted in place by term id. A posting with zero or negative weight is
+// sorted in place by term id (analysis already emits it sorted, so the
+// usual cost is one check). A posting with zero or negative weight is
 // rejected rather than silently dropped, because upstream weighting is
 // expected to have removed non-occurring terms already.
 func NewDocument(id DocID, arrival time.Time, postings []Posting) (*Document, error) {
-	sort.Slice(postings, func(i, j int) bool { return postings[i].Term < postings[j].Term })
+	sortByTerm(postings, func(p Posting) TermID { return p.Term })
 	for i, p := range postings {
 		if p.Weight <= 0 {
 			return nil, fmt.Errorf("%w: term %d weight %g in doc %d", ErrNonPositiveWeight, p.Term, p.Weight, id)
@@ -69,6 +80,15 @@ func NewDocument(id DocID, arrival time.Time, postings []Posting) (*Document, er
 		}
 	}
 	return &Document{ID: id, Arrival: arrival, Postings: postings}, nil
+}
+
+// sortByTerm sorts s in place by the term id of each element, after a
+// check that skips the sort for input that is already in order.
+func sortByTerm[T any](s []T, term func(T) TermID) {
+	byTerm := func(a, b T) int { return cmp.Compare(term(a), term(b)) }
+	if !slices.IsSortedFunc(s, byTerm) {
+		slices.SortFunc(s, byTerm)
+	}
 }
 
 // Weight returns the impact weight of term t in the document, or
@@ -111,7 +131,7 @@ func NewQuery(id QueryID, k int, terms []QueryTerm) (*Query, error) {
 	if len(terms) == 0 {
 		return nil, ErrNoTerms
 	}
-	sort.Slice(terms, func(i, j int) bool { return terms[i].Term < terms[j].Term })
+	sortByTerm(terms, func(t QueryTerm) TermID { return t.Term })
 	for i, t := range terms {
 		if t.Weight <= 0 {
 			return nil, fmt.Errorf("%w: term %d weight %g in query %d", ErrNonPositiveWeight, t.Term, t.Weight, id)

@@ -33,6 +33,15 @@ func (d *Dictionary) Intern(term string) model.TermID {
 	return id
 }
 
+// internBytes is Intern for a term held in a byte slice. It allocates
+// only for a new term.
+func (d *Dictionary) internBytes(term []byte) model.TermID {
+	if id, ok := d.ids[string(term)]; ok {
+		return id
+	}
+	return d.Intern(string(term))
+}
+
 // Lookup returns the id of term without interning it.
 func (d *Dictionary) Lookup(term string) (model.TermID, bool) {
 	id, ok := d.ids[term]

@@ -356,20 +356,26 @@ func (z *stemmer) step5() {
 // lowercase; words shorter than three letters or containing bytes
 // outside 'a'..'z' are returned unchanged.
 func Stem(word string) string {
+	return string(stemBytes([]byte(word)))
+}
+
+// stemBytes stems word in place, under Stem's rules, and returns the
+// stem, a prefix of word's backing array.
+func stemBytes(word []byte) []byte {
 	if len(word) <= 2 {
 		return word
 	}
-	for i := 0; i < len(word); i++ {
-		if word[i] < 'a' || word[i] > 'z' {
+	for _, c := range word {
+		if c < 'a' || c > 'z' {
 			return word
 		}
 	}
-	z := stemmer{b: []byte(word), k: len(word) - 1}
+	z := stemmer{b: word, k: len(word) - 1}
 	z.step1ab()
 	z.step1c()
 	z.step2()
 	z.step3()
 	z.step4()
 	z.step5()
-	return string(z.b[:z.k+1])
+	return z.b[:z.k+1]
 }

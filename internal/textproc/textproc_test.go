@@ -1,10 +1,13 @@
 package textproc
 
 import (
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ita/internal/model"
+	"ita/internal/vsm"
 )
 
 func TestTokenizeBasics(t *testing.T) {
@@ -118,21 +121,6 @@ func TestPipelineNoStemNoStop(t *testing.T) {
 	}
 }
 
-func TestPipelineLookupFreqsDoesNotIntern(t *testing.T) {
-	d := NewDictionary()
-	p := NewPipeline(d, false, true)
-	p.TermFreqs("known terms here")
-	before := d.Size()
-	freqs := p.LookupFreqs("known unknown")
-	if d.Size() != before {
-		t.Fatalf("LookupFreqs grew dictionary from %d to %d", before, d.Size())
-	}
-	known, _ := d.Lookup("known")
-	if freqs[known] != 1 || len(freqs) != 1 {
-		t.Fatalf("freqs = %v", freqs)
-	}
-}
-
 func TestPipelineQueryDocAgreement(t *testing.T) {
 	// A query and a document mentioning the same inflected words must
 	// land on the same term ids — the property continuous matching
@@ -158,4 +146,75 @@ func dump(d *Dictionary, freqs map[model.TermID]int) map[string]int {
 		out[d.Term(id)] = f
 	}
 	return out
+}
+
+// consonantDocs returns n documents shaped like the benchmark's: 320
+// tokens of five-consonant words drawn from a Zipf distribution. No
+// such word is a stopword or has a suffix to strip, so every token is
+// its own term.
+func consonantDocs(n int) []string {
+	const alphabet = "bcdfghjkmnpqrtvw"
+	z := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 2, 1<<20-1)
+	docs := make([]string, n)
+	for i := range docs {
+		var sb strings.Builder
+		for range 320 {
+			t := z.Uint64()
+			for shift := 16; shift >= 0; shift -= 4 {
+				sb.WriteByte(alphabet[t>>shift&15])
+			}
+			sb.WriteByte(' ')
+		}
+		docs[i] = sb.String()
+	}
+	return docs
+}
+
+// inflectedDoc is English prose whose words mostly carry a suffix, so
+// the stemmer runs on nearly every token however often it was seen.
+var inflectedDoc = strings.Repeat("Refineries reported falling outputs as tankers waited offshore; "+
+	"analysts expected rising demand, but traders were selling futures and hedging positions. "+
+	"Regulators announced investigations into pricing, citing complaints from airlines, "+
+	"shipping companies and utilities struggling with the increasing costs of operations. ", 8)
+
+func TestCountsDoesNotAllocate(t *testing.T) {
+	p := NewPipeline(NewDictionary(), true, true)
+	docs := append(consonantDocs(8), inflectedDoc)
+	for _, d := range docs {
+		p.Counts(d)
+	}
+	var w vsm.Weighter = vsm.Cosine{}
+	i := 0
+	if a := testing.AllocsPerRun(100, func() { p.Counts(docs[i%len(docs)]); i++ }); a != 0 {
+		t.Errorf("Counts on seen documents: %v allocs per document, want 0", a)
+	}
+	// The one allocation is the composition list the Document keeps.
+	if a := testing.AllocsPerRun(100, func() { w.Weigh(p.Counts(docs[i%len(docs)])); i++ }); a != 1 {
+		t.Errorf("Counts+Weigh on seen documents: %v allocs per document, want 1", a)
+	}
+}
+
+// BenchmarkAnalyze prices analysis plus weighing per document on a
+// warmed pipeline: benchmark-shaped text, where every token takes the
+// fixed-point path, and inflected prose, where most tokens are stemmed.
+func BenchmarkAnalyze(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		docs []string
+	}{
+		{"consonant", consonantDocs(256)},
+		{"inflected", []string{inflectedDoc}},
+	} {
+		b.Run(in.name, func(b *testing.B) {
+			p := NewPipeline(NewDictionary(), true, true)
+			for _, d := range in.docs {
+				p.Counts(d)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				vsm.Cosine{}.Weigh(p.Counts(in.docs[i%len(in.docs)]))
+			}
+		})
+	}
 }

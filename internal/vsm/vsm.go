@@ -6,8 +6,9 @@
 package vsm
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"ita/internal/model"
 )
@@ -16,7 +17,17 @@ import (
 // w_{d,t} and query-side weights w_{Q,t}. Document weights must be fixed
 // at arrival time (they are embedded into inverted-list entries), so a
 // Weighter may not depend on mutable collection statistics.
+//
+// Weigh and WeighQuery take the term-sorted counts that analysis emits
+// and keep their order. DocPostings and QueryTerms take a frequency map
+// and are wrappers over them.
 type Weighter interface {
+	// Weigh converts a document's term counts, sorted by term id, into
+	// its composition list in the same order.
+	Weigh(counts []model.TermCount) []model.Posting
+	// WeighQuery converts a query's term counts, sorted by term id, into
+	// weighted query terms in the same order.
+	WeighQuery(counts []model.TermCount) []model.QueryTerm
 	// DocPostings converts a document's term frequencies into a
 	// composition list, sorted by term id.
 	DocPostings(freqs map[model.TermID]int) []model.Posting
@@ -25,6 +36,32 @@ type Weighter interface {
 	QueryTerms(freqs map[model.TermID]int) []model.QueryTerm
 	// Name identifies the scheme in reports.
 	Name() string
+}
+
+// sortedCounts flattens a frequency map into counts sorted by term id,
+// dropping the terms whose frequency is not positive.
+func sortedCounts(freqs map[model.TermID]int) []model.TermCount {
+	counts := make([]model.TermCount, 0, len(freqs))
+	for t, f := range freqs {
+		if f > 0 {
+			counts = append(counts, model.TermCount{Term: t, Count: f})
+		}
+	}
+	slices.SortFunc(counts, func(a, b model.TermCount) int { return cmp.Compare(a.Term, b.Term) })
+	return counts
+}
+
+// weighEach applies w to every count, keeping the order. An empty input
+// yields nil.
+func weighEach[T any](counts []model.TermCount, w func(model.TermCount) T) []T {
+	if len(counts) == 0 {
+		return nil
+	}
+	out := make([]T, len(counts))
+	for i, c := range counts {
+		out[i] = w(c)
+	}
+	return out
 }
 
 // Cosine is the paper's similarity: w_{x,t} = f_{x,t} / sqrt(Σ f²).
@@ -36,46 +73,40 @@ type Cosine struct{}
 // Name implements Weighter.
 func (Cosine) Name() string { return "cosine" }
 
+// norm returns sqrt(Σ f²). The sum is taken in integers, so it is exact
+// and the weights do not depend on the order the terms are visited in.
+func norm(counts []model.TermCount) float64 {
+	var sq int64
+	for _, c := range counts {
+		sq += int64(c.Count) * int64(c.Count)
+	}
+	return math.Sqrt(float64(sq))
+}
+
+// Weigh implements Weighter.
+func (Cosine) Weigh(counts []model.TermCount) []model.Posting {
+	n := norm(counts)
+	return weighEach(counts, func(c model.TermCount) model.Posting {
+		return model.Posting{Term: c.Term, Weight: float64(c.Count) / n}
+	})
+}
+
+// WeighQuery implements Weighter.
+func (Cosine) WeighQuery(counts []model.TermCount) []model.QueryTerm {
+	n := norm(counts)
+	return weighEach(counts, func(c model.TermCount) model.QueryTerm {
+		return model.QueryTerm{Term: c.Term, Weight: float64(c.Count) / n}
+	})
+}
+
 // DocPostings implements Weighter.
-func (Cosine) DocPostings(freqs map[model.TermID]int) []model.Posting {
-	if len(freqs) == 0 {
-		return nil
-	}
-	var norm float64
-	for _, f := range freqs {
-		norm += float64(f) * float64(f)
-	}
-	norm = math.Sqrt(norm)
-	out := make([]model.Posting, 0, len(freqs))
-	for t, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		out = append(out, model.Posting{Term: t, Weight: float64(f) / norm})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
-	return out
+func (c Cosine) DocPostings(freqs map[model.TermID]int) []model.Posting {
+	return c.Weigh(sortedCounts(freqs))
 }
 
 // QueryTerms implements Weighter.
-func (Cosine) QueryTerms(freqs map[model.TermID]int) []model.QueryTerm {
-	if len(freqs) == 0 {
-		return nil
-	}
-	var norm float64
-	for _, f := range freqs {
-		norm += float64(f) * float64(f)
-	}
-	norm = math.Sqrt(norm)
-	out := make([]model.QueryTerm, 0, len(freqs))
-	for t, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		out = append(out, model.QueryTerm{Term: t, Weight: float64(f) / norm})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
-	return out
+func (c Cosine) QueryTerms(freqs map[model.TermID]int) []model.QueryTerm {
+	return c.WeighQuery(sortedCounts(freqs))
 }
 
 // Okapi is a BM25-style weighting with static document impacts:
@@ -105,46 +136,37 @@ func NewOkapi(avgDocLen float64) Okapi {
 // Name implements Weighter.
 func (o Okapi) Name() string { return "okapi" }
 
-// DocPostings implements Weighter.
-func (o Okapi) DocPostings(freqs map[model.TermID]int) []model.Posting {
-	if len(freqs) == 0 {
-		return nil
+// Weigh implements Weighter.
+func (o Okapi) Weigh(counts []model.TermCount) []model.Posting {
+	var total int64
+	for _, c := range counts {
+		total += int64(c.Count)
 	}
-	var dl float64
-	for _, f := range freqs {
-		dl += float64(f)
-	}
+	dl := float64(total)
 	avdl := o.AvgDocLen
 	if avdl <= 0 {
 		avdl = dl
 	}
-	out := make([]model.Posting, 0, len(freqs))
-	for t, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		tf := float64(f)
-		w := ((o.K1 + 1) * tf) / (o.K1*((1-o.B)+o.B*dl/avdl) + tf)
-		out = append(out, model.Posting{Term: t, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
-	return out
+	return weighEach(counts, func(c model.TermCount) model.Posting {
+		tf := float64(c.Count)
+		return model.Posting{Term: c.Term, Weight: ((o.K1 + 1) * tf) / (o.K1*((1-o.B)+o.B*dl/avdl) + tf)}
+	})
+}
+
+// WeighQuery implements Weighter.
+func (o Okapi) WeighQuery(counts []model.TermCount) []model.QueryTerm {
+	return weighEach(counts, func(c model.TermCount) model.QueryTerm {
+		tf := float64(c.Count)
+		return model.QueryTerm{Term: c.Term, Weight: ((o.K3 + 1) * tf) / (o.K3 + tf)}
+	})
+}
+
+// DocPostings implements Weighter.
+func (o Okapi) DocPostings(freqs map[model.TermID]int) []model.Posting {
+	return o.Weigh(sortedCounts(freqs))
 }
 
 // QueryTerms implements Weighter.
 func (o Okapi) QueryTerms(freqs map[model.TermID]int) []model.QueryTerm {
-	if len(freqs) == 0 {
-		return nil
-	}
-	out := make([]model.QueryTerm, 0, len(freqs))
-	for t, f := range freqs {
-		if f <= 0 {
-			continue
-		}
-		tf := float64(f)
-		w := ((o.K3 + 1) * tf) / (o.K3 + tf)
-		out = append(out, model.QueryTerm{Term: t, Weight: w})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Term < out[j].Term })
-	return out
+	return o.WeighQuery(sortedCounts(freqs))
 }
