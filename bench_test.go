@@ -297,8 +297,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 
 // BenchmarkBatchedThroughput — PR-2 experiment: steady-state per-event
 // cost of the epoch pipeline at several epoch sizes B, on the same
-// heavy standing-query load as BenchmarkShardedThroughput. B=1 is
-// event-serial processing; larger epochs amortize index mutation,
+// heavy standing-query load as BenchmarkShardedThroughput. B=1 is an
+// epoch per document; larger epochs amortize index mutation,
 // batch-wide affected-query deduplication (net-effect maintenance: at
 // most one refill and one roll-up per query per epoch) and, for the
 // sharded engine, the two-phase fan-out barrier. The recorded sweep

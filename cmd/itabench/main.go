@@ -43,7 +43,7 @@ func main() {
 		// single-threaded engine plus every count in -shards.
 		queries  = flag.Int("queries", 10000, "throughput/batch: standing queries")
 		shardSet = flag.String("shards", "1,2,4,8", "throughput/batch: comma-separated shard counts")
-		batch    = flag.Int("batch", 64, "throughput: ProcessBatch size")
+		batch    = flag.Int("batch", 64, "throughput/reads/recovery/failover/cluster: documents per ingest epoch")
 		epochSet = flag.String("epochs", "1,8,64,256", "batch: comma-separated epoch sizes B")
 		events   = flag.Int("events", 2000, "throughput/batch: measured events per configuration")
 		jsonOut  = flag.String("json", "", "throughput/batch/reads: write the report as JSON to this path")

@@ -47,42 +47,45 @@
 // runtime.GOMAXPROCS — each owning the threshold trees, result lists
 // and local thresholds of its queries, while the inverted index and
 // FIFO store remain a single-writer structure owned by the
-// coordinator. Every arrival or expiration is a two-phase event: the
-// coordinator first mutates the index, then all shards concurrently
+// coordinator. Every epoch is a two-phase step: the coordinator first
+// applies the epoch's net index mutations, then all shards concurrently
 // run their per-query maintenance against the now-quiescent index.
 // Because ITA couples queries only through the read-only index,
 // results are identical to the single-threaded engine — the
 // equivalence suite drives both against a brute-force oracle under the
 // race detector. Choose WithShards when many standing queries make
-// per-event maintenance, not index mutation, the dominant cost, and
+// per-query maintenance, not index mutation, the dominant cost, and
 // there are spare cores to fan out to; call Close to release the shard
 // workers, and prefer IngestBatch for high-volume feeds. See README.md
 // for the architecture.
 //
-// # Epoch-batched ingestion
+// # Epochs
 //
-// WithBatchSize(B) lifts event processing from event-serial to
-// epoch-batched: IngestText calls buffer their analyzed documents and
-// the engine applies them as one epoch — a single net index-mutation
-// pass (documents that arrive and expire within the epoch never touch
-// the inverted lists), batch-wide deduplication of affected queries,
-// and at most one refill search plus one roll-up per query per epoch
-// instead of per event. IngestBatch always routes through the epoch
-// path. An epoch flushes when B documents accumulate, on Flush, or
-// before any operation that needs the stream applied (Register,
-// Unregister, Advance, Snapshot, Close).
+// There is one ingest pipeline, and its unit is the epoch: a single net
+// index-mutation pass (documents that arrive and expire within the
+// epoch never touch the inverted lists), epoch-wide deduplication of
+// affected queries, and at most one refill search plus one roll-up per
+// query. Every IngestText call is an epoch of one document, every
+// IngestBatch call an epoch of its items, and every Advance an epoch of
+// expirations alone.
 //
-// Per-query results at every epoch boundary equal event-serial
-// processing of the same stream (documents tying exactly at a query's
-// k-th score may resolve to either tied document — both are correct);
-// the race-enabled equivalence suites enforce this for epoch sizes
-// B ∈ {1, 4, 64} across shard counts S ∈ {1, 2, 8}. The trade is
-// bounded read staleness: Results, Stats and WindowLen reflect flushed
-// epochs only, at most B−1 documents behind, and watchers receive one
-// coalesced delta per query per epoch. Combine with WithShards to also
-// amortize the per-event fan-out barrier — one two-phase barrier per
-// epoch instead of per event. BENCH_BATCH.json records the measured
-// epoch-size sweep (itabench -exp batch).
+// WithBatchSize(B) makes epochs larger than the calls that feed them:
+// IngestText and IngestBatch buffer their analyzed documents and the
+// engine applies the buffer as one epoch when B documents accumulate,
+// on Flush, or before any operation that needs the stream applied
+// (Register, Unregister, Advance, Snapshot, Close).
+//
+// Per-query results at every epoch boundary do not depend on the epoch
+// size (documents tying exactly at a query's k-th score may resolve to
+// either tied document — both are correct); the race-enabled
+// equivalence suites enforce this for epoch sizes B ∈ {1, 4, 64}
+// across shard counts S ∈ {1, 2, 8}. The trade is bounded read
+// staleness: Results, Stats and WindowLen reflect flushed epochs only,
+// at most B−1 documents behind, and watchers receive one coalesced
+// delta per query per epoch. Combine with WithShards to amortize the
+// fan-out barrier — one two-phase barrier per epoch — over more
+// documents. BENCH_BATCH.json records the measured epoch-size sweep
+// (itabench -exp batch).
 //
 // # Published views and read consistency
 //

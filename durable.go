@@ -281,19 +281,16 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 func (e *Engine) replayRecord(rec *wal.Record) error {
 	w := e.wal
 	switch rec.Kind {
-	case wal.KindDoc:
-		id, deltas, err := e.ingestLocked(rec.Text, time.Unix(0, rec.At))
-		if err != nil {
-			return err
-		}
-		e.queueDeltasLocked(deltas)
-		if uint64(id) != rec.Doc {
-			return fmt.Errorf("replayed doc id %d, logged %d", id, rec.Doc)
-		}
-	case wal.KindBatch:
-		items := make([]TimedText, len(rec.Items))
-		for i, it := range rec.Items {
-			items[i] = TimedText{Text: it.Text, At: time.Unix(0, it.At)}
+	case wal.KindDoc, wal.KindBatch:
+		// Logs written before every ingest became a batch hold one KindDoc
+		// record per IngestText call; it replays as the batch of one that
+		// call is now.
+		items := []TimedText{{Text: rec.Text, At: time.Unix(0, rec.At)}}
+		if rec.Kind == wal.KindBatch {
+			items = make([]TimedText, len(rec.Items))
+			for i, it := range rec.Items {
+				items[i] = TimedText{Text: it.Text, At: time.Unix(0, it.At)}
+			}
 		}
 		ids, deltas, err := e.ingestBatchLocked(items)
 		if err != nil {

@@ -220,92 +220,26 @@ func (e *Engine) publishLocked() {
 // assigned immediately, but reads reflect the document only after the
 // epoch flushes.
 func (e *Engine) IngestText(text string, at time.Time) (DocID, error) {
-	e.mu.Lock()
-	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
+	ids, err := e.IngestBatch([]TimedText{{Text: text, At: at}})
+	if len(ids) == 0 {
 		return 0, err
 	}
-	id, deltas, err := e.ingestLocked(text, at)
-	e.queueDeltasLocked(deltas)
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
-	e.mu.Unlock()
-	// Watch callbacks run outside the lock so they may call back into
-	// the engine.
-	e.deliverQueued()
-	return id, err
-}
-
-func (e *Engine) ingestLocked(text string, at time.Time) (DocID, []pendingDelta, error) {
-	if at.Before(e.lastAt) {
-		return 0, nil, fmt.Errorf("%w: %s < %s", ErrTimeRegression, at, e.lastAt)
-	}
-	doc, err := model.NewDocument(e.nextDoc, at, e.cfg.weighter.Weigh(e.pipeline.Counts(text)))
-	if err != nil {
-		return 0, nil, fmt.Errorf("ita: analyze document: %w", err)
-	}
-	// Log before apply: once the record is durable the arrival will be
-	// replayed on recovery, whether or not this call completes.
-	if err := e.walAppendLocked(&wal.Record{
-		Kind: wal.KindDoc, Doc: uint64(doc.ID), At: at.UnixNano(), Text: text,
-	}); err != nil {
-		return 0, nil, err
-	}
-	if e.cfg.batchSize > 1 {
-		// Epoch-batched ingestion: buffer the analyzed document and
-		// flush once a full epoch has accumulated.
-		e.lastAt = at
-		e.nextDoc++
-		e.pending = append(e.pending, doc)
-		if e.texts != nil {
-			e.pendingText = append(e.pendingText, text)
-		}
-		if len(e.pending) < e.cfg.batchSize {
-			return doc.ID, nil, nil
-		}
-		if err := e.flushLocked(); err != nil {
-			return doc.ID, nil, err
-		}
-		return doc.ID, e.collectDeltas(), nil
-	}
-	if err := e.inner.Process(doc); err != nil {
-		return 0, nil, err
-	}
-	e.lastAt = at
-	e.nextDoc++
-	if e.texts != nil {
-		e.texts.add(doc.ID, at, text)
-	}
-	// An unbatched arrival is an epoch of its own.
-	if err := e.walBoundaryLocked(); err != nil {
-		return doc.ID, e.collectDeltas(), err
-	}
-	return doc.ID, e.collectDeltas(), nil
-}
-
-// epochProcessor is implemented by engines (ITA and the sharded ITA)
-// that process a whole batch of arrivals as one epoch; see
-// core.EpochProcessor. Engines without it (the Naïve baselines) fall
-// back to an event-serial loop inside the flush.
-type epochProcessor interface {
-	ProcessEpoch(docs []*model.Document) error
+	return ids[0], err
 }
 
 // IngestBatch analyzes and processes a batch of document arrivals under
 // a single engine lock, returning the assigned ids in order. Arrival
 // times must be non-decreasing within the batch and not precede earlier
-// ingests. The batch is routed through the epoch pipeline: the call's
-// documents (together with any WithBatchSize buffer) form one epoch —
-// one net index mutation pass and one net maintenance pass per affected
-// query — so per-query results after the call are identical to calling
-// IngestText in a loop (when documents tie exactly at a query's k-th
-// score, either maintenance schedule may report either tied document;
-// both are correct top-k answers), while the per-event work — index
-// point mutations, shard fan-out barriers, redundant refills — is
-// amortized across the batch. This makes IngestBatch the preferred
-// ingestion path for high-volume feeds. Watch callbacks observe one
-// cumulative delta per query instead of one per document.
+// ingests. The call's documents (together with any WithBatchSize buffer)
+// form one epoch — one net index mutation pass and one net maintenance
+// pass per affected query — so the per-document work (index point
+// mutations, shard fan-out barriers, redundant refills) is amortized
+// across the batch; IngestText is the batch of one. Per-query results
+// after the call are identical to ingesting the same documents in
+// smaller epochs (when documents tie exactly at a query's k-th score,
+// either epoch cut may report either tied document; both are correct
+// top-k answers). Watch callbacks observe one cumulative delta per
+// query per epoch.
 func (e *Engine) IngestBatch(items []TimedText) ([]DocID, error) {
 	if len(items) == 0 {
 		return nil, nil
@@ -386,7 +320,9 @@ func (e *Engine) flushLocked() error {
 	}
 	docs, texts := e.pending, e.pendingText
 	e.pending, e.pendingText = e.pending[:0], e.pendingText[:0]
-	if ep, ok := e.inner.(epochProcessor); ok {
+	// The ITA engines take the epoch whole; the Naïve baselines keep an
+	// event loop.
+	if ep, ok := e.inner.(core.EpochProcessor); ok {
 		if err := ep.ProcessEpoch(docs); err != nil {
 			return err
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 	"time"
+	"unsafe"
 
 	"ita/internal/model"
 	"ita/internal/window"
@@ -176,5 +177,48 @@ func TestScratchShrinksAfterBurst(t *testing.T) {
 	// The engine still works after the shrink.
 	if err := e.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdmitListsFreedWhenLastQueryLeaves: admit lists are normally
+// freed by the expiry walk, which an engine with no queries never runs.
+// Unregistering the last query must therefore drop every list itself,
+// or the lists of documents still in the window stay pinned (and
+// counted in MemoryUsage) forever.
+func TestAdmitListsFreedWhenLastQueryLeaves(t *testing.T) {
+	const win = 50
+	e := NewITA(window.Count{N: win})
+	g := newContGen(27, 40)
+	for i := 0; i < win; i++ {
+		if err := e.Process(g.doc(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := model.QueryID(1); id <= 30; id++ {
+		if err := e.Register(g.query(t, id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < win; i++ {
+		if err := e.Process(g.doc(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(e.m.holders) == 0 {
+		t.Fatal("no admit lists recorded; the scenario does not exercise them")
+	}
+	for id := model.QueryID(1); id <= 30; id++ {
+		e.Unregister(id)
+	}
+	for i := 0; i < 4*win; i++ {
+		if err := e.Process(g.doc(t)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(e.m.holders); n != 0 {
+		t.Fatalf("%d admit lists outlive every query", n)
+	}
+	if got, want := e.MemoryUsage().QueryStateBytes, uint64(len(e.m.slabs))*uint64(unsafe.Sizeof(stateSlab{})); got != want {
+		t.Fatalf("QueryStateBytes = %d with no queries, want the bare slabs' %d", got, want)
 	}
 }

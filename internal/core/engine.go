@@ -86,7 +86,7 @@ type EpochProcessor interface {
 type Stats struct {
 	Arrivals    uint64 // documents inserted
 	Expirations uint64 // documents expired
-	Epochs      uint64 // multi-document epochs processed (ProcessEpoch)
+	Epochs      uint64 // ingest epochs processed; every arrival belongs to exactly one
 	// ITA counters.
 	ProbeHits    uint64 // threshold-tree probe results (query, event) pairs
 	SearchReads  uint64 // inverted-list entries consumed by search/refill

@@ -80,10 +80,11 @@ func sameResults(got, want []model.ScoredDoc) error {
 }
 
 // TestEpochMatchesSerialByteIdentical drives the epoch engine at several
-// batch sizes against the event-serial ITA on tie-free streams and
-// requires byte-identical per-query results at every epoch boundary,
-// including batches larger than the window (documents arriving and
-// expiring within one epoch) and invariant checks after every epoch.
+// batch sizes against an ITA fed one document per epoch on tie-free
+// streams and requires byte-identical per-query results at every epoch
+// boundary, including batches larger than the window (documents
+// arriving and expiring within one epoch) and invariant checks after
+// every epoch.
 func TestEpochMatchesSerialByteIdentical(t *testing.T) {
 	for _, cfg := range []struct {
 		seed       int64
@@ -162,7 +163,7 @@ func TestEpochMatchesSerialByteIdentical(t *testing.T) {
 
 // TestEpochAgreesOnTieHeavyStreams repeats the agreement check on the
 // deliberately tie-provoking quantized stream generator. With exact
-// score ties, event-serial and epoch-batched maintenance may
+// score ties, epochs of one and larger epochs may
 // legitimately retain different documents of an equal-score group (both
 // are correct top-k answers), so this test uses the same tolerance as
 // the oracle suite: identical score sequences, exact true scores, no
@@ -281,7 +282,7 @@ func TestEpochTimeWindow(t *testing.T) {
 
 // TestEpochAmortizesWork verifies the point of the epoch pipeline: on a
 // churny workload, batched maintenance performs measurably fewer refill
-// searches and index operations than event-serial processing of the
+// searches and index operations than one-document epochs over the
 // same stream.
 func TestEpochAmortizesWork(t *testing.T) {
 	build := func() (*ITA, []*model.Query, *contGen) {

@@ -131,62 +131,58 @@ func (e *ITA) PublishViews() ViewReader {
 	return e.m.Views()
 }
 
-// Process implements Engine: the arrival is indexed and handled, then
-// the window policy expires documents from the FIFO head.
+// Process implements Engine: the arrival is an epoch of its own.
 func (e *ITA) Process(d *model.Document) error {
-	if err := e.index.Insert(d); err != nil {
-		return err
-	}
-	e.stats.Arrivals++
-	e.stats.IndexInserts += uint64(len(d.Postings))
-	e.m.HandleArrival(d)
-	e.expireWhile(d.Arrival)
-	return nil
+	return e.ProcessEpoch([]*model.Document{d})
 }
 
 // ProcessEpoch implements EpochProcessor: the whole batch of arrivals,
 // and every expiration the window policy derives from it, is applied as
 // one epoch. The index absorbs the net mutations in a single ApplyBatch
 // pass, then the maintainer runs one net-effect pass over the affected
-// queries (HandleEpoch). Per-query results at the epoch boundary are
-// identical to a Process loop over the same documents; intermediate
-// states are simply never materialized. Arrival times must be
-// non-decreasing within the batch.
+// queries (HandleEpoch). Per-query results at the epoch boundary do not
+// depend on how the stream is cut into epochs; intermediate states are
+// simply never materialized. Arrival times must be non-decreasing
+// within the batch.
 func (e *ITA) ProcessEpoch(docs []*model.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if len(docs) == 1 {
-		return e.Process(docs[0])
-	}
-	now := docs[len(docs)-1].Arrival
-	res, err := e.index.ApplyBatch(docs, func(oldest *model.Document, count int) bool {
-		return e.policy.Expired(oldest.Arrival, now, count)
-	})
+	return e.epoch(docs, docs[len(docs)-1].Arrival)
+}
+
+// ExpireUntil implements Engine: an epoch without arrivals, which
+// cannot fail (only an arriving duplicate id can).
+func (e *ITA) ExpireUntil(now time.Time) { _ = e.epoch(nil, now) }
+
+func (e *ITA) epoch(docs []*model.Document, now time.Time) error {
+	arrived, expired, err := StageEpoch(e.index, e.policy, &e.stats, docs, now)
 	if err != nil {
 		return err
 	}
-	e.stats.Epochs++
-	e.stats.Arrivals += uint64(len(docs))
-	e.stats.Expirations += uint64(len(res.Expired) + res.Dropped)
-	e.stats.IndexInserts += uint64(res.Inserts)
-	e.stats.IndexDeletes += uint64(res.Deletes)
-	e.m.HandleEpoch(docs[res.Dropped:], res.Expired)
+	e.m.HandleEpoch(arrived, expired)
 	return nil
 }
 
-// ExpireUntil implements Engine.
-func (e *ITA) ExpireUntil(now time.Time) { e.expireWhile(now) }
-
-func (e *ITA) expireWhile(now time.Time) {
-	for {
-		oldest := e.index.Oldest()
-		if oldest == nil || !e.policy.Expired(oldest.Arrival, now, e.index.Len()) {
-			return
-		}
-		d := e.index.RemoveOldest()
-		e.stats.Expirations++
-		e.stats.IndexDeletes += uint64(len(d.Postings))
-		e.m.HandleExpire(d)
+// StageEpoch is the coordinator's half of an epoch, shared by ITA and
+// the sharded engine: it applies docs (possibly none) and every
+// expiration the window policy derives at time now to the index in one
+// ApplyBatch pass, counts the epoch into st, and returns the net
+// arrivals and expirations the maintainers must see. A batch with
+// arrivals counts as one epoch; a clock advance (no docs) does not.
+func StageEpoch(x *invindex.Index, p window.Policy, st *Stats, docs []*model.Document, now time.Time) (arrived, expired []*model.Document, err error) {
+	res, err := x.ApplyBatch(docs, func(oldest *model.Document, count int) bool {
+		return p.Expired(oldest.Arrival, now, count)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	if len(docs) > 0 {
+		st.Epochs++
+		st.Arrivals += uint64(len(docs))
+	}
+	st.Expirations += uint64(len(res.Expired) + res.Dropped)
+	st.IndexInserts += uint64(res.Inserts)
+	st.IndexDeletes += uint64(res.Deletes)
+	return docs[res.Dropped:], res.Expired, nil
 }

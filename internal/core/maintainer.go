@@ -13,17 +13,17 @@ import (
 // Maintainer owns the per-query maintenance state of ITA for a set of
 // queries: their per-term probe bounds, result sets R and score floors.
 // It is the unit of parallelism of the sharded engine — every piece of
-// state it touches during event handling is strictly per-query (trees,
+// state it touches during epoch handling is strictly per-query (trees,
 // query states, stats, scratch buffers), while the inverted index it
 // reads is owned by its coordinator and guaranteed quiescent for the
-// duration of HandleArrival/HandleExpire.
+// duration of HandleEpoch.
 //
 // Query state lives in dense slab arenas, not a map of heap-allocated
 // structs: every registered query gets a dense internal id (a uint32
 // index into stable-addressed slabs), recycled through a free list on
 // Unregister. External QueryIDs appear exactly twice — in the
 // ext→dense lookup shared with the published Views, and inside the
-// *model.Query itself — so the per-event hot paths (probe-tree walks,
+// *model.Query itself — so the hot paths (probe-tree walks,
 // affected-query dedup, epoch work queues) run entirely on dense ids
 // with array indexing instead of map lookups. The probe trees store
 // dense ids too, which is what lets a probe hit resolve to its query
@@ -70,7 +70,7 @@ type Maintainer struct {
 	touched []*queryState
 	iterBuf []invindex.Iterator
 
-	// Per-event scoring scratch: the current document's postings as a
+	// Per-document scoring scratch: the current document's postings as a
 	// stamp-marked dense array keyed by TermID (term ids are interned
 	// densely, so the array is bounded by vocabulary size). Scoring an
 	// affected query costs one array load per query term — mark and
@@ -376,6 +376,12 @@ func (m *Maintainer) Unregister(id model.QueryID) bool {
 	qs.terms = qs.terms[:0] // keep capacity for the next occupant
 	m.free = append(m.free, qs.id)
 	m.n--
+	if m.n == 0 {
+		// Every admit entry is now stale, and HandleEpoch returns before
+		// reaching an expiry walk that would free one (a sharded engine
+		// does not even fan out to an empty shard), so drop them all here.
+		m.holders = make(map[model.DocID][]threshtree.Ref)
+	}
 	return true
 }
 
@@ -388,7 +394,7 @@ func (m *Maintainer) Result(id model.QueryID) ([]model.ScoredDoc, bool) {
 	return qs.r.Top(qs.q.K), true
 }
 
-// docWEntry is one slot of the per-event scoring scratch: a term's
+// docWEntry is one slot of the per-document scoring scratch: a term's
 // weight in the current document, valid only while mark carries the
 // current document stamp.
 type docWEntry struct {
@@ -478,31 +484,10 @@ func (m *Maintainer) collectAffected(d *model.Document) []*queryState {
 	return m.touched
 }
 
-// HandleArrival applies one arrival to the owned queries: every query
-// with a beatable bound is scored against d (bit-identical fast path),
-// and d joins R exactly when it reaches the floor. A query whose R has
-// grown past the raise margin gets its floor raised. The document must
-// already be present in the index, and the index must stay unmodified
-// for the duration of the call.
-func (m *Maintainer) HandleArrival(d *model.Document) {
-	m.prepDoc(d)
-	for _, qs := range m.collectAffected(d) {
-		m.markDirty(qs)
-		m.stats.ScoreComputations++
-		score := qs.escore
-		if qs.f != 0 {
-			score = m.scoreDoc(qs)
-		}
-		if score < qs.f {
-			continue
-		}
-		qs.r.Add(d.ID, score)
-		m.recordAdmit(d.ID, qs.id)
-		if m.rollupEnabled && qs.r.Len() > qs.q.K+m.tgtMargin+m.raiseMargin {
-			m.raiseFloor(qs)
-		}
-	}
-}
+// HandleArrival applies one arrival as an epoch of its own, for callers
+// that drive the maintainer one document at a time (the benchmark's
+// staged pipeline). The document must already be present in the index.
+func (m *Maintainer) HandleArrival(d *model.Document) { m.HandleEpoch([]*model.Document{d}, nil) }
 
 // recordAdmit appends a query's dense id to a document's admit list.
 // Every path that adds a document to some R must record the admit, so
@@ -546,67 +531,48 @@ func (m *Maintainer) releaseHolders(refs []threshtree.Ref) {
 	}
 }
 
-// HandleExpire applies one expiration to the owned queries. The
-// expiring document's admit list names exactly the queries that ever
-// admitted it into R (see recordAdmit), so the walk touches R holders
-// directly — no tree probe, whose beatable-bound visit set is a strict
-// superset of the holders. A query whose R drops below k rebuilds —
-// unless its floor is zero, in which case R already holds every
-// matching valid document and there is nothing to refill from. The
-// document must already be removed from the index, and the index must
-// stay unmodified for the duration of the call.
-func (m *Maintainer) HandleExpire(d *model.Document) {
-	refs := m.takeHolders(d.ID)
-	for _, ref := range refs {
-		qs := m.state(ref)
-		if !qs.live || !qs.r.Remove(d.ID) {
-			continue // stale admit entry: the holder purged d or died
-		}
-		m.markDirty(qs)
-		if qs.r.Len() < qs.q.K && qs.f > 0 {
-			m.stats.Refills++
-			m.rebuild(qs)
-		}
-	}
-	m.releaseHolders(refs)
-}
+// HandleExpire applies one expiration as an epoch of its own, the
+// counterpart of HandleArrival. The document must already be removed
+// from the index.
+func (m *Maintainer) HandleExpire(d *model.Document) { m.HandleEpoch(nil, []*model.Document{d}) }
 
 // HandleEpoch applies the net effect of one epoch — a batch of arrivals
-// and expirations — to the owned queries. The index must already
-// reflect the epoch-end state (arrived inserted, expired removed, both
-// lists excluding documents that arrived and expired within the epoch)
-// and stay unmodified for the duration of the call.
+// and expirations — to the owned queries. It is the one maintenance
+// path: a single arrival, a single expiration and a 64-document burst
+// are all epochs. The index must already reflect the epoch-end state
+// (arrived inserted, expired removed, both lists excluding documents
+// that arrived and expired within the epoch) and stay unmodified for
+// the duration of the call.
 //
 // Expired documents resolve their affected queries through their admit
-// lists (exactly the holders, as in HandleExpire); arrivals are probed
-// against the probe trees with the epoch-start bounds, deduplicating
-// affected queries across the whole batch. Each affected query then
-// gets one net maintenance pass (maintainEpoch). Collecting before any
-// maintenance is sound: an arrival collected here that per-event
-// processing would have filtered (because an intra-epoch floor raise
-// happened first) is merely extra work that the epoch-end floor
-// comparison discards, and a stale admit entry merely enqueues a
-// removal that r.Remove reports as a no-op.
+// lists (see recordAdmit): the list names exactly the queries that ever
+// admitted the document, so the walk touches R holders directly instead
+// of probing the trees, whose beatable-bound visit set is a strict
+// superset of the holders. Arrivals are probed against the probe trees
+// with the epoch-start bounds, deduplicating affected queries across
+// the whole batch. Each affected query then gets one net maintenance
+// pass (maintainEpoch). Collecting before any maintenance is sound: an
+// arrival collected here that a smaller epoch would have filtered
+// (because an intra-epoch floor raise happened first) is merely extra
+// work that the epoch-end floor comparison discards, and a stale admit
+// entry merely enqueues a removal that r.Remove reports as a no-op.
 //
-// At the epoch boundary the maintained state satisfies the same floor
-// invariants as event-serial processing, so the reported top-k is
-// identical; internal state (floor values, R membership beyond the
-// top-k) and operation counters legitimately differ, which is exactly
-// where the amortization comes from.
+// At the epoch boundary the maintained state satisfies the floor
+// invariants whatever the epoch size, so the reported top-k does not
+// depend on how the stream was cut into epochs; internal state (floor
+// values, R membership beyond the top-k) and operation counters
+// legitimately differ, which is exactly where the amortization comes
+// from.
 func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 	if m.n == 0 {
 		return
 	}
-	// Single-event epochs take the per-event procedures unchanged.
-	if len(expired) == 0 && len(arrived) == 1 {
-		m.HandleArrival(arrived[0])
-		return
+	// The whole-term skip amortizes one tree consultation over the
+	// epoch's documents; a single arrival has nothing to amortize, and
+	// its per-posting min-θ check in collectAffected skips the same terms.
+	if len(arrived) > 1 {
+		m.beginEpochSkip(arrived)
 	}
-	if len(arrived) == 0 && len(expired) == 1 {
-		m.HandleExpire(expired[0])
-		return
-	}
-	m.beginEpochSkip(arrived)
 	m.estamp++
 	for _, d := range expired {
 		refs := m.takeHolders(d.ID)
@@ -797,19 +763,29 @@ func (m *Maintainer) Views() *Views { return &m.views }
 // arrivals added (scores were computed at probe time), then at most one
 // rebuild (only when the removals actually left the top-k deficient —
 // additions may have already repaired it) or one floor raise runs,
-// instead of one of each per event.
+// instead of one of each per event. A query whose R the epoch left
+// untouched — every removal a stale admit entry, every arrival below
+// the floor — still satisfies both invariants and needs neither a pass
+// nor a publication.
 func (m *Maintainer) maintainEpoch(qs *queryState, adds []*model.Document, addScores []float64, dels []*model.Document) {
-	m.markDirty(qs)
-	k := qs.q.K
+	changed := false
 	for _, d := range dels {
-		qs.r.Remove(d.ID)
+		if qs.r.Remove(d.ID) {
+			changed = true
+		}
 	}
 	for i, d := range adds {
 		if s := addScores[i]; s >= qs.f {
 			qs.r.Add(d.ID, s)
 			m.recordAdmit(d.ID, qs.id)
+			changed = true
 		}
 	}
+	if !changed {
+		return
+	}
+	m.markDirty(qs)
+	k := qs.q.K
 	switch {
 	case qs.r.Len() < k && qs.f > 0:
 		m.stats.Refills++

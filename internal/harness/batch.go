@@ -27,8 +27,8 @@ type BatchPoint struct {
 	MeanMs       float64 `json:"mean_ms"`
 	WallMs       float64 `json:"wall_ms"`
 	// SpeedupVsB1 is this cell's events/sec over the same engine
-	// configuration at epoch size 1 (event-serial processing) — the
-	// amortization the epoch pipeline buys, isolated from parallelism.
+	// configuration at epoch size 1 (an epoch per document) — the
+	// amortization larger epochs buy, isolated from parallelism.
 	SpeedupVsB1 float64 `json:"speedup_vs_b1"`
 	// Refills and IndexOps explain the speedup: net-effect maintenance
 	// and transient elision shrink both with growing epochs.
@@ -38,8 +38,8 @@ type BatchPoint struct {
 
 // BatchReport is the outcome of the epoch-size sweep: steady-state
 // events/sec of the single-threaded and sharded ITA engines at several
-// epoch sizes B, on a many-query workload. B=1 is event-serial
-// processing; larger epochs amortize index mutation, affected-query
+// epoch sizes B, on a many-query workload. B=1 is an epoch per
+// document; larger epochs amortize index mutation, affected-query
 // probing and (for the sharded engine) the fan-out barrier across the
 // batch. Hardware context is recorded because the fan-out part of the
 // story needs real cores.
@@ -54,13 +54,18 @@ type BatchReport struct {
 	Points     []BatchPoint `json:"points"`
 }
 
+// epochEngine is an engine that takes whole epochs: ITA or the sharded
+// ITA.
+type epochEngine interface {
+	core.Engine
+	core.EpochProcessor
+}
+
 // BatchSweep measures steady-state event throughput at every epoch size
 // in epochSizes, for the single-threaded ITA and the sharded engine at
 // every count in shardCounts, all on the same synthetic workload of
 // `queries` standing queries over a count window of `win` documents.
-// Events are fed through ProcessEpoch in chunks of the epoch size
-// (chunks of one go through Process, i.e. B=1 is the event-serial
-// baseline).
+// Events are fed through ProcessEpoch in chunks of the epoch size.
 func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts []int, events int, progress func(string)) (BatchReport, error) {
 	cfg := p.corpusCfg()
 	rep := BatchReport{
@@ -76,13 +81,13 @@ func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts [
 	type engineCfg struct {
 		name   string
 		shards int
-		build  func() (core.Engine, func())
+		build  func() (epochEngine, func())
 	}
 	pol := window.Count{N: win}
 	var engines []engineCfg
 	engines = append(engines, engineCfg{
 		name: "single", shards: 0,
-		build: func() (core.Engine, func()) { return core.NewITA(pol), func() {} },
+		build: func() (epochEngine, func()) { return core.NewITA(pol), func() {} },
 	})
 	for _, s := range shardCounts {
 		s := s
@@ -92,7 +97,7 @@ func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts [
 		eng.Close()
 		engines = append(engines, engineCfg{
 			name: name, shards: resolved,
-			build: func() (core.Engine, func()) {
+			build: func() (epochEngine, func()) {
 				e := shard.New(pol, resolved)
 				return e, func() { e.Close() }
 			},
@@ -133,7 +138,7 @@ func BatchSweep(p Profile, queries, queryLen, win int, epochSizes, shardCounts [
 	return rep, nil
 }
 
-func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, queryLen, win, epochSize, events int) (BatchPoint, error) {
+func runBatchCell(p Profile, cfg corpus.SynthConfig, eng epochEngine, queries, queryLen, win, epochSize, events int) (BatchPoint, error) {
 	pt := BatchPoint{EpochSize: epochSize}
 	qSynth, err := corpus.NewSynth(withSeed(cfg, 7777), vsm.Cosine{})
 	if err != nil {
@@ -161,7 +166,6 @@ func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, q
 	for i := range docs {
 		docs[i] = str.Next()
 	}
-	ep, _ := eng.(core.EpochProcessor)
 	statsBefore := *eng.Stats()
 	done := 0
 	start := time.Now()
@@ -170,15 +174,8 @@ func runBatchCell(p Profile, cfg corpus.SynthConfig, eng core.Engine, queries, q
 		if rem := events - done; n > rem {
 			n = rem
 		}
-		if n > 1 && ep != nil {
-			if err := ep.ProcessEpoch(docs[done : done+n]); err != nil {
-				return pt, err
-			}
-		} else {
-			n = 1
-			if err := eng.Process(docs[done]); err != nil {
-				return pt, err
-			}
+		if err := eng.ProcessEpoch(docs[done : done+n]); err != nil {
+			return pt, err
 		}
 		done += n
 		if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {

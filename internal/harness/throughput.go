@@ -52,8 +52,8 @@ type ThroughputReport struct {
 // expiration + all query maintenance) on a workload of `queries`
 // standing queries over a count window of `win` documents: first the
 // single-threaded ITA, then the sharded engine at every count in
-// shardCounts. Events are fed through ProcessBatch in chunks of `batch`
-// where the engine supports it.
+// shardCounts. Events are fed through ProcessEpoch in epochs of `batch`
+// documents.
 func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int, events int, progress func(string)) (ThroughputReport, error) {
 	cfg := p.corpusCfg()
 	rep := ThroughputReport{
@@ -67,7 +67,7 @@ func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int,
 		NumCPU:     runtime.NumCPU(),
 	}
 
-	run := func(name string, shards int, eng core.Engine) error {
+	run := func(name string, shards int, eng epochEngine) error {
 		if progress != nil {
 			progress(fmt.Sprintf("throughput: %s (%d queries)", name, queries))
 		}
@@ -90,31 +90,17 @@ func Throughput(p Profile, queries, queryLen, win, batch int, shardCounts []int,
 				return err
 			}
 		}
-		bp, batched := eng.(interface {
-			ProcessBatch([]*model.Document) error
-		})
 		done := 0
 		start := time.Now()
 		for done < events {
-			n := batch
-			if !batched {
-				n = 1
+			docs := make([]*model.Document, min(batch, events-done))
+			for i := range docs {
+				docs[i] = str.Next()
 			}
-			if rem := events - done; n > rem {
-				n = rem
-			}
-			if batched {
-				docs := make([]*model.Document, n)
-				for i := range docs {
-					docs[i] = str.Next()
-				}
-				if err := bp.ProcessBatch(docs); err != nil {
-					return err
-				}
-			} else if err := eng.Process(str.Next()); err != nil {
+			if err := eng.ProcessEpoch(docs); err != nil {
 				return err
 			}
-			done += n
+			done += len(docs)
 			if p.MaxMeasure > 0 && time.Since(start) > p.MaxMeasure {
 				break
 			}

@@ -374,7 +374,7 @@ type Index struct {
 	// lists is indexed by term id. Ids are dictionary-dense (see
 	// model.TermID), so a flat table costs 8 bytes a term where a map
 	// cost a bucket slot and a hash per posting. Emptied lists stay in
-	// the table (see RemoveOldest).
+	// the table (see deleteEntry).
 	lists []*List
 	// nonEmpty counts lists with at least one entry, so Terms() is a
 	// cheap gauge and not a dictionary-sized scan.
@@ -437,6 +437,12 @@ func (x *Index) insertEntry(t model.TermID, e EntryKey) {
 }
 
 // deleteEntry removes one impact entry, maintaining the non-empty count.
+// An emptied list is kept, with the capacity of its last small chunk
+// parked: at realistic dictionary sparsity the same rare terms keep
+// reappearing, and recreating a list per reappearance costs two
+// allocations per term per document — measured as a third of the whole
+// per-document index cost. The retained residue is bounded by the
+// dictionary size.
 func (x *Index) deleteEntry(t model.TermID, e EntryKey) {
 	if l := x.List(t); l != nil && l.delete(e) && l.length == 0 {
 		x.nonEmpty--
@@ -444,39 +450,30 @@ func (x *Index) deleteEntry(t model.TermID, e EntryKey) {
 }
 
 // Insert adds an arriving document to the store and posts an impact
-// entry into the inverted list of each of its terms. It fails on a
-// duplicate document id.
+// entry into the inverted list of each of its terms: an epoch of one
+// arrival that expires nothing. It fails on a duplicate document id.
 func (x *Index) Insert(d *model.Document) error {
-	if err := x.Store.Insert(d); err != nil {
-		return err
-	}
-	for _, p := range d.Postings {
-		x.insertEntry(p.Term, EntryKey{W: p.Weight, Doc: d.ID})
-	}
-	return nil
+	_, err := x.ApplyBatch([]*model.Document{d}, func(*model.Document, int) bool { return false })
+	return err
 }
 
 // RemoveOldest removes the FIFO head document and its impact entries,
-// returning the removed document. It returns nil on an empty index.
-// Emptied lists are kept, with the capacity of their last small chunk
-// parked: at realistic dictionary sparsity the same rare terms keep
-// reappearing, and recreating a list per reappearance costs two
-// allocations per term per event — measured as a third of the whole
-// per-event index cost. The retained residue is bounded by the
-// dictionary size.
+// returning the removed document: an epoch that expires exactly one
+// document. It returns nil on an empty index.
 func (x *Index) RemoveOldest() *model.Document {
-	d := x.Store.RemoveOldest()
-	if d == nil {
+	calls := 0
+	res, _ := x.ApplyBatch(nil, func(*model.Document, int) bool {
+		calls++
+		return calls == 1
+	})
+	if len(res.Expired) == 0 {
 		return nil
 	}
-	for _, p := range d.Postings {
-		x.deleteEntry(p.Term, EntryKey{W: p.Weight, Doc: d.ID})
-	}
-	return d
+	return res.Expired[0]
 }
 
 // Terms returns the number of terms with non-empty inverted lists, in
-// O(1) via a counter maintained by Insert/RemoveOldest.
+// O(1) via a counter maintained by insertEntry/deleteEntry.
 func (x *Index) Terms() int { return x.nonEmpty }
 
 // BatchResult reports what one ApplyBatch call actually did.

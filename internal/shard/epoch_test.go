@@ -60,9 +60,9 @@ func contQuery(t *testing.T, rng *rand.Rand, id model.QueryID, vocab int) *model
 // through an identical tie-free stream — epochs mixing arrivals and
 // expirations, plus epochs larger than the window so documents arrive
 // and expire within one batch — and must return byte-identical
-// per-query results to the event-serial single-threaded ITA at every
-// epoch boundary. Run under -race (CI does), this also exercises the
-// epoch fan-out's synchronization.
+// per-query results to the single-threaded ITA fed one document per
+// epoch, at every epoch boundary. Run under -race (CI does), this also
+// exercises the epoch fan-out's synchronization.
 func TestEpochGridMatchesSerialITA(t *testing.T) {
 	const (
 		vocab   = 20

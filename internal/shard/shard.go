@@ -4,32 +4,29 @@
 // queries, while the inverted index and FIFO document store remain a
 // single-writer structure owned by the coordinator.
 //
-// Event processing is a two-phase pipeline per arrival or expiration:
+// Every write is an epoch — a batch of arrivals (one document is a
+// batch of one) or an ExpireUntil clock advance — processed as a
+// two-phase pipeline:
 //
-//  1. The coordinator mutates the index (insert the arriving document,
-//     or pop the expired one), on the caller's goroutine.
-//  2. All shards concurrently run their per-query maintenance —
-//     probe → score → add/roll-up for arrivals, probe → remove → refill
-//     for expirations — against the now-quiescent index.
-//
-// ProcessEpoch lifts the same two phases from per-event to per-epoch:
-// the coordinator stages a whole batch's net index mutations in one
-// pass, then all shards fan out exactly once, each applying the epoch's
-// net effect to its queries. One barrier per epoch instead of one per
-// event is what lets the sharded engine scale past the per-event
-// synchronization floor.
+//  1. The coordinator stages the epoch's net index mutations in one
+//     ApplyBatch pass (insert the surviving arrivals, pop everything the
+//     window policy expires), on the caller's goroutine.
+//  2. All shards fan out exactly once and concurrently apply the
+//     epoch's net effect to their queries — probe → score → add/roll-up
+//     for arrivals, remove → refill for expirations — against the
+//     now-quiescent index.
 //
 // The fan-out is exact, not approximate: ITA's maintenance state is
 // strictly per-query (the paper's threshold trees and result lists R
-// never couple two queries), and within one event every shard only
+// never couple two queries), and within one epoch every shard only
 // *reads* the shared index. The sharded engine therefore returns
 // results identical to the single-threaded ITA for every query at every
-// instant; internal/shard's equivalence tests drive both against the
-// brute-force oracle to enforce exactly that.
+// epoch boundary; internal/shard's equivalence tests drive both against
+// the brute-force oracle to enforce exactly that.
 //
 // Like every core.Engine, the sharded engine's public methods must be
 // called from one goroutine at a time (the ita facade adds locking);
-// parallelism lives entirely inside Process/ProcessBatch.
+// parallelism lives entirely inside ProcessEpoch.
 package shard
 
 import (
@@ -46,7 +43,7 @@ import (
 )
 
 // Engine is the sharded parallel ITA. It implements core.Engine plus
-// ProcessBatch and Close.
+// core.EpochProcessor and Close.
 type Engine struct {
 	policy window.Policy
 	index  *invindex.Index
@@ -63,40 +60,25 @@ type Engine struct {
 	// published views, merged lazily at read time).
 	views *mergedViews
 
-	pending  sync.WaitGroup // per-event completion barrier
+	pending  sync.WaitGroup // per-epoch completion barrier
 	workers  sync.WaitGroup // worker lifetime
 	stopOnce sync.Once
 }
 
 // shardState is one shard: a maintainer plus its private stats block
-// and the channel its worker goroutine receives events on. Keeping the
+// and the channel its worker goroutine receives epochs on. Keeping the
 // stats per shard makes counting contention-free during the fan-out.
 type shardState struct {
 	m     *core.Maintainer
 	stats core.Stats
-	ch    chan event // nil when the engine runs inline (S == 1)
+	ch    chan epoch // nil when the engine runs inline (S == 1)
 }
 
-// event is one unit of fan-out work: either a single arrival or
-// expiration (doc != nil), or a whole epoch's net arrivals and
-// expirations (doc == nil).
-type event struct {
-	arrival bool
-	doc     *model.Document
+// epoch is one unit of fan-out work: an epoch's net arrivals and
+// expirations.
+type epoch struct {
 	arrived []*model.Document
 	expired []*model.Document
-}
-
-// handle dispatches one event on this shard's maintainer.
-func (s *shardState) handle(ev event) {
-	switch {
-	case ev.doc == nil:
-		s.m.HandleEpoch(ev.arrived, ev.expired)
-	case ev.arrival:
-		s.m.HandleArrival(ev.doc)
-	default:
-		s.m.HandleExpire(ev.doc)
-	}
 }
 
 // Option configures New.
@@ -141,7 +123,7 @@ func WithFloorMargins(target, raise int) Option {
 // shards <= 0 selects runtime.GOMAXPROCS(0). With one shard the engine
 // runs maintenance inline on the caller's goroutine (no workers, no
 // synchronization); with more it starts one worker goroutine per shard,
-// released per event and joined on a barrier before Process returns.
+// released per epoch and joined on a barrier before ProcessEpoch returns.
 // Call Close when done to stop the workers.
 func New(policy window.Policy, shards int, opts ...Option) *Engine {
 	if shards <= 0 {
@@ -164,7 +146,7 @@ func New(policy window.Policy, shards int, opts ...Option) *Engine {
 	e.views = &mergedViews{shards: e.shards}
 	if shards > 1 {
 		for _, s := range e.shards {
-			s.ch = make(chan event, 1)
+			s.ch = make(chan epoch, 1)
 			e.workers.Add(1)
 			go e.worker(s)
 		}
@@ -174,25 +156,19 @@ func New(policy window.Policy, shards int, opts ...Option) *Engine {
 
 func (e *Engine) worker(s *shardState) {
 	defer e.workers.Done()
-	for ev := range s.ch {
-		s.handle(ev)
-		// After an epoch event, freeze this shard's changed results while
-		// still on the worker: the copy-on-publish work parallelizes with
-		// the other shards, and the coordinator's later PublishViews
-		// degenerates to pure pointer swaps. Nothing becomes visible to
-		// readers yet. Per-event fan-outs skip the warm — several events
-		// (an arrival plus its expirations) may share one publication
-		// boundary, and only the last freeze would survive; the
-		// coordinator freezes each dirty query exactly once instead.
-		if ev.doc == nil {
-			s.m.WarmViews()
-		}
+	for ep := range s.ch {
+		s.m.HandleEpoch(ep.arrived, ep.expired)
+		// Freeze this shard's changed results while still on the worker:
+		// the copy-on-publish work parallelizes with the other shards, and
+		// the coordinator's later PublishViews degenerates to pure pointer
+		// swaps. Nothing becomes visible to readers yet.
+		s.m.WarmViews()
 		e.pending.Done()
 	}
 }
 
 // Close stops the worker goroutines. The engine must be quiescent (no
-// Process in flight); further Process calls panic. Close is idempotent.
+// epoch in flight); further fan-outs panic. Close is idempotent.
 func (e *Engine) Close() error {
 	e.stopOnce.Do(func() {
 		for _, s := range e.shards {
@@ -331,97 +307,51 @@ func (e *Engine) Result(id model.QueryID) ([]model.ScoredDoc, bool) {
 	return e.shards[e.shardFor(id)].m.Result(id)
 }
 
-// Process implements core.Engine: phase 1 mutates the index on the
-// caller's goroutine, phase 2 fans the per-query maintenance out across
-// the shards, then the window policy expires documents the same way.
+// Process implements core.Engine: the arrival is an epoch of its own.
 func (e *Engine) Process(d *model.Document) error {
-	if err := e.index.Insert(d); err != nil {
-		return err
-	}
-	e.coord.Arrivals++
-	e.coord.IndexInserts += uint64(len(d.Postings))
-	e.fanOut(event{arrival: true, doc: d})
-	e.expireWhile(d.Arrival)
-	return nil
-}
-
-// ProcessBatch processes a batch of arrivals in order, with their
-// interleaved expirations, exactly as a loop over Process would — one
-// fan-out barrier per event, each event's maintenance seeing the exact
-// per-event index state of the single-threaded algorithm. It is the
-// strict event-serial batch entry; ProcessEpoch is the amortized one.
-// On error, documents before the failing one remain processed.
-func (e *Engine) ProcessBatch(docs []*model.Document) error {
-	for _, d := range docs {
-		if err := e.Process(d); err != nil {
-			return err
-		}
-	}
-	return nil
+	return e.ProcessEpoch([]*model.Document{d})
 }
 
 // ProcessEpoch implements core.EpochProcessor: the whole batch is one
-// epoch, processed with a single two-phase barrier instead of one per
-// event. Phase 1 stages every index mutation on the caller's goroutine
-// (one ApplyBatch pass: insert the surviving arrivals, pop everything
-// the window policy expires, net per-term list edits); phase 2 fans the
-// epoch out once, each shard running its net per-query maintenance
-// (core.Maintainer.HandleEpoch) against the quiescent epoch-end index.
-// Results at the epoch boundary are identical to ProcessBatch; the
-// per-event synchronization cost — the dominant scaling limit of the
-// per-event pipeline — is paid once per epoch. Arrival times must be
+// epoch, processed with a single two-phase barrier. Phase 1 stages every
+// index mutation on the caller's goroutine (core.StageEpoch: insert the
+// surviving arrivals, pop everything the window policy expires, net
+// per-term list edits); phase 2 fans the epoch out once, each shard
+// running its net per-query maintenance (core.Maintainer.HandleEpoch)
+// against the quiescent epoch-end index. Arrival times must be
 // non-decreasing within the batch.
 func (e *Engine) ProcessEpoch(docs []*model.Document) error {
 	if len(docs) == 0 {
 		return nil
 	}
-	if len(docs) == 1 {
-		return e.Process(docs[0])
-	}
-	now := docs[len(docs)-1].Arrival
-	res, err := e.index.ApplyBatch(docs, func(oldest *model.Document, count int) bool {
-		return e.policy.Expired(oldest.Arrival, now, count)
-	})
+	return e.epoch(docs, docs[len(docs)-1].Arrival)
+}
+
+// ExpireUntil implements core.Engine: an epoch without arrivals, which
+// cannot fail (only an arriving duplicate id can).
+func (e *Engine) ExpireUntil(now time.Time) { _ = e.epoch(nil, now) }
+
+func (e *Engine) epoch(docs []*model.Document, now time.Time) error {
+	arrived, expired, err := core.StageEpoch(e.index, e.policy, &e.coord, docs, now)
 	if err != nil {
 		return err
 	}
-	e.coord.Epochs++
-	e.coord.Arrivals += uint64(len(docs))
-	e.coord.Expirations += uint64(len(res.Expired) + res.Dropped)
-	e.coord.IndexInserts += uint64(res.Inserts)
-	e.coord.IndexDeletes += uint64(res.Deletes)
-	if arrived := docs[res.Dropped:]; len(arrived) > 0 || len(res.Expired) > 0 {
-		e.fanOut(event{arrived: arrived, expired: res.Expired})
+	if len(arrived) > 0 || len(expired) > 0 {
+		e.fanOut(epoch{arrived: arrived, expired: expired})
 	}
 	return nil
 }
 
-// ExpireUntil implements core.Engine.
-func (e *Engine) ExpireUntil(now time.Time) { e.expireWhile(now) }
-
-func (e *Engine) expireWhile(now time.Time) {
-	for {
-		oldest := e.index.Oldest()
-		if oldest == nil || !e.policy.Expired(oldest.Arrival, now, e.index.Len()) {
-			return
-		}
-		d := e.index.RemoveOldest()
-		e.coord.Expirations++
-		e.coord.IndexDeletes += uint64(len(d.Postings))
-		e.fanOut(event{arrival: false, doc: d})
-	}
-}
-
-// fanOut runs one event's per-query maintenance on every shard that
+// fanOut runs one epoch's per-query maintenance on every shard that
 // owns at least one query and waits for all of them. The index is
 // quiescent for the duration: the coordinator blocks here and only it
 // may mutate the index.
-func (e *Engine) fanOut(ev event) {
+func (e *Engine) fanOut(ep epoch) {
 	if e.total == 0 {
 		return
 	}
 	if len(e.shards) == 1 {
-		e.shards[0].handle(ev)
+		e.shards[0].m.HandleEpoch(ep.arrived, ep.expired)
 		return
 	}
 	active := 0
@@ -433,7 +363,7 @@ func (e *Engine) fanOut(ev event) {
 	e.pending.Add(active)
 	for _, s := range e.shards {
 		if s.m.Len() > 0 {
-			s.ch <- ev
+			s.ch <- ep
 		}
 	}
 	e.pending.Wait()

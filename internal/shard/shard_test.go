@@ -273,7 +273,8 @@ func TestShardedTimeWindow(t *testing.T) {
 	}
 }
 
-// TestShardedBatch checks ProcessBatch against per-document Process.
+// TestShardedBatch checks one 60-document epoch against 60 epochs of
+// one: the results must match, and so must the stream counters.
 func TestShardedBatch(t *testing.T) {
 	pol := window.Count{N: 20}
 	a := shard.New(pol, 4)
@@ -299,7 +300,7 @@ func TestShardedBatch(t *testing.T) {
 		}
 		batch = append(batch, db)
 	}
-	if err := b.ProcessBatch(batch); err != nil {
+	if err := b.ProcessEpoch(batch); err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 5; i++ {
@@ -309,8 +310,9 @@ func TestShardedBatch(t *testing.T) {
 			t.Fatalf("query %d: batch %v, loop %v", i, rb, ra)
 		}
 	}
-	if *a.Stats() != *b.Stats() {
-		t.Fatalf("stats diverge: %+v vs %+v", *a.Stats(), *b.Stats())
+	sa, sb := a.Stats(), b.Stats()
+	if sa.Arrivals != sb.Arrivals || sa.Expirations != sb.Expirations || sa.Epochs != 60 || sb.Epochs != 1 {
+		t.Fatalf("stream counters: loop %+v, epoch %+v", *sa, *sb)
 	}
 }
 
@@ -357,5 +359,45 @@ func TestShardedErrors(t *testing.T) {
 	}
 	if err := eng.Close(); err != nil { // idempotent
 		t.Fatal(err)
+	}
+}
+
+// TestAdmitListsFreedOnEmptyShards: a shard whose last query leaves is
+// never fanned out to again, so it must drop its documents' admit lists
+// at that moment. After every query is gone and the window has turned
+// over, the query-state gauge must match an engine that held the same
+// queries but never saw a document.
+func TestAdmitListsFreedOnEmptyShards(t *testing.T) {
+	const win = 50
+	run := func(docs bool) uint64 {
+		e := shard.New(window.Count{N: win}, 4)
+		defer e.Close()
+		g := newGen(27, 40)
+		ingest := func(n int) {
+			for i := 0; i < n; i++ {
+				d := g.doc(t)
+				if !docs {
+					continue
+				}
+				if err := e.Process(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ingest(win)
+		for id := model.QueryID(1); id <= 30; id++ {
+			if err := e.Register(g.query(t, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ingest(win)
+		for id := model.QueryID(1); id <= 30; id++ {
+			e.Unregister(id)
+		}
+		ingest(4 * win)
+		return e.MemoryUsage().QueryStateBytes
+	}
+	if got, want := run(true), run(false); got != want {
+		t.Fatalf("QueryStateBytes with no queries = %d, want %d (stale admit lists)", got, want)
 	}
 }

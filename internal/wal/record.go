@@ -12,11 +12,12 @@ const (
 	KindRegister Kind = 1
 	// KindUnregister removes query Query.
 	KindUnregister Kind = 2
-	// KindDoc is one IngestText call: Doc (the assigned id), At and
-	// Text.
+	// KindDoc is one document ingest: Doc (the assigned id), At and
+	// Text. The facade no longer writes it (an ingest of one is a
+	// KindBatch of one) but still replays it from older logs.
 	KindDoc Kind = 3
-	// KindBatch is one IngestBatch call: Doc (the first assigned id)
-	// and Items.
+	// KindBatch is one IngestText or IngestBatch call: Doc (the first
+	// assigned id) and Items.
 	KindBatch Kind = 4
 	// KindAdvance moves the stream clock to At without an arrival.
 	KindAdvance Kind = 5

@@ -35,10 +35,14 @@ import (
 // printed and can be replayed with ITA_EQ_SEED=<seed> go test -run
 // TestMetamorphicEquivalence.
 //
-// The grid used to carry a posting-layout axis as well (the scan-all
-// twins were pinned to the slice layout, the rest ran blocked). There
-// is one layout now; the wall time the slower codec took is spent on
-// more seeds instead.
+// There is one ingest pipeline, so B is an epoch-size axis, not a
+// code-path twin: B=1 makes every IngestText its own epoch and every
+// IngestBatch one epoch of its items, while B=64 coalesces calls into
+// epochs that cross op boundaries — different epoch cuts of the same
+// stream, which must agree at every boundary. The whole grid runs once
+// under cosine scoring (TestMetamorphicEquivalence) and once under
+// Okapi BM25 (TestMetamorphicOkapi), whose unnormalized weights give
+// the floors and probe bounds a different numeric range to hold in.
 
 // opKind enumerates the generated facade operations.
 const (
@@ -214,7 +218,7 @@ func watchQuery(t *testing.T, g *eqEngine, id QueryID, forbidden map[QueryID]boo
 // runOpSequence replays one decoded op sequence across the engine grid
 // and fails the test on any divergence. It is shared by the seeded
 // metamorphic suite and the fuzz target.
-func runOpSequence(t *testing.T, data []byte) {
+func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 	t.Helper()
 	ops := decodeOps(data)
 	if len(ops) == 0 {
@@ -237,7 +241,7 @@ func runOpSequence(t *testing.T, data []byte) {
 	// refill rebuilds; the production defaults would keep every floor at
 	// zero in windows this small.
 	mk := func(opts ...Option) *Engine {
-		e, err := New(append([]Option{pol, withFloorMargins(1, 1)}, opts...)...)
+		e, err := New(append(append([]Option{pol, withFloorMargins(1, 1)}, extra...), opts...)...)
 		if err != nil {
 			t.Fatalf("policy %s: %v", polName, err)
 		}
@@ -274,8 +278,8 @@ func runOpSequence(t *testing.T, data []byte) {
 				// checkpoint interval makes generated runs cross several log
 				// rotations.
 				dir := t.TempDir()
-				opts := []Option{WithShards(s), withFloorMargins(1, 1),
-					WithDurability(DurabilityOff), WithCheckpointEvery(24)}
+				opts := append([]Option{WithShards(s), withFloorMargins(1, 1),
+					WithDurability(DurabilityOff), WithCheckpointEvery(24)}, extra...)
 				if b > 1 {
 					opts = append(opts, WithBatchSize(b))
 				}
@@ -569,7 +573,14 @@ func crashAndReopen(t *testing.T, g *eqEngine, context string, forbidden map[Que
 // TestMetamorphicEquivalence runs the generator over a fixed seed set
 // (fewer under -short). Replay a single failing sequence with
 // ITA_EQ_SEED=<seed>.
-func TestMetamorphicEquivalence(t *testing.T) {
+func TestMetamorphicEquivalence(t *testing.T) { runSeeds(t, "TestMetamorphicEquivalence") }
+
+// TestMetamorphicOkapi is the same grid pass under Okapi BM25 scoring.
+func TestMetamorphicOkapi(t *testing.T) {
+	runSeeds(t, "TestMetamorphicOkapi", WithOkapiScoring(2))
+}
+
+func runSeeds(t *testing.T, name string, extra ...Option) {
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14}
 	if testing.Short() {
 		seeds = seeds[:4]
@@ -584,10 +595,10 @@ func TestMetamorphicEquivalence(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			t.Logf("replay with: ITA_EQ_SEED=%d go test -run TestMetamorphicEquivalence", seed)
+			t.Logf("replay with: ITA_EQ_SEED=%d go test -run %s", seed, name)
 			data := make([]byte, 512)
 			rand.New(rand.NewSource(seed)).Read(data)
-			runOpSequence(t, data)
+			runOpSequence(t, data, extra...)
 		})
 	}
 }

@@ -131,10 +131,10 @@ func WithAlgorithm(a Algorithm) Option {
 // WithShards selects the sharded parallel ITA engine
 // (ShardedIncrementalThreshold) with n shards; n = 0 uses
 // runtime.GOMAXPROCS. Registered queries are partitioned across the
-// shards and every arrival/expiration fans its per-query maintenance
-// out to shard worker goroutines against a quiescent index, so results
-// are identical to the single-threaded engine. Worth it once the
-// per-event query maintenance (many standing queries) dominates the
+// shards and every epoch fans its per-query maintenance out to shard
+// worker goroutines against a quiescent index, so results are
+// identical to the single-threaded engine. Worth it once the per-query
+// maintenance (many standing queries) dominates the
 // index mutation; a single-shard engine runs inline with no worker
 // goroutines. Combining WithShards with a Naïve algorithm is an error.
 func WithShards(n int) Option {
@@ -159,7 +159,7 @@ func WithShards(n int) Option {
 // flushed epochs only, at most n-1 documents behind) for substantially
 // higher sustained throughput, and watchers receive one coalesced delta
 // per query per epoch. n = 1 (the default) disables buffering. See the
-// "Epoch-batched ingestion" section of the package documentation.
+// "Epochs" section of the package documentation.
 func WithBatchSize(n int) Option {
 	return func(c *config) error {
 		if n < 1 {
