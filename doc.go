@@ -46,9 +46,10 @@
 // registered queries are partitioned across n shards — n = 0 picks
 // runtime.GOMAXPROCS — each owning the threshold trees, result lists
 // and local thresholds of its queries, while the inverted index and
-// FIFO store remain a single-writer structure owned by the
-// coordinator. Every epoch is a two-phase step: the coordinator first
-// applies the epoch's net index mutations, then all shards concurrently
+// FIFO store are owned by the coordinator. Every epoch is a two-phase
+// step: the coordinator first applies the epoch's net index mutations
+// (split by term across the idle cores when the epoch is large; see
+// "Epochs"), then all shards concurrently
 // run their per-query maintenance against the now-quiescent index.
 // Because ITA couples queries only through the read-only index,
 // results are identical to the single-threaded engine — the
@@ -68,6 +69,16 @@
 // query. Every IngestText call is an epoch of one document, every
 // IngestBatch call an epoch of its items, and every Advance an epoch of
 // expirations alone.
+//
+// The index-mutation pass of an epoch with at least 2,048 net postings
+// is split by term across up to GOMAXPROCS goroutines, the caller
+// included, which are started for that epoch and joined before it ends;
+// a single document stays inline, and an idle engine runs no goroutines.
+// Each inverted list's entries and layout depend only on its own
+// mutations in stream order, which the split keeps, so results,
+// snapshots and operation counters are byte-identical at any core
+// count. Serial and sharded engines and WAL replay of batch records all
+// take this path.
 //
 // WithBatchSize(B) makes epochs larger than the calls that feed them:
 // IngestText and IngestBatch buffer their analyzed documents and the
@@ -349,6 +360,12 @@
 // The dictionary is append-only, so a marked term stays a fixed point,
 // and the shortcut cannot change which id a token gets.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured comparison of every figure.
+// # Benchmark
+//
+// bench/ is the repository's benchmark, a module of its own: four
+// workloads driven through this package and through a real itaserver,
+// with six bounded end-to-end metrics and a traced pass that attributes
+// an epoch's time to the layers. Run it with bash bench/run.sh, and
+// compare two results files with bash bench/run.sh -compare before.json
+// after.json. See README.md for the architecture and measured figures.
 package ita

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/corpus"
 	"ita/internal/model"
+	"ita/internal/vsm"
 )
 
 func timeAt(i int) time.Time {
@@ -50,6 +52,57 @@ func BenchmarkListSeekGE(b *testing.B) {
 			_ = it.Key()
 		}
 	}
+}
+
+// BenchmarkApplyBatchEpoch slides 64-document WSJ-shaped epochs over a
+// 10,000-document window: the index phase of the benchmark's
+// wide-window workload. An epoch is ≈22,000 net mutations, so -cpu 1,2
+// compares the one-share pass with the term-partitioned one. The
+// documents that expire are recycled as the next epoch's arrivals, so
+// allocs/op is the index's own.
+func BenchmarkApplyBatchEpoch(b *testing.B) {
+	const window, epoch = 10000, 64
+	synth, err := corpus.NewSynth(corpus.WSJConfig(), vsm.Cosine{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pool := make([]*model.Document, window+epoch)
+	for i := range pool {
+		pool[i] = synth.Document(model.DocID(i+1), timeAt(i))
+	}
+	x := NewIndex(1)
+	expire := func(_ *model.Document, count int) bool { return count > window }
+	next := model.DocID(1)
+	batch := make([]*model.Document, epoch)
+	arrive := func() {
+		for _, d := range batch {
+			d.ID, d.Arrival, d.Postings = next, timeAt(int(next)), pool[int(next)%len(pool)].Postings
+			next++
+		}
+	}
+	for range window / epoch {
+		for i := range batch {
+			batch[i] = new(model.Document)
+		}
+		arrive()
+		if _, err := x.ApplyBatch(batch, expire); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := range batch {
+		batch[i] = new(model.Document)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arrive()
+		res, err := x.ApplyBatch(batch, expire)
+		if err != nil {
+			b.Fatal(err)
+		}
+		batch = res.Expired
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*epoch), "us/doc")
 }
 
 func BenchmarkIndexProcessDocument(b *testing.B) {

@@ -57,8 +57,9 @@ func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
 				float64(x.PostingBytes())/float64(x.PostingCount()))
 			withIndex := liveHeap()
 			// Drop everything but the store: what the heap loses is what
-			// the lists, the term table and the epoch scratch held.
-			x.lists, x.batchCounts, x.batchScratch = nil, nil, nil
+			// the lists, the term table and every share's epoch scratch
+			// held.
+			x.lists, x.batchCounts, x.shares = nil, nil, nil
 			withStore := liveHeap()
 			runtime.KeepAlive(x)
 			runtime.KeepAlive(synth)

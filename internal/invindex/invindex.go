@@ -14,12 +14,20 @@
 // so what a window's index costs is set by the overhead around a
 // handful of entries per list, not by how densely the few Zipf-head
 // lists pack.
+//
+// A large epoch's net postings are applied term-partitioned across up to
+// GOMAXPROCS goroutines, while a single document stays on the caller.
+// Lists share no state and each still sees its own mutations in stream
+// order, so every list, and with it every result and snapshot byte, is
+// the same at any share count (see ApplyBatch).
 package invindex
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
 	"unsafe"
 
 	"ita/internal/model"
@@ -374,19 +382,24 @@ type Index struct {
 	// lists is indexed by term id. Ids are dictionary-dense (see
 	// model.TermID), so a flat table costs 8 bytes a term where a map
 	// cost a bucket slot and a hash per posting. Emptied lists stay in
-	// the table (see deleteEntry).
+	// the table (see applyShare).
 	lists []*List
 	// nonEmpty counts lists with at least one entry, so Terms() is a
 	// cheap gauge and not a dictionary-sized scan.
 	nonEmpty int
 	// batchCounts is ApplyBatch's per-term mutation counter, indexed
-	// like lists and all zero between calls; batchScratch is the
-	// reusable merge space of hot-list rebuilds, with batchLow counting
-	// consecutive low-usage epochs towards a shrink (see
-	// shrinkBatchScratch).
-	batchCounts  []int32
-	batchScratch []EntryKey
-	batchLow     int
+	// like lists and all zero between calls; shares holds one merge
+	// scratch per share of the term-partitioned mutation pass.
+	batchCounts []int32
+	shares      []shareScratch
+}
+
+// shareScratch is one share's reusable merge space for hot-list
+// rebuilds, with low counting consecutive low-usage epochs towards a
+// shrink (see shrink).
+type shareScratch struct {
+	buf []EntryKey
+	low int
 }
 
 // NewIndex returns an empty index. The seed is accepted for interface
@@ -416,37 +429,16 @@ func covering[T any](table []T, t model.TermID) []T {
 	return append(make([]T, 0, n+n/8), table...)[:n+n/8]
 }
 
-// listFor returns term t's list, creating it on first use.
+// listFor returns term t's list, creating it on first use. The table
+// must already cover t: the mutation pass grows it once per epoch, so
+// shares running side by side never reallocate it.
 func (x *Index) listFor(t model.TermID) *List {
-	x.lists = covering(x.lists, t)
 	l := x.lists[t]
 	if l == nil {
 		l = newList()
 		x.lists[t] = l
 	}
 	return l
-}
-
-// insertEntry posts one impact entry, maintaining the non-empty count.
-func (x *Index) insertEntry(t model.TermID, e EntryKey) {
-	l := x.listFor(t)
-	if l.length == 0 {
-		x.nonEmpty++
-	}
-	l.insert(e)
-}
-
-// deleteEntry removes one impact entry, maintaining the non-empty count.
-// An emptied list is kept, with the capacity of its last small chunk
-// parked: at realistic dictionary sparsity the same rare terms keep
-// reappearing, and recreating a list per reappearance costs two
-// allocations per term per document — measured as a third of the whole
-// per-document index cost. The retained residue is bounded by the
-// dictionary size.
-func (x *Index) deleteEntry(t model.TermID, e EntryKey) {
-	if l := x.List(t); l != nil && l.delete(e) && l.length == 0 {
-		x.nonEmpty--
-	}
 }
 
 // Insert adds an arriving document to the store and posts an impact
@@ -473,7 +465,7 @@ func (x *Index) RemoveOldest() *model.Document {
 }
 
 // Terms returns the number of terms with non-empty inverted lists, in
-// O(1) via a counter maintained by insertEntry/deleteEntry.
+// O(1) via a counter the mutation pass maintains.
 func (x *Index) Terms() int { return x.nonEmpty }
 
 // BatchResult reports what one ApplyBatch call actually did.
@@ -502,9 +494,35 @@ type BatchResult struct {
 // arrive and expire within the same epoch occupy window slots while the
 // epoch plays out but are never posted to the lists.
 //
+// An epoch of at least 2·shareMutations net postings is applied
+// term-partitioned: the caller and up to GOMAXPROCS−1 goroutines, which
+// exit before ApplyBatch returns, each edit the lists of their own terms
+// (see applyShare). A list's final entries and chunk layout depend only
+// on its own mutations in stream order, which partitioning by term
+// keeps, so the result is the same at any share count.
+//
 // Validation is all-or-nothing: a duplicate document id (against the
 // store or within the batch) fails the call before any mutation.
 func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool) (BatchResult, error) {
+	return x.applyEpoch(arrivals, expired, applyShares)
+}
+
+// shareMutations is the least mutation count worth a goroutine of its
+// own in the term-partitioned pass. A posting mutation costs about a
+// microsecond of cache misses on a wide window, well above what starting
+// and joining a goroutine costs; a WSJ-sized document is ≈350
+// mutations, so single-document epochs stay inline.
+const shareMutations = 1024
+
+// applyShares is the share count of an epoch of m net mutations: one
+// per shareMutations, capped at GOMAXPROCS, at least one.
+func applyShares(m int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), m/shareMutations))
+}
+
+// applyEpoch is ApplyBatch with the share count of the mutation pass
+// chosen by shares from the epoch's net mutation count.
+func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool, shares func(mutations int) int) (BatchResult, error) {
 	var res BatchResult
 	var ids map[model.DocID]struct{} // only a batch of several can repeat an id
 	if len(arrivals) > 1 {
@@ -541,21 +559,18 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 		}
 	}
 
-	// Net posting mutations. Grouping a term's mutations to apply them
-	// in one list pass only pays off for hot terms — Zipf-head lists
-	// collecting a meaningful number of entries per epoch; at realistic
-	// dictionary sparsity the vast majority of touched terms see one or
-	// two mutations, where buffering costs more than the point
-	// operations it saves. So a cheap counting pass finds the hot
-	// terms, cold terms take direct point operations with no buffering,
-	// and only hot terms are grouped and merge-applied.
+	// The counting pass: per-term mutation counts for the shares' hot
+	// test, and the largest term, so the list table grows here once and
+	// never while shares run.
 	survivors := arrivals[res.Dropped:]
 	counts := x.batchCounts
+	var maxTerm model.TermID
 	count := func(docs []*model.Document) (postings int) {
 		for _, d := range docs {
 			for _, p := range d.Postings {
 				counts = covering(counts, p.Term)
 				counts[p.Term]++
+				maxTerm = max(maxTerm, p.Term)
 			}
 			postings += len(d.Postings)
 		}
@@ -564,6 +579,69 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 	res.Inserts = count(survivors)
 	res.Deletes = count(res.Expired)
 	x.batchCounts = counts
+	if res.Inserts+res.Deletes > 0 {
+		x.lists = covering(x.lists, maxTerm)
+	}
+
+	n := shares(res.Inserts + res.Deletes)
+	for len(x.shares) < n {
+		x.shares = append(x.shares, shareScratch{})
+	}
+	if n == 1 { // every single-document epoch: no goroutine, nothing to allocate
+		x.nonEmpty += x.applyShare(0, 1, survivors, res.Expired)
+	} else {
+		old := res.Expired
+		deltas := make([]int, n)
+		var wg sync.WaitGroup
+		for w := 1; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				deltas[w] = x.applyShare(w, n, survivors, old)
+			}()
+		}
+		deltas[0] = x.applyShare(0, n, survivors, old)
+		wg.Wait()
+		for _, d := range deltas {
+			x.nonEmpty += d
+		}
+	}
+	for w := n; w < len(x.shares); w++ {
+		x.shares[w].shrink(0) // idle this epoch
+	}
+
+	// Re-zero the counters by the postings that raised them; the table
+	// is dictionary-sized and an epoch touches a sliver of it.
+	for _, docs := range [2][]*model.Document{survivors, res.Expired} {
+		for _, d := range docs {
+			for _, p := range d.Postings {
+				counts[p.Term] = 0
+			}
+		}
+	}
+	return res, nil
+}
+
+// listMut is one hot list's buffered mutations for an epoch.
+type listMut struct{ ins, del []EntryKey }
+
+// applyShare applies the epoch's net postings whose term t has
+// t mod n = w — expirations first, then arrivals, each in stream order —
+// with share w's merge scratch, and returns the change in the number of
+// non-empty lists. Shares edit disjoint lists and only read batchCounts
+// and the list table, so all n run side by side; n = 1 is the whole
+// pass.
+//
+// Grouping a term's mutations to apply them in one list pass only pays
+// off for hot terms — Zipf-head lists collecting a meaningful number of
+// entries per epoch; at realistic dictionary sparsity the vast majority
+// of touched terms see one or two mutations, where buffering costs more
+// than the point operations it saves. So the counting pass finds the
+// hot terms, cold terms take direct point operations with no buffering,
+// and only hot terms are grouped and merge-applied.
+func (x *Index) applyShare(w, n int, survivors, expired []*model.Document) (nonEmpty int) {
+	counts, lists := x.batchCounts, x.lists
+	mine := func(t model.TermID) bool { return n == 1 || int(t)%n == w }
 	// hot reports whether term t's mutations are worth grouping: enough
 	// of them in absolute terms AND a meaningful fraction of the
 	// current list, mirroring applyBatch's rebuild condition — there is
@@ -574,10 +652,9 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 		if c < hotTermMutations {
 			return false
 		}
-		l := x.List(t)
+		l := lists[t]
 		return l == nil || int(c)*2 >= l.length
 	}
-	type listMut struct{ ins, del []EntryKey }
 	var muts map[model.TermID]*listMut
 	mutFor := func(t model.TermID) *listMut {
 		mu := muts[t]
@@ -590,82 +667,87 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 		}
 		return mu
 	}
-	for _, d := range res.Expired {
+	for _, d := range expired {
 		for _, p := range d.Postings {
+			if !mine(p.Term) {
+				continue
+			}
 			e := EntryKey{W: p.Weight, Doc: d.ID}
 			if hot(p.Term) {
 				mu := mutFor(p.Term)
 				mu.del = append(mu.del, e)
-			} else {
-				x.deleteEntry(p.Term, e)
+			} else if l := lists[p.Term]; l != nil && l.delete(e) && l.length == 0 {
+				// An emptied list is kept, with the capacity of its last
+				// small chunk parked: at realistic dictionary sparsity the
+				// same rare terms keep reappearing, and recreating a list
+				// per reappearance costs two allocations per term per
+				// document — measured as a third of the whole per-document
+				// index cost. The retained residue is bounded by the
+				// dictionary size.
+				nonEmpty--
 			}
 		}
 	}
 	for _, d := range survivors {
 		for _, p := range d.Postings {
+			if !mine(p.Term) {
+				continue
+			}
 			e := EntryKey{W: p.Weight, Doc: d.ID}
 			if hot(p.Term) {
 				mu := mutFor(p.Term)
 				mu.ins = append(mu.ins, e)
-			} else {
-				x.insertEntry(p.Term, e)
+				continue
 			}
+			l := x.listFor(p.Term)
+			if l.length == 0 {
+				nonEmpty++
+			}
+			l.insert(e)
 		}
 	}
-	// Re-zero the counters by the postings that raised them; the table
-	// is dictionary-sized and an epoch touches a sliver of it.
-	for _, docs := range [2][]*model.Document{survivors, res.Expired} {
-		for _, d := range docs {
-			for _, p := range d.Postings {
-				counts[p.Term] = 0
-			}
-		}
-	}
+	s := &x.shares[w]
 	used := 0
 	for t, mu := range muts {
 		slices.SortFunc(mu.ins, compareKeys)
 		slices.SortFunc(mu.del, compareKeys)
 		l := x.listFor(t)
 		wasEmpty := l.length == 0
-		x.batchScratch = l.applyBatch(mu.ins, mu.del, x.batchScratch)
-		used = max(used, len(x.batchScratch))
+		s.buf = l.applyBatch(mu.ins, mu.del, s.buf)
+		used = max(used, len(s.buf))
 		if wasEmpty && l.length > 0 {
-			x.nonEmpty++
+			nonEmpty++
 		} else if !wasEmpty && l.length == 0 {
-			x.nonEmpty--
+			nonEmpty--
 		}
 	}
-	x.shrinkBatchScratch(used)
-	return res, nil
+	s.shrink(used)
+	return nonEmpty
 }
 
-// shrinkBatchScratch bounds the retained capacity of the hot-list merge
-// scratch — the same policy core.Maintainer applies to its epoch
-// buffers. One unusually large epoch (a burst, a catch-up replay) grows
-// the scratch to the biggest list it rebuilt and, without this, that
-// high-water capacity is pinned for the index's lifetime. After
-// shrinkAfter consecutive epochs using less than a quarter of the
-// retained capacity, the scratch is reallocated to twice the recent
-// working size.
-func (x *Index) shrinkBatchScratch(used int) {
+// shrink bounds the retained capacity of a share's merge scratch — the
+// same policy core.Maintainer applies to its epoch buffers. One
+// unusually large epoch (a burst, a catch-up replay) grows the scratch
+// to the biggest list it rebuilt and, without this, that high-water
+// capacity is pinned for the index's lifetime. After shrinkAfter
+// consecutive epochs using less than a quarter of the retained capacity
+// (an epoch the share sat out uses none), the scratch is reallocated to
+// twice the recent working size.
+func (s *shareScratch) shrink(used int) {
 	const (
 		minCap      = 256
 		shrinkAfter = 16
 	)
-	if cap(x.batchScratch) <= minCap || used*4 > cap(x.batchScratch) {
-		x.batchLow = 0
+	if cap(s.buf) <= minCap || used*4 > cap(s.buf) {
+		s.low = 0
 		return
 	}
-	x.batchLow++
-	if x.batchLow < shrinkAfter {
+	s.low++
+	if s.low < shrinkAfter {
 		return
 	}
-	x.batchLow = 0
-	newCap := used * 2
-	if newCap < minCap {
-		newCap = minCap
-	}
-	x.batchScratch = make([]EntryKey, 0, newCap)
+	s.low = 0
+	s.buf = make([]EntryKey, 0, max(used*2, minCap))
 }
 
 // sizeClasses are the Go allocator's small-object sizes; a larger
@@ -698,6 +780,7 @@ const (
 	structBytes = uint64(unsafe.Sizeof(List{}))
 	slotBytes   = uint64(unsafe.Sizeof((*List)(nil)))
 	countBytes  = uint64(unsafe.Sizeof(int32(0)))
+	shareBytes  = uint64(unsafe.Sizeof(shareScratch{}))
 )
 
 // listBytes is one list's heap footprint: the struct, the chunk
@@ -720,12 +803,17 @@ func listBytes(l *List) uint64 {
 }
 
 // MemoryBytes is the index's heap footprint: the FIFO store, every
-// inverted list, the term table and the epoch scratch.
+// inverted list, the term table and the epoch scratch, every share's
+// merge space included.
 func (x *Index) MemoryBytes() uint64 {
-	return x.Store.MemoryBytes() + x.PostingBytes() +
+	b := x.Store.MemoryBytes() + x.PostingBytes() +
 		allocSize(uint64(cap(x.lists))*slotBytes) +
 		allocSize(uint64(cap(x.batchCounts))*countBytes) +
-		allocSize(uint64(cap(x.batchScratch))*entryBytes)
+		allocSize(uint64(cap(x.shares))*shareBytes)
+	for _, s := range x.shares {
+		b += allocSize(uint64(cap(s.buf)) * entryBytes)
+	}
+	return b
 }
 
 // PostingBytes is the inverted-list portion of MemoryBytes: every

@@ -150,6 +150,84 @@ func TestEpochGridMatchesSerialITA(t *testing.T) {
 	}
 }
 
+// TestWideEpochsMatchSerialITA drives epochs of long, tie-free documents
+// over skewed terms — ≈20,000 net postings an epoch, so the index phase
+// runs term-partitioned whenever GOMAXPROCS allows (CI runs it at -cpu
+// 1,2,4 under -race) — and requires the results of the single-threaded
+// ITA fed one document per epoch, which always indexes inline.
+func TestWideEpochsMatchSerialITA(t *testing.T) {
+	const (
+		vocab   = 4000
+		terms   = 150
+		win     = 300
+		batch   = 64
+		epochs  = 12
+		queries = 24
+	)
+	rng := rand.New(rand.NewSource(5))
+	skewed := func() model.TermID { return model.TermID(rng.Intn(1 + rng.Intn(vocab))) }
+	pol := window.Count{N: win}
+	serial := core.NewITA(pol)
+	wide := New(pol, 2)
+	defer wide.Close()
+	var qids []model.QueryID
+	for i := 0; i < queries; i++ {
+		id := model.QueryID(i + 1)
+		q := contQuery(t, rng, id, 40) // the skew's head: every epoch touches these
+		if err := serial.Register(q); err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.Register(q); err != nil {
+			t.Fatal(err)
+		}
+		qids = append(qids, id)
+	}
+	nextID, hits := model.DocID(1), 0
+	for e := 0; e < epochs; e++ {
+		docs := make([]*model.Document, batch)
+		for i := range docs {
+			used := map[model.TermID]bool{}
+			var ps []model.Posting
+			for len(ps) < terms {
+				if term := skewed(); !used[term] {
+					used[term] = true
+					ps = append(ps, model.Posting{Term: term, Weight: 0.05 + 0.95*rng.Float64()})
+				}
+			}
+			d, err := model.NewDocument(nextID, time.Unix(int64(nextID), 0), ps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			docs[i] = d
+			nextID++
+			if err := serial.Process(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := wide.ProcessEpoch(docs); err != nil {
+			t.Fatal(err)
+		}
+		if err := wide.CheckInvariants(); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if got, want := wide.Stats(), serial.Stats(); got.IndexInserts != want.IndexInserts || got.IndexDeletes != want.IndexDeletes {
+			t.Fatalf("epoch %d: index inserts/deletes %d/%d, serial %d/%d", e,
+				got.IndexInserts, got.IndexDeletes, want.IndexInserts, want.IndexDeletes)
+		}
+		for _, id := range qids {
+			got, _ := wide.Result(id)
+			want, _ := serial.Result(id)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("epoch %d query %d:\n got %v\nwant %v", e, id, got, want)
+			}
+			hits += len(got)
+		}
+	}
+	if hits == 0 {
+		t.Fatal("no query ever held a result")
+	}
+}
+
 // TestEpochUnregisterBetweenEpochs checks query churn interleaved with
 // epoch processing: registration and removal are epoch-boundary
 // operations and must keep the shard assignment consistent.

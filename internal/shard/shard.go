@@ -1,8 +1,8 @@
 // Package shard implements the sharded parallel ITA engine: registered
 // queries are partitioned across S shards, each owning the threshold
 // trees, result sets and local thresholds (a core.Maintainer) for its
-// queries, while the inverted index and FIFO document store remain a
-// single-writer structure owned by the coordinator.
+// queries, while the inverted index and FIFO document store are owned
+// by the coordinator.
 //
 // Every write is an epoch — a batch of arrivals (one document is a
 // batch of one) or an ExpireUntil clock advance — processed as a
@@ -10,7 +10,9 @@
 //
 //  1. The coordinator stages the epoch's net index mutations in one
 //     ApplyBatch pass (insert the surviving arrivals, pop everything the
-//     window policy expires), on the caller's goroutine.
+//     window policy expires), on the caller's goroutine; a large epoch's
+//     list edits are split by term across short-lived goroutines inside
+//     ApplyBatch while the shards are idle.
 //  2. All shards fan out exactly once and concurrently apply the
 //     epoch's net effect to their queries — probe → score → add/roll-up
 //     for arrivals, remove → refill for expirations — against the
@@ -314,9 +316,9 @@ func (e *Engine) Process(d *model.Document) error {
 
 // ProcessEpoch implements core.EpochProcessor: the whole batch is one
 // epoch, processed with a single two-phase barrier. Phase 1 stages every
-// index mutation on the caller's goroutine (core.StageEpoch: insert the
+// index mutation from the caller's goroutine (core.StageEpoch: insert the
 // surviving arrivals, pop everything the window policy expires, net
-// per-term list edits); phase 2 fans the epoch out once, each shard
+// per-term list edits, term-partitioned when the epoch is large); phase 2 fans the epoch out once, each shard
 // running its net per-query maintenance (core.Maintainer.HandleEpoch)
 // against the quiescent epoch-end index. Arrival times must be
 // non-decreasing within the batch.
