@@ -290,34 +290,33 @@
 // with no per-event map traffic, and identical query texts share one
 // immutable term vector.
 //
-// The per-term threshold trees are frequency-adaptive and θ-ordered:
-// each (query, term) entry carries the score threshold θ the term's
-// contribution must beat, entries are kept in ascending-θ order, and
-// every tree maintains its minimum θ. An arriving or expiring
-// document's probe therefore costs what it can affect, not what is
-// registered: a whole term is skipped in O(1) when its min-θ exceeds
-// the term's contribution, an ordered probe walks only the beatable
-// prefix and exits at the first unbeatable threshold, and in the
-// epoch-batched path a term whose min-θ exceeds the epoch's maximum
-// contribution is skipped once for the entire epoch. Zero-floor
-// queries (every bound trivially beatable) are scored during the probe
-// itself: their shared-term contributions accumulate in ascending term
-// order — bit-identical to a full evaluation — so the dominant case
-// never touches the scoring scratch map at all.
+// The per-term threshold trees are θ-ordered: each (query, term) entry
+// carries the score threshold θ the term's contribution must beat,
+// entries are kept in ascending-θ order, and every tree maintains its
+// minimum θ. An arriving or expiring document's probe therefore costs
+// what it can affect, not what is registered: a whole term is skipped
+// in O(1) when its min-θ exceeds the term's contribution, an ordered
+// probe walks only the beatable prefix and exits at the first
+// unbeatable threshold, and in the epoch-batched path a term whose
+// min-θ exceeds the epoch's maximum contribution is skipped once for
+// the entire epoch. Zero-floor queries (every bound trivially
+// beatable) are scored during the probe itself: their shared-term
+// contributions accumulate in ascending term order — bit-identical to
+// a full evaluation — so the dominant case never touches the scoring
+// scratch map at all.
 //
-// Query populations per term are Zipfian, so the vast majority of
-// trees hold a handful of thresholds and are stored as compact sorted
-// slices (24 bytes per entry, binary-search probes); a tree crossing
-// ~128 entries promotes itself to a skip list and demotes back on
-// shrink, with hysteresis. The crossover was picked by measurement
-// (BenchmarkTierCrossover in internal/threshtree): the slice tier is
-// 5-9.5x faster below ~64 entries and CPU parity is reached between 64
-// and 128, where the slice tier still uses about a quarter of the
-// memory — so promotion happens exactly where pointer structure starts
-// to pay for itself. Both tiers maintain the identical total order;
-// the metamorphic equivalence suite runs the engine grid against a
-// skiplist-pinned reference and requires byte-identical results and
-// operation counters at every boundary.
+// Each tree is one sorted slice (16 bytes per entry, binary-search
+// updates, a contiguous prefix probe), and each query's result list R
+// is two parallel sorted slices (32 bytes per document) that release
+// their backing arrays once a refill's surplus drains away. Query
+// populations per term are Zipfian, but the head stays small: with
+// query terms drawn from the corpus Zipf (bench workload hot-terms)
+// only 14 of 3 365 trees exceed 128 entries and the largest holds
+// 2 326, and with 40 000 ten-term queries over a uniform dictionary
+// (many-queries) none of 161 719 trees exceeds 11. The metamorphic
+// equivalence suite runs the engine grid against a twin whose trees
+// scan every entry in query order with no early exit, and requires
+// byte-identical results and operation counters at every boundary.
 //
 // itabench -exp scale measures the result (BENCH_SCALE.json): engine
 // memory per registered query and steady-state ingest events/s at

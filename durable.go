@@ -116,7 +116,7 @@ func Open(dir string, opts ...Option) (*Engine, error) {
 func openDurable(dir string, opts []Option) (*Engine, error) {
 	// Probe the caller's options once, both for the WAL knobs and for
 	// the compatibility check against a recovered configuration.
-	probe := config{stemming: true, stopwords: true, seed: 1}
+	probe := config{stemming: true, stopwords: true}
 	for _, o := range opts {
 		if err := o(&probe); err != nil {
 			return nil, err
@@ -561,7 +561,7 @@ func (e *Engine) writeCheckpointLocked(seq uint64) error {
 // a caller passed to Open and the configuration recovered from a
 // checkpoint. Only deviations the caller expressed are detectable:
 // options that coincide with the defaults (stemming on, stopwords on,
-// seed 1, no retention) pass silently and the recovered value wins.
+// no retention) pass silently and the recovered value wins.
 func checkSnapshotCompat(user *config, s *snapshot) error {
 	mismatch := func(what string, got, want any) error {
 		return fmt.Errorf("ita: option conflicts with recovered state: %s %v, recovered %v (remove the option or use a fresh directory)", what, got, want)
@@ -608,9 +608,6 @@ func checkSnapshotCompat(user *config, s *snapshot) error {
 	}
 	if o, ok := user.weighter.(vsm.Okapi); ok && (!s.Okapi || s.OkapiAvgDL != o.AvgDocLen) {
 		return mismatch("okapi scoring", o.AvgDocLen, s.OkapiAvgDL)
-	}
-	if user.seed != 1 && user.seed != s.Seed {
-		return mismatch("seed", user.seed, s.Seed)
 	}
 	return nil
 }

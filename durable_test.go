@@ -342,7 +342,7 @@ func TestOpenConfigMismatch(t *testing.T) {
 		{"stemming", []Option{WithCountWindow(10), WithoutStemming()}},
 		{"okapi", []Option{WithCountWindow(10), WithOkapiScoring(30)}},
 		{"retention", []Option{WithCountWindow(10), WithTextRetention()}},
-		{"seed", []Option{WithCountWindow(10), WithSeed(99)}},
+		{"stopwords", []Option{WithCountWindow(10), WithoutStopwords()}},
 	} {
 		if _, err := Open(dir, tc.opts...); err == nil {
 			t.Fatalf("%s conflict accepted", tc.name)

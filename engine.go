@@ -120,7 +120,6 @@ func New(opts ...Option) (*Engine, error) {
 		algorithm: IncrementalThreshold,
 		stemming:  true,
 		stopwords: true,
-		seed:      1,
 	}
 	for _, o := range opts {
 		if err := o(&cfg); err != nil {

@@ -110,7 +110,7 @@ type Stats struct {
 // twin.
 type Memory struct {
 	IndexBytes      uint64 `json:"index_bytes"`       // inverted lists + FIFO store
-	TreeBytes       uint64 `json:"tree_bytes"`        // threshold trees (both tiers)
+	TreeBytes       uint64 `json:"tree_bytes"`        // threshold trees
 	QueryStateBytes uint64 `json:"query_state_bytes"` // dense arenas, term vectors, result sets
 	ViewBytes       uint64 `json:"view_bytes"`        // published slots + ext→dense lookup
 	// PostingBytes is the inverted-list share of IndexBytes (already

@@ -49,9 +49,6 @@ func WithoutRollup() ITAOption { return func(e *ITA) { e.cfg.DisableRollup = tru
 // (ablation A1).
 func WithRoundRobinProbe() ITAOption { return func(e *ITA) { e.cfg.RoundRobinProbe = true } }
 
-// WithITASeed fixes the skip-list randomness seed.
-func WithITASeed(seed uint64) ITAOption { return func(e *ITA) { e.cfg.Seed = seed } }
-
 // WithScanAllTrees pins every probe tree to the entry-ordered scan-all
 // representation, where a probe tests every registered query instead of
 // walking the θ-ordered beatable prefix. It exists so equivalence
@@ -71,14 +68,11 @@ func WithFloorMargins(target, raise int) ITAOption {
 
 // NewITA returns an empty ITA engine over the given window policy.
 func NewITA(policy window.Policy, opts ...ITAOption) *ITA {
-	e := &ITA{
-		policy: policy,
-		cfg:    MaintainerConfig{Seed: 1},
-	}
+	e := &ITA{policy: policy}
 	for _, o := range opts {
 		o(e)
 	}
-	e.index = invindex.NewIndex(e.cfg.Seed)
+	e.index = invindex.NewIndex(0)
 	e.m = NewMaintainer(e.index, &e.stats, e.cfg)
 	return e
 }

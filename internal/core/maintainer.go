@@ -37,7 +37,6 @@ type Maintainer struct {
 	index *invindex.Index
 	stats *Stats
 	trees map[model.TermID]*threshtree.Tree
-	seed  uint64
 
 	// Dense query-state arena: stable-addressed slabs indexed by dense
 	// id, a free list for Unregister churn, and the live count. The
@@ -143,6 +142,8 @@ type epochWork struct {
 // MaintainerConfig carries the tuning knobs shared by the single-threaded
 // and sharded engines.
 type MaintainerConfig struct {
+	// Seed is ignored: no maintainer structure is randomized. It is kept
+	// so callers built against the old seeded structures still compile.
 	Seed            uint64
 	DisableRollup   bool // ablation A2
 	RoundRobinProbe bool // ablation A1
@@ -173,7 +174,6 @@ func NewMaintainer(index *invindex.Index, stats *Stats, cfg MaintainerConfig) *M
 		stats:         stats,
 		trees:         make(map[model.TermID]*threshtree.Tree),
 		holders:       make(map[model.DocID][]threshtree.Ref),
-		seed:          cfg.Seed,
 		tgtMargin:     tgt,
 		raiseMargin:   raise,
 		rollupEnabled: !cfg.DisableRollup,
@@ -286,11 +286,10 @@ func (m *Maintainer) eachLive(fn func(qs *queryState)) {
 func (m *Maintainer) tree(t model.TermID) *threshtree.Tree {
 	tr := m.trees[t]
 	if tr == nil {
-		seed := m.seed ^ (uint64(t)*0x9e3779b97f4a7c15 + 1)
 		if m.scanTrees {
-			tr = threshtree.NewScanAll(seed)
+			tr = threshtree.NewScanAll()
 		} else {
-			tr = threshtree.New(seed)
+			tr = threshtree.New()
 		}
 		m.trees[t] = tr
 	}
@@ -324,7 +323,7 @@ func (m *Maintainer) install(q *model.Query, r *topk.ResultSet) *queryState {
 		m.stats.TreeUpdates++
 	}
 	if r == nil {
-		r = topk.NewResultSet(m.seed^uint64(q.ID), q.ID)
+		r = topk.NewResultSet(q.ID)
 	}
 	qs.r = r
 	m.n++

@@ -26,7 +26,6 @@ type Naive struct {
 	queries map[model.QueryID]*naiveState
 	kmaxFn  func(k int) int
 	stats   Stats
-	seed    uint64
 }
 
 type naiveState struct {
@@ -48,9 +47,6 @@ type NaiveOption func(*Naive)
 // (func(k int) int { return k }) yields the plain Naïve baseline.
 func WithKmax(fn func(k int) int) NaiveOption { return func(e *Naive) { e.kmaxFn = fn } }
 
-// WithNaiveSeed fixes the result-set skip-list seed.
-func WithNaiveSeed(seed uint64) NaiveOption { return func(e *Naive) { e.seed = seed } }
-
 // NewNaive returns an empty Naïve engine over the given window policy.
 func NewNaive(policy window.Policy, opts ...NaiveOption) *Naive {
 	e := &Naive{
@@ -58,7 +54,6 @@ func NewNaive(policy window.Policy, opts ...NaiveOption) *Naive {
 		store:   invindex.NewStore(),
 		queries: make(map[model.QueryID]*naiveState),
 		kmaxFn:  func(k int) int { return 2 * k },
-		seed:    1,
 	}
 	for _, o := range opts {
 		o(e)
@@ -97,7 +92,7 @@ func (e *Naive) Register(q *model.Query) error {
 	}
 	st := &naiveState{
 		q:    q,
-		view: topk.NewResultSet(e.seed^uint64(q.ID), q.ID),
+		view: topk.NewResultSet(q.ID),
 		kmax: e.kmaxFn(q.K),
 	}
 	if st.kmax < q.K {
@@ -175,7 +170,7 @@ func (e *Naive) expireWhile(now time.Time) {
 // the kmax highest-scoring documents.
 func (e *Naive) rescan(st *naiveState) {
 	e.stats.Rescans++
-	st.view = topk.NewResultSet(e.seed^uint64(st.q.ID), st.q.ID)
+	st.view = topk.NewResultSet(st.q.ID)
 	e.store.Docs(func(d *model.Document) {
 		e.stats.ScoreComputations++
 		score := model.Score(st.q, d)

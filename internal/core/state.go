@@ -14,8 +14,6 @@ import (
 // byte-for-byte in every observable respect — results, floor, probe
 // bounds (pure functions of F and the query's term weights), and
 // therefore every future maintenance decision and operation counter.
-// (Skip-list level draws are re-randomized on restore; they affect
-// neither results nor counters.)
 type QueryState struct {
 	F float64
 	R []model.ScoredDoc
@@ -69,7 +67,7 @@ func (m *Maintainer) RestoreQuery(q *model.Query, st QueryState) error {
 	// All-or-nothing: validate into locals first, claim an arena slot
 	// and mutate shared structures only afterwards, so a rejected state
 	// leaves the maintainer untouched.
-	r := topk.NewResultSet(m.seed^uint64(q.ID), q.ID)
+	r := topk.NewResultSet(q.ID)
 	for _, sd := range st.R {
 		if sd.Score < st.F {
 			return fmt.Errorf("core: restore query %d: result doc %d scores %g below floor %g", q.ID, sd.Doc, sd.Score, st.F)

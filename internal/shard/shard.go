@@ -86,9 +86,8 @@ type epoch struct {
 // Option configures New.
 type Option func(*core.MaintainerConfig)
 
-// WithSeed fixes the skip-list randomness seed, matching
-// core.WithITASeed so sharded and single-threaded runs are structurally
-// comparable.
+// WithSeed is ignored, like core.MaintainerConfig.Seed: no engine
+// structure is randomized. It is kept so existing callers compile.
 func WithSeed(seed uint64) Option {
 	return func(c *core.MaintainerConfig) { c.Seed = seed }
 }
@@ -131,13 +130,13 @@ func New(policy window.Policy, shards int, opts ...Option) *Engine {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
 	}
-	cfg := core.MaintainerConfig{Seed: 1}
+	var cfg core.MaintainerConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
 	e := &Engine{
 		policy: policy,
-		index:  invindex.NewIndex(cfg.Seed),
+		index:  invindex.NewIndex(0),
 		shards: make([]*shardState, shards),
 	}
 	for i := range e.shards {

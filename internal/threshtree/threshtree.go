@@ -11,36 +11,25 @@
 // which gives the engine a whole-term skip: when an arrival's (or an
 // epoch's maximum) contribution for a term is below the term's min-θ, no
 // query on that term can be affected and the tree is not probed at all.
-// In the skip-list tier the θ-ordering doubles as a per-block summary:
-// every tower link spans a block of entries whose smallest θ is the θ at
-// the link's origin, so a probe descends only into blocks that still
-// contain beatable bounds and stops at the first entry past the
-// contribution.
 //
-// The tree is tiered and frequency-adaptive. Query populations per term
-// are Zipfian: at realistic dictionary sizes the vast majority of terms
-// carry a handful of registered queries, while a small Zipf head carries
-// thousands. A tree therefore starts as a compact sorted slice — 16
-// bytes per entry, zero per-entry allocation, binary-search updates and
-// a contiguous prefix probe — and promotes itself to a skip list once it
-// crosses promoteAt entries. Shrinking below demoteAt (hysteresis, so a
-// term oscillating around the crossover does not thrash) demotes it
-// back. Both tiers maintain the identical total order, so every
-// operation is answer-identical regardless of tier.
+// A tree is one sorted slice: 16 bytes per entry, zero per-entry
+// allocation, binary-search updates plus one memmove, and a contiguous
+// prefix probe. Query populations per term are Zipfian, but even the
+// Zipf head stays small enough for that: with query terms drawn from
+// the corpus Zipf (bench workload hot-terms) only 14 of 3 365 trees
+// exceed 128 entries and the largest holds 2 326, and with 40 000
+// ten-term queries over a uniform dictionary (many-queries) none of
+// 161 719 trees exceeds 11.
 //
-// NewScanAll builds the entry-ordered reference twin: entries are keyed
-// by query ref alone and ProbeBeatable scans all of them, testing each
+// NewScanAll builds the entry-ordered reference twin: entries are kept
+// in query ref order and ProbeBeatable scans all of them, testing each
 // bound individually with no ordering and no early exit. It visits
 // exactly the same set of queries (in ref order rather than θ order), so
 // equivalence suites can prove the θ-ordered prefix scan loses no query;
 // it is not a production configuration.
 package threshtree
 
-import (
-	"sort"
-
-	"ita/internal/skiplist"
-)
+import "sort"
 
 // Ref identifies a query registered in a tree. The engine passes dense
 // internal query ids (see internal/core), never external QueryIDs: the
@@ -52,207 +41,112 @@ type key struct {
 	ref   Ref
 }
 
-func keyLess(a, b key) bool {
-	if a.theta != b.theta {
+// Tree is the probe index of one inverted list. The zero value is not
+// usable; call New or NewScanAll.
+type Tree struct {
+	// entries is sorted by (θ, ref), or by ref alone in scan-all mode.
+	entries []key
+	scanAll bool
+}
+
+// New returns an empty θ-ordered tree.
+func New() *Tree {
+	return &Tree{}
+}
+
+// NewScanAll returns an empty tree in entry-ordered reference mode:
+// entries are kept in ref order, probes scan every entry, and MinTheta
+// is a full scan. It exists so equivalence suites can prove the
+// θ-ordered prefix probe visits exactly the same queries; it is not a
+// production configuration.
+func NewScanAll() *Tree {
+	return &Tree{scanAll: true}
+}
+
+// Len returns the number of registered bounds.
+func (t *Tree) Len() int { return len(t.entries) }
+
+// less is the tree's entry order: (θ, ref), or ref alone in scan-all
+// mode.
+func (t *Tree) less(a, b key) bool {
+	if !t.scanAll && a.theta != b.theta {
 		return a.theta < b.theta
 	}
 	return a.ref < b.ref
 }
 
-func refLess(a, b Ref) bool { return a < b }
-
-// Tier crossover. The slice tier's probe is a contiguous prefix walk
-// over 16-byte entries and its update a binary search plus one memmove;
-// the skip-list tier trades that for O(log n) pointer chasing. The
-// crossover measured by BenchmarkTierCrossover sits in the low hundreds
-// of entries; promoteAt stays at the PR 5 setting, where the slice tier
-// still stores an entry in 16 bytes with zero per-entry allocations
-// versus the skip list's ~90 bytes across one node allocation — so the
-// Zipfian long tail of terms stays compact, and only genuinely hot
-// terms pay for pointer structure. demoteAt at ~promoteAt/3 gives
-// enough hysteresis that Unregister/re-Register churn around the
-// boundary cannot thrash promote/demote rebuilds.
-const (
-	promoteAt = 128
-	demoteAt  = 40
-)
-
-// Tree is the probe index of one inverted list. The zero value is not
-// usable; call New or NewScanAll.
-type Tree struct {
-	seed    uint64
-	entries []key // slice tier, sorted by keyLess; unused once sl != nil
-	sl      *skiplist.List[key, struct{}]
-	scan    *skiplist.List[Ref, float64] // entry-ordered reference mode
-}
-
-// New returns an empty tiered θ-ordered tree.
-func New(seed uint64) *Tree {
-	return &Tree{seed: seed}
-}
-
-// NewScanAll returns an empty tree in entry-ordered reference mode:
-// entries are keyed by ref, probes scan every entry, and MinTheta is a
-// full scan. It exists so equivalence suites can prove the θ-ordered
-// prefix probe visits exactly the same queries; it is not a production
-// configuration.
-func NewScanAll(seed uint64) *Tree {
-	t := &Tree{seed: seed}
-	t.scan = skiplist.New[Ref, float64](refLess, seed)
-	return t
-}
-
-// Len returns the number of registered bounds.
-func (t *Tree) Len() int {
-	switch {
-	case t.scan != nil:
-		return t.scan.Len()
-	case t.sl != nil:
-		return t.sl.Len()
-	}
-	return len(t.entries)
+// search returns the first position whose entry does not sort before k.
+func (t *Tree) search(k key) int {
+	return sort.Search(len(t.entries), func(i int) bool { return !t.less(t.entries[i], k) })
 }
 
 // Set registers (or re-registers) query q's bound for this term. A
-// previous bound for q must be removed with Remove first; Set with two
-// different bounds for the same query stores both, which corrupts
-// probing.
+// previous bound for q must be removed with Remove first. In θ-ordered
+// mode Set with two different bounds for the same query stores both,
+// which corrupts probing; in scan-all mode it overwrites the bound.
 func (t *Tree) Set(q Ref, theta float64) {
-	if t.scan != nil {
-		t.scan.Insert(q, theta)
-		return
-	}
 	k := key{theta: theta, ref: q}
-	if t.sl != nil {
-		t.sl.Insert(k, struct{}{})
+	i := t.search(k)
+	if t.scanAll && i < len(t.entries) && t.entries[i].ref == q {
+		t.entries[i] = k
 		return
 	}
-	i := sort.Search(len(t.entries), func(i int) bool { return !keyLess(t.entries[i], k) })
 	t.entries = append(t.entries, key{})
 	copy(t.entries[i+1:], t.entries[i:])
 	t.entries[i] = k
-	if len(t.entries) > promoteAt {
-		t.promote()
-	}
 }
 
 // Remove deletes query q's bound theta, reporting whether exactly that
 // (q, theta) pair was present.
 func (t *Tree) Remove(q Ref, theta float64) bool {
-	if t.scan != nil {
-		if got, ok := t.scan.Get(q); !ok || got != theta {
-			return false
-		}
-		return t.scan.Delete(q)
-	}
 	k := key{theta: theta, ref: q}
-	if t.sl != nil {
-		ok := t.sl.Delete(k)
-		if ok && t.sl.Len() < demoteAt {
-			t.demote()
-		}
-		return ok
-	}
-	i := sort.Search(len(t.entries), func(i int) bool { return !keyLess(t.entries[i], k) })
+	i := t.search(k)
 	if i >= len(t.entries) || t.entries[i] != k {
 		return false
 	}
-	copy(t.entries[i:], t.entries[i+1:])
-	t.entries = t.entries[:len(t.entries)-1]
+	t.entries = append(t.entries[:i], t.entries[i+1:]...)
 	return true
 }
 
 // MinTheta returns the smallest bound registered in the tree, or
-// (0, false) when the tree is empty. In both production tiers this is
-// O(1) — the head of the θ-ordering — which is what makes the engine's
-// whole-term skip free. In scan-all reference mode it is an O(n) scan.
+// (0, false) when the tree is empty. In θ order this is O(1) — the head
+// of the slice — which is what makes the engine's whole-term skip free.
+// In scan-all reference mode it is an O(n) scan.
 func (t *Tree) MinTheta() (float64, bool) {
-	switch {
-	case t.scan != nil:
-		it := t.scan.First()
-		if !it.Valid() {
-			return 0, false
-		}
-		min := it.Value()
-		for it.Next(); it.Valid(); it.Next() {
-			if v := it.Value(); v < min {
-				min = v
+	if len(t.entries) == 0 {
+		return 0, false
+	}
+	min := t.entries[0].theta
+	if t.scanAll {
+		for _, e := range t.entries[1:] {
+			if e.theta < min {
+				min = e.theta
 			}
 		}
-		return min, true
-	case t.sl != nil:
-		k, _, ok := t.sl.Min()
-		return k.theta, ok
-	case len(t.entries) > 0:
-		return t.entries[0].theta, true
 	}
-	return 0, false
+	return min, true
 }
 
 // ProbeBeatable calls fn for every query whose bound is beatable by the
-// given term contribution c — every entry with θ ≤ c. In the θ-ordered
-// tiers this is a prefix walk that exits at the first entry past c, so
-// its cost is proportional to the number of queries visited, not the
-// number registered on the term; iteration is in ascending (θ, ref)
-// order. In scan-all reference mode every entry is tested in ref order.
-// fn must not modify the tree.
+// given term contribution c — every entry with θ ≤ c. In θ order this is
+// a prefix walk that exits at the first entry past c, so its cost is
+// proportional to the number of queries visited, not the number
+// registered on the term; iteration is in ascending (θ, ref) order. In
+// scan-all reference mode every entry is tested in ref order. fn must
+// not modify the tree.
 func (t *Tree) ProbeBeatable(c float64, fn func(q Ref)) {
-	switch {
-	case t.scan != nil:
-		for it := t.scan.First(); it.Valid(); it.Next() {
-			if it.Value() <= c {
-				fn(it.Key())
-			}
-		}
-	case t.sl != nil:
-		for it := t.sl.First(); it.Valid(); it.Next() {
-			k := it.Key()
-			if k.theta > c {
-				return
-			}
-			fn(k.ref)
-		}
-	default:
-		for i := range t.entries {
-			if t.entries[i].theta > c {
-				return
-			}
-			fn(t.entries[i].ref)
+	for _, e := range t.entries {
+		if e.theta <= c {
+			fn(e.ref)
+		} else if !t.scanAll {
+			return
 		}
 	}
 }
 
-// promote rebuilds the slice tier into a skip list. Tower heights come
-// from the tree's own seed, so two trees with the same seed and history
-// stay structurally comparable whichever path built them.
-func (t *Tree) promote() {
-	sl := skiplist.New[key, struct{}](keyLess, t.seed)
-	for _, k := range t.entries {
-		sl.Insert(k, struct{}{})
-	}
-	t.entries = nil
-	t.sl = sl
-}
-
-// demote rebuilds the skip list into the slice tier.
-func (t *Tree) demote() {
-	entries := make([]key, 0, t.sl.Len())
-	for it := t.sl.First(); it.Valid(); it.Next() {
-		entries = append(entries, it.Key())
-	}
-	t.entries = entries
-	t.sl = nil
-}
-
-// MemoryBytes estimates the tree's heap footprint: entry storage plus
-// per-tier overhead (skip-list nodes and towers in the upper tiers).
+// MemoryBytes estimates the tree's heap footprint: the fixed header plus
+// 16 bytes per entry of slice capacity.
 func (t *Tree) MemoryBytes() uint64 {
 	const treeFixed = 64
-	switch {
-	case t.scan != nil:
-		return treeFixed + t.scan.MemoryBytes()
-	case t.sl != nil:
-		return treeFixed + t.sl.MemoryBytes()
-	}
 	return treeFixed + uint64(cap(t.entries))*16
 }

@@ -3,24 +3,16 @@
 // ordered by descending score, with order-statistic access to the k-th
 // score Sk.
 //
-// Like the threshold trees, R is tiered: at engine scale the typical
-// query's R holds tens of documents (k plus the unverified fringe the
-// threshold search consumed), and a pointer-based ordered map costs
-// ~130 bytes per document across two allocations. The small tier stores
-// R as two parallel sorted slices — (score desc, doc asc) result order
+// R is two parallel sorted slices — (score desc, doc asc) result order
 // and doc order — at 32 bytes per document with zero per-entry
-// allocation; a set crossing promoteAt documents promotes to a skip
-// list plus hash map and demotes back on shrink with hysteresis. Every
-// operation is answer-identical in both tiers: the total order is the
-// same, only the representation changes.
+// allocation; an update is a binary search plus one memmove in each. At
+// engine scale the typical R holds tens of documents (k plus the
+// unverified fringe the threshold search consumed). A refill can grow R
+// to hundreds or thousands before the floor raise shrinks it again, so
+// Remove releases a backing array once it is mostly empty (see shrink).
 package topk
 
-import (
-	"sort"
-
-	"ita/internal/model"
-	"ita/internal/skiplist"
-)
+import "ita/internal/model"
 
 type entry struct {
 	score float64
@@ -36,36 +28,21 @@ func entryLess(a, b entry) bool {
 	return a.doc < b.doc
 }
 
-// docScore is one small-tier entry of the doc-ordered index.
+// docScore is one entry of the doc-ordered index.
 type docScore struct {
 	doc   model.DocID
 	score float64
 }
 
-// Tier crossover for R. The small tier's 16-byte-entry memmoves stay
-// cheaper than a skip-list insert (one allocation plus a pointer walk)
-// into the hundreds, and the typical R never leaves the small tier;
-// the thresholds only exist for the Zipf-head queries whose consumed
-// region genuinely holds thousands of documents.
-const (
-	promoteAt = 256
-	demoteAt  = 64
-)
-
 // ResultSet is R for a single query. The zero value is not usable; call
 // NewResultSet.
 type ResultSet struct {
 	owner model.QueryID
-	seed  uint64
 
-	// Small tier: parallel sorted slices. order is result order
-	// (score desc, doc asc); docs is ascending doc order.
+	// Parallel sorted slices: order is result order (score desc, doc
+	// asc); docs is ascending doc order.
 	order []entry
 	docs  []docScore
-
-	// Large tier, nil while small: score order + doc→score map.
-	sl    *skiplist.List[entry, struct{}]
-	byDoc map[model.DocID]float64
 
 	// Copy-on-publish cache: the last frozen top-k, invalidated by any
 	// mutation. Freezing an unchanged result set returns the same
@@ -89,8 +66,8 @@ type Frozen struct {
 }
 
 // NewResultSet returns an empty result set owned by query owner.
-func NewResultSet(seed uint64, owner model.QueryID) *ResultSet {
-	return &ResultSet{seed: seed, owner: owner}
+func NewResultSet(owner model.QueryID) *ResultSet {
+	return &ResultSet{owner: owner}
 }
 
 // Freeze returns an immutable snapshot of the current top-k. The
@@ -107,16 +84,11 @@ func (r *ResultSet) Freeze(k int) *Frozen {
 }
 
 // Len returns the number of documents in R.
-func (r *ResultSet) Len() int {
-	if r.sl != nil {
-		return r.sl.Len()
-	}
-	return len(r.order)
-}
+func (r *ResultSet) Len() int { return len(r.order) }
 
-// docIdx returns the small-tier doc-index position of doc and whether
-// it is present. Hand-rolled binary search: this sits on the per-event
-// hot path (every R add/remove/membership test at engine scale), where
+// docIdx returns the doc-index position of doc and whether it is
+// present. Hand-rolled binary search: this sits on the per-event hot
+// path (every R add/remove/membership test at engine scale), where
 // sort.Search's closure call per halving step is measurable.
 func (r *ResultSet) docIdx(doc model.DocID) (int, bool) {
 	// Endpoint fast paths. Sliding-window streams with monotonically
@@ -142,9 +114,9 @@ func (r *ResultSet) docIdx(doc model.DocID) (int, bool) {
 	return lo, lo < len(r.docs) && r.docs[lo].doc == doc
 }
 
-// orderIdx returns the small-tier result-order position of e: the first
-// index whose entry does not sort before e (same contract as
-// sort.Search over !entryLess, without the closure calls).
+// orderIdx returns the result-order position of e: the first index
+// whose entry does not sort before e (same contract as sort.Search over
+// !entryLess, without the closure calls).
 func (r *ResultSet) orderIdx(e entry) int {
 	lo, hi := 0, len(r.order)
 	for lo < hi {
@@ -158,45 +130,11 @@ func (r *ResultSet) orderIdx(e entry) int {
 	return lo
 }
 
-// promote rebuilds the small tier into the skip list + map.
-func (r *ResultSet) promote() {
-	r.sl = skiplist.New[entry, struct{}](entryLess, r.seed)
-	r.byDoc = make(map[model.DocID]float64, len(r.order))
-	for _, e := range r.order {
-		r.sl.Insert(e, struct{}{})
-		r.byDoc[e.doc] = e.score
-	}
-	r.order, r.docs = nil, nil
-}
-
-// demote rebuilds the skip list back into the small tier.
-func (r *ResultSet) demote() {
-	n := r.sl.Len()
-	r.order = make([]entry, 0, n)
-	r.docs = make([]docScore, 0, n)
-	for it := r.sl.First(); it.Valid(); it.Next() {
-		r.order = append(r.order, it.Key())
-	}
-	for _, e := range r.order {
-		r.docs = append(r.docs, docScore{doc: e.doc, score: e.score})
-	}
-	sort.Slice(r.docs, func(i, j int) bool { return r.docs[i].doc < r.docs[j].doc })
-	r.sl, r.byDoc = nil, nil
-}
-
 // Add inserts document doc with the given score. Adding a document that
 // is already present panics: scores are immutable while a document is in
 // the window, so a re-add indicates an engine bug.
 func (r *ResultSet) Add(doc model.DocID, score float64) {
 	r.frozen = nil
-	if r.sl != nil {
-		if _, dup := r.byDoc[doc]; dup {
-			panic("topk: document added twice")
-		}
-		r.byDoc[doc] = score
-		r.sl.Insert(entry{score: score, doc: doc}, struct{}{})
-		return
-	}
 	di, present := r.docIdx(doc)
 	if present {
 		panic("topk: document added twice")
@@ -209,56 +147,39 @@ func (r *ResultSet) Add(doc model.DocID, score float64) {
 	r.docs = append(r.docs, docScore{})
 	copy(r.docs[di+1:], r.docs[di:])
 	r.docs[di] = docScore{doc: doc, score: score}
-	if len(r.order) > promoteAt {
-		r.promote()
-	}
 }
 
 // Remove deletes doc from R, reporting whether it was present.
 func (r *ResultSet) Remove(doc model.DocID) bool {
-	if r.sl != nil {
-		score, ok := r.byDoc[doc]
-		if !ok {
-			return false
-		}
-		r.frozen = nil
-		delete(r.byDoc, doc)
-		r.sl.Delete(entry{score: score, doc: doc})
-		if r.sl.Len() < demoteAt {
-			r.demote()
-		}
-		return true
-	}
 	di, present := r.docIdx(doc)
 	if !present {
 		return false
 	}
 	r.frozen = nil
-	score := r.docs[di].score
-	if di == 0 {
-		// FIFO fast path: under monotonic doc ids the expiring window
-		// document is the oldest, which sorts first. Slicing the front
-		// off instead of shifting every entry leaves the vacated slot
-		// pinned until a later append outgrows the backing array, a
-		// bounded overhead traded for O(1) expiry.
-		r.docs = r.docs[1:]
-	} else {
-		copy(r.docs[di:], r.docs[di+1:])
-		r.docs = r.docs[:len(r.docs)-1]
-	}
-	e := entry{score: score, doc: doc}
-	oi := r.orderIdx(e)
-	copy(r.order[oi:], r.order[oi+1:])
-	r.order = r.order[:len(r.order)-1]
+	oi := r.orderIdx(entry{score: r.docs[di].score, doc: doc})
+	r.docs = append(r.docs[:di], r.docs[di+1:]...)
+	r.order = append(r.order[:oi], r.order[oi+1:]...)
+	r.shrink()
 	return true
+}
+
+// shrink reallocates both slices at twice their length once they use
+// under a quarter of their capacity. A refill can grow R to thousands
+// of documents that the next floor raise drops again; without this the
+// high-water backing arrays would stay pinned for the query's lifetime.
+// Reallocating at 2·len leaves room to grow back to 2·len and shrink to
+// len/2 before either happens again, so a steady-size R never thrashes.
+func (r *ResultSet) shrink() {
+	n := len(r.order)
+	if c := cap(r.order); c <= 32 || n*4 >= c {
+		return
+	}
+	r.order = append(make([]entry, 0, 2*n), r.order...)
+	r.docs = append(make([]docScore, 0, 2*n), r.docs...)
 }
 
 // Score returns doc's stored score.
 func (r *ResultSet) Score(doc model.DocID) (float64, bool) {
-	if r.sl != nil {
-		s, ok := r.byDoc[doc]
-		return s, ok
-	}
 	if i, ok := r.docIdx(doc); ok {
 		return r.docs[i].score, true
 	}
@@ -267,7 +188,7 @@ func (r *ResultSet) Score(doc model.DocID) (float64, bool) {
 
 // Contains reports whether doc is in R.
 func (r *ResultSet) Contains(doc model.DocID) bool {
-	_, ok := r.Score(doc)
+	_, ok := r.docIdx(doc)
 	return ok
 }
 
@@ -275,48 +196,18 @@ func (r *ResultSet) Contains(doc model.DocID) bool {
 // than k documents — the identity under which any positive-scoring
 // document beats an unfilled result slot.
 func (r *ResultSet) Kth(k int) float64 {
-	if k <= 0 || r.Len() < k {
+	if k <= 0 || len(r.order) < k {
 		return 0
-	}
-	if r.sl != nil {
-		e, _ := r.sl.At(k - 1)
-		return e.score
 	}
 	return r.order[k-1].score
 }
 
-// Rank returns the 0-based rank doc currently occupies (0 = best). The
-// second result is false when doc is not in R.
-func (r *ResultSet) Rank(doc model.DocID) (int, bool) {
-	score, ok := r.Score(doc)
-	if !ok {
-		return 0, false
-	}
-	e := entry{score: score, doc: doc}
-	if r.sl != nil {
-		return r.sl.Rank(e), true
-	}
-	return r.orderIdx(e), true
-}
-
 // Top returns the best min(k, Len) documents in result order.
 func (r *ResultSet) Top(k int) []model.ScoredDoc {
-	n := r.Len()
-	if k < n {
-		n = k
-	}
-	out := make([]model.ScoredDoc, 0, n)
-	if r.sl != nil {
-		it := r.sl.First()
-		for i := 0; i < n; i++ {
-			e := it.Key()
-			out = append(out, model.ScoredDoc{Doc: e.doc, Score: e.score})
-			it.Next()
-		}
-		return out
-	}
-	for i := 0; i < n; i++ {
-		out = append(out, model.ScoredDoc{Doc: r.order[i].doc, Score: r.order[i].score})
+	n := min(k, len(r.order))
+	out := make([]model.ScoredDoc, n)
+	for i, e := range r.order[:n] {
+		out[i] = model.ScoredDoc{Doc: e.doc, Score: e.score}
 	}
 	return out
 }
@@ -324,13 +215,9 @@ func (r *ResultSet) Top(k int) []model.ScoredDoc {
 // Worst returns the lowest-ranked document in R. It is used by the
 // bounded view of the Naïve+kmax baseline to evict beyond kmax.
 func (r *ResultSet) Worst() (model.ScoredDoc, bool) {
-	n := r.Len()
+	n := len(r.order)
 	if n == 0 {
 		return model.ScoredDoc{}, false
-	}
-	if r.sl != nil {
-		e, _ := r.sl.At(n - 1)
-		return model.ScoredDoc{Doc: e.doc, Score: e.score}, true
 	}
 	e := r.order[n-1]
 	return model.ScoredDoc{Doc: e.doc, Score: e.score}, true
@@ -338,24 +225,14 @@ func (r *ResultSet) Worst() (model.ScoredDoc, bool) {
 
 // Each calls fn for every document in R in result order.
 func (r *ResultSet) Each(fn func(doc model.DocID, score float64)) {
-	if r.sl != nil {
-		for it := r.sl.First(); it.Valid(); it.Next() {
-			e := it.Key()
-			fn(e.doc, e.score)
-		}
-		return
-	}
 	for _, e := range r.order {
 		fn(e.doc, e.score)
 	}
 }
 
-// MemoryBytes estimates the result set's heap footprint per tier.
+// MemoryBytes estimates the result set's heap footprint: the fixed
+// header plus 16 bytes per slot of capacity in each slice.
 func (r *ResultSet) MemoryBytes() uint64 {
 	const fixed = 120
-	if r.sl != nil {
-		const mapEntry = 48
-		return fixed + r.sl.MemoryBytes() + uint64(len(r.byDoc))*mapEntry
-	}
 	return fixed + uint64(cap(r.order))*16 + uint64(cap(r.docs))*16
 }

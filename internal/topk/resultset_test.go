@@ -8,8 +8,29 @@ import (
 	"ita/internal/model"
 )
 
+// eachOrder returns R's documents in Each (result) order.
+func eachOrder(r *ResultSet) []model.ScoredDoc {
+	var out []model.ScoredDoc
+	r.Each(func(d model.DocID, s float64) { out = append(out, model.ScoredDoc{Doc: d, Score: s}) })
+	return out
+}
+
+func sameDocs(got []model.ScoredDoc, want ...model.DocID) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i].Doc != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAddRemoveScoreRank checks membership, scores and the rank each
+// document takes in Each order across an Add/Remove sequence.
 func TestAddRemoveScoreRank(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	r.Add(10, 0.5)
 	r.Add(20, 0.9)
 	r.Add(30, 0.7)
@@ -19,11 +40,8 @@ func TestAddRemoveScoreRank(t *testing.T) {
 	if s, ok := r.Score(30); !ok || s != 0.7 {
 		t.Fatalf("Score(30) = %g,%v", s, ok)
 	}
-	if rank, ok := r.Rank(20); !ok || rank != 0 {
-		t.Fatalf("Rank(20) = %d,%v", rank, ok)
-	}
-	if rank, ok := r.Rank(10); !ok || rank != 2 {
-		t.Fatalf("Rank(10) = %d,%v", rank, ok)
+	if got := eachOrder(r); !sameDocs(got, 20, 30, 10) {
+		t.Fatalf("Each order = %v, want docs 20, 30, 10", got)
 	}
 	if !r.Remove(30) {
 		t.Fatal("Remove failed")
@@ -34,13 +52,13 @@ func TestAddRemoveScoreRank(t *testing.T) {
 	if r.Contains(30) {
 		t.Fatal("Contains after Remove")
 	}
-	if rank, _ := r.Rank(10); rank != 1 {
-		t.Fatalf("Rank(10) after removal = %d", rank)
+	if got := eachOrder(r); !sameDocs(got, 20, 10) {
+		t.Fatalf("Each order after removal = %v, want docs 20, 10", got)
 	}
 }
 
 func TestKth(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	if r.Kth(1) != 0 {
 		t.Fatal("Kth on empty should be 0")
 	}
@@ -62,7 +80,7 @@ func TestKth(t *testing.T) {
 }
 
 func TestTopOrderAndTieBreak(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	r.Add(5, 0.5)
 	r.Add(3, 0.5) // tie: lower doc id ranks first
 	r.Add(9, 0.9)
@@ -84,7 +102,7 @@ func TestTopOrderAndTieBreak(t *testing.T) {
 }
 
 func TestWorst(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	if _, ok := r.Worst(); ok {
 		t.Fatal("Worst on empty succeeded")
 	}
@@ -103,13 +121,13 @@ func TestDoubleAddPanics(t *testing.T) {
 			t.Fatal("double Add did not panic")
 		}
 	}()
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	r.Add(1, 0.5)
 	r.Add(1, 0.6)
 }
 
 func TestEachVisitsInOrder(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		r.Add(model.DocID(i), rng.Float64())
@@ -133,7 +151,7 @@ func TestEachVisitsInOrder(t *testing.T) {
 // under random add/remove workloads with tied scores.
 func TestAgainstSliceModel(t *testing.T) {
 	f := func(ops []uint16) bool {
-		r := NewResultSet(7, 1)
+		r := NewResultSet(1)
 		ref := map[model.DocID]float64{}
 		for _, op := range ops {
 			doc := model.DocID(op & 0x3f)
@@ -159,16 +177,12 @@ func TestAgainstSliceModel(t *testing.T) {
 			docs = append(docs, model.ScoredDoc{Doc: d, Score: s})
 		}
 		model.SortScored(docs)
-		got := r.Top(len(docs))
+		got, each := r.Top(len(docs)), eachOrder(r)
 		for i := range docs {
-			if got[i] != docs[i] {
+			if got[i] != docs[i] || each[i] != docs[i] {
 				return false
 			}
 			if k := r.Kth(i + 1); k != docs[i].Score {
-				return false
-			}
-			rank, ok := r.Rank(docs[i].Doc)
-			if !ok || rank != i {
 				return false
 			}
 		}
@@ -182,7 +196,7 @@ func TestAgainstSliceModel(t *testing.T) {
 // Guard against float subtleties: scores of 0 are legal in the set even
 // though engines never store them; ordering must remain total.
 func TestZeroScores(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	r.Add(1, 0)
 	r.Add(2, 0)
 	r.Add(3, 0.5)
@@ -200,7 +214,7 @@ func TestZeroScores(t *testing.T) {
 // an untouched query is free), any mutation invalidates the cache, and
 // a frozen snapshot is immune to later mutations.
 func TestFreezeCaching(t *testing.T) {
-	r := NewResultSet(1, 1)
+	r := NewResultSet(1)
 	r.Add(10, 0.5)
 	r.Add(20, 0.9)
 	f1 := r.Freeze(2)
@@ -231,7 +245,7 @@ func TestFreezeCaching(t *testing.T) {
 		t.Fatalf("Freeze after Remove = %v", f4.Docs)
 	}
 	// Freezing deeper than Len returns what exists, non-nil.
-	empty := NewResultSet(2, 1)
+	empty := NewResultSet(1)
 	if f := empty.Freeze(3); f == nil || f.Docs == nil || len(f.Docs) != 0 {
 		t.Fatalf("empty Freeze = %#v", f)
 	}

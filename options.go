@@ -56,7 +56,6 @@ type config struct {
 	stemming      bool
 	stopwords     bool
 	retainText    bool
-	seed          uint64
 	disableRollup bool
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
@@ -328,12 +327,6 @@ func WithTextRetention() Option {
 	return func(c *config) error { c.retainText = true; return nil }
 }
 
-// WithSeed fixes internal randomization (result-set skip lists) for
-// bit-reproducible runs.
-func WithSeed(seed uint64) Option {
-	return func(c *config) error { c.seed = seed; return nil }
-}
-
 // WithoutRollup disables ITA's threshold roll-up; exposed for the
 // ablation experiments, not recommended for production use.
 func WithoutRollup() Option {
@@ -364,12 +357,11 @@ func withFloorMargins(target, raise int) Option {
 func (c *config) build() core.Engine {
 	switch c.algorithm {
 	case NaiveKmax:
-		return core.NewNaive(c.policy, core.WithNaiveSeed(c.seed))
+		return core.NewNaive(c.policy)
 	case NaivePlain:
-		return core.NewNaive(c.policy, core.WithNaiveSeed(c.seed),
-			core.WithKmax(func(k int) int { return k }))
+		return core.NewNaive(c.policy, core.WithKmax(func(k int) int { return k }))
 	case ShardedIncrementalThreshold:
-		opts := []shard.Option{shard.WithSeed(c.seed)}
+		var opts []shard.Option
 		if c.disableRollup {
 			opts = append(opts, shard.WithoutRollup())
 		}
@@ -381,7 +373,7 @@ func (c *config) build() core.Engine {
 		}
 		return shard.New(c.policy, c.shards, opts...)
 	default:
-		opts := []core.ITAOption{core.WithITASeed(c.seed)}
+		var opts []core.ITAOption
 		if c.disableRollup {
 			opts = append(opts, core.WithoutRollup())
 		}

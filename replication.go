@@ -182,7 +182,7 @@ func (e *Engine) startReplicationOn(l net.Listener) error {
 // state at every acknowledged epoch boundary. Call Promote to turn it
 // into a writable primary.
 func OpenFollower(dir, primaryAddr string, opts ...Option) (*Engine, error) {
-	probe := config{stemming: true, stopwords: true, seed: 1}
+	probe := config{stemming: true, stopwords: true}
 	for _, o := range opts {
 		if err := o(&probe); err != nil {
 			return nil, err

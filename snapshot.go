@@ -55,7 +55,6 @@ type snapshot struct {
 	Okapi      bool
 	OkapiAvgDL float64
 	RetainText bool
-	Seed       uint64
 	// Shard count of the sharded engine (0 = auto); meaningful only
 	// when Algorithm is ShardedIncrementalThreshold. Older snapshots
 	// decode it as zero, which restores with the automatic count.
@@ -155,7 +154,6 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 		Stemming:   e.cfg.stemming,
 		Stopwords:  e.cfg.stopwords,
 		RetainText: e.cfg.retainText,
-		Seed:       e.cfg.seed,
 		Shards:     e.cfg.shards,
 		BatchSize:  e.cfg.batchSize,
 		NextDoc:    uint64(e.nextDoc),
@@ -225,7 +223,7 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 
 // options reconstructs the engine options a snapshot was taken with.
 func (s *snapshot) options() []Option {
-	opts := []Option{WithAlgorithm(s.Algorithm), WithSeed(s.Seed)}
+	opts := []Option{WithAlgorithm(s.Algorithm)}
 	if s.Algorithm == ShardedIncrementalThreshold {
 		opts = append(opts, WithShards(s.Shards))
 	}

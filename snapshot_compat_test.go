@@ -112,7 +112,7 @@ func TestRegenerateV1Fixture(t *testing.T) {
 		Okapi:      s.Okapi,
 		OkapiAvgDL: s.OkapiAvgDL,
 		RetainText: s.RetainText,
-		Seed:       s.Seed,
+		Seed:       1, // version-1 writers recorded the structure seed; 1 was the default
 		Shards:     s.Shards,
 		BatchSize:  s.BatchSize,
 		Terms:      s.Terms,
@@ -232,6 +232,47 @@ func TestRecordedPostingLayoutIsIgnored(t *testing.T) {
 	}
 	defer r.Close()
 	requireFixtureEngine(t, r)
+}
+
+// seedFixturePath is a version-3 snapshot of buildV1FixtureEngine's
+// workload taken by the last commit that had a structure seed option,
+// from an engine built with seed 99. Like the slice-layout fixture it
+// cannot be regenerated: the option is gone.
+const seedFixturePath = "testdata/snapshot_v3_seed99.snap"
+
+// TestRecordedSeedIsIgnored restores the fixture that recorded a
+// non-default seed, both directly and as the checkpoint of a durable
+// directory: gob drops the field, Restore succeeds, and Open with the
+// options of the engine that took it reports no configuration conflict.
+func TestRecordedSeedIsIgnored(t *testing.T) {
+	data, err := os.ReadFile(seedFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded struct{ Seed uint64 }
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recorded); err != nil {
+		t.Fatal(err)
+	}
+	if recorded.Seed != 99 {
+		t.Fatalf("fixture records seed %d, want 99", recorded.Seed)
+	}
+	r, err := Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	requireFixtureEngine(t, r)
+
+	dir := t.TempDir()
+	if err := os.WriteFile(wal.CheckpointPath(dir, 0), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := Open(dir, WithCountWindow(6), WithTextRetention(), WithDurability(DurabilityOff))
+	if err != nil {
+		t.Fatalf("open over a seeded checkpoint: %v", err)
+	}
+	defer e.Close()
+	requireFixtureEngine(t, e)
 }
 
 // TestOpenCheckpointFromEitherLayout plants each fixture as the genesis

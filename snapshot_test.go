@@ -144,7 +144,7 @@ func TestSnapshotOkapiAndFlags(t *testing.T) {
 
 // TestSnapshotRoundTripAllOptions round-trips every persistable
 // configuration option — algorithm, window, scoring, analysis flags,
-// text retention, seed, shard count and epoch batch size — and checks
+// text retention, shard count and epoch batch size — and checks
 // each survives into the restored engine's configuration and behavior.
 func TestSnapshotRoundTripAllOptions(t *testing.T) {
 	cases := []struct {
@@ -158,7 +158,7 @@ func TestSnapshotRoundTripAllOptions(t *testing.T) {
 		{"kitchen_sink", []Option{
 			WithCountWindow(8), WithShards(2), WithBatchSize(5),
 			WithOkapiScoring(30), WithoutStemming(), WithoutStopwords(),
-			WithTextRetention(), WithSeed(99),
+			WithTextRetention(),
 		}},
 		{"naive", []Option{WithCountWindow(8), WithAlgorithm(NaiveKmax), WithBatchSize(3)}},
 	}
@@ -186,7 +186,7 @@ func TestSnapshotRoundTripAllOptions(t *testing.T) {
 				r.cfg.stemming != e.cfg.stemming ||
 				r.cfg.stopwords != e.cfg.stopwords ||
 				r.cfg.retainText != e.cfg.retainText ||
-				r.cfg.seed != e.cfg.seed ||
+				r.cfg.weighter != e.cfg.weighter ||
 				r.cfg.policy.String() != e.cfg.policy.String() {
 				t.Fatalf("restored config %+v, want %+v", r.cfg, e.cfg)
 			}
