@@ -1,5 +1,5 @@
 // Benchmarks regenerating every figure of the paper's evaluation plus
-// the repository's ablations (DESIGN.md §5), at bench scale: per-event
+// the repository's ablations, at bench scale: per-event
 // steady-state cost of Process (arrival + expiration + all query
 // maintenance), measured with Go's benchmark harness.
 //
@@ -8,7 +8,7 @@
 // sub-benchmark warms up in about a second. The full published
 // configuration — including the N = 100,000 point at which Naïve stops
 // being real-time — is regenerated by `go run ./cmd/itabench -profile
-// paper`, and EXPERIMENTS.md records those results.
+// paper`.
 package ita_test
 
 import (
@@ -264,14 +264,13 @@ func BenchmarkAblationKmax(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedThroughput — PR-1 experiment: steady-state per-event
+// BenchmarkShardedThroughput measures steady-state per-event
 // cost with a heavy standing-query load (10,000 queries), comparing the
 // single-threaded ITA against the sharded engine at several shard
 // counts. The sharded engine's two-phase fan-out parallelizes the
 // per-query maintenance that dominates at this scale; on a
 // GOMAXPROCS=1 host the fan-out degrades to synchronization overhead,
-// so interpret results together with the recorded CPU count (see
-// BENCH_SHARDED.json / `itabench -exp throughput`).
+// so interpret results together with the CPU count.
 func BenchmarkShardedThroughput(b *testing.B) {
 	const nq = 10000
 	engines := []struct {
@@ -295,14 +294,13 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedThroughput — PR-2 experiment: steady-state per-event
+// BenchmarkBatchedThroughput measures steady-state per-event
 // cost of the epoch pipeline at several epoch sizes B, on the same
 // heavy standing-query load as BenchmarkShardedThroughput. B=1 is an
 // epoch per document; larger epochs amortize index mutation,
 // batch-wide affected-query deduplication (net-effect maintenance: at
 // most one refill and one roll-up per query per epoch) and, for the
-// sharded engine, the two-phase fan-out barrier. The recorded sweep
-// lives in BENCH_BATCH.json (`itabench -exp batch`).
+// sharded engine, the two-phase fan-out barrier.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	const nq = 10000
 	engines := []struct {
@@ -346,14 +344,14 @@ func BenchmarkAblationScorer(b *testing.B) {
 	}
 }
 
-// BenchmarkPublishedReads — PR-3 experiment: cost of the wait-free read
+// BenchmarkPublishedReads measures the cost of the wait-free read
 // path. "idle" measures the pure read: one atomic load of the published
 // state plus one caller-owned copy of the frozen view — no engine lock,
 // no allocation under any lock. "under-ingest" runs the same read while
 // a writer goroutine saturates the write path with epoch ingestion;
 // before the published views this configuration collapsed, since every
-// Results call queued behind the ingest mutex. The facade-level
-// read/write sweep lives in BENCH_READS.json (`itabench -exp reads`).
+// Results call queued behind the ingest mutex. The benchmark's
+// read_p50_us metric measures the same read end to end.
 func BenchmarkPublishedReads(b *testing.B) {
 	for _, mode := range []string{"idle", "under-ingest"} {
 		b.Run(mode, func(b *testing.B) {

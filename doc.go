@@ -95,8 +95,7 @@
 // at most B−1 documents behind, and watchers receive one coalesced
 // delta per query per epoch. Combine with WithShards to amortize the
 // fan-out barrier — one two-phase barrier per epoch — over more
-// documents. BENCH_BATCH.json records the measured epoch-size sweep
-// (itabench -exp batch).
+// documents.
 //
 // # Published views and read consistency
 //
@@ -318,13 +317,11 @@
 // scan every entry in query order with no early exit, and requires
 // byte-identical results and operation counters at every boundary.
 //
-// itabench -exp scale measures the result (BENCH_SCALE.json): engine
-// memory per registered query and steady-state ingest events/s at
-// 10k/100k/1M standing queries, with earlier layouts' sweeps embedded
-// as chained baselines. The report records probe hits and score
-// computations per event alongside throughput, plus the ingest curve
-// ratio (events/s at the largest query count over the smallest) — the
-// flatness number that catches a probe-cost regression as a cliff.
+// Two short-mode tests in internal/harness keep the result measured:
+// TestScaleSmoke100k bounds the live heap per registered query at
+// 100k standing queries, and TestScaleIngestCliffGuard requires ingest
+// events/s at 100k queries to stay within 0.35× of the rate at 10k —
+// the flatness number that catches a probe-cost regression as a cliff.
 //
 // # Posting storage
 //

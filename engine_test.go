@@ -2,6 +2,7 @@ package ita
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -41,6 +42,8 @@ func TestNewRejectsBadOptions(t *testing.T) {
 		"badalgo":  WithAlgorithm(Algorithm(99)),
 		"okapi0":   WithOkapiScoring(0),
 		"okapineg": WithOkapiScoring(-10),
+		"okapinan": WithOkapiScoring(math.NaN()),
+		"okapiinf": WithOkapiScoring(math.Inf(1)),
 	} {
 		if _, err := New(opt, WithCountWindow(5)); err == nil {
 			t.Errorf("%s accepted", name)

@@ -45,9 +45,10 @@ const boundSlack = 1 - 1e-9
 // forces a rebuild, the expensive path); raiseMargin is hysteresis so
 // the floor — and with it every per-term tree entry — moves once per
 // raiseMargin admissions instead of once per arrival. The defaults are
-// tuned on the million-query scale benchmark (harness.Scale): at 1M
-// standing queries, {4, 8} sustains ~1.25× the ingest rate of the old
-// {16, 16} — the higher floor prunes probe visits whose score lands
+// tuned on a million-query scale sweep (window 32,768, uniform
+// dictionary queries): at 1M standing queries, {4, 8} sustains ~1.25×
+// the ingest rate of the old {16, 16} — the higher floor prunes probe
+// visits whose score lands
 // below F, and the smaller R halves the result-list memory traffic —
 // at a refill cost of ~0.2/event, which wider margins buy down to zero
 // without paying for themselves. Tighter than {2, 4} inverts the

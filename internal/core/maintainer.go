@@ -53,7 +53,7 @@ type Maintainer struct {
 	tgtMargin   int
 	raiseMargin int
 
-	// Ablation switches (DESIGN.md A1, A2). Both default to the paper's
+	// Ablation switches (itabench -exp ablations). Both default to the paper's
 	// configuration: greedy probing and floor raising enabled.
 	rollupEnabled bool
 	greedyProbe   bool

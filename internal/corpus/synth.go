@@ -7,8 +7,8 @@
 //
 // The WSJ collection itself is licensed TREC data and cannot ship with
 // an open-source repository, so the benchmarks substitute the synthetic
-// corpus; DESIGN.md §4 explains why the substitution preserves the
-// cost behaviour of both algorithms.
+// corpus. It matches the statistics both algorithms' costs depend on:
+// dictionary size, document length and the Zipfian term distribution.
 package corpus
 
 import (

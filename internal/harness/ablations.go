@@ -162,7 +162,7 @@ func (r SetupReport) Format() string {
 	return b.String()
 }
 
-// AllFigures runs every experiment of DESIGN.md §5 in order.
+// AllFigures runs every paper figure in order.
 func AllFigures(p Profile, progress func(string)) []Figure {
 	return []Figure{
 		Fig3a(p, progress),
@@ -172,7 +172,7 @@ func AllFigures(p Profile, progress func(string)) []Figure {
 	}
 }
 
-// AllAblations runs every ablation of DESIGN.md §5.
+// AllAblations runs every ablation study.
 func AllAblations(p Profile, progress func(string)) []Figure {
 	return []Figure{
 		AblationProbeOrder(p, progress),

@@ -1,8 +1,9 @@
 // Package harness runs the paper's experiments: it builds calibrated
 // corpora, query workloads and Poisson streams, drives each engine
 // through warm-up and a measured steady state, and renders the
-// figure/table data the paper reports (DESIGN.md §5: E0–E4 plus
-// ablations A1–A4).
+// figure/table data the paper reports: the corpus calibration (E0),
+// Fig. 3(a)/(b), the time-window variant, the headline ITA vs.
+// Naïve/kmax comparison, and four ablations.
 package harness
 
 import (

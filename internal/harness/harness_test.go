@@ -195,39 +195,3 @@ func TestQuickProfileFiguresRun(t *testing.T) {
 		t.Fatalf("headline shape: %+v", fig.Points)
 	}
 }
-
-// TestReadWriteSmoke runs a tiny mixed read/write cell pair and sanity
-// checks the report shape: both modes measured, reads recorded, and the
-// latency distribution populated.
-func TestReadWriteSmoke(t *testing.T) {
-	rep, err := ReadWrite(QuickProfile(), 50, 4, 100, 16, []int{2}, 60*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 2 {
-		t.Fatalf("points = %d, want locked+published", len(rep.Points))
-	}
-	for _, pt := range rep.Points {
-		if pt.Reads <= 0 || pt.ReadsPerSec <= 0 {
-			t.Fatalf("%s: no reads measured: %+v", pt.Mode, pt)
-		}
-		if pt.WriteEvents <= 0 {
-			t.Fatalf("%s: no writes measured: %+v", pt.Mode, pt)
-		}
-		if pt.MaxReadUs < pt.P50ReadUs {
-			t.Fatalf("%s: latency distribution inverted: %+v", pt.Mode, pt)
-		}
-	}
-	if rep.Points[0].Mode != "locked" || rep.Points[1].Mode != "published" {
-		t.Fatalf("mode order: %s, %s", rep.Points[0].Mode, rep.Points[1].Mode)
-	}
-	if rep.Points[1].SpeedupVsLocked <= 0 {
-		t.Fatalf("speedup not computed: %+v", rep.Points[1])
-	}
-	if _, err := rep.JSON(); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Format() == "" {
-		t.Fatal("empty Format")
-	}
-}

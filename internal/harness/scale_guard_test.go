@@ -16,15 +16,13 @@ import (
 // ingest throughput at 100k standing queries may not fall below 0.35×
 // the 10k-query rate (typical measured ratio 0.6–0.8; the slack
 // absorbs GC noise on the fast 10k side). Before the θ-ordered probe
-// index, a 10× query-count step cost ~17× in ingest throughput
-// (BENCH_SCALE.json's embedded baselines: 76 → 4.4 events/s) because
-// every probe visited every query registered on a term; with
-// θ-ordering plus admit-list expiry the per-event cost tracks the
-// queries a document can actually affect, and the curve must stay near
-// flat. Configuration mirrors itabench -exp scale (uniform-dictionary
-// queries, the paper's continuous-query workload). It runs in short
-// mode by design, like TestScaleSmoke100k; the recorded sweep with the
-// 1M point lives in itabench -exp scale.
+// index, a 10× query-count step cost ~17× in ingest throughput (76 →
+// 4.4 events/s) because every probe visited every query registered on
+// a term; with θ-ordering plus admit-list expiry the per-event cost
+// tracks the queries a document can actually affect, and the curve must
+// stay near flat. Queries draw their terms uniformly from the
+// dictionary, the paper's continuous-query workload. It runs in short
+// mode by design, like TestScaleSmoke100k.
 func TestScaleIngestCliffGuard(t *testing.T) {
 	if !testing.Short() {
 		t.Skip("ingest-cliff guard runs in short mode only (go test -short -run TestScaleIngestCliffGuard)")

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -16,8 +17,12 @@ import (
 // the sharded engine, driven through the full dense-id life cycle —
 // register, ingest, unregister half, re-register into the freed slots,
 // ingest again — with a brute-force equivalence spot-check at the end.
-// It runs in short mode by design (CI invokes it directly); the full
-// sweep with memory measurement lives in itabench -exp scale.
+// The registration step also keeps the dense layout's memory claim
+// live: the forced-GC heap delta around registering the 100,000
+// prebuilt queries must stay at or under maxBytesPerQuery (the dense
+// layout measures about 1,700 B/query here; the dense-arena and
+// pointer-map layouts it replaced recorded 4,537 and 11,584). It runs
+// in short mode by design (CI invokes it directly).
 func TestScaleSmoke100k(t *testing.T) {
 	if !testing.Short() {
 		// ~2 CPU-minutes: far too heavy to ride along in the race-enabled
@@ -25,10 +30,11 @@ func TestScaleSmoke100k(t *testing.T) {
 		t.Skip("scale smoke runs in short mode only (go test -short -run TestScaleSmoke100k)")
 	}
 	const (
-		nq       = 100_000
-		win      = 128
-		queryLen = 4
-		k        = 5
+		nq               = 100_000
+		win              = 128
+		queryLen         = 4
+		k                = 5
+		maxBytesPerQuery = 3000
 	)
 	cfg := QuickProfile().corpusCfg()
 	qSynth, err := corpus.NewSynth(withSeed(cfg, 7777), vsm.Cosine{})
@@ -48,10 +54,22 @@ func TestScaleSmoke100k(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < nq; i++ {
-		if err := eng.Register(qSynth.PopularQuery(model.QueryID(i+1), k, queryLen)); err != nil {
+	queries := make([]*model.Query, nq)
+	for i := range queries {
+		queries[i] = qSynth.PopularQuery(model.QueryID(i+1), k, queryLen)
+	}
+	before := heapAlloc()
+	for i, q := range queries {
+		if err := eng.Register(q); err != nil {
 			t.Fatalf("register %d: %v", i+1, err)
 		}
+	}
+	after := heapAlloc()
+	runtime.KeepAlive(queries)
+	perQuery := (float64(after) - float64(before)) / nq
+	t.Logf("engine heap: %.0f B/query over %d registered queries", perQuery, nq)
+	if perQuery > maxBytesPerQuery {
+		t.Fatalf("engine heap %.0f B/query, want <= %d", perQuery, maxBytesPerQuery)
 	}
 	if got := eng.Queries(); got != nq {
 		t.Fatalf("Queries = %d, want %d", got, nq)
@@ -152,4 +170,14 @@ func TestScaleSmoke100k(t *testing.T) {
 			}
 		}
 	}
+}
+
+// heapAlloc returns the live heap after settling the collector. Two GC
+// cycles let finalizer-freed memory actually return to the heap stats.
+func heapAlloc() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

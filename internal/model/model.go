@@ -72,7 +72,7 @@ var (
 func NewDocument(id DocID, arrival time.Time, postings []Posting) (*Document, error) {
 	sortByTerm(postings, func(p Posting) TermID { return p.Term })
 	for i, p := range postings {
-		if p.Weight <= 0 {
+		if !(p.Weight > 0) { // also rejects NaN
 			return nil, fmt.Errorf("%w: term %d weight %g in doc %d", ErrNonPositiveWeight, p.Term, p.Weight, id)
 		}
 		if i > 0 && postings[i-1].Term == p.Term {
@@ -133,7 +133,7 @@ func NewQuery(id QueryID, k int, terms []QueryTerm) (*Query, error) {
 	}
 	sortByTerm(terms, func(t QueryTerm) TermID { return t.Term })
 	for i, t := range terms {
-		if t.Weight <= 0 {
+		if !(t.Weight > 0) { // also rejects NaN
 			return nil, fmt.Errorf("%w: term %d weight %g in query %d", ErrNonPositiveWeight, t.Term, t.Weight, id)
 		}
 		if i > 0 && terms[i-1].Term == t.Term {

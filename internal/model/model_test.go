@@ -43,7 +43,7 @@ func TestNewDocumentRejectsDuplicates(t *testing.T) {
 }
 
 func TestNewDocumentRejectsNonPositiveWeights(t *testing.T) {
-	for _, w := range []float64{0, -0.5} {
+	for _, w := range []float64{0, -0.5, math.NaN()} {
 		_, err := NewDocument(1, time.Time{}, []Posting{{Term: 3, Weight: w}})
 		if !errors.Is(err, ErrNonPositiveWeight) {
 			t.Fatalf("weight %g: want ErrNonPositiveWeight, got %v", w, err)
@@ -92,6 +92,9 @@ func TestNewQueryValidation(t *testing.T) {
 	}
 	if _, err := NewQuery(1, 3, []QueryTerm{{Term: 1, Weight: -1}}); !errors.Is(err, ErrNonPositiveWeight) {
 		t.Errorf("neg: want ErrNonPositiveWeight, got %v", err)
+	}
+	if _, err := NewQuery(1, 3, []QueryTerm{{Term: 1, Weight: math.NaN()}}); !errors.Is(err, ErrNonPositiveWeight) {
+		t.Errorf("NaN: want ErrNonPositiveWeight, got %v", err)
 	}
 }
 

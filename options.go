@@ -2,6 +2,7 @@ package ita
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"ita/internal/core"
@@ -303,8 +304,8 @@ func walAttached() Option {
 // tokens (the paper notes ITA applies unchanged to Okapi weights).
 func WithOkapiScoring(avgDocLen float64) Option {
 	return func(c *config) error {
-		if avgDocLen <= 0 {
-			return fmt.Errorf("ita: average document length must be positive, got %g", avgDocLen)
+		if !(avgDocLen > 0) || math.IsInf(avgDocLen, 1) {
+			return fmt.Errorf("ita: average document length must be positive and finite, got %g", avgDocLen)
 		}
 		c.weighter = vsm.NewOkapi(avgDocLen)
 		return nil
