@@ -21,7 +21,6 @@ import (
 	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
-	"ita/internal/shard"
 	"ita/internal/vsm"
 	"ita/internal/window"
 )
@@ -265,9 +264,9 @@ func BenchmarkAblationKmax(b *testing.B) {
 }
 
 // BenchmarkShardedThroughput measures steady-state per-event
-// cost with a heavy standing-query load (10,000 queries), comparing the
-// single-threaded ITA against the sharded engine at several shard
-// counts. The sharded engine's two-phase fan-out parallelizes the
+// cost with a heavy standing-query load (10,000 queries), comparing
+// ITA's one-shard default against several shard counts. The two-phase
+// shard fan-out parallelizes the
 // per-query maintenance that dominates at this scale; on a
 // GOMAXPROCS=1 host the fan-out degrades to synchronization overhead,
 // so interpret results together with the CPU count.
@@ -278,10 +277,9 @@ func BenchmarkShardedThroughput(b *testing.B) {
 		build func(window.Policy) core.Engine
 	}{
 		{"Single", itaBuild},
-		{"Shards=1", func(pol window.Policy) core.Engine { return shard.New(pol, 1) }},
-		{"Shards=2", func(pol window.Policy) core.Engine { return shard.New(pol, 2) }},
-		{"Shards=4", func(pol window.Policy) core.Engine { return shard.New(pol, 4) }},
-		{"Shards=8", func(pol window.Policy) core.Engine { return shard.New(pol, 8) }},
+		{"Shards=2", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(2)) }},
+		{"Shards=4", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(4)) }},
+		{"Shards=8", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(8)) }},
 	}
 	for _, engine := range engines {
 		b.Run(engine.name, func(b *testing.B) {
@@ -299,8 +297,8 @@ func BenchmarkShardedThroughput(b *testing.B) {
 // heavy standing-query load as BenchmarkShardedThroughput. B=1 is an
 // epoch per document; larger epochs amortize index mutation,
 // batch-wide affected-query deduplication (net-effect maintenance: at
-// most one refill and one roll-up per query per epoch) and, for the
-// sharded engine, the two-phase fan-out barrier.
+// most one refill and one roll-up per query per epoch) and, for a
+// sharded ITA, the two-phase fan-out barrier.
 func BenchmarkBatchedThroughput(b *testing.B) {
 	const nq = 10000
 	engines := []struct {
@@ -308,7 +306,7 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 		build func(window.Policy) core.Engine
 	}{
 		{"Single", itaBuild},
-		{"Shards=4", func(pol window.Policy) core.Engine { return shard.New(pol, 4) }},
+		{"Shards=4", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(4)) }},
 	}
 	for _, engine := range engines {
 		for _, epoch := range []int{1, 8, 64, 256} {

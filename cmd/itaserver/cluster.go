@@ -3,7 +3,6 @@ package main
 import (
 	"errors"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -150,108 +149,6 @@ type routerServer struct {
 	router *cluster.Router
 }
 
-func (s *routerServer) postDocument(w http.ResponseWriter, r *http.Request) {
-	var req documentRequest
-	if !decodeBody(w, r, &req, `body must be {"text": "..."}`) {
-		return
-	}
-	if strings.TrimSpace(req.Text) == "" {
-		http.Error(w, `body must be {"text": "..."}`, http.StatusBadRequest)
-		return
-	}
-	// One timestamp, stamped here: each node applying its own clock
-	// would diverge under time windows.
-	at := time.Now()
-	if req.At != 0 {
-		at = time.Unix(0, req.At)
-	}
-	id, err := s.router.IngestText(req.Text, at)
-	if err != nil {
-		httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]uint64{"doc": uint64(id)})
-}
-
-func (s *routerServer) postQuery(w http.ResponseWriter, r *http.Request) {
-	var req queryRequest
-	if !decodeBody(w, r, &req, `body must be {"text": "...", "k": 10}`) {
-		return
-	}
-	if strings.TrimSpace(req.Text) == "" {
-		http.Error(w, `body must be {"text": "...", "k": 10}`, http.StatusBadRequest)
-		return
-	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	id, err := s.router.Register(req.Text, req.K)
-	if err != nil {
-		httpError(w, err, http.StatusBadRequest)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]uint64{"query": uint64(id)})
-}
-
-func (s *routerServer) queryByID(w http.ResponseWriter, r *http.Request) {
-	idStr := strings.TrimPrefix(r.URL.Path, "/queries/")
-	id, err := strconv.ParseUint(idStr, 10, 64)
-	if err != nil {
-		http.Error(w, "bad query id", http.StatusBadRequest)
-		return
-	}
-	switch r.Method {
-	case http.MethodDelete:
-		ok, err := s.router.Unregister(ita.QueryID(id))
-		if err != nil {
-			httpError(w, err, http.StatusInternalServerError)
-			return
-		}
-		if !ok {
-			http.Error(w, "unknown query", http.StatusNotFound)
-			return
-		}
-		w.WriteHeader(http.StatusNoContent)
-	case http.MethodGet:
-		matches, text, ok, err := s.router.Results(ita.QueryID(id))
-		if err != nil {
-			httpError(w, err, http.StatusInternalServerError)
-			return
-		}
-		if !ok {
-			http.Error(w, "unknown query", http.StatusNotFound)
-			return
-		}
-		out := struct {
-			Query   string          `json:"query"`
-			Matches []matchResponse `json:"matches"`
-		}{Query: text, Matches: make([]matchResponse, 0, len(matches))}
-		for _, m := range matches {
-			out.Matches = append(out.Matches, matchResponse{Doc: uint64(m.Doc), Score: m.Score, Text: m.Text})
-		}
-		writeJSON(w, http.StatusOK, out)
-	default:
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-	}
-}
-
-func (s *routerServer) listQueries(w http.ResponseWriter, _ *http.Request) {
-	all, err := s.router.ResultsAll()
-	if err != nil {
-		httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	out := make([]queryResponse, 0, len(all))
-	for _, qr := range all {
-		entry := queryResponse{Query: uint64(qr.Query), Text: qr.Text, Matches: make([]matchResponse, 0, len(qr.Matches))}
-		for _, m := range qr.Matches {
-			entry.Matches = append(entry.Matches, matchResponse{Doc: uint64(m.Doc), Score: m.Score, Text: m.Text})
-		}
-		out = append(out, entry)
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
 func (s *routerServer) stats(w http.ResponseWriter, _ *http.Request) {
 	counters, err := s.router.Stats()
 	if err != nil {
@@ -288,25 +185,7 @@ func (s *routerServer) readyz(w http.ResponseWriter, _ *http.Request) {
 
 // newRouterMux wires the public route table onto a router front end.
 func newRouterMux(s *routerServer) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/documents", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		s.postDocument(w, r)
-	})
-	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			s.postQuery(w, r)
-		case http.MethodGet:
-			s.listQueries(w, r)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc("/queries/", s.queryByID)
+	mux := newPublicMux(s.router)
 	mux.HandleFunc("/stats", s.stats)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/readyz", s.readyz)

@@ -94,6 +94,7 @@ import (
 	"time"
 
 	"ita"
+	"ita/internal/cluster"
 )
 
 // maxBody caps every request body; bodies past it answer 413.
@@ -162,7 +163,47 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any, usage string) boo
 	return true
 }
 
-func (s *server) postDocument(w http.ResponseWriter, r *http.Request) {
+// publicAPI is what the public routes — documents and queries — read
+// and write. Both modes serve them from one handler set: a node or
+// standalone server over its engine (engineAPI), router mode over
+// *cluster.Router.
+type publicAPI interface {
+	IngestText(text string, at time.Time) (ita.DocID, error)
+	Register(text string, k int) (ita.QueryID, error)
+	Unregister(id ita.QueryID) (bool, error)
+	Results(id ita.QueryID) ([]ita.Match, string, bool, error)
+	ResultsAll() ([]cluster.QueryTopK, error)
+}
+
+// engineAPI serves the public routes from one engine, through the same
+// adapter a cluster router uses for an in-process node.
+type engineAPI struct {
+	cluster.Node
+	eng *ita.Engine
+}
+
+func newEngineAPI(eng *ita.Engine) engineAPI { return engineAPI{cluster.Local(eng), eng} }
+
+func (a engineAPI) Register(text string, k int) (ita.QueryID, error) {
+	return a.eng.Register(text, k)
+}
+
+// Unregister reports a follower's refusal as ita.ErrReadOnly (a 503),
+// where the engine itself only answers false, as for an unknown id.
+func (a engineAPI) Unregister(id ita.QueryID) (bool, error) {
+	if a.eng.Unregister(id) {
+		return true, nil
+	}
+	if a.eng.ReplicationStats().Role == "follower" {
+		return false, ita.ErrReadOnly
+	}
+	return false, nil
+}
+
+// publicRoutes is the public handler set over a publicAPI.
+type publicRoutes struct{ api publicAPI }
+
+func (p publicRoutes) postDocument(w http.ResponseWriter, r *http.Request) {
 	var req documentRequest
 	if !decodeBody(w, r, &req, `body must be {"text": "..."}`) {
 		return
@@ -171,11 +212,13 @@ func (s *server) postDocument(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `body must be {"text": "..."}`, http.StatusBadRequest)
 		return
 	}
+	// One timestamp, stamped here: behind a router, each node applying
+	// its own clock would diverge under time windows.
 	at := time.Now()
 	if req.At != 0 {
 		at = time.Unix(0, req.At)
 	}
-	id, err := s.eng.IngestText(req.Text, at)
+	id, err := p.api.IngestText(req.Text, at)
 	if err != nil {
 		httpError(w, err, http.StatusInternalServerError)
 		return
@@ -183,7 +226,7 @@ func (s *server) postDocument(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]uint64{"doc": uint64(id)})
 }
 
-func (s *server) postQuery(w http.ResponseWriter, r *http.Request) {
+func (p publicRoutes) postQuery(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if !decodeBody(w, r, &req, `body must be {"text": "...", "k": 10}`) {
 		return
@@ -195,7 +238,7 @@ func (s *server) postQuery(w http.ResponseWriter, r *http.Request) {
 	if req.K <= 0 {
 		req.K = 10
 	}
-	id, err := s.eng.Register(req.Text, req.K)
+	id, err := p.api.Register(req.Text, req.K)
 	if err != nil {
 		httpError(w, err, http.StatusBadRequest)
 		return
@@ -203,7 +246,7 @@ func (s *server) postQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]uint64{"query": uint64(id)})
 }
 
-func (s *server) queryByID(w http.ResponseWriter, r *http.Request) {
+func (p publicRoutes) queryByID(w http.ResponseWriter, r *http.Request) {
 	idStr := strings.TrimPrefix(r.URL.Path, "/queries/")
 	id, err := strconv.ParseUint(idStr, 10, 64)
 	if err != nil {
@@ -212,32 +255,30 @@ func (s *server) queryByID(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodDelete:
-		if !s.eng.Unregister(ita.QueryID(id)) {
-			// A follower refuses every unregister; distinguish that from a
-			// genuinely unknown id.
-			if s.eng.ReplicationStats().Role == "follower" {
-				httpError(w, ita.ErrReadOnly, http.StatusServiceUnavailable)
-				return
-			}
+		ok, err := p.api.Unregister(ita.QueryID(id))
+		if err != nil {
+			httpError(w, err, http.StatusInternalServerError)
+			return
+		}
+		if !ok {
 			http.Error(w, "unknown query", http.StatusNotFound)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	case http.MethodGet:
-		res := s.eng.Results(ita.QueryID(id))
-		if res == nil {
+		matches, text, ok, err := p.api.Results(ita.QueryID(id))
+		if err != nil {
+			httpError(w, err, http.StatusInternalServerError)
+			return
+		}
+		if !ok {
 			http.Error(w, "unknown query", http.StatusNotFound)
 			return
 		}
-		text, _ := s.eng.QueryText(ita.QueryID(id))
-		out := struct {
+		writeJSON(w, http.StatusOK, struct {
 			Query   string          `json:"query"`
 			Matches []matchResponse `json:"matches"`
-		}{Query: text, Matches: make([]matchResponse, 0, len(res))}
-		for _, m := range res {
-			out.Matches = append(out.Matches, matchResponse{Doc: uint64(m.Doc), Score: m.Score, Text: m.Text})
-		}
-		writeJSON(w, http.StatusOK, out)
+		}{text, matchResponses(matches)})
 	default:
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 	}
@@ -249,20 +290,53 @@ type queryResponse struct {
 	Matches []matchResponse `json:"matches"`
 }
 
-// listQueries serves every registered query's current top-k in one
-// wait-free pass over the published views.
-func (s *server) listQueries(w http.ResponseWriter, _ *http.Request) {
-	all := s.eng.ResultsAll()
+func matchResponses(ms []ita.Match) []matchResponse {
+	out := make([]matchResponse, 0, len(ms))
+	for _, m := range ms {
+		out = append(out, matchResponse{Doc: uint64(m.Doc), Score: m.Score, Text: m.Text})
+	}
+	return out
+}
+
+// listQueries serves every registered query's current top-k; an engine
+// reads them in one wait-free pass over its published views.
+func (p publicRoutes) listQueries(w http.ResponseWriter, _ *http.Request) {
+	all, err := p.api.ResultsAll()
+	if err != nil {
+		httpError(w, err, http.StatusInternalServerError)
+		return
+	}
 	out := make([]queryResponse, 0, len(all))
 	for _, qr := range all {
-		text, _ := s.eng.QueryText(qr.Query)
-		entry := queryResponse{Query: uint64(qr.Query), Text: text, Matches: make([]matchResponse, 0, len(qr.Matches))}
-		for _, m := range qr.Matches {
-			entry.Matches = append(entry.Matches, matchResponse{Doc: uint64(m.Doc), Score: m.Score, Text: m.Text})
-		}
-		out = append(out, entry)
+		out = append(out, queryResponse{Query: uint64(qr.Query), Text: qr.Text, Matches: matchResponses(qr.Matches)})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+// newPublicMux wires the public route table over api; each mode adds
+// its own routes to the returned mux.
+func newPublicMux(api publicAPI) *http.ServeMux {
+	p := publicRoutes{api}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/documents", func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+			return
+		}
+		p.postDocument(w, r)
+	})
+	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
+		switch r.Method {
+		case http.MethodPost:
+			p.postQuery(w, r)
+		case http.MethodGet:
+			p.listQueries(w, r)
+		default:
+			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		}
+	})
+	mux.HandleFunc("/queries/", p.queryByID)
+	return mux
 }
 
 func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
@@ -338,28 +412,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	}
 }
 
-// newMux wires the route table. Shared with the tests so they exercise
-// exactly the production routing.
+// newMux wires an engine server's route table. Shared with the tests so
+// they exercise exactly the production routing.
 func newMux(s *server) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/documents", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		s.postDocument(w, r)
-	})
-	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
-		switch r.Method {
-		case http.MethodPost:
-			s.postQuery(w, r)
-		case http.MethodGet:
-			s.listQueries(w, r)
-		default:
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		}
-	})
-	mux.HandleFunc("/queries/", s.queryByID)
+	mux := newPublicMux(newEngineAPI(s.eng))
 	mux.HandleFunc("/stats", s.stats)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/readyz", s.readyz)
@@ -553,9 +609,9 @@ func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, s
 	} else {
 		opts = append(opts, ita.WithCountWindow(windowN))
 	}
-	if shards != 1 {
-		opts = append(opts, ita.WithShards(shards))
-	}
+	// The shard count is a runtime setting: it applies over whatever
+	// count a recovered checkpoint recorded, on a standby too.
+	opts = append(opts, ita.WithShards(shards))
 	if batch > 1 {
 		opts = append(opts, ita.WithBatchSize(batch))
 	}
@@ -568,10 +624,10 @@ func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, s
 	}
 	opts = append(opts, ita.WithDurability(mode), ita.WithCheckpointEvery(ckptN))
 	if len(follow) > 0 && follow[0] != "" {
-		// A standby's window/shard/batch configuration comes from the
-		// primary's checkpoint; the remaining options are runtime policy.
+		// A standby's window/batch configuration comes from the primary's
+		// checkpoint; the remaining options are runtime settings.
 		return ita.OpenFollower(walDir, follow[0],
-			ita.WithDurability(mode), ita.WithCheckpointEvery(ckptN))
+			ita.WithShards(shards), ita.WithDurability(mode), ita.WithCheckpointEvery(ckptN))
 	}
 	return ita.Open(walDir, opts...)
 }

@@ -41,24 +41,26 @@
 //
 // # Sharded parallel maintenance
 //
-// WithShards(n) replaces the single-threaded maintenance engine with a
-// query-sharded parallel one (Algorithm ShardedIncrementalThreshold):
-// registered queries are partitioned across n shards — n = 0 picks
+// The ITA engine partitions its registered queries across S shards —
+// WithShards(n) sets S, the default is 1 and n = 0 picks
 // runtime.GOMAXPROCS — each owning the threshold trees, result lists
-// and local thresholds of its queries, while the inverted index and
-// FIFO store are owned by the coordinator. Every epoch is a two-phase
-// step: the coordinator first applies the epoch's net index mutations
-// (split by term across the idle cores when the epoch is large; see
-// "Epochs"), then all shards concurrently
-// run their per-query maintenance against the now-quiescent index.
-// Because ITA couples queries only through the read-only index,
-// results are identical to the single-threaded engine — the
-// equivalence suite drives both against a brute-force oracle under the
-// race detector. Choose WithShards when many standing queries make
-// per-query maintenance, not index mutation, the dominant cost, and
-// there are spare cores to fan out to; call Close to release the shard
-// workers, and prefer IngestBatch for high-volume feeds. See README.md
-// for the architecture.
+// and score floors of its queries, while the inverted index and FIFO
+// store are owned by the coordinator. Every epoch is a two-phase step:
+// the coordinator first applies the epoch's net index mutations (split
+// by term across the idle cores when the epoch is large; see "Epochs"),
+// then every shard runs its per-query maintenance against the
+// now-quiescent index — inline with one shard, on S worker goroutines
+// otherwise. Because ITA couples queries only through the read-only
+// index, results and Stats are identical at every shard count — the
+// equivalence suite drives sharded engines and the one-shard engine
+// against a brute-force oracle under the race detector — so the count
+// is a runtime setting that a durable engine may change at every Open.
+// Raise it when many standing queries make per-query maintenance, not
+// index mutation, the dominant cost, and there are spare cores to fan
+// out to; call Close to release the shard workers, and prefer
+// IngestBatch for high-volume feeds. The deprecated Algorithm
+// ShardedIncrementalThreshold means WithShards(0). See README.md for
+// the architecture.
 //
 // # Epochs
 //
@@ -77,8 +79,8 @@
 // Each inverted list's entries and layout depend only on its own
 // mutations in stream order, which the split keeps, so results,
 // snapshots and operation counters are byte-identical at any core
-// count. Serial and sharded engines and WAL replay of batch records all
-// take this path.
+// count. Every shard count, snapshot restore and WAL replay of batch
+// records take this path.
 //
 // WithBatchSize(B) makes epochs larger than the calls that feed them:
 // IngestText and IngestBatch buffer their analyzed documents and the
@@ -99,7 +101,7 @@
 //
 // # Published views and read consistency
 //
-// For the ITA engines (single-threaded and sharded), Results,
+// For the ITA engine, at any shard count, Results,
 // ResultsAll, Stats, WindowLen, Queries, DictionarySize and QueryText
 // never acquire the engine lock. At every publication boundary — an
 // epoch flush (every ingest when unbatched), Register, Unregister,
@@ -252,8 +254,8 @@
 // ITA's per-query threshold maintenance never couples two queries, so
 // the standing query set partitions exactly: internal/cluster runs N
 // nodes that each ingest the full document stream but own only the
-// placement-hash slice of the queries (the same hash the in-process
-// sharded engine uses), behind a router that fans writes to every node
+// placement-hash slice of the queries (the same hash the ITA engine
+// places its in-process shards by), behind a router that fans writes to every node
 // and merges reads. Results are byte-identical to one process, not
 // approximately so, because the router keeps every node's term
 // dictionary id-identical: a registration is applied on its owner with

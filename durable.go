@@ -107,16 +107,18 @@ var walFlushRecord = wal.Record{Kind: wal.KindFlush}
 // (the previous one is used, leftovers are deleted) — and fails with a
 // clean error on anything else. Configuration options passed on
 // recovery are checked against the stored configuration and a conflict
-// is an error; WithDurability and WithCheckpointEvery are runtime
-// policies and may differ freely between runs.
+// is an error; WithShards, WithDurability and WithCheckpointEvery are
+// runtime settings and may differ freely between runs.
 func Open(dir string, opts ...Option) (*Engine, error) {
 	return openDurable(dir, opts)
 }
 
 func openDurable(dir string, opts []Option) (*Engine, error) {
 	// Probe the caller's options once, both for the WAL knobs and for
-	// the compatibility check against a recovered configuration.
-	probe := config{stemming: true, stopwords: true}
+	// the compatibility check against a recovered configuration. A
+	// negative algorithm or shard count means the caller did not choose
+	// one.
+	probe := config{stemming: true, stopwords: true, algorithm: -1, shards: -1}
 	for _, o := range opts {
 		if err := o(&probe); err != nil {
 			return nil, err
@@ -202,19 +204,7 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 	if err := checkSnapshotCompat(&probe, snap); err != nil {
 		return nil, err
 	}
-	// Runtime-only knobs (floor margins, probe-twin trees) are not
-	// persisted in checkpoints — they exist only in the caller's
-	// options. Dropping them here would make the recovered engine
-	// maintain its floors on a different schedule than the engine that
-	// wrote the log, so thread them through alongside the WAL wiring.
-	extra := []Option{WithWAL(dir), walAttached()}
-	if probe.scanTrees {
-		extra = append(extra, withScanAllTrees())
-	}
-	if probe.floorTarget != 0 || probe.floorRaise != 0 {
-		extra = append(extra, withFloorMargins(probe.floorTarget, probe.floorRaise))
-	}
-	e, err := restoreSnapshot(snap, extra)
+	e, err := restoreSnapshot(snap, append(probe.runtimeOptions(), WithWAL(dir), walAttached()))
 	if err != nil {
 		return nil, err
 	}
@@ -557,11 +547,34 @@ func (e *Engine) writeCheckpointLocked(seq uint64) error {
 	return nil
 }
 
+// runtimeOptions are the options of c that recovery applies over a
+// checkpoint's recorded configuration: the shard count, which changes
+// no result and no counter, and the test-only floor margins and
+// probe-twin trees, which checkpoints do not persist at all. Dropping
+// the latter would make the recovered engine maintain its floors on a
+// different schedule than the engine that wrote the log. A negative
+// shard count (an Open caller that passed no WithShards) keeps the
+// recorded one.
+func (c *config) runtimeOptions() []Option {
+	var opts []Option
+	if c.shards > 0 {
+		opts = append(opts, WithShards(c.shards))
+	}
+	if c.scanTrees {
+		opts = append(opts, withScanAllTrees())
+	}
+	if c.floorTarget != 0 || c.floorRaise != 0 {
+		opts = append(opts, withFloorMargins(c.floorTarget, c.floorRaise))
+	}
+	return opts
+}
+
 // checkSnapshotCompat reports a configuration conflict between options
 // a caller passed to Open and the configuration recovered from a
 // checkpoint. Only deviations the caller expressed are detectable:
 // options that coincide with the defaults (stemming on, stopwords on,
-// no retention) pass silently and the recovered value wins.
+// no retention) pass silently and the recovered value wins. The shard
+// count never conflicts: it is a runtime setting (see runtimeOptions).
 func checkSnapshotCompat(user *config, s *snapshot) error {
 	mismatch := func(what string, got, want any) error {
 		return fmt.Errorf("ita: option conflicts with recovered state: %s %v, recovered %v (remove the option or use a fresh directory)", what, got, want)
@@ -581,12 +594,12 @@ func checkSnapshotCompat(user *config, s *snapshot) error {
 			return mismatch("window", fmt.Sprintf("span %s", pol.D), stored)
 		}
 	}
-	if user.shardsSet {
-		if s.Algorithm != ShardedIncrementalThreshold || s.Shards != user.shards {
-			return mismatch("shards", user.shards, fmt.Sprintf("%s/%d", s.Algorithm, s.Shards))
-		}
-	} else if user.algorithmSet && user.algorithm != s.Algorithm {
-		return mismatch("algorithm", user.algorithm, s.Algorithm)
+	recorded := s.Algorithm
+	if recorded == ShardedIncrementalThreshold {
+		recorded = IncrementalThreshold
+	}
+	if user.algorithm >= 0 && user.algorithm != recorded {
+		return mismatch("algorithm", user.algorithm, recorded)
 	}
 	normBatch := func(b int) int {
 		if b <= 1 {

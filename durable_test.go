@@ -338,7 +338,6 @@ func TestOpenConfigMismatch(t *testing.T) {
 		{"window kind", []Option{WithTimeWindow(time.Second)}},
 		{"batch", []Option{WithCountWindow(10), WithBatchSize(8)}},
 		{"algorithm", []Option{WithCountWindow(10), WithAlgorithm(NaivePlain)}},
-		{"shards", []Option{WithCountWindow(10), WithShards(4)}},
 		{"stemming", []Option{WithCountWindow(10), WithoutStemming()}},
 		{"okapi", []Option{WithCountWindow(10), WithOkapiScoring(30)}},
 		{"retention", []Option{WithCountWindow(10), WithTextRetention()}},
@@ -349,7 +348,13 @@ func TestOpenConfigMismatch(t *testing.T) {
 		}
 	}
 
-	// The original options (and no options at all) both recover.
+	// The original options, a different shard count (a runtime setting)
+	// and no options at all all recover.
+	rs, err := Open(dir, WithCountWindow(10), WithShards(4))
+	if err != nil {
+		t.Fatalf("shard count rejected: %v", err)
+	}
+	rs.crashForTest()
 	r, err := Open(dir, WithCountWindow(10), WithBatchSize(4))
 	if err != nil {
 		t.Fatalf("matching options rejected: %v", err)

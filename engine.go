@@ -118,6 +118,7 @@ type Engine struct {
 func New(opts ...Option) (*Engine, error) {
 	cfg := config{
 		algorithm: IncrementalThreshold,
+		shards:    1,
 		stemming:  true,
 		stopwords: true,
 	}
@@ -133,21 +134,16 @@ func New(opts ...Option) (*Engine, error) {
 	if cfg.policy == nil {
 		return nil, errors.New("ita: a window option is required (WithCountWindow or WithTimeWindow)")
 	}
-	if cfg.shardsSet {
-		switch {
-		case !cfg.algorithmSet || cfg.algorithm == IncrementalThreshold:
-			cfg.algorithm = ShardedIncrementalThreshold
-		case cfg.algorithm == ShardedIncrementalThreshold:
-		default:
-			return nil, fmt.Errorf("ita: WithShards requires the ITA algorithm, got %s", cfg.algorithm)
-		}
-	}
 	if cfg.weighter == nil {
 		cfg.weighter = defaultWeighter()
 	}
+	inner, err := cfg.build()
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:       cfg,
-		inner:     cfg.build(),
+		inner:     inner,
 		pipeline:  textproc.NewPipeline(textproc.NewDictionary(), cfg.stemming, cfg.stopwords),
 		nextDoc:   1,
 		nextQuery: 1,
@@ -390,8 +386,8 @@ func (e *Engine) gateWriteLocked() error {
 	return nil
 }
 
-// Close flushes any buffered epoch and releases engine resources — for
-// the sharded engine, its shard worker goroutines; for a replicating
+// Close flushes any buffered epoch and releases engine resources — with
+// WithShards, the shard worker goroutines; for a replicating
 // engine, its server or client. The final epoch's watch deltas are
 // delivered before the inner engine shuts down, so a callback that
 // re-enters the engine (as WatchFunc permits) still finds it live.

@@ -189,7 +189,7 @@ func TestBatchGridMatchesSerialFacade(t *testing.T) {
 	}
 
 	for _, B := range []int{1, 4, 64} {
-		for _, S := range []int{0, 1, 2, 8} { // 0 = unsharded engine
+		for _, S := range []int{0, 1, 2, 8} { // 0 = no WithShards option
 			B, S := B, S
 			t.Run(fmt.Sprintf("b%d_s%d", B, S), func(t *testing.T) {
 				opts := []Option{WithCountWindow(12)}

@@ -1,8 +1,8 @@
 // Package cluster turns N independent engine processes into one
 // logical continuous-search service. Every node ingests the full
 // document stream; each standing query lives on exactly one node,
-// chosen by the same multiplicative placement hash the in-process
-// sharded engine uses (shard.Placement). Because ITA maintenance is
+// chosen by the same multiplicative placement hash ITA uses for its
+// in-process shards (core.Placement). Because ITA maintenance is
 // strictly per-query — the paper's threshold algorithm never couples
 // two queries' states — partitioning the query set across processes is
 // exact: every node computes byte-identical results for the queries it

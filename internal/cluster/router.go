@@ -9,7 +9,6 @@ import (
 
 	"ita/internal/core"
 	"ita/internal/model"
-	"ita/internal/shard"
 )
 
 // Router fronts a fixed set of cluster nodes with the single-engine
@@ -86,7 +85,7 @@ func (r *Router) SwapNode(i int, n Node) {
 func (r *Router) Owner(id model.QueryID) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return shard.Placement(id, len(r.nodes))
+	return core.Placement(id, len(r.nodes))
 }
 
 // fanOut applies fn to every node except skip (-1 to include all)
@@ -139,7 +138,7 @@ func (r *Router) Register(text string, k int) (model.QueryID, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	id := r.next
-	owner := shard.Placement(id, len(r.nodes))
+	owner := core.Placement(id, len(r.nodes))
 	if err := r.nodes[owner].RegisterWithID(id, text, k); err != nil {
 		return 0, fmt.Errorf("cluster: register on owner node %d: %w", owner, err)
 	}
@@ -166,7 +165,7 @@ func (r *Router) Register(text string, k int) (model.QueryID, error) {
 func (r *Router) Unregister(id model.QueryID) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	owner := shard.Placement(id, len(r.nodes))
+	owner := core.Placement(id, len(r.nodes))
 	ok, err := r.nodes[owner].Unregister(id)
 	if err != nil {
 		return false, fmt.Errorf("cluster: unregister on owner node %d: %w", owner, err)
@@ -258,7 +257,7 @@ func (r *Router) Flush() error {
 // Results serves a query's top-k from its owning node.
 func (r *Router) Results(id model.QueryID) ([]model.Match, string, bool, error) {
 	r.mu.Lock()
-	owner := r.nodes[shard.Placement(id, len(r.nodes))]
+	owner := r.nodes[core.Placement(id, len(r.nodes))]
 	r.mu.Unlock()
 	return owner.Results(id)
 }

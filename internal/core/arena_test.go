@@ -122,8 +122,8 @@ func TestDenseIDReuse(t *testing.T) {
 			e.Unregister(model.QueryID(1000*(round+1) + i))
 		}
 	}
-	if e.m.n != 0 || len(e.m.free) != int(e.m.next) {
-		t.Fatalf("arena not fully recycled: n=%d free=%d high-water=%d", e.m.n, len(e.m.free), e.m.next)
+	if e.shards[0].m.n != 0 || len(e.shards[0].m.free) != int(e.shards[0].m.next) {
+		t.Fatalf("arena not fully recycled: n=%d free=%d high-water=%d", e.shards[0].m.n, len(e.shards[0].m.free), e.shards[0].m.next)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestScratchShrinksAfterBurst(t *testing.T) {
 	if err := e.ProcessEpoch(burst); err != nil {
 		t.Fatal(err)
 	}
-	high := cap(e.m.epochQueue)
+	high := cap(e.shards[0].m.epochQueue)
 	if high < 2000 {
 		t.Fatalf("burst epoch queue capacity %d, want >= 2000", high)
 	}
@@ -168,10 +168,10 @@ func TestScratchShrinksAfterBurst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := cap(e.m.epochQueue); got >= high {
+	if got := cap(e.shards[0].m.epochQueue); got >= high {
 		t.Fatalf("epoch queue capacity %d did not shrink from burst high-water %d", got, high)
 	}
-	if got := cap(e.m.epochQueue); got > 512 {
+	if got := cap(e.shards[0].m.epochQueue); got > 512 {
 		t.Fatalf("epoch queue capacity %d, want shrunk to the working-set scale", got)
 	}
 	// The engine still works after the shrink.
@@ -204,7 +204,7 @@ func TestAdmitListsFreedWhenLastQueryLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(e.m.holders) == 0 {
+	if len(e.shards[0].m.holders) == 0 {
 		t.Fatal("no admit lists recorded; the scenario does not exercise them")
 	}
 	for id := model.QueryID(1); id <= 30; id++ {
@@ -215,10 +215,10 @@ func TestAdmitListsFreedWhenLastQueryLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(e.m.holders); n != 0 {
+	if n := len(e.shards[0].m.holders); n != 0 {
 		t.Fatalf("%d admit lists outlive every query", n)
 	}
-	if got, want := e.MemoryUsage().QueryStateBytes, uint64(len(e.m.slabs))*uint64(unsafe.Sizeof(stateSlab{})); got != want {
+	if got, want := e.MemoryUsage().QueryStateBytes, uint64(len(e.shards[0].m.slabs))*uint64(unsafe.Sizeof(stateSlab{})); got != want {
 		t.Fatalf("QueryStateBytes = %d with no queries, want the bare slabs' %d", got, want)
 	}
 }

@@ -7,14 +7,9 @@ import (
 	"ita/internal/model"
 )
 
-// CheckInvariants verifies the floor invariants (see floor.go) of every
-// registered query, plus structural consistency between the probe trees
-// and the per-query floor state. It costs a full index scan per query
-// and exists for tests and debugging, not production paths.
-func (e *ITA) CheckInvariants() error { return e.m.CheckInvariants() }
-
-// CheckInvariants verifies the floor invariants for every owned query
-// plus the tree/bound structural consistency of this maintainer.
+// CheckInvariants verifies the floor invariants (see floor.go) for every
+// owned query, plus structural consistency between the probe trees and
+// the per-query floor state of this maintainer.
 func (m *Maintainer) CheckInvariants() error {
 	// Structural: every term's registered bound must be finite,
 	// non-negative, and exactly the floor-derived value F·fac, and tree

@@ -7,6 +7,34 @@
 // All engines process the same event stream — document arrivals that may
 // force expirations under a sliding-window policy — and must expose
 // identical results at every instant.
+//
+// ITA partitions its registered queries across S ≥ 1 shards (WithShards),
+// each a Maintainer owning the threshold trees, result sets and floors of
+// its queries, while the inverted index and FIFO document store belong to
+// the coordinator. Every write is an epoch — a batch of arrivals (one
+// document is a batch of one) or an ExpireUntil clock advance —
+// processed in two phases:
+//
+//  1. The coordinator stages the epoch's net index mutations in one
+//     ApplyBatch pass (insert the surviving arrivals, pop everything the
+//     window policy expires), on the caller's goroutine; a large epoch's
+//     list edits are split by term across short-lived goroutines inside
+//     ApplyBatch while the shards are idle.
+//  2. Every shard that owns a query applies the epoch's net effect to
+//     its queries — probe → score → add/roll-up for arrivals, remove →
+//     refill for expirations — against the now-quiescent index: inline
+//     when S = 1, on S concurrent worker goroutines otherwise.
+//
+// The fan-out is exact, not approximate: ITA's maintenance state is
+// strictly per-query (the paper's threshold trees and result lists R
+// never couple two queries), and within one epoch every shard only
+// *reads* the shared index. Results and merged counters are therefore
+// identical at every shard count, for every query at every epoch
+// boundary; the equivalence suites drive sharded engines against the
+// one-shard engine and the brute-force oracle to enforce exactly that.
+// Like every Engine, ITA's methods must be called from one goroutine at
+// a time (the ita facade adds locking); parallelism lives entirely
+// inside an epoch.
 package core
 
 import (
@@ -68,8 +96,7 @@ type Engine interface {
 	Stats() *Stats
 }
 
-// EpochProcessor is implemented by engines (ITA and the sharded ITA)
-// that can process a batch of arrivals — plus every expiration the
+// EpochProcessor is implemented by engines (ITA) that can process a batch of arrivals — plus every expiration the
 // window policy derives from it — as a single epoch: index mutations
 // are staged in one pass, and per-query maintenance runs once per
 // affected query with the batch's net effect. Per-query results at the
@@ -138,13 +165,13 @@ func (m *Memory) Merge(o Memory) {
 }
 
 // MemoryReporter is implemented by engines that can account their heap
-// footprint per component (ITA and the sharded ITA).
+// footprint per component (ITA).
 type MemoryReporter interface {
 	MemoryUsage() Memory
 }
 
-// Add accumulates o into s field-wise. The sharded engine keeps one
-// Stats block per shard (so counting stays contention-free during the
+// Add accumulates o into s field-wise. ITA keeps one Stats block per
+// shard (so counting stays contention-free during the
 // parallel fan-out) and merges them on read.
 func (s *Stats) Add(o *Stats) {
 	s.Arrivals += o.Arrivals

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"ita/internal/invindex"
 	"ita/internal/model"
+	"ita/internal/topk"
 	"ita/internal/window"
 )
 
@@ -24,20 +28,64 @@ import (
 // §III-A, when they leave fewer than k members).
 //
 // Structurally ITA is a coordinator (window policy + inverted index)
-// over a single Maintainer holding every query; the sharded engine in
-// internal/shard reuses the same Maintainer across many parallel
-// shards.
+// over S ≥ 1 query shards, each a Maintainer owning the queries
+// Placement assigns it (see the package documentation for the two-phase
+// epoch and why S changes no result). With one shard, the default,
+// maintenance runs inline on the caller's goroutine; WithShards starts
+// one worker goroutine per shard, and Close stops them.
 type ITA struct {
 	policy window.Policy
 	index  *invindex.Index
-	m      *Maintainer
-	stats  Stats
+	shards []*shardState
+	total  int // registered queries across all shards
+
+	// coord holds the coordinator's counters (arrivals, expirations,
+	// index mutations); merged is the scratch block Stats merges the
+	// per-shard counters into.
+	coord  Stats
+	merged Stats
+
+	// views is the engine's stable wait-free read handle (per-shard
+	// published views, merged lazily at read time).
+	views *mergedViews
 
 	cfg MaintainerConfig
+
+	pending  sync.WaitGroup // per-epoch completion barrier
+	workers  sync.WaitGroup // worker lifetime
+	stopOnce sync.Once
+}
+
+// shardState is one shard: a maintainer plus its private stats block
+// and the channel its worker goroutine receives epochs on. Keeping the
+// stats per shard makes counting contention-free during the fan-out.
+type shardState struct {
+	m     *Maintainer
+	stats Stats
+	ch    chan shardEpoch // nil when the engine runs inline (S == 1)
+}
+
+// shardEpoch is one unit of fan-out work: an epoch's net arrivals and
+// expirations.
+type shardEpoch struct {
+	arrived []*model.Document
+	expired []*model.Document
 }
 
 // ITAOption configures an ITA engine.
 type ITAOption func(*ITA)
+
+// WithShards partitions the registered queries across n shards, each
+// maintained by its own worker goroutine during an epoch's fan-out;
+// n <= 0 selects runtime.GOMAXPROCS(0). Results and merged counters are
+// identical at any n. Without it the engine has one shard and no
+// workers.
+func WithShards(n int) ITAOption {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return func(e *ITA) { e.shards = make([]*shardState, n) }
+}
 
 // WithoutRollup disables arrival-driven floor raises (ablation A2, the
 // roll-up analog): the floor then moves only at rebuilds, so the
@@ -68,23 +116,72 @@ func WithFloorMargins(target, raise int) ITAOption {
 
 // NewITA returns an empty ITA engine over the given window policy.
 func NewITA(policy window.Policy, opts ...ITAOption) *ITA {
-	e := &ITA{policy: policy}
+	e := &ITA{policy: policy, index: invindex.NewIndex(0)}
 	for _, o := range opts {
 		o(e)
 	}
-	e.index = invindex.NewIndex(0)
-	e.m = NewMaintainer(e.index, &e.stats, e.cfg)
+	if e.shards == nil {
+		e.shards = make([]*shardState, 1)
+	}
+	for i := range e.shards {
+		s := &shardState{}
+		s.m = NewMaintainer(e.index, &s.stats, e.cfg)
+		e.shards[i] = s
+	}
+	e.views = &mergedViews{shards: e.shards}
+	if len(e.shards) > 1 {
+		for _, s := range e.shards {
+			s.ch = make(chan shardEpoch, 1)
+			e.workers.Add(1)
+			go e.worker(s)
+		}
+	}
 	return e
 }
+
+func (e *ITA) worker(s *shardState) {
+	defer e.workers.Done()
+	for ep := range s.ch {
+		s.m.HandleEpoch(ep.arrived, ep.expired)
+		// Freeze this shard's changed results while still on the worker:
+		// the copy-on-publish work parallelizes with the other shards, and
+		// the coordinator's later PublishViews degenerates to pure pointer
+		// swaps. Nothing becomes visible to readers yet.
+		s.m.WarmViews()
+		e.pending.Done()
+	}
+}
+
+// Close stops the worker goroutines. The engine must be quiescent (no
+// epoch in flight); further fan-outs panic. Close is idempotent and a
+// no-op on a one-shard engine.
+func (e *ITA) Close() error {
+	e.stopOnce.Do(func() {
+		for _, s := range e.shards {
+			if s.ch != nil {
+				close(s.ch)
+			}
+		}
+		e.workers.Wait()
+	})
+	return nil
+}
+
+// Shards returns the shard count.
+func (e *ITA) Shards() int { return len(e.shards) }
 
 // Name implements Engine.
 func (e *ITA) Name() string { return "ita" }
 
 // Queries implements Engine.
-func (e *ITA) Queries() int { return e.m.Len() }
+func (e *ITA) Queries() int { return e.total }
 
 // EachQuery implements Engine.
-func (e *ITA) EachQuery(fn func(q *model.Query)) { e.m.EachQuery(fn) }
+func (e *ITA) EachQuery(fn func(q *model.Query)) {
+	for _, s := range e.shards {
+		s.m.EachQuery(fn)
+	}
+}
 
 // WindowLen implements Engine.
 func (e *ITA) WindowLen() int { return e.index.Len() }
@@ -92,37 +189,102 @@ func (e *ITA) WindowLen() int { return e.index.Len() }
 // EachDoc implements Engine.
 func (e *ITA) EachDoc(fn func(d *model.Document)) { e.index.Docs(fn) }
 
-// Stats implements Engine.
-func (e *ITA) Stats() *Stats { return &e.stats }
+// Stats implements Engine: the coordinator's counters plus every
+// shard's, merged. The totals do not depend on the shard count, since
+// each query's maintenance performs identical operations whichever
+// shard runs it.
+func (e *ITA) Stats() *Stats {
+	e.merged = e.coord
+	for _, s := range e.shards {
+		e.merged.Add(&s.stats)
+	}
+	return &e.merged
+}
 
 // MemoryUsage implements MemoryReporter: the coordinator-owned index
-// plus the maintainer's per-query structures.
+// plus every shard's per-query structures.
 func (e *ITA) MemoryUsage() Memory {
-	mem := e.m.MemoryUsage()
+	var mem Memory
 	mem.IndexBytes = e.index.MemoryBytes()
 	mem.PostingBytes = e.index.PostingBytes()
 	mem.Postings = uint64(e.index.PostingCount())
+	for _, s := range e.shards {
+		mem.Merge(s.m.MemoryUsage())
+	}
 	return mem
 }
 
-// Register implements Engine: it runs the initial top-k search of
-// §III-A and installs the resulting local thresholds.
-func (e *ITA) Register(q *model.Query) error { return e.m.Register(q) }
+// Placement maps a query id to one of n partitions with a
+// multiplicative hash, so clustered id patterns (all-even ids,
+// striding registrants) still balance. It places queries on an ITA's
+// shards and on a cluster's nodes alike, so both agree on ownership by
+// construction. It is a pure function of (id, n): a reader resolves a
+// query's owner without consulting any assignment map.
+func Placement(id model.QueryID, n int) int {
+	return int((uint64(id) * 0x9e3779b97f4a7c15 >> 32) % uint64(n))
+}
 
-// Unregister implements Engine.
-func (e *ITA) Unregister(id model.QueryID) bool { return e.m.Unregister(id) }
+func (e *ITA) shard(id model.QueryID) *shardState {
+	return e.shards[Placement(id, len(e.shards))]
+}
 
-// Result implements Engine.
-func (e *ITA) Result(id model.QueryID) ([]model.ScoredDoc, bool) { return e.m.Result(id) }
+// mergedViews is the wait-free read handle: the per-shard view sets,
+// merged lazily at read time. No cross-shard barrier or copy happens at
+// publication — each shard publishes its own queries, and a read
+// resolves the owning shard by Placement and loads that shard's slot.
+type mergedViews struct {
+	shards []*shardState
+}
+
+// Result implements ViewReader.
+func (v *mergedViews) Result(id model.QueryID) (*topk.Frozen, bool) {
+	return v.shards[Placement(id, len(v.shards))].m.Views().Result(id)
+}
+
+// Each implements ViewReader.
+func (v *mergedViews) Each(fn func(id model.QueryID, top *topk.Frozen)) {
+	for _, s := range v.shards {
+		s.m.Views().Each(fn)
+	}
+}
 
 // PublishViews implements ViewPublisher: every query whose result
 // changed since the previous call gets its frozen epoch-boundary
 // snapshot swapped into the published slot. Like all of Engine, it must
-// be called from the single writer — and only at a boundary, never
-// between an arrival and the expirations it derives.
+// be called from the single writer — and only at a boundary, with no
+// fan-out in flight. Workers already froze their shards' changed
+// results during the fan-out (WarmViews), so on a sharded engine this
+// is S short pointer-swap passes.
 func (e *ITA) PublishViews() ViewReader {
-	e.m.Publish()
-	return e.m.Views()
+	for _, s := range e.shards {
+		s.m.Publish()
+	}
+	return e.views
+}
+
+// Register implements Engine: the query lands on the shard Placement
+// dictates, where its initial top-k search of §III-A runs inline
+// (registration is not a stream event and needs no fan-out).
+func (e *ITA) Register(q *model.Query) error {
+	if err := e.shard(q.ID).m.Register(q); err != nil {
+		return err
+	}
+	e.total++
+	return nil
+}
+
+// Unregister implements Engine.
+func (e *ITA) Unregister(id model.QueryID) bool {
+	if !e.shard(id).m.Unregister(id) {
+		return false
+	}
+	e.total--
+	return true
+}
+
+// Result implements Engine.
+func (e *ITA) Result(id model.QueryID) ([]model.ScoredDoc, bool) {
+	return e.shard(id).m.Result(id)
 }
 
 // Process implements Engine: the arrival is an epoch of its own.
@@ -133,7 +295,7 @@ func (e *ITA) Process(d *model.Document) error {
 // ProcessEpoch implements EpochProcessor: the whole batch of arrivals,
 // and every expiration the window policy derives from it, is applied as
 // one epoch. The index absorbs the net mutations in a single ApplyBatch
-// pass, then the maintainer runs one net-effect pass over the affected
+// pass, then every shard runs one net-effect pass over its affected
 // queries (HandleEpoch). Per-query results at the epoch boundary do not
 // depend on how the stream is cut into epochs; intermediate states are
 // simply never materialized. Arrival times must be non-decreasing
@@ -149,34 +311,123 @@ func (e *ITA) ProcessEpoch(docs []*model.Document) error {
 // cannot fail (only an arriving duplicate id can).
 func (e *ITA) ExpireUntil(now time.Time) { _ = e.epoch(nil, now) }
 
+// epoch applies docs (possibly none) and every expiration the window
+// policy derives at time now to the index in one ApplyBatch pass, then
+// fans the net arrivals and expirations out to the shards. A batch with
+// arrivals counts as one epoch; a clock advance (no docs) does not.
 func (e *ITA) epoch(docs []*model.Document, now time.Time) error {
-	arrived, expired, err := StageEpoch(e.index, e.policy, &e.stats, docs, now)
+	res, err := e.index.ApplyBatch(docs, func(oldest *model.Document, count int) bool {
+		return e.policy.Expired(oldest.Arrival, now, count)
+	})
 	if err != nil {
 		return err
 	}
-	e.m.HandleEpoch(arrived, expired)
+	if len(docs) > 0 {
+		e.coord.Epochs++
+		e.coord.Arrivals += uint64(len(docs))
+	}
+	e.coord.Expirations += uint64(len(res.Expired) + res.Dropped)
+	e.coord.IndexInserts += uint64(res.Inserts)
+	e.coord.IndexDeletes += uint64(res.Deletes)
+	if arrived := docs[res.Dropped:]; len(arrived) > 0 || len(res.Expired) > 0 {
+		e.fanOut(shardEpoch{arrived: arrived, expired: res.Expired})
+	}
 	return nil
 }
 
-// StageEpoch is the coordinator's half of an epoch, shared by ITA and
-// the sharded engine: it applies docs (possibly none) and every
-// expiration the window policy derives at time now to the index in one
-// ApplyBatch pass, counts the epoch into st, and returns the net
-// arrivals and expirations the maintainers must see. A batch with
-// arrivals counts as one epoch; a clock advance (no docs) does not.
-func StageEpoch(x *invindex.Index, p window.Policy, st *Stats, docs []*model.Document, now time.Time) (arrived, expired []*model.Document, err error) {
-	res, err := x.ApplyBatch(docs, func(oldest *model.Document, count int) bool {
-		return p.Expired(oldest.Arrival, now, count)
-	})
-	if err != nil {
-		return nil, nil, err
+// fanOut runs one epoch's per-query maintenance on every shard that
+// owns at least one query and waits for all of them. The index is
+// quiescent for the duration: the coordinator blocks here and only it
+// may mutate the index.
+func (e *ITA) fanOut(ep shardEpoch) {
+	if e.total == 0 {
+		return
 	}
-	if len(docs) > 0 {
-		st.Epochs++
-		st.Arrivals += uint64(len(docs))
+	if len(e.shards) == 1 {
+		e.shards[0].m.HandleEpoch(ep.arrived, ep.expired)
+		return
 	}
-	st.Expirations += uint64(len(res.Expired) + res.Dropped)
-	st.IndexInserts += uint64(res.Inserts)
-	st.IndexDeletes += uint64(res.Deletes)
-	return docs[res.Dropped:], res.Expired, nil
+	active := 0
+	for _, s := range e.shards {
+		if s.m.Len() > 0 {
+			active++
+		}
+	}
+	e.pending.Add(active)
+	for _, s := range e.shards {
+		if s.m.Len() > 0 {
+			s.ch <- ep
+		}
+	}
+	e.pending.Wait()
+}
+
+// ExportQueryState implements StateSnapshotter.
+func (e *ITA) ExportQueryState(id model.QueryID) (QueryState, bool) {
+	return e.shard(id).m.ExportState(id)
+}
+
+// RestoreWindow implements StateSnapshotter: the documents enter the
+// inverted index and FIFO store as one epoch that expires nothing, with
+// no per-query maintenance and no counter movement — the restored
+// counters arrive via SetStats. One epoch lets a large window take
+// ApplyBatch's term-partitioned path; the restored lists hold the same
+// entries a document-at-a-time insert would, in a chunk layout of their
+// own.
+func (e *ITA) RestoreWindow(docs []*model.Document) error {
+	_, err := e.index.ApplyBatch(docs, func(*model.Document, int) bool { return false })
+	return err
+}
+
+// RestoreQueryState implements StateSnapshotter: the query lands on the
+// shard Placement dictates (so a restored engine shards identically to
+// one that registered the query live) with its exported floor and
+// result list installed verbatim.
+func (e *ITA) RestoreQueryState(q *model.Query, st QueryState) error {
+	if err := e.shard(q.ID).m.RestoreQuery(q, st); err != nil {
+		return err
+	}
+	e.total++
+	return nil
+}
+
+// SetStats implements StateSnapshotter. Counter noise from the restore
+// calls themselves is overwritten wholesale, which is why restore runs
+// it last. The restored totals land on the coordinator and the
+// per-shard blocks restart from zero; later maintenance increments
+// distribute across shards exactly as they would have on an engine that
+// never restarted, so the merged view stays byte-identical whatever the
+// shard count before and after.
+func (e *ITA) SetStats(s Stats) {
+	e.coord = s
+	for _, sh := range e.shards {
+		sh.stats = Stats{}
+	}
+}
+
+// CheckInvariants verifies every shard's floor invariants (see
+// check.go), the coordinator's live-query count and the Placement of
+// every owned query. It costs a full index scan per query and exists
+// for tests and debugging, not production paths.
+func (e *ITA) CheckInvariants() error {
+	owned := 0
+	for si, s := range e.shards {
+		owned += s.m.Len()
+		if err := s.m.CheckInvariants(); err != nil {
+			return err
+		}
+		var placeErr error
+		s.m.EachQuery(func(q *model.Query) {
+			if want := Placement(q.ID, len(e.shards)); want != si && placeErr == nil {
+				placeErr = fmt.Errorf("query %d owned by shard %d, Placement puts it on %d", q.ID, si, want)
+			}
+		})
+		if placeErr != nil {
+			return placeErr
+		}
+	}
+	if owned != e.total {
+		return fmt.Errorf("shards own %d queries, coordinator counts %d", owned, e.total)
+	}
+	return nil
 }

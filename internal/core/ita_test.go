@@ -103,7 +103,7 @@ func TestITANarrative(t *testing.T) {
 	// 0.5·0.07 = 0.035 ≤ Kth(3) = 0.05 stops the scan with d5 unread.
 	// F = Kth(3) = 0.05 purges d4.
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 2, Score: 0.10}, {Doc: 3, Score: 0.08}})
-	qs := e.m.lookup(1)
+	qs := e.shards[0].m.lookup(1)
 	if qs.r.Len() != 3 {
 		t.Fatalf("|R| = %d, want 3 (d2, d3, d1)", qs.r.Len())
 	}
@@ -226,7 +226,7 @@ func TestITAInitialSearchKeepsMargin(t *testing.T) {
 	// stops there: R holds the target count — a tgtMargin of
 	// below-top-k members — with the floor at the target-th score.
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 10, Score: 0.50}, {Doc: 9, Score: 0.45}, {Doc: 8, Score: 0.40}})
-	qs := e.m.lookup(1)
+	qs := e.shards[0].m.lookup(1)
 	target := 3 + defaultTargetMargin
 	if qs.r.Len() != target || qs.f <= 0 || qs.f != qs.r.Kth(target) {
 		t.Fatalf("|R| = %d floor = %g, want %d members with the floor at the %d-th score %g",
@@ -330,8 +330,8 @@ func TestITAUnregister(t *testing.T) {
 	if _, ok := e.Result(1); ok {
 		t.Fatal("Result after Unregister succeeded")
 	}
-	if len(e.m.trees) != 0 {
-		t.Fatalf("threshold trees leaked: %d", len(e.m.trees))
+	if len(e.shards[0].m.trees) != 0 {
+		t.Fatalf("threshold trees leaked: %d", len(e.shards[0].m.trees))
 	}
 	mustCheck(t, e)
 	// The stream keeps flowing without the query.

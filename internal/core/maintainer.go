@@ -12,7 +12,7 @@ import (
 
 // Maintainer owns the per-query maintenance state of ITA for a set of
 // queries: their per-term probe bounds, result sets R and score floors.
-// It is the unit of parallelism of the sharded engine — every piece of
+// It is ITA's shard, the unit of parallelism — every piece of
 // state it touches during epoch handling is strictly per-query (trees,
 // query states, stats, scratch buffers), while the inverted index it
 // reads is owned by its coordinator and guaranteed quiescent for the
@@ -29,8 +29,8 @@ import (
 // dense ids too, which is what lets a probe hit resolve to its query
 // state without touching any map.
 //
-// A Maintainer is not safe for concurrent use with itself; the sharded
-// engine runs many maintainers concurrently, each on its own goroutine,
+// A Maintainer is not safe for concurrent use with itself; a sharded
+// ITA runs many maintainers concurrently, each on its own goroutine,
 // which is safe exactly because they share nothing but the read-only
 // index.
 type Maintainer struct {
@@ -110,8 +110,8 @@ type Maintainer struct {
 	// view.go for the consistency model. Dirty tracking is armed by the
 	// first Publish call: the facade arms it at construction (serving
 	// reads is its job), while core-level users that never publish —
-	// the figure benchmarks and throughput harnesses driving ITA and
-	// shard.Engine directly — pay nothing for the publication machinery.
+	// the figure benchmarks and harnesses driving ITA directly — pay
+	// nothing for the publication machinery.
 	views     Views
 	pubDirty  []*queryState
 	publishOn bool
@@ -139,8 +139,8 @@ type epochWork struct {
 	dels      []*model.Document
 }
 
-// MaintainerConfig carries the tuning knobs shared by the single-threaded
-// and sharded engines.
+// MaintainerConfig carries the tuning knobs every shard of an ITA
+// shares.
 type MaintainerConfig struct {
 	// Seed is ignored: no maintainer structure is randomized. It is kept
 	// so callers built against the old seeded structures still compile.
@@ -159,8 +159,8 @@ type MaintainerConfig struct {
 
 // NewMaintainer returns an empty maintainer reading from index and
 // accumulating its operation counters into stats. The caller owns both:
-// the sharded engine hands every shard the same index but a private
-// stats block, merged on read.
+// ITA hands every shard the same index but a private stats block,
+// merged on read.
 func NewMaintainer(index *invindex.Index, stats *Stats, cfg MaintainerConfig) *Maintainer {
 	tgt, raise := cfg.FloorTargetMargin, cfg.FloorRaiseMargin
 	if tgt <= 0 {
@@ -377,8 +377,8 @@ func (m *Maintainer) Unregister(id model.QueryID) bool {
 	m.n--
 	if m.n == 0 {
 		// Every admit entry is now stale, and HandleEpoch returns before
-		// reaching an expiry walk that would free one (a sharded engine
-		// does not even fan out to an empty shard), so drop them all here.
+		// reaching an expiry walk that would free one (ITA does not even
+		// fan out to an empty shard), so drop them all here.
 		m.holders = make(map[model.DocID][]threshtree.Ref)
 	}
 	return true
@@ -716,7 +716,7 @@ func (m *Maintainer) markDirty(qs *queryState) {
 }
 
 // WarmViews precomputes the frozen snapshot of every dirty query so a
-// later Publish finds them cached. It exists so the sharded engine's
+// later Publish finds them cached. It exists so a sharded ITA's
 // workers can do the copy-on-publish work in parallel during the
 // fan-out, leaving the coordinator's Publish with pure pointer swaps.
 // Warming mid-operation (between an arrival and its derived expirations)

@@ -20,7 +20,7 @@ type QueryState struct {
 }
 
 // StateSnapshotter is implemented by engines whose complete incremental
-// state can be exported and restored exactly — ITA and the sharded ITA.
+// state can be exported and restored exactly — ITA, at any shard count.
 // The restore contract is: build an empty engine with the identical
 // configuration, call RestoreWindow once with the valid documents in
 // arrival order, RestoreQueryState for every query, then SetStats with
@@ -89,30 +89,3 @@ func (m *Maintainer) RestoreQuery(q *model.Query, st QueryState) error {
 	m.markDirty(qs)
 	return nil
 }
-
-// ExportQueryState implements StateSnapshotter.
-func (e *ITA) ExportQueryState(id model.QueryID) (QueryState, bool) {
-	return e.m.ExportState(id)
-}
-
-// RestoreWindow implements StateSnapshotter: the documents enter the
-// inverted index and FIFO store with no per-query maintenance and no
-// counter movement — the restored counters arrive via SetStats.
-func (e *ITA) RestoreWindow(docs []*model.Document) error {
-	for _, d := range docs {
-		if err := e.index.Insert(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// RestoreQueryState implements StateSnapshotter.
-func (e *ITA) RestoreQueryState(q *model.Query, st QueryState) error {
-	return e.m.RestoreQuery(q, st)
-}
-
-// SetStats implements StateSnapshotter. Counter noise from the restore
-// calls themselves is overwritten wholesale, which is why restore runs
-// it last.
-func (e *ITA) SetStats(s Stats) { e.stats = s }

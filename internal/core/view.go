@@ -151,8 +151,7 @@ type ViewReader interface {
 	Each(fn func(id model.QueryID, top *topk.Frozen))
 }
 
-// ViewPublisher is implemented by engines (ITA and the sharded ITA)
-// whose per-query results can be read wait-free through published
+// ViewPublisher is implemented by engines (ITA) whose per-query results can be read wait-free through published
 // views. PublishViews makes every result change since the previous
 // call visible to readers and returns the engine's read handle; it
 // must be called from the engine's single writer, at a boundary (never

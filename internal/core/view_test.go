@@ -35,7 +35,7 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 
 	// Before any publication the query is registered but invisible to
 	// readers.
-	if _, ok := e.m.Views().Result(7); ok {
+	if _, ok := e.shards[0].m.Views().Result(7); ok {
 		t.Fatal("unpublished query visible through Views")
 	}
 	reader := e.PublishViews()

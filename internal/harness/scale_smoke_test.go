@@ -5,16 +5,16 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
-	"ita/internal/shard"
 	"ita/internal/stream"
 	"ita/internal/vsm"
 	"ita/internal/window"
 )
 
 // TestScaleSmoke100k is the CI scale smoke: 100,000 standing queries on
-// the sharded engine, driven through the full dense-id life cycle —
+// a two-shard ITA, driven through the full dense-id life cycle —
 // register, ingest, unregister half, re-register into the freed slots,
 // ingest again — with a brute-force equivalence spot-check at the end.
 // The registration step also keeps the dense layout's memory claim
@@ -47,7 +47,7 @@ func TestScaleSmoke100k(t *testing.T) {
 	}
 	str := stream.New(dSynth.Document, 200, cfg.Seed+1, time.Unix(0, 0))
 
-	eng := shard.New(window.Count{N: win}, 2)
+	eng := core.NewITA(window.Count{N: win}, core.WithShards(2))
 	defer eng.Close()
 	for i := 0; i < win; i++ {
 		if err := eng.Process(str.Next()); err != nil {

@@ -8,7 +8,6 @@ import (
 	"ita/internal/core"
 	"ita/internal/corpus"
 	"ita/internal/model"
-	"ita/internal/shard"
 	"ita/internal/stream"
 	"ita/internal/vsm"
 	"ita/internal/window"
@@ -75,7 +74,7 @@ func Validate(p Profile, events int) (ValidationReport, error) {
 	}
 	pol := window.Count{N: win}
 	oracle := core.NewOracle(pol)
-	sharded := shard.New(pol, 4)
+	sharded := core.NewITA(pol, core.WithShards(4))
 	defer sharded.Close()
 	engines := []core.Engine{core.NewITA(pol), core.NewNaive(pol), sharded}
 	names := []string{"ITA", "Naive", "ITA-sharded-4"}

@@ -3,10 +3,10 @@ package ita
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"ita/internal/core"
-	"ita/internal/shard"
 	"ita/internal/vsm"
 	"ita/internal/wal"
 	"ita/internal/window"
@@ -25,11 +25,13 @@ const (
 	// NaivePlain is NaiveKmax with kmax = k: the unenhanced baseline of
 	// §II of the paper.
 	NaivePlain
-	// ShardedIncrementalThreshold is ITA with query-sharded parallel
-	// maintenance: the inverted index stays a single-writer structure,
-	// and per-query threshold/result maintenance fans out across shard
-	// worker goroutines after every index mutation. Results are
-	// identical to IncrementalThreshold; see WithShards.
+	// ShardedIncrementalThreshold is IncrementalThreshold with one shard
+	// per CPU.
+	//
+	// Deprecated: ITA is one engine with a shard count; use WithShards.
+	// WithAlgorithm(ShardedIncrementalThreshold) means WithShards(0), a
+	// snapshot that recorded it restores with its recorded shard count,
+	// and Engine.Algorithm reports IncrementalThreshold.
 	ShardedIncrementalThreshold
 )
 
@@ -52,7 +54,6 @@ func (a Algorithm) String() string {
 type config struct {
 	policy        window.Policy
 	algorithm     Algorithm
-	algorithmSet  bool
 	weighter      vsm.Weighter
 	stemming      bool
 	stopwords     bool
@@ -61,8 +62,7 @@ type config struct {
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
-	shards        int // ShardedIncrementalThreshold only; 0 = GOMAXPROCS
-	shardsSet     bool
+	shards        int // ITA query shards, resolved (WithShards(0) stores GOMAXPROCS)
 	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
 
 	// Durability (see durable.go). walAttach marks a config built by the
@@ -115,35 +115,42 @@ func WithTimeWindow(d time.Duration) Option {
 }
 
 // WithAlgorithm selects the engine; the default is IncrementalThreshold.
+// The deprecated ShardedIncrementalThreshold selects IncrementalThreshold
+// with WithShards(0).
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		switch a {
-		case IncrementalThreshold, NaiveKmax, NaivePlain, ShardedIncrementalThreshold:
+		case IncrementalThreshold, NaiveKmax, NaivePlain:
 			c.algorithm = a
-			c.algorithmSet = true
 			return nil
+		case ShardedIncrementalThreshold:
+			c.algorithm = IncrementalThreshold
+			return WithShards(0)(c)
 		default:
 			return fmt.Errorf("ita: unknown algorithm %d", int(a))
 		}
 	}
 }
 
-// WithShards selects the sharded parallel ITA engine
-// (ShardedIncrementalThreshold) with n shards; n = 0 uses
-// runtime.GOMAXPROCS. Registered queries are partitioned across the
-// shards and every epoch fans its per-query maintenance out to shard
-// worker goroutines against a quiescent index, so results are
-// identical to the single-threaded engine. Worth it once the per-query
-// maintenance (many standing queries) dominates the
-// index mutation; a single-shard engine runs inline with no worker
-// goroutines. Combining WithShards with a Naïve algorithm is an error.
+// WithShards sets how many query shards the ITA engine maintains; n = 0
+// uses runtime.GOMAXPROCS, and the default is 1. Registered queries are
+// partitioned across the shards and every epoch fans its per-query
+// maintenance out to one worker goroutine per shard against a quiescent
+// index, so results and Stats are identical at any shard count. Worth
+// it once the per-query maintenance (many standing queries) dominates
+// the index mutation; one shard runs inline with no worker goroutines.
+// The count is a runtime setting: Open and OpenFollower apply it over
+// the count a checkpoint recorded. Combining n != 1 with a Naïve
+// algorithm is an error.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("ita: shard count must be >= 0, got %d", n)
 		}
+		if n == 0 {
+			n = runtime.GOMAXPROCS(0)
+		}
 		c.shards = n
-		c.shardsSet = true
 		return nil
 	}
 }
@@ -355,35 +362,25 @@ func withFloorMargins(target, raise int) Option {
 	}
 }
 
-func (c *config) build() core.Engine {
-	switch c.algorithm {
-	case NaiveKmax:
-		return core.NewNaive(c.policy)
-	case NaivePlain:
-		return core.NewNaive(c.policy, core.WithKmax(func(k int) int { return k }))
-	case ShardedIncrementalThreshold:
-		var opts []shard.Option
-		if c.disableRollup {
-			opts = append(opts, shard.WithoutRollup())
+func (c *config) build() (core.Engine, error) {
+	if c.algorithm != IncrementalThreshold {
+		if c.shards != 1 {
+			return nil, fmt.Errorf("ita: WithShards requires the ITA algorithm, got %s", c.algorithm)
 		}
-		if c.scanTrees {
-			opts = append(opts, shard.WithScanAllTrees())
+		if c.algorithm == NaivePlain {
+			return core.NewNaive(c.policy, core.WithKmax(func(k int) int { return k })), nil
 		}
-		if c.floorTarget != 0 || c.floorRaise != 0 {
-			opts = append(opts, shard.WithFloorMargins(c.floorTarget, c.floorRaise))
-		}
-		return shard.New(c.policy, c.shards, opts...)
-	default:
-		var opts []core.ITAOption
-		if c.disableRollup {
-			opts = append(opts, core.WithoutRollup())
-		}
-		if c.scanTrees {
-			opts = append(opts, core.WithScanAllTrees())
-		}
-		if c.floorTarget != 0 || c.floorRaise != 0 {
-			opts = append(opts, core.WithFloorMargins(c.floorTarget, c.floorRaise))
-		}
-		return core.NewITA(c.policy, opts...)
+		return core.NewNaive(c.policy), nil
 	}
+	opts := []core.ITAOption{core.WithShards(c.shards)}
+	if c.disableRollup {
+		opts = append(opts, core.WithoutRollup())
+	}
+	if c.scanTrees {
+		opts = append(opts, core.WithScanAllTrees())
+	}
+	if c.floorTarget != 0 || c.floorRaise != 0 {
+		opts = append(opts, core.WithFloorMargins(c.floorTarget, c.floorRaise))
+	}
+	return core.NewITA(c.policy, opts...), nil
 }

@@ -180,7 +180,9 @@ func (e *Engine) startReplicationOn(l net.Listener) error {
 // position. The returned engine is read-only — mutating operations
 // return ErrReadOnly — while reads and Watch serve the replicated
 // state at every acknowledged epoch boundary. Call Promote to turn it
-// into a writable primary.
+// into a writable primary. Like Open, it applies WithShards over the
+// shard count the checkpoint recorded, so a standby sizes itself to its
+// own machine, across resyncs too.
 func OpenFollower(dir, primaryAddr string, opts ...Option) (*Engine, error) {
 	probe := config{stemming: true, stopwords: true}
 	for _, o := range opts {
@@ -468,18 +470,11 @@ func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
 	if err := writeCheckpointFile(w.dir, seq, data); err != nil {
 		return err
 	}
-	// Thread the runtime-only knobs through like Open's recovery does:
-	// they are not persisted in the primary's checkpoint, and losing
-	// them across a resync would change the rebuilt engine's floor
+	// Thread the runtime settings through like Open's recovery does: the
+	// standby keeps its own shard count, and losing the test-only floor
+	// knobs across a resync would change the rebuilt engine's floor
 	// maintenance schedule mid-stream.
-	extra := []Option{WithWAL(w.dir), walAttached()}
-	if e.cfg.scanTrees {
-		extra = append(extra, withScanAllTrees())
-	}
-	if e.cfg.floorTarget != 0 || e.cfg.floorRaise != 0 {
-		extra = append(extra, withFloorMargins(e.cfg.floorTarget, e.cfg.floorRaise))
-	}
-	ne, err := restoreSnapshot(snap, extra)
+	ne, err := restoreSnapshot(snap, append(e.cfg.runtimeOptions(), WithWAL(w.dir), walAttached()))
 	if err != nil {
 		return err
 	}

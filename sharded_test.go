@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
+
+	"ita/internal/core"
 )
 
 // feedTexts generates a deterministic stream of small overlapping
@@ -29,11 +32,11 @@ func TestWithShardsMatchesSingleThreaded(t *testing.T) {
 	sharded := newEngine(t, WithCountWindow(12), WithShards(4))
 	defer sharded.Close()
 
-	if got := sharded.Algorithm(); got != ShardedIncrementalThreshold {
-		t.Fatalf("Algorithm() = %v, want ShardedIncrementalThreshold", got)
+	if got := sharded.Algorithm(); got != IncrementalThreshold {
+		t.Fatalf("Algorithm() = %v, want IncrementalThreshold", got)
 	}
-	if got := sharded.Algorithm().String(); got != "ita-sharded" {
-		t.Fatalf("Algorithm().String() = %q", got)
+	if got := shardCount(sharded); got != 4 {
+		t.Fatalf("shard count %d, want 4", got)
 	}
 
 	queries := []string{"crude oil", "tanker export market", "refinery barrel price", "oil price"}
@@ -186,21 +189,30 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := New(WithCountWindow(5), WithShards(2), WithAlgorithm(NaiveKmax)); err == nil {
 		t.Fatal("WithShards + NaiveKmax accepted")
 	}
-	// Explicit single-threaded ITA + shards upgrades to sharded.
+	// Explicit ITA + shards is ITA with a shard count.
 	e, err := New(WithCountWindow(5), WithAlgorithm(IncrementalThreshold), WithShards(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.Algorithm() != ShardedIncrementalThreshold {
-		t.Fatalf("Algorithm() = %v", e.Algorithm())
+	if e.Algorithm() != IncrementalThreshold || shardCount(e) != 2 {
+		t.Fatalf("Algorithm() = %v with %d shards", e.Algorithm(), shardCount(e))
 	}
-	// Auto shard count.
+	// Auto shard count, spelled either way.
 	auto, err := New(WithCountWindow(5), WithShards(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer auto.Close()
+	alias, err := New(WithCountWindow(5), WithAlgorithm(ShardedIncrementalThreshold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer alias.Close()
+	if alias.Algorithm() != IncrementalThreshold || shardCount(alias) != shardCount(auto) {
+		t.Fatalf("deprecated alias: Algorithm() = %v with %d shards, want ita with %d",
+			alias.Algorithm(), shardCount(alias), shardCount(auto))
+	}
 	// Close is idempotent and safe on unsharded engines too.
 	plain := newEngine(t, WithCountWindow(5))
 	if err := plain.Close(); err != nil {
@@ -234,11 +246,85 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if r.Algorithm() != ShardedIncrementalThreshold {
-		t.Fatalf("restored Algorithm() = %v", r.Algorithm())
+	if r.Algorithm() != IncrementalThreshold || shardCount(r) != 3 {
+		t.Fatalf("restored Algorithm() = %v with %d shards", r.Algorithm(), shardCount(r))
 	}
 	if got, want := r.Results(1), e.Results(1); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored results diverge:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// shardCount reports how many query shards an ITA engine maintains.
+func shardCount(e *Engine) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.inner.(*core.ITA).Shards()
+}
+
+// TestReopenWithAnotherShardCount: the shard count is a runtime
+// setting. A durable directory written with two shards reopens with
+// four, then with no option (the count its newest checkpoint recorded),
+// and each time the recovered state is byte-identical to an engine that
+// never restarted.
+func TestReopenWithAnotherShardCount(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, WithCountWindow(10), WithShards(2), WithCheckpointEvery(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newEngine(t, WithCountWindow(10))
+	defer ref.Close()
+	driveOps(t, 1, 60, e, ref)
+	e.crashForTest()
+
+	r, err := Open(dir, WithShards(4))
+	if err != nil {
+		t.Fatalf("reopen with WithShards(4): %v", err)
+	}
+	if got := shardCount(r); got != 4 {
+		t.Fatalf("reopened with %d shards, want 4", got)
+	}
+	requireSameState(t, captureState(r), captureState(ref), "reopen at four shards")
+	driveOps(t, 60, 120, r, ref)
+	requireSameState(t, captureState(r), captureState(ref), "evolution at four shards")
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	driveOps(t, 120, 140, r, ref)
+	r.crashForTest()
+
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("bare reopen: %v", err)
+	}
+	defer r2.Close()
+	if got := shardCount(r2); got != 4 {
+		t.Fatalf("bare reopen has %d shards, want the recorded 4", got)
+	}
+	requireSameState(t, captureState(r2), captureState(ref), "bare reopen")
+	driveOps(t, 140, 180, r2, ref)
+	requireSameState(t, captureState(r2), captureState(ref), "evolution after bare reopen")
+}
+
+// TestFollowerSizesItsOwnShards: a standby opened with WithShards keeps
+// its own shard count under a one-shard primary and serves the
+// primary's state byte-identically.
+func TestFollowerSizesItsOwnShards(t *testing.T) {
+	p, addr, _ := openReplPrimary(t)
+	defer p.Close()
+	f, err := OpenFollower(t.TempDir(), addr, WithShards(2), WithDurability(DurabilityOff), testReplTuning("follower"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if got := shardCount(f); got != 2 {
+		t.Fatalf("follower has %d shards, want 2", got)
+	}
+	driveOps(t, 1, 80, p)
+	waitReplCaughtUp(t, f, p, 10*time.Second)
+	requireSameState(t, captureState(f), captureState(p), "two-shard follower of a one-shard primary")
+	if got := shardCount(f); got != 2 {
+		t.Fatalf("follower has %d shards after replaying checkpoints, want 2", got)
 	}
 }
 

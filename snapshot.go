@@ -55,9 +55,10 @@ type snapshot struct {
 	Okapi      bool
 	OkapiAvgDL float64
 	RetainText bool
-	// Shard count of the sharded engine (0 = auto); meaningful only
-	// when Algorithm is ShardedIncrementalThreshold. Older snapshots
-	// decode it as zero, which restores with the automatic count.
+	// Shards is the ITA engine's shard count. Snapshots taken before ITA
+	// was one engine recorded it only with the deprecated
+	// ShardedIncrementalThreshold (0 meaning one per CPU) and left it
+	// zero for the one-shard engine, which restores with one shard.
 	Shards int
 	// Epoch size of WithBatchSize. Older snapshots decode it as zero,
 	// which restores unbatched — the pre-batching behavior.
@@ -224,7 +225,7 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 // options reconstructs the engine options a snapshot was taken with.
 func (s *snapshot) options() []Option {
 	opts := []Option{WithAlgorithm(s.Algorithm)}
-	if s.Algorithm == ShardedIncrementalThreshold {
+	if s.Shards > 0 {
 		opts = append(opts, WithShards(s.Shards))
 	}
 	if s.BatchSize > 1 {

@@ -300,3 +300,62 @@ func TestOpenCheckpointFromEitherLayout(t *testing.T) {
 		})
 	}
 }
+
+// shardedFixturePath is a version-3 snapshot of buildV1FixtureEngine's
+// workload taken, while ITA still had a separate sharded engine, from an
+// engine built with WithShards(3). It recorded the deprecated
+// ShardedIncrementalThreshold with Shards = 3; like the other old
+// fixtures it cannot be regenerated.
+const shardedFixturePath = "testdata/snapshot_v3_sharded3.snap"
+
+// TestRecordedShardedAlgorithmRestores restores the sharded fixture
+// directly and as the checkpoint of a durable directory: the engine
+// comes back as ITA with the recorded three shards (or the count the
+// caller asks for) and serves the fixture workload's results.
+func TestRecordedShardedAlgorithmRestores(t *testing.T) {
+	data, err := os.ReadFile(shardedFixturePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recorded struct {
+		Algorithm Algorithm
+		Shards    int
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recorded); err != nil {
+		t.Fatal(err)
+	}
+	if recorded.Algorithm != ShardedIncrementalThreshold || recorded.Shards != 3 {
+		t.Fatalf("fixture records %v with %d shards, want ita-sharded with 3", recorded.Algorithm, recorded.Shards)
+	}
+	r, err := Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	if r.Algorithm() != IncrementalThreshold || shardCount(r) != 3 {
+		t.Fatalf("restored %v with %d shards, want ita with 3", r.Algorithm(), shardCount(r))
+	}
+	requireFixtureEngine(t, r)
+
+	for _, tc := range []struct {
+		opts   []Option
+		shards int
+	}{
+		{nil, 3},
+		{[]Option{WithShards(1)}, 1},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(wal.CheckpointPath(dir, 0), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e, err := Open(dir, append(tc.opts, WithCountWindow(6), WithDurability(DurabilityOff))...)
+		if err != nil {
+			t.Fatalf("open over the sharded checkpoint: %v", err)
+		}
+		if got := shardCount(e); got != tc.shards {
+			t.Fatalf("opened with %d shards, want %d", got, tc.shards)
+		}
+		requireFixtureEngine(t, e)
+		e.Close()
+	}
+}
