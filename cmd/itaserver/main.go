@@ -443,7 +443,7 @@ func main() {
 		span    = flag.Duration("span", 0, "time-based window span (overrides -window when set)")
 		demo    = flag.Bool("demo", false, "publish a built-in newswire stream")
 		rate    = flag.Float64("rate", 10, "demo feed rate, documents/second")
-		shards  = flag.Int("shards", 1, "query-maintenance shards: 1 = single-threaded ITA, 0 = one per CPU, n = fixed count")
+		shards  = flag.Int("shards", 0, "query-maintenance shards: 0 = one per CPU, 1 = single-threaded ITA, n = fixed count")
 		batch   = flag.Int("batch", 1, "epoch batch size: ingested documents coalesce into epochs of this size (1 = process every document immediately)")
 		flushIv = flag.Duration("flush", 50*time.Millisecond, "with -batch > 1: maximum time a partial epoch stays buffered before a background flush")
 		walDir  = flag.String("wal", "", "durability directory: write-ahead log + checkpoints; reopening with the same directory recovers the query set and window after a crash")

@@ -342,8 +342,8 @@ func TestServerWALRecovery(t *testing.T) {
 	if len(want) != 2 {
 		t.Fatalf("pre-crash results: %+v", want)
 	}
-	// Crash: drop the engine without Close or Checkpoint. (The engine
-	// has no shard workers at -shards 1, so abandoning it leaks nothing.)
+	// Crash: drop the engine without Close or Checkpoint. (No goroutine
+	// outlives an epoch, so abandoning it leaks nothing.)
 	s = nil
 
 	recovered, err := buildEngine(dir, "epoch", 64, 100, 0, 1, 1)

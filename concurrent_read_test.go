@@ -114,6 +114,11 @@ func TestConcurrentReadersSeeEpochBoundaries(t *testing.T) {
 		sig   string
 	}
 	observed := make([][]observation, readers)
+	// The writer starts once every reader is reading: epochs without
+	// handoffs to other goroutines can finish before a reader is first
+	// scheduled.
+	var reading sync.WaitGroup
+	reading.Add(readers)
 	for r := 0; r < readers; r++ {
 		r := r
 		wg.Add(1)
@@ -121,6 +126,9 @@ func TestConcurrentReadersSeeEpochBoundaries(t *testing.T) {
 			defer wg.Done()
 			var lastSeq uint64
 			for i := 0; !stop.Load(); i++ {
+				if i == 1 {
+					reading.Done()
+				}
 				ps := e.pub.Load()
 				if ps.seq < lastSeq {
 					t.Errorf("reader %d: publication sequence went backwards: %d after %d", r, ps.seq, lastSeq)
@@ -146,6 +154,7 @@ func TestConcurrentReadersSeeEpochBoundaries(t *testing.T) {
 		}
 	}()
 
+	reading.Wait()
 	texts := feedTexts(B * epochs)
 	for i := 0; i < epochs; i++ {
 		items := make([]TimedText, B)

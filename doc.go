@@ -42,23 +42,24 @@
 // # Sharded parallel maintenance
 //
 // The ITA engine partitions its registered queries across S shards —
-// WithShards(n) sets S, the default is 1 and n = 0 picks
-// runtime.GOMAXPROCS — each owning the threshold trees, result lists
+// WithShards(n) sets S, the default (and n = 0) is runtime.GOMAXPROCS
+// and n = 1 is serial — each owning the threshold trees, result lists
 // and score floors of its queries, while the inverted index and FIFO
 // store are owned by the coordinator. Every epoch is a two-phase step:
 // the coordinator first applies the epoch's net index mutations (split
 // by term across the idle cores when the epoch is large; see "Epochs"),
 // then every shard runs its per-query maintenance against the
-// now-quiescent index — inline with one shard, on S worker goroutines
-// otherwise. Because ITA couples queries only through the read-only
-// index, results and Stats are identical at every shard count — the
-// equivalence suite drives sharded engines and the one-shard engine
-// against a brute-force oracle under the race detector — so the count
-// is a runtime setting that a durable engine may change at every Open.
-// Raise it when many standing queries make per-query maintenance, not
-// index mutation, the dominant cost, and there are spare cores to fan
-// out to; call Close to release the shard workers, and prefer
-// IngestBatch for high-volume feeds. The deprecated Algorithm
+// now-quiescent index — inline on the caller when the epoch's work
+// (live queries × arrivals and expirations) is small, otherwise on one
+// short-lived goroutine per shard, joined before the epoch returns.
+// Because ITA couples queries only through the read-only index, results
+// and Stats are identical at every shard count — the equivalence suite
+// drives sharded engines and the one-shard engine against a brute-force
+// oracle under the race detector — so the count is a runtime setting
+// that a durable engine may change at every Open. No goroutine outlives
+// its epoch, so a small epoch costs nothing extra at any S and an
+// engine holds nothing between calls. Prefer IngestBatch for
+// high-volume feeds. The deprecated Algorithm
 // ShardedIncrementalThreshold means WithShards(0). See README.md for
 // the architecture.
 //

@@ -181,11 +181,6 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 		}
 		e.wal = &walState{dir: dir, mode: mode, every: every, retain: probe.replRetain, tune: probe.replTune, hooks: hooks}
 		if err := e.writeCheckpointLocked(0); err != nil {
-			// Release the shard workers the fresh engine may own; a caller
-			// retrying Open must not leak goroutines per attempt.
-			if c, ok := e.inner.(interface{ Close() error }); ok {
-				c.Close()
-			}
 			return nil, err
 		}
 		return e, nil
@@ -208,14 +203,6 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// From here on the engine may own shard worker goroutines; release
-	// them on every failure path so a retried Open cannot leak.
-	abort := func(err error) (*Engine, error) {
-		if c, ok := e.inner.(interface{ Close() error }); ok {
-			c.Close()
-		}
-		return nil, err
-	}
 	w := &walState{
 		dir: dir, mode: mode, every: every, retain: probe.replRetain, tune: probe.replTune, hooks: hooks,
 		epochSeq: snap.EpochSeq, markerSeq: snap.EpochSeq, ckptSeq: latest,
@@ -226,13 +213,13 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 	segPath := wal.SegmentPath(dir, latest)
 	data, err := os.ReadFile(segPath)
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return abort(fmt.Errorf("ita: read segment: %w", err))
+		return nil, fmt.Errorf("ita: read segment: %w", err)
 	}
 	res := wal.Scan(data)
 	w.recovering = true
 	for i := range res.Records {
 		if err := e.replayRecord(&res.Records[i]); err != nil {
-			return abort(fmt.Errorf("ita: replay record %d: %w", i, err))
+			return nil, fmt.Errorf("ita: replay record %d: %w", i, err)
 		}
 	}
 	w.recovering = false
@@ -240,12 +227,12 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 	// ...and truncate the torn tail (if any) before appending resumes.
 	sf, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
-		return abort(fmt.Errorf("ita: open segment: %w", err))
+		return nil, fmt.Errorf("ita: open segment: %w", err)
 	}
 	if res.Torn {
 		if err := sf.Truncate(res.Clean); err != nil {
 			sf.Close()
-			return abort(fmt.Errorf("ita: truncate torn tail: %w", err))
+			return nil, fmt.Errorf("ita: truncate torn tail: %w", err)
 		}
 	}
 	w.log = wal.NewLog(sf, res.Clean, mode)

@@ -12,18 +12,14 @@ import (
 	"ita/internal/wal"
 )
 
-// crashForTest abandons the engine the way a crash would: shard worker
-// goroutines are stopped (so tests do not leak them) and the log file
-// handle is closed, but nothing is flushed to the engine, no final sync
-// is issued and no checkpoint runs. Bytes already written to the log
+// crashForTest abandons the engine the way a crash would: the log file
+// handle is closed (so tests do not leak it), but nothing is flushed to
+// the engine, no final sync is issued and no checkpoint runs. Bytes already written to the log
 // remain visible to a reopen, exactly like a killed process's page
 // cache; loss of unsynced bytes is modelled separately by the
 // byte-truncation sweeps in crash_test.go.
 func (e *Engine) crashForTest() {
 	e.mu.Lock()
-	if c, ok := e.inner.(interface{ Close() error }); ok {
-		c.Close()
-	}
 	if e.wal != nil && e.wal.log != nil {
 		e.wal.log.Close()
 	}

@@ -81,8 +81,8 @@ type Engine struct {
 	// repl is the replication attachment (nil until StartReplication or
 	// OpenFollower); readOnly marks a follower, whose mutating
 	// operations return ErrReadOnly until Promote. closed makes every
-	// later operation fail with ErrClosed instead of reaching an inner
-	// engine whose workers have shut down. See replication.go.
+	// later operation fail with ErrClosed instead of reaching a closed
+	// log or replication link. See replication.go.
 	repl     *replState
 	readOnly bool
 	closed   bool
@@ -118,7 +118,6 @@ type Engine struct {
 func New(opts ...Option) (*Engine, error) {
 	cfg := config{
 		algorithm: IncrementalThreshold,
-		shards:    1,
 		stemming:  true,
 		stopwords: true,
 	}
@@ -386,14 +385,16 @@ func (e *Engine) gateWriteLocked() error {
 	return nil
 }
 
-// Close flushes any buffered epoch and releases engine resources — with
-// WithShards, the shard worker goroutines; for a replicating
-// engine, its server or client. The final epoch's watch deltas are
-// delivered before the inner engine shuts down, so a callback that
-// re-enters the engine (as WatchFunc permits) still finds it live.
+// Close flushes any buffered epoch and releases engine resources: the
+// write-ahead log of a durable engine, and the server or client of a
+// replicating one. An engine with neither holds no goroutine between
+// calls (sharded maintenance joins before each epoch returns), so
+// dropping it without Close leaks nothing. The final epoch's watch
+// deltas are delivered before the log closes, so a callback that
+// re-enters the engine (as WatchFunc permits) still finds it readable.
 // Close is idempotent, and every operation after it returns ErrClosed:
 // a Results/IngestText racing Close observes either the live engine or
-// the error, never a shut-down inner engine.
+// the error, never a half-closed one.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -429,11 +430,6 @@ func (e *Engine) Close() error {
 	e.mu.Unlock()
 	e.deliverQueued()
 	e.mu.Lock()
-	if c, ok := e.inner.(interface{ Close() error }); ok {
-		if cerr := c.Close(); err == nil {
-			err = cerr
-		}
-	}
 	if e.wal != nil && e.wal.log != nil {
 		// The final epoch is already on disk (flushLocked logged its
 		// boundary); sync once more so even DurabilityOff engines leave a

@@ -8,9 +8,10 @@
 // force expirations under a sliding-window policy — and must expose
 // identical results at every instant.
 //
-// ITA partitions its registered queries across S ≥ 1 shards (WithShards),
-// each a Maintainer owning the threshold trees, result sets and floors of
-// its queries, while the inverted index and FIFO document store belong to
+// ITA partitions its registered queries across S ≥ 1 shards
+// (WithShards; one unless set, one per CPU in the ita facade), each a
+// Maintainer owning the threshold trees, result sets and floors of its
+// queries, while the inverted index and FIFO document store belong to
 // the coordinator. Every write is an epoch — a batch of arrivals (one
 // document is a batch of one) or an ExpireUntil clock advance —
 // processed in two phases:
@@ -23,7 +24,8 @@
 //  2. Every shard that owns a query applies the epoch's net effect to
 //     its queries — probe → score → add/roll-up for arrivals, remove →
 //     refill for expirations — against the now-quiescent index: inline
-//     when S = 1, on S concurrent worker goroutines otherwise.
+//     on the caller when the epoch's work is small (or S = 1), otherwise
+//     on one goroutine per shard, joined before the epoch returns.
 //
 // The fan-out is exact, not approximate: ITA's maintenance state is
 // strictly per-query (the paper's threshold trees and result lists R

@@ -30,9 +30,10 @@ import (
 // Structurally ITA is a coordinator (window policy + inverted index)
 // over S ≥ 1 query shards, each a Maintainer owning the queries
 // Placement assigns it (see the package documentation for the two-phase
-// epoch and why S changes no result). With one shard, the default,
-// maintenance runs inline on the caller's goroutine; WithShards starts
-// one worker goroutine per shard, and Close stops them.
+// epoch and why S changes no result). An epoch with little maintenance
+// work runs every shard inline on the caller; a larger one runs them
+// side by side on goroutines that exit before the epoch returns (see
+// fanOut), so the engine holds no goroutine between calls.
 type ITA struct {
 	policy window.Policy
 	index  *invindex.Index
@@ -51,35 +52,26 @@ type ITA struct {
 
 	cfg MaintainerConfig
 
-	pending  sync.WaitGroup // per-epoch completion barrier
-	workers  sync.WaitGroup // worker lifetime
-	stopOnce sync.Once
+	fannedOut int // epochs maintained on several goroutines (tests; Stats must not depend on S)
 }
 
-// shardState is one shard: a maintainer plus its private stats block
-// and the channel its worker goroutine receives epochs on. Keeping the
-// stats per shard makes counting contention-free during the fan-out.
+// shardState is one shard: a maintainer plus its private stats block.
+// Keeping the stats per shard makes counting contention-free during the
+// fan-out.
 type shardState struct {
 	m     *Maintainer
 	stats Stats
-	ch    chan shardEpoch // nil when the engine runs inline (S == 1)
-}
-
-// shardEpoch is one unit of fan-out work: an epoch's net arrivals and
-// expirations.
-type shardEpoch struct {
-	arrived []*model.Document
-	expired []*model.Document
 }
 
 // ITAOption configures an ITA engine.
 type ITAOption func(*ITA)
 
-// WithShards partitions the registered queries across n shards, each
-// maintained by its own worker goroutine during an epoch's fan-out;
+// WithShards partitions the registered queries across n shards;
 // n <= 0 selects runtime.GOMAXPROCS(0). Results and merged counters are
-// identical at any n. Without it the engine has one shard and no
-// workers.
+// identical at any n. Without it the engine has one shard, which keeps
+// all maintenance on the caller's goroutine: the paper's single-threaded
+// algorithm, as the figure harness measures it. The ita facade defaults
+// to one shard per CPU instead.
 func WithShards(n int) ITAOption {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -129,43 +121,12 @@ func NewITA(policy window.Policy, opts ...ITAOption) *ITA {
 		e.shards[i] = s
 	}
 	e.views = &mergedViews{shards: e.shards}
-	if len(e.shards) > 1 {
-		for _, s := range e.shards {
-			s.ch = make(chan shardEpoch, 1)
-			e.workers.Add(1)
-			go e.worker(s)
-		}
-	}
 	return e
 }
 
-func (e *ITA) worker(s *shardState) {
-	defer e.workers.Done()
-	for ep := range s.ch {
-		s.m.HandleEpoch(ep.arrived, ep.expired)
-		// Freeze this shard's changed results while still on the worker:
-		// the copy-on-publish work parallelizes with the other shards, and
-		// the coordinator's later PublishViews degenerates to pure pointer
-		// swaps. Nothing becomes visible to readers yet.
-		s.m.WarmViews()
-		e.pending.Done()
-	}
-}
-
-// Close stops the worker goroutines. The engine must be quiescent (no
-// epoch in flight); further fan-outs panic. Close is idempotent and a
-// no-op on a one-shard engine.
-func (e *ITA) Close() error {
-	e.stopOnce.Do(func() {
-		for _, s := range e.shards {
-			if s.ch != nil {
-				close(s.ch)
-			}
-		}
-		e.workers.Wait()
-	})
-	return nil
-}
+// Close is a no-op: no goroutine outlives the epoch that started it, so
+// an engine holds nothing to release and may simply be dropped.
+func (e *ITA) Close() error { return nil }
 
 // Shards returns the shard count.
 func (e *ITA) Shards() int { return len(e.shards) }
@@ -252,9 +213,9 @@ func (v *mergedViews) Each(fn func(id model.QueryID, top *topk.Frozen)) {
 // changed since the previous call gets its frozen epoch-boundary
 // snapshot swapped into the published slot. Like all of Engine, it must
 // be called from the single writer — and only at a boundary, with no
-// fan-out in flight. Workers already froze their shards' changed
-// results during the fan-out (WarmViews), so on a sharded engine this
-// is S short pointer-swap passes.
+// fan-out in flight. A fanned-out epoch already froze its shards'
+// changed results on their goroutines (WarmViews), so after one this is
+// S short pointer-swap passes.
 func (e *ITA) PublishViews() ViewReader {
 	for _, s := range e.shards {
 		s.m.Publish()
@@ -330,36 +291,51 @@ func (e *ITA) epoch(docs []*model.Document, now time.Time) error {
 	e.coord.IndexInserts += uint64(res.Inserts)
 	e.coord.IndexDeletes += uint64(res.Deletes)
 	if arrived := docs[res.Dropped:]; len(arrived) > 0 || len(res.Expired) > 0 {
-		e.fanOut(shardEpoch{arrived: arrived, expired: res.Expired})
+		e.fanOut(arrived, res.Expired)
 	}
 	return nil
 }
 
+// fanOutWork is the least maintenance work, in live queries × (net
+// arrivals + expirations), worth running the shards side by side: the
+// maintenance counterpart of invindex.shareMutations. Waking a goroutine
+// on an idle core costs a few microseconds; a unit of work costs about
+// ten nanoseconds, so below this an epoch is done sooner inline. A
+// one-document epoch stays inline over a thousand queries and fans out
+// over forty thousand, as does a 64-document epoch over a few dozen.
+const fanOutWork = 4096
+
 // fanOut runs one epoch's per-query maintenance on every shard that
-// owns at least one query and waits for all of them. The index is
-// quiescent for the duration: the coordinator blocks here and only it
-// may mutate the index.
-func (e *ITA) fanOut(ep shardEpoch) {
-	if e.total == 0 {
+// owns at least one query. Below fanOutWork the caller runs them one
+// after another. Above it a goroutine per non-empty shard runs that
+// shard and freezes its changed results (WarmViews) while the caller
+// waits for all of them. The caller takes no shard itself: the
+// goroutine started last waits in its P's next-to-run slot, which an
+// idle P steals only after a back-off, so a busy caller would often run
+// it late; a blocked caller's P runs it at once. The index is quiescent
+// for the duration: only the coordinator mutates it, and it is blocked
+// here.
+func (e *ITA) fanOut(arrived, expired []*model.Document) {
+	if len(e.shards) == 1 || e.total*(len(arrived)+len(expired)) < fanOutWork {
+		for _, s := range e.shards {
+			s.m.HandleEpoch(arrived, expired)
+		}
 		return
 	}
-	if len(e.shards) == 1 {
-		e.shards[0].m.HandleEpoch(ep.arrived, ep.expired)
-		return
-	}
-	active := 0
+	e.fannedOut++
+	var wg sync.WaitGroup
 	for _, s := range e.shards {
-		if s.m.Len() > 0 {
-			active++
+		if s.m.Len() == 0 {
+			continue
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.m.HandleEpoch(arrived, expired)
+			s.m.WarmViews()
+		}()
 	}
-	e.pending.Add(active)
-	for _, s := range e.shards {
-		if s.m.Len() > 0 {
-			s.ch <- ep
-		}
-	}
-	e.pending.Wait()
+	wg.Wait()
 }
 
 // ExportQueryState implements StateSnapshotter.

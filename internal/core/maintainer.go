@@ -404,15 +404,21 @@ type docWEntry struct {
 // prepDoc loads d's composition list into the scoring scratch so
 // subsequent scoreDoc calls against d are one array load per query
 // term. A term's entry is valid only under the current stamp, so stale
-// weights from earlier documents are dead without being cleared.
+// weights from earlier documents are dead without being cleared. Every
+// shard has its own vocabulary-sized scratch, so it grows to d's largest
+// term plus a sixteenth (new terms arrive at the top of the dictionary)
+// rounded up to a page, rather than by half again.
 func (m *Maintainer) prepDoc(d *model.Document) {
 	m.docStamp++
+	// Postings are in ascending term order: the last is the largest.
+	if n := len(d.Postings); n > 0 && int(d.Postings[n-1].Term) >= len(m.docW) {
+		const perPage = 4096 / int(unsafe.Sizeof(docWEntry{}))
+		need := int(d.Postings[n-1].Term) + 1
+		grown := make([]docWEntry, (need+need/16+perPage-1)/perPage*perPage)
+		copy(grown, m.docW)
+		m.docW = grown
+	}
 	for _, p := range d.Postings {
-		if int(p.Term) >= len(m.docW) {
-			grown := make([]docWEntry, p.Term+p.Term/2+64)
-			copy(grown, m.docW)
-			m.docW = grown
-		}
 		m.docW[p.Term] = docWEntry{mark: m.docStamp, w: p.Weight}
 	}
 }
@@ -716,9 +722,9 @@ func (m *Maintainer) markDirty(qs *queryState) {
 }
 
 // WarmViews precomputes the frozen snapshot of every dirty query so a
-// later Publish finds them cached. It exists so a sharded ITA's
-// workers can do the copy-on-publish work in parallel during the
-// fan-out, leaving the coordinator's Publish with pure pointer swaps.
+// later Publish finds them cached. It exists so the shards of a
+// fanned-out ITA epoch do the copy-on-publish work in parallel, leaving
+// the coordinator's Publish with pure pointer swaps.
 // Warming mid-operation (between an arrival and its derived expirations)
 // is safe: nothing is published until Publish, and a re-mutated query
 // simply refreezes.

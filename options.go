@@ -62,7 +62,7 @@ type config struct {
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
-	shards        int // ITA query shards, resolved (WithShards(0) stores GOMAXPROCS)
+	shards        int // ITA query shards; 0 = unset until build resolves GOMAXPROCS (WithShards(0) resolves at once)
 	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
 
 	// Durability (see durable.go). walAttach marks a config built by the
@@ -133,15 +133,16 @@ func WithAlgorithm(a Algorithm) Option {
 }
 
 // WithShards sets how many query shards the ITA engine maintains; n = 0
-// uses runtime.GOMAXPROCS, and the default is 1. Registered queries are
-// partitioned across the shards and every epoch fans its per-query
-// maintenance out to one worker goroutine per shard against a quiescent
-// index, so results and Stats are identical at any shard count. Worth
-// it once the per-query maintenance (many standing queries) dominates
-// the index mutation; one shard runs inline with no worker goroutines.
-// The count is a runtime setting: Open and OpenFollower apply it over
-// the count a checkpoint recorded. Combining n != 1 with a Naïve
-// algorithm is an error.
+// uses runtime.GOMAXPROCS, which is also the default, and n = 1 keeps
+// maintenance on the calling goroutine. Registered queries are
+// partitioned across the shards against a quiescent index, so results
+// and Stats are identical at any shard count. An epoch whose
+// maintenance work (live queries × arrivals and expirations) is small
+// runs every shard inline; a larger one runs them on short-lived
+// goroutines joined before the epoch returns, so an engine holds no
+// goroutine between calls. The count is a runtime setting: Open and
+// OpenFollower apply it over the count a checkpoint recorded. Combining
+// a count above 1 with a Naïve algorithm is an error.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
@@ -364,13 +365,16 @@ func withFloorMargins(target, raise int) Option {
 
 func (c *config) build() (core.Engine, error) {
 	if c.algorithm != IncrementalThreshold {
-		if c.shards != 1 {
+		if c.shards > 1 {
 			return nil, fmt.Errorf("ita: WithShards requires the ITA algorithm, got %s", c.algorithm)
 		}
 		if c.algorithm == NaivePlain {
 			return core.NewNaive(c.policy, core.WithKmax(func(k int) int { return k })), nil
 		}
 		return core.NewNaive(c.policy), nil
+	}
+	if c.shards == 0 {
+		c.shards = runtime.GOMAXPROCS(0) // resolved here so snapshots record it
 	}
 	opts := []core.ITAOption{core.WithShards(c.shards)}
 	if c.disableRollup {

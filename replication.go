@@ -480,9 +480,6 @@ func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
 	}
 	sf, err := w.hooks.createFile(wal.SegmentPath(w.dir, seq))
 	if err != nil {
-		if c, ok := ne.inner.(interface{ Close() error }); ok {
-			c.Close()
-		}
 		return fmt.Errorf("ita: create segment: %w", err)
 	}
 	wal.SyncDir(w.dir)
@@ -505,11 +502,8 @@ func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
 // adoptLocked grafts a freshly restored engine's state into e, keeping
 // e's identity: its mutex, its watch subscriptions, its published-view
 // sequence and the delivery queue keep flowing across the swap. The old
-// inner engine and log are closed. Must be called with e.mu held.
+// log is closed. Must be called with e.mu held.
 func (e *Engine) adoptLocked(ne *Engine) {
-	if c, ok := e.inner.(interface{ Close() error }); ok {
-		c.Close()
-	}
 	if e.wal != nil && e.wal.log != nil {
 		e.wal.log.Close()
 	}

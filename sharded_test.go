@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -24,13 +25,17 @@ func feedTexts(n int) []string {
 	return out
 }
 
-// TestWithShardsMatchesSingleThreaded drives the sharded facade engine
-// and the default single-threaded one through an identical text stream
-// and requires identical results for every query at every step.
+// TestWithShardsMatchesSingleThreaded drives a four-shard engine, the
+// default engine (one shard per CPU) and a single-threaded one through
+// an identical text stream and requires identical results for every
+// query at every step and identical Stats. The stream ends with batches
+// over a few hundred queries, enough maintenance work per epoch that
+// the sharded engines run their shards on separate goroutines.
 func TestWithShardsMatchesSingleThreaded(t *testing.T) {
-	single := newEngine(t, WithCountWindow(12))
+	single := newEngine(t, WithCountWindow(12), WithShards(1))
 	sharded := newEngine(t, WithCountWindow(12), WithShards(4))
-	defer sharded.Close()
+	auto := newEngine(t, WithCountWindow(12))
+	others := []*Engine{sharded, auto}
 
 	if got := sharded.Algorithm(); got != IncrementalThreshold {
 		t.Fatalf("Algorithm() = %v, want IncrementalThreshold", got)
@@ -38,39 +43,105 @@ func TestWithShardsMatchesSingleThreaded(t *testing.T) {
 	if got := shardCount(sharded); got != 4 {
 		t.Fatalf("shard count %d, want 4", got)
 	}
-
-	queries := []string{"crude oil", "tanker export market", "refinery barrel price", "oil price"}
-	for _, q := range queries {
-		id1, err := single.Register(q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id2, err := sharded.Register(q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if id1 != id2 {
-			t.Fatalf("query ids diverge: %d vs %d", id1, id2)
-		}
+	if got, want := shardCount(auto), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default shard count %d, want GOMAXPROCS = %d", got, want)
 	}
-	for i, text := range feedTexts(80) {
-		ts := at(i * 10)
-		if _, err := single.IngestText(text, ts); err != nil {
+
+	register := func(q string) {
+		want, err := single.Register(q, 3)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sharded.IngestText(text, ts); err != nil {
-			t.Fatal(err)
-		}
-		for qid := QueryID(1); qid <= 4; qid++ {
-			want := single.Results(qid)
-			got := sharded.Results(qid)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d query %d:\nsharded %v\nsingle  %v", i, qid, got, want)
+		for _, e := range others {
+			id, err := e.Register(q, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id != want {
+				t.Fatalf("query ids diverge: %d vs %d", id, want)
 			}
 		}
 	}
-	if single.Stats() != sharded.Stats() {
-		t.Fatalf("stats diverge:\nsharded %+v\nsingle  %+v", sharded.Stats(), single.Stats())
+	compare := func(step string) {
+		for _, e := range others {
+			for qid := QueryID(1); qid <= QueryID(single.Queries()); qid++ {
+				want := single.Results(qid)
+				got := e.Results(qid)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s query %d with %d shards:\ngot    %v\nsingle %v", step, qid, shardCount(e), got, want)
+				}
+			}
+		}
+	}
+	for _, q := range []string{"crude oil", "tanker export market", "refinery barrel price", "oil price"} {
+		register(q)
+	}
+	texts := feedTexts(200)
+	for i, text := range texts[:80] {
+		ts := at(i * 10)
+		for _, e := range append(others, single) {
+			if _, err := e.IngestText(text, ts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compare(fmt.Sprintf("step %d", i))
+	}
+
+	words := []string{"oil", "crude", "market", "price", "export", "tanker", "refinery", "barrel", "report"}
+	for i := 0; i < 250; i++ {
+		register(fmt.Sprintf("%s %s %s", words[i%9], words[(i/9)%9], words[(i/3+4)%9]))
+	}
+	for b := 80; b < len(texts); b += 12 {
+		items := make([]TimedText, 0, 12)
+		for i := b; i < min(b+12, len(texts)); i++ {
+			items = append(items, TimedText{Text: texts[i], At: at(i * 10)})
+		}
+		for _, e := range append(others, single) {
+			if _, err := e.IngestBatch(items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		compare(fmt.Sprintf("batch at %d", b))
+	}
+	for _, e := range others {
+		if single.Stats() != e.Stats() {
+			t.Fatalf("stats diverge at %d shards:\ngot    %+v\nsingle %+v", shardCount(e), e.Stats(), single.Stats())
+		}
+	}
+}
+
+// TestDroppedEngineLeaksNoGoroutines: an engine without a WAL or
+// replication holds no goroutine between calls — sharded maintenance
+// joins before each epoch returns — so dropping one without Close,
+// after epochs large enough to fan out, leaves the goroutine count
+// where it started.
+func TestDroppedEngineLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, opts := range [][]Option{nil, {WithShards(4)}} {
+		e := newEngine(t, append(opts, WithCountWindow(16))...)
+		for i := 0; i < 300; i++ {
+			if _, err := e.Register(fmt.Sprintf("oil report %d", i%7), 3); err != nil {
+				t.Fatal(err)
+			}
+		}
+		texts := feedTexts(64)
+		for b := 0; b < len(texts); b += 16 {
+			items := make([]TimedText, 16)
+			for i := range items {
+				items[i] = TimedText{Text: texts[b+i], At: at((b + i) * 10)}
+			}
+			if _, err := e.IngestBatch(items); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A joined goroutine may still be unwinding when its epoch returns.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after dropping the engines, %d before", after, before)
 	}
 }
 
@@ -188,6 +259,29 @@ func TestWithShardsValidation(t *testing.T) {
 	}
 	if _, err := New(WithCountWindow(5), WithShards(2), WithAlgorithm(NaiveKmax)); err == nil {
 		t.Fatal("WithShards + NaiveKmax accepted")
+	}
+	if _, err := New(WithCountWindow(5), WithAlgorithm(NaivePlain), WithShards(3)); err == nil {
+		t.Fatal("NaivePlain + WithShards(3) accepted")
+	}
+	// The default shard count is resolved only for ITA, so every Naïve
+	// engine builds without WithShards, and WithShards(1) means serial.
+	for _, a := range []Algorithm{NaiveKmax, NaivePlain} {
+		for _, opts := range [][]Option{nil, {WithShards(1)}} {
+			n, err := New(append(opts, WithCountWindow(5), WithAlgorithm(a))...)
+			if err != nil {
+				t.Fatalf("%v with %d shard options: %v", a, len(opts), err)
+			}
+			if n.Algorithm() != a {
+				t.Fatalf("Algorithm() = %v, want %v", n.Algorithm(), a)
+			}
+		}
+	}
+	def, err := New(WithCountWindow(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := shardCount(def), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("default ITA has %d shards, want GOMAXPROCS = %d", got, want)
 	}
 	// Explicit ITA + shards is ITA with a shard count.
 	e, err := New(WithCountWindow(5), WithAlgorithm(IncrementalThreshold), WithShards(2))
