@@ -33,7 +33,7 @@ const (
 )
 
 type benchEnv struct {
-	eng    core.Engine
+	eng    core.ServingEngine
 	pool   []*model.Document
 	clock  time.Time
 	nextID model.DocID
@@ -42,14 +42,14 @@ type benchEnv struct {
 // newBenchEnv builds an engine at steady state: a pre-generated
 // composition pool (document generation stays outside the measured
 // loop), a warmed window, and benchQueries registered queries.
-func newBenchEnv(b *testing.B, build func(window.Policy) core.Engine, pol window.Policy, queryLen, warm int, weighter vsm.Weighter) *benchEnv {
+func newBenchEnv(b *testing.B, build func(window.Policy) core.ServingEngine, pol window.Policy, queryLen, warm int, weighter vsm.Weighter) *benchEnv {
 	b.Helper()
 	return newBenchEnvQ(b, build, pol, queryLen, warm, weighter, benchQueries)
 }
 
 // newBenchEnvQ is newBenchEnv with an explicit query count, for the
 // many-query throughput benchmarks.
-func newBenchEnvQ(b *testing.B, build func(window.Policy) core.Engine, pol window.Policy, queryLen, warm int, weighter vsm.Weighter, numQueries int) *benchEnv {
+func newBenchEnvQ(b *testing.B, build func(window.Policy) core.ServingEngine, pol window.Policy, queryLen, warm int, weighter vsm.Weighter, numQueries int) *benchEnv {
 	b.Helper()
 	cfg := corpus.WSJConfig()
 	cfg.DictSize = benchDict
@@ -113,10 +113,6 @@ func runSteadyState(b *testing.B, env *benchEnv) {
 // time/event.
 func runSteadyStateEpochs(b *testing.B, env *benchEnv, epoch int) {
 	b.Helper()
-	ep, ok := env.eng.(core.EpochProcessor)
-	if !ok {
-		b.Fatalf("%T does not implement core.EpochProcessor", env.eng)
-	}
 	docs := make([]*model.Document, epoch)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -128,22 +124,22 @@ func runSteadyStateEpochs(b *testing.B, env *benchEnv, epoch int) {
 		for i := 0; i < n; i++ {
 			docs[i] = env.nextDoc()
 		}
-		if err := ep.ProcessEpoch(docs[:n]); err != nil {
+		if err := env.eng.ProcessEpoch(docs[:n]); err != nil {
 			b.Fatal(err)
 		}
 		done += n
 	}
 }
 
-func itaBuild(pol window.Policy) core.Engine   { return core.NewITA(pol) }
-func naiveBuild(pol window.Policy) core.Engine { return core.NewNaive(pol) }
+func itaBuild(pol window.Policy) core.ServingEngine   { return core.NewITA(pol) }
+func naiveBuild(pol window.Policy) core.ServingEngine { return core.NewNaive(pol) }
 
 // BenchmarkFig3a — processing time vs query length (paper Figure 3(a)):
 // N=1000, n ∈ {4, 10, 20, 40}.
 func BenchmarkFig3a(b *testing.B) {
 	for _, engine := range []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{{"Naive", naiveBuild}, {"ITA", itaBuild}} {
 		for _, n := range []int{4, 10, 20, 40} {
 			b.Run(fmt.Sprintf("%s/n=%d", engine.name, n), func(b *testing.B) {
@@ -160,7 +156,7 @@ func BenchmarkFig3a(b *testing.B) {
 func BenchmarkFig3b(b *testing.B) {
 	for _, engine := range []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{{"Naive", naiveBuild}, {"ITA", itaBuild}} {
 		for _, n := range []int{10, 100, 1000, 10000} {
 			b.Run(fmt.Sprintf("%s/N=%d", engine.name, n), func(b *testing.B) {
@@ -178,7 +174,7 @@ func BenchmarkFig3aTimeWindow(b *testing.B) {
 	span := 5 * time.Second // 1000 docs × 5ms
 	for _, engine := range []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{{"Naive", naiveBuild}, {"ITA", itaBuild}} {
 		b.Run(engine.name+"/n=10", func(b *testing.B) {
 			env := newBenchEnv(b, engine.build, window.Span{D: span}, 10, 1000, vsm.Cosine{})
@@ -193,9 +189,9 @@ func BenchmarkFig3aTimeWindow(b *testing.B) {
 func BenchmarkHeadline(b *testing.B) {
 	engines := []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{
-		{"NaivePlain", func(pol window.Policy) core.Engine {
+		{"NaivePlain", func(pol window.Policy) core.ServingEngine {
 			return core.NewNaive(pol, core.WithKmax(func(k int) int { return k }))
 		}},
 		{"NaiveKmax", naiveBuild},
@@ -214,9 +210,9 @@ func BenchmarkHeadline(b *testing.B) {
 func BenchmarkAblationProbeOrder(b *testing.B) {
 	engines := []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{
-		{"RoundRobin", func(pol window.Policy) core.Engine {
+		{"RoundRobin", func(pol window.Policy) core.ServingEngine {
 			return core.NewITA(pol, core.WithRoundRobinProbe())
 		}},
 		{"Greedy", itaBuild},
@@ -234,9 +230,9 @@ func BenchmarkAblationProbeOrder(b *testing.B) {
 func BenchmarkAblationRollup(b *testing.B) {
 	engines := []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{
-		{"Disabled", func(pol window.Policy) core.Engine {
+		{"Disabled", func(pol window.Policy) core.ServingEngine {
 			return core.NewITA(pol, core.WithoutRollup())
 		}},
 		{"Enabled", itaBuild},
@@ -254,7 +250,7 @@ func BenchmarkAblationKmax(b *testing.B) {
 	for _, factor := range []int{1, 2, 4} {
 		factor := factor
 		b.Run(fmt.Sprintf("kmax=%dk", factor), func(b *testing.B) {
-			build := func(pol window.Policy) core.Engine {
+			build := func(pol window.Policy) core.ServingEngine {
 				return core.NewNaive(pol, core.WithKmax(func(k int) int { return factor * k }))
 			}
 			env := newBenchEnv(b, build, window.Count{N: 1000}, 10, 1000, vsm.Cosine{})
@@ -274,12 +270,12 @@ func BenchmarkShardedThroughput(b *testing.B) {
 	const nq = 10000
 	engines := []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{
 		{"Single", itaBuild},
-		{"Shards=2", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(2)) }},
-		{"Shards=4", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(4)) }},
-		{"Shards=8", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(8)) }},
+		{"Shards=2", func(pol window.Policy) core.ServingEngine { return core.NewITA(pol, core.WithShards(2)) }},
+		{"Shards=4", func(pol window.Policy) core.ServingEngine { return core.NewITA(pol, core.WithShards(4)) }},
+		{"Shards=8", func(pol window.Policy) core.ServingEngine { return core.NewITA(pol, core.WithShards(8)) }},
 	}
 	for _, engine := range engines {
 		b.Run(engine.name, func(b *testing.B) {
@@ -303,10 +299,10 @@ func BenchmarkBatchedThroughput(b *testing.B) {
 	const nq = 10000
 	engines := []struct {
 		name  string
-		build func(window.Policy) core.Engine
+		build func(window.Policy) core.ServingEngine
 	}{
 		{"Single", itaBuild},
-		{"Shards=4", func(pol window.Policy) core.Engine { return core.NewITA(pol, core.WithShards(4)) }},
+		{"Shards=4", func(pol window.Policy) core.ServingEngine { return core.NewITA(pol, core.WithShards(4)) }},
 	}
 	for _, engine := range engines {
 		for _, epoch := range []int{1, 8, 64, 256} {

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// resultsLocked replicates the pre-published-view read path: copy the
-// inner engine's result under the engine lock. The equivalence suites
+// resultsLocked is the test-only reference read: copy the inner
+// engine's live result under the engine lock. The equivalence suites
 // compare it byte-for-byte against the wait-free Results to prove the
-// published views never diverge from what the locked path would serve.
+// published views never diverge from the engine's own state.
 func (e *Engine) resultsLocked(id QueryID) []Match {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -19,15 +19,28 @@ func (e *Engine) resultsLocked(id QueryID) []Match {
 	if !ok {
 		return nil
 	}
-	return e.matchesLocked(docs)
+	out := make([]Match, len(docs))
+	for i, d := range docs {
+		out[i] = Match{Doc: d.Doc, Score: d.Score}
+		if e.texts != nil {
+			out[i].Text = e.texts.get(d.Doc)
+		}
+	}
+	return out
 }
 
 // TestReadsAcquireNoEngineLock is the direct proof that the read path
-// never touches e.mu: the test holds the engine lock and the reads must
-// still complete. Before the published views, every one of these calls
-// deadlocked here.
+// never touches e.mu, for every algorithm: the test holds the engine
+// lock and the reads must still complete. Before the published views,
+// every one of these calls deadlocked here.
 func TestReadsAcquireNoEngineLock(t *testing.T) {
-	e := newEngine(t, WithCountWindow(8), WithTextRetention())
+	for _, a := range []Algorithm{IncrementalThreshold, NaiveKmax, NaivePlain} {
+		t.Run(a.String(), func(t *testing.T) { testReadsAcquireNoEngineLock(t, a) })
+	}
+}
+
+func testReadsAcquireNoEngineLock(t *testing.T, a Algorithm) {
+	e := newEngine(t, WithCountWindow(8), WithTextRetention(), WithAlgorithm(a))
 	q, err := e.Register("solar turbine", 2)
 	if err != nil {
 		t.Fatal(err)

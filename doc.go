@@ -102,12 +102,12 @@
 //
 // # Published views and read consistency
 //
-// For the ITA engine, at any shard count, Results,
-// ResultsAll, Stats, WindowLen, Queries, DictionarySize and QueryText
-// never acquire the engine lock. At every publication boundary — an
-// epoch flush (every ingest when unbatched), Register, Unregister,
-// Advance, and restore — the engine publishes an immutable view of each
-// changed query's top-k (a frozen copy-on-publish snapshot), a
+// For every algorithm, at any shard count, Results, ResultsAll, Stats,
+// WindowLen, Queries, DictionarySize and QueryText never acquire the
+// engine lock. At every publication boundary — an epoch flush (every
+// ingest when unbatched), Register, Unregister, Advance, and restore —
+// the engine publishes an immutable view of each changed query's top-k
+// (a frozen copy-on-publish snapshot), a
 // copy-on-write snapshot of the retained texts, and frozen operation
 // counters; the facade swaps one atomic pointer. A read loads that
 // pointer and copies off-lock, so serving throughput is independent of
@@ -129,9 +129,6 @@
 //   - ResultsAll enumerates queries weakly consistently: when racing a
 //     flush, two entries may come from adjacent boundaries, but each
 //     entry individually is a real boundary state.
-//
-// The Naïve baseline engines have no published views and read under the
-// engine lock.
 //
 // # Watching result changes
 //

@@ -541,10 +541,10 @@ func (e *Engine) writeCheckpointLocked(seq uint64) error {
 // the latter would make the recovered engine maintain its floors on a
 // different schedule than the engine that wrote the log. A negative
 // shard count (an Open caller that passed no WithShards) keeps the
-// recorded one.
+// recorded one; WithShards(0) applies one shard per CPU over it.
 func (c *config) runtimeOptions() []Option {
 	var opts []Option
-	if c.shards > 0 {
+	if c.shards >= 0 {
 		opts = append(opts, WithShards(c.shards))
 	}
 	if c.scanTrees {

@@ -54,7 +54,7 @@ var (
 type Engine struct {
 	mu        sync.Mutex
 	cfg       config
-	inner     core.Engine
+	inner     core.ServingEngine
 	pipeline  *textproc.Pipeline
 	nextDoc   model.DocID
 	nextQuery model.QueryID
@@ -90,9 +90,8 @@ type Engine struct {
 	// pub is the wait-free read path: an immutable publishedState swapped
 	// at every publication boundary (epoch flush, Register, Unregister,
 	// Advance, Restore). Results, ResultsAll, Stats, WindowLen, Queries
-	// and DictionarySize read it without ever acquiring mu. It stays nil
-	// for engines whose inner algorithm has no published views (the Naïve
-	// baselines), which fall back to the locked path.
+	// and DictionarySize read it without ever acquiring mu. New stores
+	// the first one before the engine escapes, so it is never nil.
 	pub atomic.Pointer[publishedState]
 
 	// Epoch buffer (WithBatchSize > 1): analyzed documents awaiting the
@@ -174,14 +173,9 @@ type publishedState struct {
 // then the facade swaps its single published-state pointer. Must be
 // called with e.mu held (except during construction/restore, before the
 // engine escapes), after mutations and only at a boundary — never with
-// a partial epoch applied. A no-op for inner engines without published
-// views.
+// a partial epoch applied.
 func (e *Engine) publishLocked() {
-	pub, ok := e.inner.(core.ViewPublisher)
-	if !ok {
-		return
-	}
-	reader := pub.PublishViews()
+	reader := e.inner.PublishViews()
 	var tv *textView
 	if e.texts != nil {
 		tv = e.texts.snapshot()
@@ -314,18 +308,8 @@ func (e *Engine) flushLocked() error {
 	}
 	docs, texts := e.pending, e.pendingText
 	e.pending, e.pendingText = e.pending[:0], e.pendingText[:0]
-	// The ITA engines take the epoch whole; the Naïve baselines keep an
-	// event loop.
-	if ep, ok := e.inner.(core.EpochProcessor); ok {
-		if err := ep.ProcessEpoch(docs); err != nil {
-			return err
-		}
-	} else {
-		for _, doc := range docs {
-			if err := e.inner.Process(doc); err != nil {
-				return err
-			}
-		}
+	if err := e.inner.ProcessEpoch(docs); err != nil {
+		return err
 	}
 	if e.texts != nil {
 		for i, doc := range docs {
@@ -740,50 +724,32 @@ func (e *Engine) unregisterLocked(id QueryID) bool {
 // results reflect flushed epochs only — at most batchSize-1 documents
 // behind the last IngestText; call Flush first for read-your-writes.
 //
-// For the ITA engines (single-threaded and sharded) the read is
-// wait-free: it loads the published epoch-boundary view and copies it
-// without acquiring the engine lock, so result serving never contends
-// with the ingest pipeline. The returned slice is the caller's to keep.
-// See "Published views" in the package documentation for the
-// consistency model. The Naïve baselines read under the engine lock.
+// The read is wait-free for every algorithm: it loads the published
+// epoch-boundary view and copies it without acquiring the engine lock,
+// so result serving never contends with the ingest pipeline. The
+// returned slice is the caller's to keep. See "Published views" in the
+// package documentation for the consistency model.
 func (e *Engine) Results(id QueryID) []Match {
-	if ps := e.pub.Load(); ps != nil {
-		f, ok := ps.reader.Result(id)
-		if !ok {
-			return nil
-		}
-		return e.matchesPublished(ps, f)
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	docs, ok := e.inner.Result(id)
+	ps := e.pub.Load()
+	f, ok := ps.reader.Result(id)
 	if !ok {
 		return nil
 	}
-	return e.matchesLocked(docs)
+	return e.matches(ps, f)
 }
 
 // ResultsAll returns the current top-k of every registered query, in
-// ascending query id. Like Results it is wait-free for the ITA engines;
-// the enumeration is weakly consistent across queries — each query's
-// entry is a real epoch-boundary result at least as fresh as the last
-// boundary completed before the call, but two entries may come from
-// adjacent boundaries when the call races a flush.
+// ascending query id. Like Results it is wait-free; the enumeration is
+// weakly consistent across queries — each query's entry is a real
+// epoch-boundary result at least as fresh as the last boundary
+// completed before the call, but two entries may come from adjacent
+// boundaries when the call races a flush.
 func (e *Engine) ResultsAll() []QueryResult {
 	var out []QueryResult
-	if ps := e.pub.Load(); ps != nil {
-		ps.reader.Each(func(id model.QueryID, f *topk.Frozen) {
-			out = append(out, QueryResult{Query: id, Matches: e.matchesPublished(ps, f)})
-		})
-	} else {
-		e.mu.Lock()
-		e.inner.EachQuery(func(q *model.Query) {
-			if docs, ok := e.inner.Result(q.ID); ok {
-				out = append(out, QueryResult{Query: q.ID, Matches: e.matchesLocked(docs)})
-			}
-		})
-		e.mu.Unlock()
-	}
+	ps := e.pub.Load()
+	ps.reader.Each(func(id model.QueryID, f *topk.Frozen) {
+		out = append(out, QueryResult{Query: id, Matches: e.matches(ps, f)})
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Query < out[j].Query })
 	return out
 }
@@ -799,7 +765,7 @@ func (e *Engine) ResultsAll() []QueryResult {
 // few instructions between a slot swap and the state swap can still
 // transiently resolve that document's text to "". Scores and membership
 // are never affected.
-func (e *Engine) matchesPublished(ps *publishedState, f *topk.Frozen) []Match {
+func (e *Engine) matches(ps *publishedState, f *topk.Frozen) []Match {
 	out := make([]Match, len(f.Docs))
 	var fresh *publishedState
 	for i, d := range f.Docs {
@@ -821,21 +787,6 @@ func (e *Engine) matchesPublished(ps *publishedState, f *topk.Frozen) []Match {
 	return out
 }
 
-// matchesLocked is the locked-path equivalent of publishedState.matches
-// for inner engines without published views. Must be called with e.mu
-// held.
-func (e *Engine) matchesLocked(docs []model.ScoredDoc) []Match {
-	out := make([]Match, 0, len(docs))
-	for _, d := range docs {
-		m := Match{Doc: d.Doc, Score: d.Score}
-		if e.texts != nil {
-			m.Text = e.texts.get(d.Doc)
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
 // QueryText returns the original text a query was registered with. It
 // never acquires the engine lock.
 func (e *Engine) QueryText(id QueryID) (string, bool) {
@@ -848,35 +799,14 @@ func (e *Engine) QueryText(id QueryID) (string, bool) {
 
 // WindowLen returns the number of currently valid documents in flushed
 // epochs (buffered documents are not yet part of the window).
-func (e *Engine) WindowLen() int {
-	if ps := e.pub.Load(); ps != nil {
-		return ps.window
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inner.WindowLen()
-}
+func (e *Engine) WindowLen() int { return e.pub.Load().window }
 
 // Queries returns the number of registered queries.
-func (e *Engine) Queries() int {
-	if ps := e.pub.Load(); ps != nil {
-		return ps.queries
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.inner.Queries()
-}
+func (e *Engine) Queries() int { return e.pub.Load().queries }
 
 // Stats returns a snapshot of the engine's operation counters, as of
 // the last publication boundary.
-func (e *Engine) Stats() Stats {
-	if ps := e.pub.Load(); ps != nil {
-		return ps.stats
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return *e.inner.Stats()
-}
+func (e *Engine) Stats() Stats { return e.pub.Load().stats }
 
 // Algorithm returns the engine's maintenance algorithm.
 func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
@@ -885,28 +815,18 @@ func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
 // heap footprint (inverted index, threshold trees, query state,
 // published views). Unlike Stats it is computed on demand by walking
 // structure sizes, so it takes the engine lock; it is a diagnostics
-// gauge (the itaserver /stats endpoint), not a hot-path read. Engines
-// without per-component accounting (the Naïve baselines) report zero.
+// gauge (the itaserver /stats endpoint), not a hot-path read. The
+// Naïve baselines have no per-component accounting and report zero.
 func (e *Engine) MemoryUsage() Memory {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if mr, ok := e.inner.(core.MemoryReporter); ok {
-		return mr.MemoryUsage()
-	}
-	return Memory{}
+	return e.inner.MemoryUsage()
 }
 
 // DictionarySize returns the number of distinct terms interned as of
 // the last publication boundary (terms of buffered, unflushed documents
 // are counted once their epoch flushes).
-func (e *Engine) DictionarySize() int {
-	if ps := e.pub.Load(); ps != nil {
-		return ps.dict
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.pipeline.Dictionary().Size()
-}
+func (e *Engine) DictionarySize() int { return e.pub.Load().dict }
 
 // textRing mirrors the window policy for retained document texts, with
 // a copy-on-write twist so published views can read it wait-free: the
@@ -975,7 +895,7 @@ func (r *textRing) expire(now time.Time) {
 }
 
 // get is the writer-side lookup, for code already holding the engine
-// lock (snapshots, watch diffs, the Naïve fallback path).
+// lock (snapshots, watch diffs).
 func (r *textRing) get(id model.DocID) string {
 	return (&textView{items: r.order[r.head:]}).get(id)
 }

@@ -98,15 +98,24 @@ type Engine interface {
 	Stats() *Stats
 }
 
-// EpochProcessor is implemented by engines (ITA) that can process a batch of arrivals — plus every expiration the
-// window policy derives from it — as a single epoch: index mutations
-// are staged in one pass, and per-query maintenance runs once per
-// affected query with the batch's net effect. Per-query results at the
-// epoch boundary are identical to a Process loop over the same
-// documents; intermediate per-event states are never materialized, and
-// operation counters reflect the amortized work actually performed.
-type EpochProcessor interface {
+// ServingEngine is an Engine the ita facade serves: it processes a
+// batch of arrivals as one epoch, publishes wait-free per-query views,
+// and accounts its heap footprint. ITA and Naive implement it; the
+// Oracle is a plain Engine.
+type ServingEngine interface {
+	Engine
+	// ProcessEpoch handles a batch of arrivals — plus every expiration
+	// the window policy derives from it — as one epoch. Per-query
+	// results at the epoch boundary are identical to a Process loop
+	// over the same documents.
 	ProcessEpoch(docs []*model.Document) error
+	// PublishViews makes every result change since the previous call
+	// visible to readers and returns the engine's read handle. It must
+	// be called from the engine's single writer, at a boundary (never
+	// mid-epoch).
+	PublishViews() ViewReader
+	// MemoryUsage estimates the engine's heap footprint per component.
+	MemoryUsage() Memory
 }
 
 // Stats counts the primitive operations that dominate each algorithm's
@@ -164,12 +173,6 @@ func (m *Memory) Merge(o Memory) {
 	m.ViewBytes += o.ViewBytes
 	m.PostingBytes += o.PostingBytes
 	m.Postings += o.Postings
-}
-
-// MemoryReporter is implemented by engines that can account their heap
-// footprint per component (ITA).
-type MemoryReporter interface {
-	MemoryUsage() Memory
 }
 
 // Add accumulates o into s field-wise. ITA keeps one Stats block per

@@ -162,7 +162,7 @@ func (e *ITA) Stats() *Stats {
 	return &e.merged
 }
 
-// MemoryUsage implements MemoryReporter: the coordinator-owned index
+// MemoryUsage implements ServingEngine: the coordinator-owned index
 // plus every shard's per-query structures.
 func (e *ITA) MemoryUsage() Memory {
 	var mem Memory
@@ -209,7 +209,7 @@ func (v *mergedViews) Each(fn func(id model.QueryID, top *topk.Frozen)) {
 	}
 }
 
-// PublishViews implements ViewPublisher: every query whose result
+// PublishViews implements ServingEngine: every query whose result
 // changed since the previous call gets its frozen epoch-boundary
 // snapshot swapped into the published slot. Like all of Engine, it must
 // be called from the single writer — and only at a boundary, with no
@@ -253,7 +253,7 @@ func (e *ITA) Process(d *model.Document) error {
 	return e.ProcessEpoch([]*model.Document{d})
 }
 
-// ProcessEpoch implements EpochProcessor: the whole batch of arrivals,
+// ProcessEpoch implements ServingEngine: the whole batch of arrivals,
 // and every expiration the window policy derives from it, is applied as
 // one epoch. The index absorbs the net mutations in a single ApplyBatch
 // pass, then every shard runs one net-effect pass over its affected

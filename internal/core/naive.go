@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ita/internal/invindex"
@@ -26,6 +27,26 @@ type Naive struct {
 	queries map[model.QueryID]*naiveState
 	kmaxFn  func(k int) int
 	stats   Stats
+	views   naiveViews
+}
+
+// naiveViews is Naive's wait-free read handle: one immutable map of
+// every query's frozen top-k per publication boundary, swapped whole.
+type naiveViews struct {
+	cur atomic.Pointer[map[model.QueryID]*topk.Frozen]
+}
+
+// Result implements ViewReader.
+func (v *naiveViews) Result(id model.QueryID) (*topk.Frozen, bool) {
+	f, ok := (*v.cur.Load())[id]
+	return f, ok
+}
+
+// Each implements ViewReader.
+func (v *naiveViews) Each(fn func(id model.QueryID, top *topk.Frozen)) {
+	for id, f := range *v.cur.Load() {
+		fn(id, f)
+	}
 }
 
 type naiveState struct {
@@ -58,6 +79,7 @@ func NewNaive(policy window.Policy, opts ...NaiveOption) *Naive {
 	for _, o := range opts {
 		o(e)
 	}
+	e.views.cur.Store(&map[model.QueryID]*topk.Frozen{})
 	return e
 }
 
@@ -143,6 +165,35 @@ func (e *Naive) Process(d *model.Document) error {
 	e.expireWhile(d.Arrival)
 	return nil
 }
+
+// ProcessEpoch implements ServingEngine as a Process loop: Naïve has no
+// per-epoch amortization to offer.
+func (e *Naive) ProcessEpoch(docs []*model.Document) error {
+	for _, d := range docs {
+		if err := e.Process(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PublishViews implements ServingEngine: every query's view is frozen
+// into a fresh map, published with one atomic store. Freeze returns the
+// cached snapshot of a view no event touched since the last call, and
+// every arrival already visits every query, so this adds one map entry
+// per query to an epoch.
+func (e *Naive) PublishViews() ViewReader {
+	m := make(map[model.QueryID]*topk.Frozen, len(e.queries))
+	for id, st := range e.queries {
+		m[id] = st.view.Freeze(st.q.K)
+	}
+	e.views.cur.Store(&m)
+	return &e.views
+}
+
+// MemoryUsage implements ServingEngine. Naïve has no per-component
+// accounting and reports zero.
+func (e *Naive) MemoryUsage() Memory { return Memory{} }
 
 // ExpireUntil implements Engine.
 func (e *Naive) ExpireUntil(now time.Time) { e.expireWhile(now) }

@@ -32,14 +32,13 @@ import (
 //
 // Consistency model: each published snapshot is exactly the query's
 // top-k at some publication boundary; states internal to an epoch are
-// never published. A reader therefore always observes, per query, a
-// result the locked read path would have returned at that boundary —
-// byte-identical, because the snapshot is frozen from the same
-// ResultSet the locked path reads. Different queries observed by one
-// reader may come from adjacent boundaries (publication swaps slots
-// one at a time), but every individual query's view is a real boundary
-// state at least as fresh as the last boundary completed before the
-// read began.
+// never published. A reader therefore always observes, per query, the
+// result Result would have returned at that boundary — byte-identical,
+// because the snapshot is frozen from the same ResultSet Result reads.
+// Different queries observed by one reader may come from adjacent
+// boundaries (publication swaps slots one at a time), but every
+// individual query's view is a real boundary state at least as fresh
+// as the last boundary completed before the read began.
 
 // viewSlab is one slab of publication slots, parallel to the
 // maintainer's state slabs.
@@ -149,14 +148,4 @@ type ViewReader interface {
 	Result(id model.QueryID) (*topk.Frozen, bool)
 	// Each enumerates every published query (weakly consistent).
 	Each(fn func(id model.QueryID, top *topk.Frozen))
-}
-
-// ViewPublisher is implemented by engines (ITA) whose per-query results can be read wait-free through published
-// views. PublishViews makes every result change since the previous
-// call visible to readers and returns the engine's read handle; it
-// must be called from the engine's single writer, at a boundary (never
-// mid-epoch). Engines without it (the Naïve baselines) are read
-// through the locked path.
-type ViewPublisher interface {
-	PublishViews() ViewReader
 }

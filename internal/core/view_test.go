@@ -19,12 +19,32 @@ func viewDoc(id model.DocID, term model.TermID, w float64, ms int) *model.Docume
 	return d
 }
 
-// TestPublishedViewsTrackBoundaries drives an ITA engine and checks the
+// servingEngines are the constructors of every ServingEngine; the
+// view tests run against each.
+var servingEngines = []struct {
+	name string
+	new  func(window.Policy) ServingEngine
+}{
+	{"ita", func(p window.Policy) ServingEngine { return NewITA(p) }},
+	{"naive", func(p window.Policy) ServingEngine { return NewNaive(p) }},
+	{"naive-plain", func(p window.Policy) ServingEngine {
+		return NewNaive(p, WithKmax(func(k int) int { return k }))
+	}},
+}
+
+// TestPublishedViewsTrackBoundaries drives each engine and checks the
 // published read path: unpublished maintenance is invisible, PublishViews
 // exposes exactly the boundary state byte-identical to Result, and
-// unregistration removes the slot.
+// unregistration removes the query at the next boundary.
 func TestPublishedViewsTrackBoundaries(t *testing.T) {
-	e := NewITA(window.Count{N: 10})
+	for _, c := range servingEngines {
+		t.Run(c.name, func(t *testing.T) { testPublishedViewsTrackBoundaries(t, c.new) })
+	}
+}
+
+func testPublishedViewsTrackBoundaries(t *testing.T, build func(window.Policy) ServingEngine) {
+	e := build(window.Count{N: 10})
+	reader := e.PublishViews()
 	q, err := model.NewQuery(7, 2, []model.QueryTerm{{Term: 1, Weight: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -33,12 +53,12 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Before any publication the query is registered but invisible to
-	// readers.
-	if _, ok := e.shards[0].m.Views().Result(7); ok {
-		t.Fatal("unpublished query visible through Views")
+	// Until the next publication the query is registered but invisible
+	// to readers.
+	if _, ok := reader.Result(7); ok {
+		t.Fatal("unpublished query visible through the reader")
 	}
-	reader := e.PublishViews()
+	e.PublishViews()
 	f, ok := reader.Result(7)
 	if !ok || len(f.Docs) != 0 {
 		t.Fatalf("published empty result = %v, %v", f, ok)
@@ -54,9 +74,9 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 	}
 	e.PublishViews()
 	f, _ = reader.Result(7)
-	locked, _ := e.Result(7)
-	if !reflect.DeepEqual(f.Docs, locked) {
-		t.Fatalf("published %v, locked path %v", f.Docs, locked)
+	want, _ := e.Result(7)
+	if !reflect.DeepEqual(f.Docs, want) {
+		t.Fatalf("published %v, Result %v", f.Docs, want)
 	}
 	if len(f.Docs) != 1 || f.Docs[0].Doc != 1 {
 		t.Fatalf("published boundary = %v", f.Docs)
@@ -80,6 +100,7 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 	if !e.Unregister(7) {
 		t.Fatal("Unregister failed")
 	}
+	e.PublishViews()
 	if _, ok := reader.Result(7); ok {
 		t.Fatal("unregistered query still visible")
 	}
@@ -87,9 +108,15 @@ func TestPublishedViewsTrackBoundaries(t *testing.T) {
 
 // TestPublishedViewsEpochPath checks that the epoch pipeline marks every
 // touched query dirty: after ProcessEpoch + PublishViews the reader
-// matches the locked result for all affected queries.
+// matches Result for all affected queries.
 func TestPublishedViewsEpochPath(t *testing.T) {
-	e := NewITA(window.Count{N: 4})
+	for _, c := range servingEngines {
+		t.Run(c.name, func(t *testing.T) { testPublishedViewsEpochPath(t, c.new) })
+	}
+}
+
+func testPublishedViewsEpochPath(t *testing.T, build func(window.Policy) ServingEngine) {
+	e := build(window.Count{N: 4})
 	for _, q := range []struct {
 		id   model.QueryID
 		term model.TermID
@@ -120,9 +147,9 @@ func TestPublishedViewsEpochPath(t *testing.T) {
 		if !ok {
 			t.Fatalf("query %d unpublished after epoch", id)
 		}
-		locked, _ := e.Result(id)
-		if !reflect.DeepEqual(f.Docs, locked) {
-			t.Fatalf("query %d: published %v, locked %v", id, f.Docs, locked)
+		want, _ := e.Result(id)
+		if !reflect.DeepEqual(f.Docs, want) {
+			t.Fatalf("query %d: published %v, Result %v", id, f.Docs, want)
 		}
 	}
 }

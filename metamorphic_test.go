@@ -25,8 +25,9 @@ import (
 //
 // comparing every live query at every common boundary under the
 // epoch-pipeline guarantee (sameTopK), and additionally asserting that
-// each engine's wait-free published read is byte-identical to its own
-// locked read path. The generator also emits crash/reopen and
+// each engine's wait-free published read is byte-identical to a
+// test-only read of its live result under the engine lock
+// (resultsLocked). The generator also emits crash/reopen and
 // checkpoint ops: a grid engine is dropped mid-stream (worker
 // goroutines stopped, nothing flushed) and recovered from its log, and
 // the recovered engine must be byte-identical to the crashed one —
@@ -340,7 +341,7 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 				t.Fatalf("op %d: scan-all-trees vs serial, query %d: %v vs %v", step, id, got, want)
 			}
 			// The wait-free published read must be byte-identical to the
-			// same engine's locked read at the boundary.
+			// same engine's live result read under the lock at the boundary.
 			for _, g := range grid {
 				pub, locked := g.e.Results(id), g.e.resultsLocked(id)
 				if !reflect.DeepEqual(pub, locked) {

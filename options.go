@@ -62,7 +62,7 @@ type config struct {
 	scanTrees     bool // scan-all probe trees (equivalence testing)
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
-	shards        int // ITA query shards; 0 = unset until build resolves GOMAXPROCS (WithShards(0) resolves at once)
+	shards        int // ITA query shards; 0 = one per CPU, resolved by build
 	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
 
 	// Durability (see durable.go). walAttach marks a config built by the
@@ -142,14 +142,12 @@ func WithAlgorithm(a Algorithm) Option {
 // goroutines joined before the epoch returns, so an engine holds no
 // goroutine between calls. The count is a runtime setting: Open and
 // OpenFollower apply it over the count a checkpoint recorded. Combining
-// a count above 1 with a Naïve algorithm is an error.
+// a count above 1 with a Naïve algorithm is an error; 0, like the
+// default, leaves a Naïve engine unsharded.
 func WithShards(n int) Option {
 	return func(c *config) error {
 		if n < 0 {
 			return fmt.Errorf("ita: shard count must be >= 0, got %d", n)
-		}
-		if n == 0 {
-			n = runtime.GOMAXPROCS(0)
 		}
 		c.shards = n
 		return nil
@@ -363,7 +361,7 @@ func withFloorMargins(target, raise int) Option {
 	}
 }
 
-func (c *config) build() (core.Engine, error) {
+func (c *config) build() (core.ServingEngine, error) {
 	if c.algorithm != IncrementalThreshold {
 		if c.shards > 1 {
 			return nil, fmt.Errorf("ita: WithShards requires the ITA algorithm, got %s", c.algorithm)

@@ -252,7 +252,9 @@ func TestIngestBatch(t *testing.T) {
 }
 
 // TestWithShardsValidation covers the option's interaction with
-// explicit algorithm choices.
+// explicit algorithm choices and with a checkpoint's recorded count.
+// WithShards(0) must mean the same on every machine, so CI runs it at
+// several -cpu counts.
 func TestWithShardsValidation(t *testing.T) {
 	if _, err := New(WithCountWindow(5), WithShards(-1)); err == nil {
 		t.Fatal("WithShards(-1) accepted")
@@ -263,10 +265,11 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := New(WithCountWindow(5), WithAlgorithm(NaivePlain), WithShards(3)); err == nil {
 		t.Fatal("NaivePlain + WithShards(3) accepted")
 	}
-	// The default shard count is resolved only for ITA, so every Naïve
-	// engine builds without WithShards, and WithShards(1) means serial.
+	// The per-CPU count (the default, or WithShards(0)) is resolved only
+	// for ITA, so every Naïve engine builds with it, and WithShards(1)
+	// means serial.
 	for _, a := range []Algorithm{NaiveKmax, NaivePlain} {
-		for _, opts := range [][]Option{nil, {WithShards(1)}} {
+		for _, opts := range [][]Option{nil, {WithShards(0)}, {WithShards(1)}} {
 			n, err := New(append(opts, WithCountWindow(5), WithAlgorithm(a))...)
 			if err != nil {
 				t.Fatalf("%v with %d shard options: %v", a, len(opts), err)
@@ -306,6 +309,25 @@ func TestWithShardsValidation(t *testing.T) {
 	if alias.Algorithm() != IncrementalThreshold || shardCount(alias) != shardCount(auto) {
 		t.Fatalf("deprecated alias: Algorithm() = %v with %d shards, want ita with %d",
 			alias.Algorithm(), shardCount(alias), shardCount(auto))
+	}
+	// Open with WithShards(0) applies one shard per CPU over the count a
+	// checkpoint recorded.
+	dir := t.TempDir()
+	d, err := Open(dir, WithCountWindow(5), WithShards(runtime.GOMAXPROCS(0)+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	d.crashForTest()
+	r, err := Open(dir, WithShards(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, want := shardCount(r), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("Open(WithShards(0)) over a checkpoint has %d shards, want GOMAXPROCS = %d", got, want)
 	}
 	// Close is idempotent and safe on unsharded engines too.
 	plain := newEngine(t, WithCountWindow(5))

@@ -186,19 +186,15 @@ type pendingDelta struct {
 }
 
 // boundaryResultLocked reads a query's result at the just-published
-// boundary. For publishing engines it borrows the frozen view directly
-// — no copy, since both the published slice and ws.last are immutable —
-// and for the Naïve fallback it copies from the inner engine. Must be
-// called with e.mu held, after publishLocked.
+// boundary. It borrows the frozen view directly — no copy, since both
+// the published slice and ws.last are immutable. Must be called with
+// e.mu held, after publishLocked.
 func (e *Engine) boundaryResultLocked(id QueryID) ([]model.ScoredDoc, bool) {
-	if ps := e.pub.Load(); ps != nil {
-		f, ok := ps.reader.Result(id)
-		if !ok {
-			return nil, false
-		}
-		return f.Docs, true
+	f, ok := e.pub.Load().reader.Result(id)
+	if !ok {
+		return nil, false
 	}
-	return e.inner.Result(id)
+	return f.Docs, true
 }
 
 // queueDeltasLocked appends one epoch's deltas to the delivery queue.
