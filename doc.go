@@ -307,7 +307,7 @@
 // Each tree is one sorted slice (16 bytes per entry, binary-search
 // updates, a contiguous prefix probe), and each query's result list R
 // is two parallel sorted slices (32 bytes per document) that release
-// their backing arrays once a refill's surplus drains away. Query
+// their backing arrays once a tie-swollen R drains away. Query
 // populations per term are Zipfian, but the head stays small: with
 // query terms drawn from the corpus Zipf (bench workload hot-terms)
 // only 14 of 3 365 trees exceed 128 entries and the largest holds

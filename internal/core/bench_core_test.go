@@ -129,6 +129,68 @@ func BenchmarkITARegister(b *testing.B) {
 	}
 }
 
+// BenchmarkITARegisterHot measures the initial top-k search when the
+// scan goes deep: documents of ~180 postings over a Zipf-distributed
+// vocabulary, and queries of 4 terms drawn from the same Zipf, so
+// query terms are popular and their lists run through most of the
+// window. BenchmarkITARegister's uniform 2 000-term vocabulary keeps
+// lists too short to show the per-read cost.
+func BenchmarkITARegisterHot(b *testing.B) {
+	const (
+		windowN = 2000
+		vocab   = 20000
+		terms   = 180
+	)
+	rng := rand.New(rand.NewSource(6))
+	zipf := rand.NewZipf(rng, 1.1, 1, vocab-1)
+	e := NewITA(window.Count{N: windowN})
+	for i := 0; i < windowN; i++ {
+		seen := map[model.TermID]bool{}
+		var ps []model.Posting
+		for len(ps) < terms {
+			t := model.TermID(zipf.Uint64())
+			if seen[t] {
+				continue
+			}
+			seen[t] = true
+			ps = append(ps, model.Posting{Term: t, Weight: float64(rng.Intn(1000)+1) / 1000})
+		}
+		d, err := model.NewDocument(model.DocID(i+1), time.Unix(0, int64(i)), ps)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Process(d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		seen := map[model.TermID]bool{}
+		var qts []model.QueryTerm
+		for len(qts) < 4 {
+			t := model.TermID(zipf.Uint64())
+			if seen[t] {
+				continue
+			}
+			seen[t] = true
+			qts = append(qts, model.QueryTerm{Term: t, Weight: 0.5})
+		}
+		q, err := model.NewQuery(model.QueryID(i+1), 10, qts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := e.Register(q); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		e.Unregister(q.ID)
+		b.StartTimer()
+	}
+}
+
 // BenchmarkNaiveRescan measures one full-window recomputation.
 func BenchmarkNaiveRescan(b *testing.B) {
 	for _, n := range []int{1000, 10000} {

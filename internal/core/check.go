@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ita/internal/model"
 )
 
 // CheckInvariants verifies the floor invariants (see floor.go) for every
-// owned query, plus structural consistency between the probe trees and
+// owned query, that every R member's admit list names its query (see
+// recordAdmit), plus structural consistency between the probe trees and
 // the per-query floor state of this maintainer.
 func (m *Maintainer) CheckInvariants() error {
 	// Structural: every term's registered bound must be finite,
@@ -80,8 +82,10 @@ func (m *Maintainer) checkQuery(qs *queryState) error {
 	k := qs.q.K
 
 	// R soundness: every member is valid, carries its exact score, sits
-	// at or above the floor, and beats at least one probe bound
-	// (otherwise its expiration could never evict it).
+	// at or above the floor, beats at least one probe bound, and is
+	// named by its admit list (the expiry walk reaches R holders only
+	// through those lists; without either, its expiration could never
+	// evict it).
 	var rErr error
 	qs.r.Each(func(doc model.DocID, score float64) {
 		if rErr != nil {
@@ -109,6 +113,10 @@ func (m *Maintainer) checkQuery(qs *queryState) error {
 		}
 		if !reachable {
 			rErr = fmt.Errorf("R: query %d doc %d beats no probe bound (floor %g)", qid, doc, qs.f)
+			return
+		}
+		if !slices.Contains(m.holders[doc], qs.id) {
+			rErr = fmt.Errorf("R: query %d holds doc %d, whose admit list %v does not name it", qid, doc, m.holders[doc])
 		}
 	})
 	if rErr != nil {

@@ -129,7 +129,7 @@ type Stats struct {
 	ProbeHits    uint64 // threshold-tree probe results (query, event) pairs
 	SearchReads  uint64 // inverted-list entries consumed by search/refill
 	RollupSteps  uint64 // threshold lift operations
-	RollupDrops  uint64 // documents dropped from R by roll-up
+	RollupDrops  uint64 // documents dropped below a raised or rebuilt floor
 	Refills      uint64 // incremental refills triggered by expirations
 	TreeUpdates  uint64 // threshold tree insert/delete operations
 	IndexInserts uint64 // impact entries inserted

@@ -67,7 +67,16 @@ type Maintainer struct {
 	stamp   uint64
 	estamp  uint64
 	touched []*queryState
-	iterBuf []invindex.Iterator
+
+	// Rebuild scratch (see rebuild): one cursor per query term, the
+	// bounded heap of the best target scores, and the documents the scan
+	// scored, which join R only if they survive its floor. cands is
+	// released like the epoch scratch (see reuse), since one deep scan
+	// would otherwise pin its high-water capacity.
+	iterBuf  []invindex.Iterator
+	topBuf   topScores
+	cands    []model.ScoredDoc
+	candsLow int
 
 	// Per-document scoring scratch: the current document's postings as a
 	// stamp-marked dense array keyed by TermID (term ids are interned
@@ -496,9 +505,12 @@ func (m *Maintainer) HandleArrival(d *model.Document) { m.HandleEpoch([]*model.D
 
 // recordAdmit appends a query's dense id to a document's admit list.
 // Every path that adds a document to some R must record the admit, so
-// the expiry walk finds every holder without probing the trees.
-// Entries are never removed before the document expires: a query that
-// later drops the document (purgeBelow after a floor raise), dies
+// the expiry walk finds every holder without probing the trees
+// (CheckInvariants verifies that each R member's list names its
+// query). A rebuild admits only the candidates that survive its floor,
+// so its scan leaves no entry behind. Entries are never removed before
+// the document expires: a query that later drops the document
+// (purgeBelow after a floor raise or a rebuild's new floor), dies
 // (Unregister, possibly with slot reuse), or re-admits it (a refill
 // after a purge) leaves a stale or duplicate entry behind. The expiry
 // walk tolerates all three — r.Remove reports false for a non-member
@@ -660,32 +672,35 @@ func (m *Maintainer) beginEpochSkip(arrived []*model.Document) {
 // shrinkScratch bounds the retained capacity of the epoch and touched
 // scratch buffers. One unusually large epoch (a burst, a catch-up
 // replay) would otherwise pin its high-water capacity — including every
-// inner adds/dels backing array — for the maintainer's lifetime. After
-// shrinkAfter consecutive epochs that used less than a quarter of the
-// retained capacity, the buffers are reallocated to the recent working
-// size.
+// inner adds/dels backing array — for the maintainer's lifetime.
 func (m *Maintainer) shrinkScratch(used int) {
+	old := cap(m.epochQueue)
+	m.epochQueue = reuse(m.epochQueue, used, &m.epochLow)
+	if c := cap(m.epochQueue); c < old && cap(m.touched) > c {
+		m.touched = make([]*queryState, 0, c)
+	}
+}
+
+// reuse returns buf emptied for its next use, which needed used
+// elements this time. After shrinkAfter consecutive uses of less than a
+// quarter of its capacity, it returns a fresh buffer of twice the
+// recent working size instead, so one burst does not pin its high-water
+// capacity for good; low counts those uses.
+func reuse[T any](buf []T, used int, low *int) []T {
 	const (
 		minCap      = 256
 		shrinkAfter = 16
 	)
-	if cap(m.epochQueue) <= minCap || used*4 > cap(m.epochQueue) {
-		m.epochLow = 0
-		return
+	if cap(buf) <= minCap || used*4 > cap(buf) {
+		*low = 0
+		return buf[:0]
 	}
-	m.epochLow++
-	if m.epochLow < shrinkAfter {
-		return
+	*low++
+	if *low < shrinkAfter {
+		return buf[:0]
 	}
-	m.epochLow = 0
-	newCap := used * 2
-	if newCap < minCap {
-		newCap = minCap
-	}
-	m.epochQueue = make([]epochWork, 0, newCap)
-	if cap(m.touched) > newCap {
-		m.touched = make([]*queryState, 0, newCap)
-	}
+	*low = 0
+	return make([]T, 0, max(used*2, minCap))
 }
 
 // epochFor returns the epoch work entry for qs, creating it on first

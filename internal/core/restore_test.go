@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -89,5 +90,75 @@ func TestRestoreWindowMatchesPerDocumentInserts(t *testing.T) {
 	}
 	if postings != docs*terms {
 		t.Fatalf("%d postings restored, want %d", postings, docs*terms)
+	}
+}
+
+// TestRestoredQueriesKeepInvariants exports every query of a running
+// engine, restores the window and the query states into a fresh engine,
+// and requires the restored engine to pass CheckInvariants — admit-list
+// coverage included: RestoreQuery must rebuild each R member's admit
+// list, or that member's expiry would never evict it — and then to
+// track the original exactly through further arrivals and expirations.
+func TestRestoredQueriesKeepInvariants(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		opts := []ITAOption{WithShards(2), WithFloorMargins(1, 1)}
+		g := newStreamGen(seed, 10)
+		live := NewITA(window.Count{N: 30}, opts...)
+		for i := 0; i < 40; i++ {
+			if err := live.Process(g.doc(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for id := model.QueryID(1); id <= 12; id++ {
+			if err := live.Register(g.query(t, id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 25; i++ {
+			if err := live.Process(g.doc(t)); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		restored := NewITA(window.Count{N: 30}, opts...)
+		var docs []*model.Document
+		live.EachDoc(func(d *model.Document) { docs = append(docs, d) })
+		if err := restored.RestoreWindow(docs); err != nil {
+			t.Fatal(err)
+		}
+		var queries []*model.Query
+		live.EachQuery(func(q *model.Query) { queries = append(queries, q) })
+		for _, q := range queries {
+			st, _ := live.ExportQueryState(q.ID)
+			if err := restored.RestoreQueryState(q, st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		restored.SetStats(*live.Stats())
+		if err := restored.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: restored engine: %v", seed, err)
+		}
+
+		for i := 0; i < 40; i++ {
+			d := g.doc(t)
+			for _, e := range []*ITA{live, restored} {
+				if err := e.Process(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := restored.CheckInvariants(); err != nil {
+				t.Fatalf("seed %d doc %d: restored engine: %v", seed, d.ID, err)
+			}
+			for _, q := range queries {
+				want, _ := live.Result(q.ID)
+				got, _ := restored.Result(q.ID)
+				if !slices.Equal(got, want) {
+					t.Fatalf("seed %d doc %d query %d: restored %v, live %v", seed, d.ID, q.ID, got, want)
+				}
+			}
+		}
+		if got, want := *restored.Stats(), *live.Stats(); got != want {
+			t.Fatalf("seed %d: restored stats %+v, live %+v", seed, got, want)
+		}
 	}
 }

@@ -11,25 +11,41 @@ import (
 // with fewer than k members. It consumes inverted-list entries from the
 // heads downwards — greedily from the list with the highest w_{Q,t}·c_t,
 // where c_t is the impact of the next unread entry — scoring each newly
-// encountered document into R (documents already in R are skipped: their
-// stored scores are exact, so the surviving high region of R is never
-// re-scored), until either
+// encountered document (R's members are skipped: their stored scores
+// are exact, so the surviving high region of R is never re-scored),
+// until either
 //
-//   - R holds at least k+tgtMargin documents and τ = Σ w_{Q,t}·c_t has
-//     dropped to at most the (k+tgtMargin)-th score (every unseen
-//     document provably scores below it), or
+//   - R and the scored documents number at least target = k+tgtMargin
+//     and τ = Σ w_{Q,t}·c_t has dropped to at most the target-th best
+//     score among them (every unseen document provably scores below
+//     it), or
 //   - every list is exhausted (each matching document has been seen).
 //
-// On return the floor is the (k+tgtMargin)-th best score when R is that
-// large — unseen documents score at most τ ≤ that value, so
-// completeness holds — and zero otherwise (the window holds fewer
-// matches than the target, and R holds all of them). Members below the
-// new floor are purged; the per-term probe bounds follow the floor.
+// The scan costs O(entries read × log target), not O(entries read ×
+// |R|):
+//
+//   - The target-th best score is the root of a bounded min-heap
+//     (topScores), seeded with R's members and fed every new score.
+//   - Scored documents go into a maintainer-owned candidate scratch,
+//     not into R.
+//   - Deduplication needs no set. A document is read once from each
+//     list holding it, and list j's cursor only moves down, so a
+//     document read from list i was already consumed iff, for another
+//     query term j, its entry lies before list j's cursor or list j is
+//     exhausted.
+//
+// After the scan the floor F is the target-th best score when there are
+// that many — unseen documents score at most τ ≤ F, so completeness
+// holds — and zero otherwise (the window holds fewer matches than the
+// target, and all of them have been seen). The per-term probe bounds
+// follow the floor, R's members below it are purged, and only the
+// candidates scoring ≥ F (ties included) join R and their admit lists;
+// the rest count as RollupDrops, like the purged members.
 func (m *Maintainer) rebuild(qs *queryState) {
 	target := qs.q.K + m.tgtMargin
 	n := len(qs.terms)
-	// Reuse the maintainer's iterator scratch: rebuilds run at most once
-	// per affected query per epoch, and rebuild is never reentered.
+	// Reuse the maintainer's scratch: rebuilds run at most once per
+	// affected query per epoch, and rebuild is never reentered.
 	if cap(m.iterBuf) < n {
 		m.iterBuf = make([]invindex.Iterator, n)
 	}
@@ -41,6 +57,12 @@ func (m *Maintainer) rebuild(qs *queryState) {
 			iters[i] = invindex.Iterator{}
 		}
 	}
+	top := &m.topBuf
+	top.reset(target)
+	for i := 1; i <= min(target, qs.r.Len()); i++ {
+		top.push(qs.r.Kth(i))
+	}
+	cands := m.cands[:0]
 	rr := 0 // round-robin cursor for the ablation probe order
 	for {
 		// τ over the current cursor positions; exhausted lists
@@ -56,7 +78,7 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		if !live {
 			break
 		}
-		if qs.r.Len() >= target && tau <= qs.r.Kth(target) {
+		if top.full() && tau <= top.kth() {
 			break
 		}
 		best := -1
@@ -83,18 +105,104 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		key := iters[best].Key()
 		iters[best].Next()
 		m.stats.SearchReads++
-		if !qs.r.Contains(key.Doc) {
-			if d, ok := m.index.Get(key.Doc); ok {
-				m.stats.ScoreComputations++
-				qs.r.Add(key.Doc, model.Score(qs.q, d))
-				m.recordAdmit(key.Doc, qs.id)
-			}
+		if qs.r.Contains(key.Doc) {
+			continue
 		}
+		d, ok := m.index.Get(key.Doc)
+		if !ok || consumedElsewhere(qs.terms, iters, best, d) {
+			continue
+		}
+		m.stats.ScoreComputations++
+		s := model.Score(qs.q, d)
+		cands = append(cands, model.ScoredDoc{Doc: d.ID, Score: s})
+		top.push(s)
 	}
 	newF := 0.0
-	if qs.r.Len() >= target {
-		newF = qs.r.Kth(target)
+	if top.full() {
+		newF = top.kth()
 	}
 	m.setFloor(qs, newF)
 	m.purgeBelow(qs)
+	for _, c := range cands {
+		if c.Score >= newF {
+			qs.r.Add(c.Doc, c.Score)
+			m.recordAdmit(c.Doc, qs.id)
+		} else {
+			m.stats.RollupDrops++
+		}
+	}
+	m.cands = reuse(cands, len(cands), &m.candsLow)
+}
+
+// consumedElsewhere reports whether document d, just read from list i
+// of a rebuild's scan, was read earlier in the same scan from the list
+// of another query term j: d holds t_j, and its entry {w_{d,t_j}, d}
+// lies before list j's cursor, or list j is exhausted.
+func consumedElsewhere(terms []termState, iters []invindex.Iterator, i int, d *model.Document) bool {
+	for j := range iters {
+		if j == i {
+			continue
+		}
+		w, ok := d.Weight(terms[j].term)
+		if !ok {
+			continue
+		}
+		if !iters[j].Valid() || invindex.Before(invindex.EntryKey{W: w, Doc: d.ID}, iters[j].Key()) {
+			return true
+		}
+	}
+	return false
+}
+
+// topScores is a bounded min-heap of the best n scores pushed since the
+// last reset: once it holds n of them, its root is the n-th best.
+type topScores struct {
+	h []float64
+	n int
+}
+
+func (t *topScores) reset(n int) {
+	t.h = t.h[:0]
+	t.n = n
+}
+
+// full reports whether n scores have been pushed.
+func (t *topScores) full() bool { return len(t.h) == t.n }
+
+// kth returns the n-th best score pushed; the heap must be full.
+func (t *topScores) kth() float64 { return t.h[0] }
+
+// push offers score s: it joins the heap while the heap is not full,
+// and afterwards replaces the root when it beats it.
+func (t *topScores) push(s float64) {
+	if len(t.h) < t.n {
+		t.h = append(t.h, s)
+		for i := len(t.h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if t.h[p] <= t.h[i] {
+				break
+			}
+			t.h[p], t.h[i] = t.h[i], t.h[p]
+			i = p
+		}
+		return
+	}
+	if s <= t.h[0] {
+		return
+	}
+	t.h[0] = s
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(t.h) {
+			return
+		}
+		if c+1 < len(t.h) && t.h[c+1] < t.h[c] {
+			c++
+		}
+		if t.h[i] <= t.h[c] {
+			return
+		}
+		t.h[i], t.h[c] = t.h[c], t.h[i]
+		i = c
+	}
 }

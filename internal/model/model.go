@@ -92,14 +92,41 @@ func sortByTerm[T any](s []T, term func(T) TermID) {
 }
 
 // Weight returns the impact weight of term t in the document, or
-// (0, false) when the document does not contain t. It binary-searches
-// the composition list, so it costs O(log len(Postings)).
+// (0, false) when the document does not contain t. It gallops through
+// the composition list (see seek), so it costs O(log i) for the i-th
+// posting.
 func (d *Document) Weight(t TermID) (float64, bool) {
-	i := sort.Search(len(d.Postings), func(i int) bool { return d.Postings[i].Term >= t })
-	if i < len(d.Postings) && d.Postings[i].Term == t {
+	if i := seek(d.Postings, t); i < len(d.Postings) && d.Postings[i].Term == t {
 		return d.Postings[i].Weight, true
 	}
 	return 0, false
+}
+
+// seek returns the index of the first posting in ps at or past term t,
+// len(ps) when there is none. It gallops: the step from ps[0] doubles
+// until it passes t, then a binary search runs inside the last step, so
+// finding the i-th posting costs O(log i) — cheap near the front, and
+// never worse than twice a plain binary search.
+func seek(ps []Posting, t TermID) int {
+	if len(ps) == 0 || ps[0].Term >= t {
+		return 0
+	}
+	// ps[lo].Term < t throughout; the answer lies in (lo, hi].
+	lo, step := 0, 1
+	for lo+step < len(ps) && ps[lo+step].Term < t {
+		lo += step
+		step *= 2
+	}
+	hi := min(lo+step, len(ps))
+	for lo++; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if ps[mid].Term < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // Terms returns the number of distinct terms in the document.
@@ -153,23 +180,31 @@ func (q *Query) Weight(t TermID) (float64, bool) {
 	return 0, false
 }
 
-// Score computes S(d|Q) = Σ_{t∈Q} w_{Q,t}·w_{d,t} by merge-joining the
-// two term-sorted lists. It is the single definition of similarity used
-// by every engine, the oracle and the tests.
+// Score computes S(d|Q) = Σ_{t∈Q} w_{Q,t}·w_{d,t}. It is the single
+// definition of similarity used by every engine, the oracle and the
+// tests.
+//
+// A query holds a handful of terms and a document hundreds of postings,
+// so Score walks the query's terms in ascending order and gallops (see
+// seek) through the postings past the previous match for each one,
+// instead of stepping over every posting. The shared terms are still
+// summed in ascending term order, the order a merge-join of the two
+// lists visits them, so the result is bit-identical to one.
 func Score(q *Query, d *Document) float64 {
 	var s float64
-	i, j := 0, 0
-	for i < len(q.Terms) && j < len(d.Postings) {
-		qt, dp := q.Terms[i], d.Postings[j]
-		switch {
-		case qt.Term == dp.Term:
-			s += qt.Weight * dp.Weight
-			i++
-			j++
-		case qt.Term < dp.Term:
-			i++
-		default:
-			j++
+	ps := d.Postings
+	for _, qt := range q.Terms {
+		if len(ps) == 0 {
+			break
+		}
+		if ps[0].Term < qt.Term {
+			if ps = ps[seek(ps, qt.Term):]; len(ps) == 0 {
+				break
+			}
+		}
+		if ps[0].Term == qt.Term {
+			s += qt.Weight * ps[0].Weight
+			ps = ps[1:]
 		}
 	}
 	return s

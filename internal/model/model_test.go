@@ -135,8 +135,8 @@ func TestScoreDisjointTermsIsZero(t *testing.T) {
 	}
 }
 
-// TestScoreAgainstBruteForce cross-checks the merge-join Score against a
-// quadratic reference on randomized term sets.
+// TestScoreAgainstBruteForce cross-checks Score against a quadratic
+// reference on randomized term sets.
 func TestScoreAgainstBruteForce(t *testing.T) {
 	f := func(qterms, dterms []uint8) bool {
 		qm := map[TermID]float64{}

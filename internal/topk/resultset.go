@@ -6,10 +6,11 @@
 // R is two parallel sorted slices — (score desc, doc asc) result order
 // and doc order — at 32 bytes per document with zero per-entry
 // allocation; an update is a binary search plus one memmove in each. At
-// engine scale the typical R holds tens of documents (k plus the
-// unverified fringe the threshold search consumed). A refill can grow R
-// to hundreds or thousands before the floor raise shrinks it again, so
-// Remove releases a backing array once it is mostly empty (see shrink).
+// engine scale R holds tens of documents: k plus the floor margins,
+// since a rebuild admits only the documents that reach its new floor
+// and a floor raise trims arrivals back to it. Only ties can hold more
+// (a raise cannot pass a score its target-th member shares), so Remove
+// still releases a backing array once it is mostly empty (see shrink).
 package topk
 
 import "ita/internal/model"
@@ -164,8 +165,8 @@ func (r *ResultSet) Remove(doc model.DocID) bool {
 }
 
 // shrink reallocates both slices at twice their length once they use
-// under a quarter of their capacity. A refill can grow R to thousands
-// of documents that the next floor raise drops again; without this the
+// under a quarter of their capacity. Ties at the floor can grow R far
+// past its margins before expirations drain it again; without this the
 // high-water backing arrays would stay pinned for the query's lifetime.
 // Reallocating at 2·len leaves room to grow back to 2·len and shrink to
 // len/2 before either happens again, so a steady-size R never thrashes.
