@@ -342,14 +342,14 @@ func BenchmarkAblationScorer(b *testing.B) {
 // path. "idle" measures the pure read: one atomic load of the published
 // state plus one caller-owned copy of the frozen view — no engine lock,
 // no allocation under any lock. "under-ingest" runs the same read while
-// a writer goroutine saturates the write path with epoch ingestion;
+// a writer goroutine saturates the write path with 64-document epochs;
 // before the published views this configuration collapsed, since every
 // Results call queued behind the ingest mutex. The benchmark's
 // read_p50_us metric measures the same read end to end.
 func BenchmarkPublishedReads(b *testing.B) {
 	for _, mode := range []string{"idle", "under-ingest"} {
 		b.Run(mode, func(b *testing.B) {
-			eng, err := ita.New(ita.WithCountWindow(1000), ita.WithBatchSize(64))
+			eng, err := ita.New(ita.WithCountWindow(1000))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -378,15 +378,19 @@ func BenchmarkPublishedReads(b *testing.B) {
 				go func() {
 					defer wg.Done()
 					clock := start.Add(time.Second)
-					for i := 0; ; i++ {
+					batch := make([]ita.TimedText, 64)
+					for {
 						select {
 						case <-stop:
 							return
 						default:
 						}
-						_, text := feed.Mixed()
-						clock = clock.Add(time.Millisecond)
-						if _, err := eng.IngestText(text, clock); err != nil {
+						for j := range batch {
+							_, text := feed.Mixed()
+							clock = clock.Add(time.Millisecond)
+							batch[j] = ita.TimedText{Text: text, At: clock}
+						}
+						if _, err := eng.IngestBatch(batch); err != nil {
 							b.Error(err)
 							return
 						}

@@ -14,8 +14,8 @@ import (
 // ordinary itaserver; these additional routes are what a cluster
 // router needs beyond the public API: registrations with explicit ids,
 // dictionary alignment for queries owned elsewhere, batch ingest and
-// clock advances with the router's shared timestamps, explicit
-// flushes, and the status gauges the router checks for agreement.
+// clock advances with the router's shared timestamps, and the status
+// gauges the router checks for agreement.
 
 type clusterRegisterRequest struct {
 	ID   uint64 `json:"id"`
@@ -100,14 +100,6 @@ func (s *server) clusterAdvance(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 }
 
-func (s *server) clusterFlush(w http.ResponseWriter, _ *http.Request) {
-	if err := s.eng.Flush(); err != nil {
-		httpError(w, err, http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-}
-
 func (s *server) clusterStatus(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, cluster.Status{
 		NextQuery: s.eng.NextQueryID(),
@@ -132,7 +124,6 @@ func addClusterRoutes(mux *http.ServeMux, s *server) {
 	mux.HandleFunc("/cluster/align", post(s.clusterAlign))
 	mux.HandleFunc("/cluster/ingest", post(s.clusterIngest))
 	mux.HandleFunc("/cluster/advance", post(s.clusterAdvance))
-	mux.HandleFunc("/cluster/flush", post(s.clusterFlush))
 	mux.HandleFunc("/cluster/status", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -189,17 +180,6 @@ func newRouterMux(s *routerServer) *http.ServeMux {
 	mux.HandleFunc("/stats", s.stats)
 	mux.HandleFunc("/healthz", s.healthz)
 	mux.HandleFunc("/readyz", s.readyz)
-	mux.HandleFunc("/flush", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-			return
-		}
-		if err := s.router.Flush(); err != nil {
-			httpError(w, err, http.StatusInternalServerError)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
-	})
 	return mux
 }
 

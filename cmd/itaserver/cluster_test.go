@@ -43,10 +43,10 @@ func newRouterTestServer(t *testing.T, k int, opts ...ita.Option) (*httptest.Ser
 
 // TestClusterNodeEndpoints exercises the node-side /cluster routes
 // through the HTTPNode client: explicit-id registration, alignment,
-// pinned-timestamp ingest, batch, advance, flush, status and reads all
+// pinned-timestamp ingest, batch, advance, status and reads all
 // round-trip against the engine's direct answers.
 func TestClusterNodeEndpoints(t *testing.T) {
-	s, ts := newTestServer(t, ita.WithBatchSize(2))
+	s, ts := newTestServer(t)
 	n := cluster.NewHTTPNode(ts.URL, nil)
 
 	if err := n.RegisterWithID(1, "crude oil production", 3); err != nil {
@@ -81,9 +81,6 @@ func TestClusterNodeEndpoints(t *testing.T) {
 		t.Fatalf("batch ids = %v after doc %d", ids, doc)
 	}
 	if err := n.Advance(at(30)); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.Flush(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +127,7 @@ func TestClusterNodeEndpoints(t *testing.T) {
 // to ita.ErrReadOnly through the HTTP transport, so a router treats a
 // misplaced follower exactly like a local read-only engine.
 func TestHTTPNodeFollowerReadOnly(t *testing.T) {
-	primary, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, 1)
+	primary, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestHTTPNodeFollowerReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	standby, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, 1, raddr.String())
+	standby, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, raddr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,11 +20,12 @@
 // read throughput is unaffected by stream volume and every response is a
 // consistent epoch-boundary result.
 //
-// With -batch n, ingested documents coalesce into epochs of n that are
-// processed in one amortized pass (a background -flush interval bounds
-// how long a partial epoch can keep results stale). With -demo, a
-// built-in newswire feed publishes articles at -rate documents per
-// second so the server is immediately interesting:
+// Concurrent POST /documents requests commit as one epoch (one
+// amortized maintenance pass and one log fsync for the group), and each
+// request answers only once its document is in every result it
+// belongs to. With -demo, a built-in newswire feed publishes articles
+// at -rate documents per second so the server is immediately
+// interesting:
 //
 //	itaserver -demo -rate 20 &
 //	curl -s -X POST localhost:8095/queries -d '{"text":"crude oil production","k":3}'
@@ -219,6 +220,12 @@ func (p publicRoutes) postDocument(w http.ResponseWriter, r *http.Request) {
 		at = time.Unix(0, req.At)
 	}
 	id, err := p.api.IngestText(req.Text, at)
+	// Concurrent requests reach the engine's commit queue in any order,
+	// so a document stamped a moment before another can land behind it;
+	// a fresh stamp is not.
+	for retry := 0; req.At == 0 && retry < 3 && errors.Is(err, ita.ErrTimeRegression); retry++ {
+		id, err = p.api.IngestText(req.Text, time.Now())
+	}
 	if err != nil {
 		httpError(w, err, http.StatusInternalServerError)
 		return
@@ -444,8 +451,6 @@ func main() {
 		demo    = flag.Bool("demo", false, "publish a built-in newswire stream")
 		rate    = flag.Float64("rate", 10, "demo feed rate, documents/second")
 		shards  = flag.Int("shards", 0, "query-maintenance shards: 0 = one per CPU, 1 = single-threaded ITA, n = fixed count")
-		batch   = flag.Int("batch", 1, "epoch batch size: ingested documents coalesce into epochs of this size (1 = process every document immediately)")
-		flushIv = flag.Duration("flush", 50*time.Millisecond, "with -batch > 1: maximum time a partial epoch stays buffered before a background flush")
 		walDir  = flag.String("wal", "", "durability directory: write-ahead log + checkpoints; reopening with the same directory recovers the query set and window after a crash")
 		durab   = flag.String("durability", "epoch", "with -wal: fsync policy, off|epoch|always")
 		ckptN   = flag.Int("checkpoint", 256, "with -wal: checkpoint (and rotate the log) every N epoch boundaries; 0 disables automatic checkpoints")
@@ -500,7 +505,7 @@ func main() {
 		}
 	}
 
-	eng, err := buildEngine(*walDir, *durab, *ckptN, *windowN, *span, *shards, *batch, *follow)
+	eng, err := buildEngine(*walDir, *durab, *ckptN, *windowN, *span, *shards, *follow)
 	if err != nil {
 		log.Fatalf("itaserver: %v", err)
 	}
@@ -519,26 +524,6 @@ func main() {
 		log.Printf("replicating WAL on %s", raddr)
 	}
 	s := &server{eng: eng, readyLag: *readyLg, replicateAddr: *replOn}
-
-	if *batch > 1 && *flushIv > 0 && *follow == "" {
-		// Bound result staleness: a partial epoch flushes after at most
-		// -flush of quiet, so a burst gets epoch amortization while a
-		// trickle still surfaces promptly. A follower's epochs are driven
-		// by the primary's record stream instead.
-		go func() {
-			tick := time.NewTicker(*flushIv)
-			defer tick.Stop()
-			for range tick.C {
-				if err := eng.Flush(); err != nil {
-					if errors.Is(err, ita.ErrClosed) {
-						return
-					}
-					log.Printf("itaserver: flush: %v", err)
-				}
-			}
-		}()
-		log.Printf("epoch batching: B=%d, background flush every %s", *batch, *flushIv)
-	}
 
 	if *demo {
 		go func() {
@@ -602,7 +587,7 @@ func main() {
 // buildEngine assembles the engine from the command-line configuration;
 // with a WAL directory it creates or recovers the durable engine, and
 // with follow set it opens a warm standby of that primary instead.
-func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, shards, batch int, follow ...string) (*ita.Engine, error) {
+func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, shards int, follow ...string) (*ita.Engine, error) {
 	opts := []ita.Option{ita.WithTextRetention()}
 	if span > 0 {
 		opts = append(opts, ita.WithTimeWindow(span))
@@ -612,9 +597,6 @@ func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, s
 	// The shard count is a runtime setting: it applies over whatever
 	// count a recovered checkpoint recorded, on a standby too.
 	opts = append(opts, ita.WithShards(shards))
-	if batch > 1 {
-		opts = append(opts, ita.WithBatchSize(batch))
-	}
 	if walDir == "" {
 		return ita.New(opts...)
 	}
@@ -624,7 +606,7 @@ func buildEngine(walDir, durab string, ckptN, windowN int, span time.Duration, s
 	}
 	opts = append(opts, ita.WithDurability(mode), ita.WithCheckpointEvery(ckptN))
 	if len(follow) > 0 && follow[0] != "" {
-		// A standby's window/batch configuration comes from the primary's
+		// A standby's window configuration comes from the primary's
 		// checkpoint; the remaining options are runtime settings.
 		return ita.OpenFollower(walDir, follow[0],
 			ita.WithShards(shards), ita.WithDurability(mode), ita.WithCheckpointEvery(ckptN))

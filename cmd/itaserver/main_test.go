@@ -2,9 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -276,34 +278,52 @@ func TestServerDefaultK(t *testing.T) {
 	}
 }
 
-// TestServerBatchedIngestion runs the server over an epoch-batched
-// engine (the -batch flag's configuration): documents buffer until an
-// epoch fills or a flush runs, then results catch up.
+// TestServerBatchedIngestion posts documents from concurrent clients,
+// whose requests commit in shared epochs, each stamped by the server
+// clock: every request succeeds, and its document is in the query's
+// results by the time its response arrives.
 func TestServerBatchedIngestion(t *testing.T) {
-	s, ts := newTestServer(t, ita.WithBatchSize(3))
-	resp, body := post(t, ts.URL+"/queries", `{"text":"crude oil","k":5}`)
+	s, ts := newTestServer(t)
+	resp, body := post(t, ts.URL+"/queries", `{"text":"crude oil","k":50}`)
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("POST /queries = %d", resp.StatusCode)
 	}
 	qid := ita.QueryID(body["query"].(float64))
 
-	for i, text := range []string{"crude oil exports rose", "crude oil futures fell"} {
-		resp, _ := post(t, ts.URL+"/documents", `{"text":`+strconvQuote(text)+`}`)
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("POST /documents %d = %d", i, resp.StatusCode)
-		}
+	const clients, docs = 8, 5
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			for i := 0; i < docs; i++ {
+				text := fmt.Sprintf("crude oil report %d from client %d", i, c)
+				resp, err := http.Post(ts.URL+"/documents", "application/json", strings.NewReader(`{"text":`+strconvQuote(text)+`}`))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var out map[string]uint64
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated || err != nil {
+					t.Errorf("client %d: POST /documents = %d (%v)", c, resp.StatusCode, err)
+					return
+				}
+				found := false
+				for _, m := range s.eng.Results(qid) {
+					found = found || uint64(m.Doc) == out["doc"]
+				}
+				if !found {
+					t.Errorf("client %d: doc %d missing from results after its POST returned", c, out["doc"])
+					return
+				}
+			}
+		}(c)
 	}
-	// Two of three epoch slots filled: results still reflect the empty
-	// flushed state.
-	if got := s.eng.Results(qid); len(got) != 0 {
-		t.Fatalf("results before flush = %+v, want none", got)
-	}
-	// The background -flush ticker calls exactly this.
-	if err := s.eng.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.eng.Results(qid); len(got) != 2 {
-		t.Fatalf("results after flush = %+v, want both documents", got)
+	wg.Wait()
+	if got := len(s.eng.Results(qid)); got != clients*docs {
+		t.Fatalf("results hold %d documents, want %d", got, clients*docs)
 	}
 }
 
@@ -317,7 +337,7 @@ func strconvQuote(s string) string {
 // assert the recovered server answers exactly like the crashed one.
 func TestServerWALRecovery(t *testing.T) {
 	dir := t.TempDir()
-	eng, err := buildEngine(dir, "epoch", 64, 100, 0, 1, 1)
+	eng, err := buildEngine(dir, "epoch", 64, 100, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +366,7 @@ func TestServerWALRecovery(t *testing.T) {
 	// outlives an epoch, so abandoning it leaks nothing.)
 	s = nil
 
-	recovered, err := buildEngine(dir, "epoch", 64, 100, 0, 1, 1)
+	recovered, err := buildEngine(dir, "epoch", 64, 100, 0, 1)
 	if err != nil {
 		t.Fatalf("recover: %v", err)
 	}
@@ -430,7 +450,7 @@ func TestServerHealthEndpoints(t *testing.T) {
 // gates it until caught up, and after the primary goes away POST
 // /promote turns it into a serving primary.
 func TestServerFailoverHTTP(t *testing.T) {
-	primary, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, 1)
+	primary, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +460,7 @@ func TestServerFailoverHTTP(t *testing.T) {
 	}
 	_, pts := serveEngine(t, primary, "")
 
-	standby, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, 1, raddr.String())
+	standby, err := buildEngine(t.TempDir(), "off", 64, 100, 0, 1, raddr.String())
 	if err != nil {
 		t.Fatal(err)
 	}

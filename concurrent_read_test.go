@@ -89,7 +89,7 @@ func TestConcurrentReadersSeeEpochBoundaries(t *testing.T) {
 		epochs  = 120
 		readers = 4
 	)
-	e := newEngine(t, WithCountWindow(6), WithShards(2), WithBatchSize(B))
+	e := newEngine(t, WithCountWindow(6), WithShards(2))
 	defer e.Close()
 	queries := []string{"crude oil", "tanker export market", "refinery barrel price"}
 	var qids []QueryID

@@ -34,26 +34,29 @@ func withWALHooks(h *walTestHooks) Option {
 }
 
 // sweepConfigs is the engine grid every fault model runs over: serial,
-// epoch-batched, and sharded+batched.
+// and single-shard and sharded engines whose plain ingests are
+// IngestBatch calls of batch documents.
 var sweepConfigs = []struct {
-	name string
-	opts []Option
+	name  string
+	opts  []Option
+	batch int
 }{
-	{"serial", []Option{WithCountWindow(8)}},
-	{"batched", []Option{WithCountWindow(8), WithBatchSize(4)}},
-	{"sharded_batched", []Option{WithCountWindow(8), WithShards(2), WithBatchSize(4)}},
+	{"serial", []Option{WithCountWindow(8)}, 1},
+	{"batched", []Option{WithCountWindow(8)}, 4},
+	{"sharded_batched", []Option{WithCountWindow(8), WithShards(2)}, 4},
 }
 
-// recordRun drives a deterministic workload through a durable engine
-// and an in-memory reference, returning the reference state after every
-// operation (refStates[i] = state after op i; refStates[0] = initial)
-// and the durable log offset after every operation.
-func recordRun(t *testing.T, durable, ref *Engine, ops int) (refStates []engineState, offsets []int64) {
+// recordRun drives a deterministic workload (plain ingests batch
+// documents wide) through a durable engine and an in-memory reference,
+// returning the reference state after every operation (refStates[i] =
+// state after op i; refStates[0] = initial) and the durable log offset
+// after every operation.
+func recordRun(t *testing.T, durable, ref *Engine, ops, batch int) (refStates []engineState, offsets []int64) {
 	t.Helper()
 	refStates = append(refStates, captureState(ref))
 	offsets = append(offsets, durable.wal.log.Offset())
 	for i := 1; i <= ops; i++ {
-		driveOps(t, i, i+1, durable, ref)
+		driveOpsN(t, batch, i, i+1, durable, ref)
 		refStates = append(refStates, captureState(ref))
 		offsets = append(offsets, durable.wal.log.Offset())
 	}
@@ -65,7 +68,11 @@ func recordRun(t *testing.T, durable, ref *Engine, ops int) (refStates []engineS
 // state of the longest operation prefix on disk — ResultsAll, Stats,
 // Queries, window and id sequences all byte-identical. Acked
 // durability follows: the log offset recorded when operation i returned
-// is <= any N at or past it, so its state is never rolled back.
+// is <= any N at or past it, so its state is never rolled back. Each
+// recovered engine then takes one more operation, crashes and reopens
+// again, and must hold the first recovery's state plus that operation:
+// a cut between a record and its marker must not leave a log the second
+// reopen refuses.
 func TestCrashPointByteSweep(t *testing.T) {
 	for _, tc := range sweepConfigs {
 		tc := tc
@@ -79,7 +86,8 @@ func TestCrashPointByteSweep(t *testing.T) {
 			}
 			ref := newEngine(t, tc.opts...)
 			defer ref.Close()
-			refStates, _ := recordRun(t, durable, ref, 45)
+			const run = 45
+			refStates, _ := recordRun(t, durable, ref, run, tc.batch)
 			durable.crashForTest()
 
 			data, err := os.ReadFile(wal.SegmentPath(dir, 0))
@@ -135,7 +143,17 @@ func TestCrashPointByteSweep(t *testing.T) {
 				}
 				requireSameState(t, captureState(r), refStates[stateAt[n]],
 					fmt.Sprintf("crash point %d (op prefix %d)", n, stateAt[n]))
+				if err := driveOneOp(r, run+1, tc.batch); err != nil {
+					t.Fatalf("crash point %d: operation after recovery: %v", n, err)
+				}
+				want := captureState(r)
 				r.crashForTest()
+				r2, err := Open(cdir)
+				if err != nil {
+					t.Fatalf("crash point %d: second reopen failed: %v", n, err)
+				}
+				requireSameState(t, captureState(r2), want, fmt.Sprintf("crash point %d, second recovery", n))
+				r2.crashForTest()
 				os.RemoveAll(cdir)
 			}
 		})
@@ -184,11 +202,11 @@ func TestLiveWALWriteFailure(t *testing.T) {
 				lastGood := captureState(ref)
 				failedAt := -1
 				for i := 1; i <= 30; i++ {
-					if err := driveOneOp(durable, i); err != nil {
+					if err := driveOneOp(durable, i, tc.batch); err != nil {
 						failedAt = i
 						break
 					}
-					if err := driveOneOp(ref, i); err != nil {
+					if err := driveOneOp(ref, i, tc.batch); err != nil {
 						t.Fatalf("reference op %d: %v", i, err)
 					}
 					lastGood = captureState(ref)
@@ -208,7 +226,7 @@ func TestLiveWALWriteFailure(t *testing.T) {
 				// (EpochSync synced it before the op returned) and at most
 				// one op ahead (the failing op's state record may have made
 				// it to disk before the marker write failed).
-				if !sameOrOneAhead(t, got, lastGood, failedAt, ref) {
+				if !sameOrOneAhead(t, got, lastGood, failedAt, tc.batch, ref) {
 					t.Fatalf("limit %d: recovered state matches neither op %d nor op %d",
 						limit, failedAt-1, failedAt)
 				}
@@ -217,10 +235,10 @@ func TestLiveWALWriteFailure(t *testing.T) {
 	}
 }
 
-// driveOneOp applies the same deterministic op schedule as driveOps but
+// driveOneOp applies the same deterministic op schedule as driveOpsN but
 // to a single engine, returning the first error instead of failing the
 // test — the live fault sweep needs errors to be observable.
-func driveOneOp(e *Engine, i int) error {
+func driveOneOp(e *Engine, i, batch int) error {
 	switch {
 	case i%7 == 0:
 		_, err := e.Register(fmt.Sprintf("crude oil market report %d", i%3), 1+i%3)
@@ -234,7 +252,7 @@ func driveOneOp(e *Engine, i int) error {
 		})
 		return err
 	default:
-		_, err := e.IngestText(fmt.Sprintf("oil price futures demand %d supply %d", i%6, i%4), at(i*10+5))
+		_, err := e.IngestBatch(plainIngest(i, batch))
 		return err
 	}
 }
@@ -242,7 +260,7 @@ func driveOneOp(e *Engine, i int) error {
 // sameOrOneAhead reports whether got equals lastGood, or equals the
 // reference advanced by the failing op (whose record may have been
 // durably logged even though the op reported an error).
-func sameOrOneAhead(t *testing.T, got, lastGood engineState, failedAt int, ref *Engine) bool {
+func sameOrOneAhead(t *testing.T, got, lastGood engineState, failedAt, batch int, ref *Engine) bool {
 	t.Helper()
 	if statesEqual(got, lastGood) {
 		return true
@@ -251,7 +269,7 @@ func sameOrOneAhead(t *testing.T, got, lastGood engineState, failedAt int, ref *
 	// it via snapshot round-trip so ref itself is not perturbed.
 	clone := cloneEngine(t, ref)
 	defer clone.Close()
-	if err := driveOneOp(clone, failedAt); err != nil {
+	if err := driveOneOp(clone, failedAt, batch); err != nil {
 		return false
 	}
 	return statesEqual(got, captureState(clone))
@@ -306,18 +324,18 @@ func TestCheckpointPhaseCrashes(t *testing.T) {
 			taken = append(taken, shot{phase: phase, dir: sdir, op: curOp})
 		},
 	}
-	durable, err := Open(dir, WithCountWindow(10), WithShards(2), WithBatchSize(3),
+	durable, err := Open(dir, WithCountWindow(10), WithShards(2),
 		WithCheckpointEvery(6), withWALHooks(hooks))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newEngine(t, WithCountWindow(10), WithShards(2), WithBatchSize(3))
+	ref := newEngine(t, WithCountWindow(10), WithShards(2))
 	defer ref.Close()
 
 	refStates := []engineState{captureState(ref)}
 	for i := 1; i <= 80; i++ {
 		curOp = i
-		driveOps(t, i, i+1, durable, ref)
+		driveOpsN(t, 3, i, i+1, durable, ref)
 		refStates = append(refStates, captureState(ref))
 	}
 	durable.crashForTest()
@@ -333,7 +351,7 @@ func TestCheckpointPhaseCrashes(t *testing.T) {
 		// needs the configuration, exactly like the real crash it models.
 		// Later photographs accept the same options via the compatibility
 		// check.
-		r, err := Open(s.dir, WithCountWindow(10), WithShards(2), WithBatchSize(3))
+		r, err := Open(s.dir, WithCountWindow(10), WithShards(2))
 		if err != nil {
 			t.Fatalf("recover photograph %s at op %d: %v", s.phase, s.op, err)
 		}
@@ -380,7 +398,7 @@ func TestCorruptMidLogRecoversPrefix(t *testing.T) {
 	}
 	ref := newEngine(t, WithCountWindow(8))
 	defer ref.Close()
-	refStates, _ := recordRun(t, durable, ref, 25)
+	refStates, _ := recordRun(t, durable, ref, 25, 1)
 	durable.crashForTest()
 
 	segPath := wal.SegmentPath(dir, 0)

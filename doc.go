@@ -69,7 +69,7 @@
 // index-mutation pass (documents that arrive and expire within the
 // epoch never touch the inverted lists), epoch-wide deduplication of
 // affected queries, and at most one refill search plus one roll-up per
-// query. Every IngestText call is an epoch of one document, every
+// query. A lone IngestText call is an epoch of one document, a lone
 // IngestBatch call an epoch of its items, and every Advance an epoch of
 // expirations alone.
 //
@@ -83,19 +83,25 @@
 // count. Every shard count, snapshot restore and WAL replay of batch
 // records take this path.
 //
-// WithBatchSize(B) makes epochs larger than the calls that feed them:
-// IngestText and IngestBatch buffer their analyzed documents and the
-// engine applies the buffer as one epoch when B documents accumulate,
-// on Flush, or before any operation that needs the stream applied
-// (Register, Unregister, Advance, Snapshot, Close).
+// Concurrent ingest calls commit as a group. Each call queues its
+// documents; whichever caller holds the engine lock next takes the
+// whole queue and commits it, in queue order, as one epoch: one log
+// record, one boundary marker (so one fsync under DurabilityEpochSync)
+// and one publication. Every call in the group returns after that
+// publication. A lone writer gets epochs of its own calls, N
+// concurrent writers (HTTP handlers, say) epochs of up to N calls,
+// with no setting to tune and no stale reads. Analysis stays under the
+// lock, in queue order, so document ids and the dictionary follow the
+// log. A call whose arrival times precede the running clock fails
+// alone with ErrTimeRegression; a log failure fails the whole group. A
+// single writer that wants larger epochs passes more documents to each
+// IngestBatch call.
 //
 // Per-query results at every epoch boundary do not depend on the epoch
 // size (documents tying exactly at a query's k-th score may resolve to
 // either tied document — both are correct); the race-enabled
-// equivalence suites enforce this for epoch sizes B ∈ {1, 4, 64}
-// across shard counts S ∈ {1, 2, 8}. The trade is bounded read
-// staleness: Results, Stats and WindowLen reflect flushed epochs only,
-// at most B−1 documents behind, and watchers receive one coalesced
+// equivalence suites enforce this for epochs of 1, 4 and 64 documents
+// across shard counts S ∈ {1, 2, 8}. Watchers receive one coalesced
 // delta per query per epoch. Combine with WithShards to amortize the
 // fan-out barrier — one two-phase barrier per epoch — over more
 // documents.
@@ -104,8 +110,8 @@
 //
 // For every algorithm, at any shard count, Results, ResultsAll, Stats,
 // WindowLen, Queries, DictionarySize and QueryText never acquire the
-// engine lock. At every publication boundary — an epoch flush (every
-// ingest when unbatched), Register, Unregister, Advance, and restore —
+// engine lock. At every publication boundary — an ingest epoch,
+// Register, Unregister, Advance, and restore —
 // the engine publishes an immutable view of each changed query's top-k
 // (a frozen copy-on-publish snapshot), a
 // copy-on-write snapshot of the retained texts, and frozen operation
@@ -113,12 +119,12 @@
 // pointer and copies off-lock, so serving throughput is independent of
 // ingest volume and a stalled reader can never stall the stream.
 //
-// The consistency model is read-your-epoch:
+// The consistency model is read-your-write:
 //
 //   - A read observes the last completed publication boundary (or a
-//     newer one). With WithBatchSize(B) that is the last flushed epoch,
-//     at most B−1 documents behind the stream; unbatched, every ingest
-//     is a boundary.
+//     newer one). Every ingest call returns after the epoch holding its
+//     documents is published, so a read issued after the call returns
+//     sees them, whichever caller committed the group.
 //   - States internal to an epoch are never visible — the same
 //     guarantee watch deltas already carry, so polling Results and
 //     subscribing via Watch tell one story.
@@ -126,8 +132,8 @@
 //     under the engine lock would have returned at that same boundary;
 //     the race-enabled metamorphic equivalence suite and the
 //     concurrent-reader boundary test enforce exactly this.
-//   - ResultsAll enumerates queries weakly consistently: when racing a
-//     flush, two entries may come from adjacent boundaries, but each
+//   - ResultsAll enumerates queries weakly consistently: when racing an
+//     epoch, two entries may come from adjacent boundaries, but each
 //     entry individually is a real boundary state.
 //
 // # Watching result changes
@@ -152,20 +158,20 @@
 //     consumed (its callback ran), preserving at-most-once per epoch.
 //   - Deltas of one epoch are delivered in ascending query id, and
 //     consecutive epochs deliver in epoch order even when different
-//     goroutines flush them.
+//     goroutines commit them.
 //
 // The metamorphic suite reconstructs every watched query's result set
 // purely from its delta stream and requires it equal to the published
 // boundary result at every comparison point, across the whole engine
-// grid (serial, sharded, batched, durable, crash/reopen).
+// grid (serial, sharded, coalesced ingests, durable, crash/reopen).
 //
 // # Durability
 //
 // Open(dir, opts...) (equivalently New with WithWAL(dir)) makes the
 // engine durable: every mutating operation — Register, Unregister,
-// IngestText, IngestBatch, Advance, explicit Flush — is appended to a
-// CRC-framed write-ahead log in dir before it is applied, and every
-// completed epoch boundary appends a marker record. Automatic
+// IngestText, IngestBatch, Advance — is appended to a CRC-framed
+// write-ahead log in dir before it is applied (a commit group as one
+// record), and every completed epoch boundary appends a marker record. Automatic
 // checkpoints (WithCheckpointEvery, default every 256 boundaries) write
 // the engine's full snapshot next to the log, rotate to a fresh segment
 // and delete the old one, bounding both disk usage and recovery time;
@@ -176,9 +182,8 @@
 // code paths live calls use. Because version-2 snapshots carry the
 // exact incremental state (per-query thresholds and result lists, not
 // just the window), recovery is byte-identical, not merely
-// result-equivalent: ResultsAll, Stats, the id sequences, a partially
-// buffered epoch, and every future maintenance decision match an
-// engine that never crashed. The crash-point suites enforce this by
+// result-equivalent: ResultsAll, Stats, the id sequences and every
+// future maintenance decision match an engine that never crashed. The crash-point suites enforce this by
 // truncating a recorded log after every byte, photographing every
 // checkpoint phase, and crashing engines mid-run inside the metamorphic
 // generator.
@@ -201,7 +206,19 @@
 // exact operation prefix of the crashed engine's history, never a
 // guess. An interrupted checkpoint is equally harmless: the snapshot
 // commits atomically via rename, and recovery prefers the newest
-// complete checkpoint while garbage-collecting leftovers.
+// complete checkpoint while garbage-collecting leftovers. A crash
+// between an operation's record and its boundary marker leaves a
+// record recovery applies without a marker on disk; recovery writes
+// the missing markers before appending resumes (a promoted standby
+// does so at Promote), so every later recovery accepts the log.
+//
+// Logs written while a batch size option existed recover
+// result-identically, not byte-identically: such a log holds one
+// record per ingest call, with markers only where a buffered epoch was
+// flushed (and a KindFlush record before an explicit flush, now a
+// no-op), and replay makes every record its own epoch. Per-query top-k
+// matches the uninterrupted engine's up to exact ties at the k-th
+// score, and Stats counters may differ.
 //
 // # Replication and failover
 //

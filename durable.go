@@ -21,10 +21,10 @@ import (
 //
 // Recovery (Open) loads the newest checkpoint, replays the segment's
 // record tail through the very same locked operation paths used live
-// (so epoch partitioning, auto-flush points and id assignment reproduce
-// exactly), tolerates a torn final record by truncating to the last
-// clean frame, and garbage-collects leftovers of an interrupted
-// checkpoint. Combined with the exact-state snapshot (snapshot.go,
+// (so epoch partitioning and id assignment reproduce exactly),
+// tolerates a torn final record by truncating to the last clean frame,
+// writes the markers a crash left unwritten, and garbage-collects
+// leftovers of an interrupted checkpoint. Combined with the exact-state snapshot (snapshot.go,
 // version 2), the recovered engine is byte-identical to the uncrashed
 // one at the recovered boundary: ResultsAll, Stats, Queries and every
 // future maintenance decision match.
@@ -90,9 +90,6 @@ func (h *walTestHooks) phase(p string) {
 	}
 }
 
-// walFlushRecord is the constant payload of explicit-flush boundaries.
-var walFlushRecord = wal.Record{Kind: wal.KindFlush}
-
 // Open creates or recovers a durable engine in dir.
 //
 // On a fresh directory it behaves like New(opts...) plus WithWAL(dir):
@@ -110,10 +107,13 @@ var walFlushRecord = wal.Record{Kind: wal.KindFlush}
 // is an error; WithShards, WithDurability and WithCheckpointEvery are
 // runtime settings and may differ freely between runs.
 func Open(dir string, opts ...Option) (*Engine, error) {
-	return openDurable(dir, opts)
+	return openDurable(dir, opts, false)
 }
 
-func openDurable(dir string, opts []Option) (*Engine, error) {
+// openDurable creates or recovers the engine in dir. A standby leaves
+// its log exactly as replicated; anyone else seals it (see
+// walSealLocked) before appending resumes.
+func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 	// Probe the caller's options once, both for the WAL knobs and for
 	// the compatibility check against a recovered configuration. A
 	// negative algorithm or shard count means the caller did not choose
@@ -236,6 +236,12 @@ func openDurable(dir string, opts []Option) (*Engine, error) {
 		}
 	}
 	w.log = wal.NewLog(sf, res.Clean, mode)
+	if !standby {
+		if err := e.walSealLocked(); err != nil {
+			w.log.Close()
+			return nil, fmt.Errorf("ita: seal recovered log: %w", err)
+		}
+	}
 	// With replication retention configured, a restarting primary keeps
 	// its follower-resume window across the restart (no follower has
 	// registered yet, so every segment in the window is kept as grace);
@@ -261,7 +267,10 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 	case wal.KindDoc, wal.KindBatch:
 		// Logs written before every ingest became a batch hold one KindDoc
 		// record per IngestText call; it replays as the batch of one that
-		// call is now.
+		// call is now. Each record is one epoch, also in logs written when
+		// a batch size could buffer several records into one epoch: those
+		// recover the same per-query results (see "Durability" in the
+		// package documentation).
 		items := []TimedText{{Text: rec.Text, At: time.Unix(0, rec.At)}}
 		if rec.Kind == wal.KindBatch {
 			items = make([]TimedText, len(rec.Items))
@@ -283,20 +292,17 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 		// skip ahead of a dense sequence. registerAtLocked still rejects
 		// an id behind nextQuery, which is what a corrupt or reordered
 		// log looks like.
-		id, deltas, err := e.registerAtLocked(QueryID(rec.Query), rec.Text, rec.K)
+		id, err := e.registerAtLocked(QueryID(rec.Query), rec.Text, rec.K)
 		if err != nil {
 			return err
 		}
-		e.queueDeltasLocked(deltas)
 		if uint64(id) != rec.Query {
 			return fmt.Errorf("replayed query id %d, logged %d", id, rec.Query)
 		}
 	case wal.KindAlign:
-		deltas, err := e.alignRegisterLocked(QueryID(rec.Query), rec.Text)
-		if err != nil {
+		if err := e.alignRegisterLocked(QueryID(rec.Query), rec.Text); err != nil {
 			return err
 		}
-		e.queueDeltasLocked(deltas)
 	case wal.KindUnregister:
 		e.unregisterLocked(QueryID(rec.Query))
 	case wal.KindAdvance:
@@ -306,14 +312,9 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 		}
 		e.queueDeltasLocked(deltas)
 	case wal.KindFlush:
-		if err := e.flushLocked(); err != nil {
-			return err
-		}
-		// Parity with the public Flush: the boundary publishes (there are
-		// no watchers during recovery, so the deltas are empty and
-		// discarded). Without this the recovered wait-free read surface
-		// would lag one boundary behind the crashed engine's.
-		e.queueDeltasLocked(e.collectDeltas())
+		// An explicit flush of a buffered epoch, from logs written when a
+		// batch size existed. Every record above is already its own epoch,
+		// so there is nothing left to flush.
 	case wal.KindEpoch:
 		w.markerSeq++
 		if rec.Seq != w.markerSeq || rec.Seq > w.epochSeq {
@@ -351,6 +352,28 @@ func (e *Engine) walAppendLocked(rec *wal.Record) error {
 	// round-trip instead of the checkpoint cadence.
 	e.replPublishLocked()
 	return nil
+}
+
+// walSealLocked appends the markers of boundaries the log does not
+// record yet. A crash between an operation's record and its marker
+// leaves such a boundary: replay applies the record and counts it, and
+// without its marker the next boundary's marker would skip a number,
+// which the following recovery rejects. Logs from the batch-size era
+// have fewer markers than replay produces boundaries for the same
+// reason. Recovery seals before appending resumes; a promoted standby
+// seals at promotion. Must be called with e.mu held.
+func (e *Engine) walSealLocked() error {
+	w := e.wal
+	if w.markerSeq >= w.epochSeq {
+		return nil
+	}
+	for w.markerSeq < w.epochSeq {
+		w.markerSeq++
+		if err := w.log.Append(&wal.Record{Kind: wal.KindEpoch, Seq: w.markerSeq}); err != nil {
+			return err
+		}
+	}
+	return w.log.Sync()
 }
 
 // walBoundaryLocked accounts one completed publication boundary:
@@ -404,8 +427,8 @@ func (e *Engine) walEpochSeq() uint64 {
 // maybeCheckpointLocked runs a due auto-checkpoint. It is called at the
 // end of every public mutating operation — never mid-operation, where
 // rotating the segment could strand the operation's earlier records in
-// a deleted file — and only with an empty epoch buffer, so the
-// checkpoint's snapshot covers every record it retires.
+// a deleted file — so the checkpoint's snapshot covers every record it
+// retires.
 //
 // Failures are not surfaced through the triggering operation: that
 // operation already succeeded and is durable in the log, and returning
@@ -418,7 +441,7 @@ func (e *Engine) walEpochSeq() uint64 {
 // directly for callers that need them.
 func (e *Engine) maybeCheckpointLocked() {
 	w := e.wal
-	if w == nil || !w.ckptDue || w.recovering || len(e.pending) != 0 {
+	if w == nil || !w.ckptDue || w.recovering {
 		return
 	}
 	w.ckptDue = false
@@ -427,34 +450,25 @@ func (e *Engine) maybeCheckpointLocked() {
 	}
 }
 
-// Checkpoint forces a checkpoint now: any buffered epoch is flushed
-// (and logged), the engine state is snapshotted next to the log, the
-// log rotates to a fresh segment and obsolete files are deleted. Use it
-// before a planned shutdown to make the next Open instantaneous. It is
-// an error on an engine without a WAL.
+// Checkpoint forces a checkpoint now: the engine state is snapshotted
+// next to the log, the log rotates to a fresh segment and obsolete files
+// are deleted. Use it before a planned shutdown to make the next Open
+// instantaneous. It is an error on an engine without a WAL.
 func (e *Engine) Checkpoint() error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
 	if e.wal == nil {
-		e.mu.Unlock()
 		return errors.New("ita: Checkpoint requires a durable engine (ita.Open or WithWAL)")
 	}
-	err := e.flushExplicitLocked()
-	if err == nil {
-		err = e.checkpointLocked()
-	}
-	e.queueDeltasLocked(e.collectDeltas())
-	e.mu.Unlock()
-	e.deliverQueued()
-	return err
+	return e.checkpointLocked()
 }
 
 // checkpointLocked snapshots the current boundary and rotates the log.
-// Must be called with e.mu held and no buffered epoch. A checkpoint at
-// the boundary of the previous one is a no-op.
+// Must be called with e.mu held. A checkpoint at the boundary of the
+// previous one is a no-op.
 func (e *Engine) checkpointLocked() error {
 	w := e.wal
 	if w.epochSeq == w.ckptSeq {
@@ -587,15 +601,6 @@ func checkSnapshotCompat(user *config, s *snapshot) error {
 	}
 	if user.algorithm >= 0 && user.algorithm != recorded {
 		return mismatch("algorithm", user.algorithm, recorded)
-	}
-	normBatch := func(b int) int {
-		if b <= 1 {
-			return 1
-		}
-		return b
-	}
-	if user.batchSize > 0 && normBatch(user.batchSize) != normBatch(s.BatchSize) {
-		return mismatch("batch size", user.batchSize, s.BatchSize)
 	}
 	if !user.stemming && s.Stemming {
 		return mismatch("stemming", false, true)

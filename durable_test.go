@@ -65,6 +65,14 @@ func requireSameState(t *testing.T, got, want engineState, context string) {
 // still live.
 func driveOps(t *testing.T, from, to int, engs ...*Engine) []QueryID {
 	t.Helper()
+	return driveOpsN(t, 1, from, to, engs...)
+}
+
+// driveOpsN is driveOps with every single-document ingest widened to an
+// IngestBatch of n (at most 4) documents: the batched configurations of
+// the recovery suites.
+func driveOpsN(t *testing.T, n, from, to int, engs ...*Engine) []QueryID {
+	t.Helper()
 	var live []QueryID
 	for i := from; i < to; i++ {
 		switch {
@@ -108,15 +116,23 @@ func driveOps(t *testing.T, from, to int, engs ...*Engine) []QueryID {
 				}
 			}
 		default:
-			text := fmt.Sprintf("oil price futures demand %d supply %d", i%6, i%4)
 			for _, e := range engs {
-				if _, err := e.IngestText(text, at(i*10+5)); err != nil {
+				if _, err := e.IngestBatch(plainIngest(i, n)); err != nil {
 					t.Fatalf("op %d: ingest: %v", i, err)
 				}
 			}
 		}
 	}
 	return live
+}
+
+// plainIngest is the op schedule's plain ingest at op i, n documents wide.
+func plainIngest(i, n int) []TimedText {
+	items := make([]TimedText, n)
+	for j := range items {
+		items[j] = TimedText{Text: fmt.Sprintf("oil price futures demand %d supply %d", i%6, (i+j)%4), At: at(i*10 + 5 + j)}
+	}
+	return items
 }
 
 // TestOpenFreshCrashReopen is the core recovery equivalence: a durable
@@ -127,14 +143,15 @@ func driveOps(t *testing.T, from, to int, engs ...*Engine) []QueryID {
 // evolving afterwards.
 func TestOpenFreshCrashReopen(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		opts  []Option
+		batch int
 	}{
-		{"serial", []Option{WithCountWindow(12)}},
-		{"batched", []Option{WithCountWindow(12), WithBatchSize(4)}},
-		{"sharded_batched", []Option{WithCountWindow(12), WithShards(2), WithBatchSize(4)}},
-		{"time_window", []Option{WithTimeWindow(150 * time.Millisecond)}},
-		{"retained", []Option{WithCountWindow(12), WithTextRetention()}},
+		{"serial", []Option{WithCountWindow(12)}, 1},
+		{"batched", []Option{WithCountWindow(12)}, 4},
+		{"sharded_batched", []Option{WithCountWindow(12), WithShards(2)}, 4},
+		{"time_window", []Option{WithTimeWindow(150 * time.Millisecond)}, 1},
+		{"retained", []Option{WithCountWindow(12), WithTextRetention()}, 1},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -146,7 +163,7 @@ func TestOpenFreshCrashReopen(t *testing.T) {
 			ref := newEngine(t, tc.opts...)
 			defer ref.Close()
 
-			driveOps(t, 1, 60, durable, ref)
+			driveOpsN(t, tc.batch, 1, 60, durable, ref)
 			requireSameState(t, captureState(durable), captureState(ref), "pre-crash")
 
 			durable.crashForTest()
@@ -158,32 +175,27 @@ func TestOpenFreshCrashReopen(t *testing.T) {
 			requireSameState(t, captureState(reopened), captureState(ref), "post-recovery")
 
 			// The recovered engine must keep evolving identically, proving
-			// the internal state (thresholds, result lists, buffered epoch,
-			// counters) was reconstructed exactly, not just the visible
-			// results.
-			driveOps(t, 60, 100, reopened, ref)
+			// the internal state (thresholds, result lists, counters) was
+			// reconstructed exactly, not just the visible results.
+			driveOpsN(t, tc.batch, 60, 100, reopened, ref)
 			requireSameState(t, captureState(reopened), captureState(ref), "post-recovery evolution")
 		})
 	}
 }
 
-// TestReopenAfterCleanClose recovers from a Close()d engine (final
-// epoch flushed and synced).
+// TestReopenAfterCleanClose recovers from a Close()d engine (log
+// synced).
 func TestReopenAfterCleanClose(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, WithCountWindow(8), WithBatchSize(3))
+	e, err := Open(dir, WithCountWindow(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newEngine(t, WithCountWindow(8), WithBatchSize(3))
+	ref := newEngine(t, WithCountWindow(8))
 	defer ref.Close()
-	driveOps(t, 1, 40, e, ref)
+	driveOpsN(t, 3, 1, 40, e, ref)
 	if err := e.Close(); err != nil {
 		t.Fatalf("close: %v", err)
-	}
-	// Close flushes the partial epoch; mirror it on the reference.
-	if err := ref.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	r, err := Open(dir)
 	if err != nil {
@@ -191,6 +203,79 @@ func TestReopenAfterCleanClose(t *testing.T) {
 	}
 	defer r.Close()
 	requireSameState(t, captureState(r), captureState(ref), "after clean close")
+}
+
+// TestReopenAfterUnmarkedRecord: a crash between an operation's record
+// and its epoch marker leaves a record that recovery replays as a
+// boundary with no marker on disk. Recovery must write the missing
+// marker before appending resumes; otherwise the next operation's
+// marker skips a number and the reopen after it refuses the log.
+func TestReopenAfterUnmarkedRecord(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, WithCountWindow(8), WithCheckpointEvery(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newEngine(t, WithCountWindow(8))
+	defer ref.Close()
+	ingest := func(i int, engs ...*Engine) {
+		t.Helper()
+		for _, x := range engs {
+			if _, err := x.IngestText(fmt.Sprintf("crude oil report %d", i), at(i*10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, x := range []*Engine{e, ref} {
+		if _, err := x.Register("crude oil", 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 5; i++ {
+		ingest(i, e, ref)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The crashed operation: its record reached the log, its marker did
+	// not.
+	f, err := os.OpenFile(wal.SegmentPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := wal.NewLog(f, fi.Size(), wal.DurabilityOff)
+	if err := l.Append(&wal.Record{Kind: wal.KindBatch, Doc: 6, Items: []wal.DocEntry{
+		{At: at(60).UnixNano(), Text: "crude oil report 6"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ingest(6, ref)
+
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatalf("reopen over the unmarked record: %v", err)
+	}
+	requireSameState(t, captureState(r), captureState(ref), "first recovery")
+	for i := 7; i <= 9; i++ {
+		ingest(i, r, ref)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("second reopen: %v", err)
+	}
+	defer r2.Close()
+	requireSameState(t, captureState(r2), captureState(ref), "second recovery")
 }
 
 // TestCheckpointRotation drives enough boundaries through a small
@@ -236,18 +321,15 @@ func TestCheckpointRotation(t *testing.T) {
 // segment must be empty, so reopen replays nothing.
 func TestExplicitCheckpointMakesReopenTailless(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, WithCountWindow(8), WithBatchSize(4))
+	e, err := Open(dir, WithCountWindow(8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newEngine(t, WithCountWindow(8), WithBatchSize(4))
+	ref := newEngine(t, WithCountWindow(8))
 	defer ref.Close()
-	driveOps(t, 1, 30, e, ref)
+	driveOpsN(t, 4, 1, 30, e, ref)
 	if err := e.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
-	}
-	if err := ref.Flush(); err != nil { // Checkpoint flushed the partial epoch
-		t.Fatal(err)
 	}
 	st, err := wal.ScanDir(dir)
 	if err != nil {
@@ -317,7 +399,7 @@ func TestOpenTornTail(t *testing.T) {
 // with a clean error, matching options must succeed.
 func TestOpenConfigMismatch(t *testing.T) {
 	dir := t.TempDir()
-	e, err := Open(dir, WithCountWindow(10), WithBatchSize(4))
+	e, err := Open(dir, WithCountWindow(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +414,6 @@ func TestOpenConfigMismatch(t *testing.T) {
 	}{
 		{"window size", []Option{WithCountWindow(20)}},
 		{"window kind", []Option{WithTimeWindow(time.Second)}},
-		{"batch", []Option{WithCountWindow(10), WithBatchSize(8)}},
 		{"algorithm", []Option{WithCountWindow(10), WithAlgorithm(NaivePlain)}},
 		{"stemming", []Option{WithCountWindow(10), WithoutStemming()}},
 		{"okapi", []Option{WithCountWindow(10), WithOkapiScoring(30)}},
@@ -351,7 +432,7 @@ func TestOpenConfigMismatch(t *testing.T) {
 		t.Fatalf("shard count rejected: %v", err)
 	}
 	rs.crashForTest()
-	r, err := Open(dir, WithCountWindow(10), WithBatchSize(4))
+	r, err := Open(dir, WithCountWindow(10))
 	if err != nil {
 		t.Fatalf("matching options rejected: %v", err)
 	}
@@ -428,17 +509,18 @@ func TestWatchSurvivesRecoveryPickup(t *testing.T) {
 // engines.
 func TestSnapshotRestoreIsExact(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		opts  []Option
+		batch int
 	}{
-		{"serial", []Option{WithCountWindow(10)}},
-		{"sharded_batched", []Option{WithCountWindow(10), WithShards(3), WithBatchSize(4)}},
+		{"serial", []Option{WithCountWindow(10)}, 1},
+		{"sharded_batched", []Option{WithCountWindow(10), WithShards(3)}, 4},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			e := newEngine(t, tc.opts...)
 			defer e.Close()
-			driveOps(t, 1, 50, e)
+			driveOpsN(t, tc.batch, 1, 50, e)
 			var buf bytes.Buffer
 			if err := e.Snapshot(&buf); err != nil {
 				t.Fatal(err)
@@ -449,7 +531,7 @@ func TestSnapshotRestoreIsExact(t *testing.T) {
 			}
 			defer r.Close()
 			requireSameState(t, captureState(r), captureState(e), "restore")
-			driveOps(t, 50, 90, r, e)
+			driveOpsN(t, tc.batch, 50, 90, r, e)
 			requireSameState(t, captureState(r), captureState(e), "post-restore evolution")
 		})
 	}
@@ -529,9 +611,6 @@ func TestOpenCleansCrashLeftovers(t *testing.T) {
 		if _, err := e.IngestText("crude oil market", at(1)); err != nil {
 			t.Fatalf("ingest on cleaned engine: %v", err)
 		}
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		if got := e.Results(id); len(got) == 0 {
 			t.Fatal("cleaned engine serves no results")
 		}
@@ -544,9 +623,6 @@ func TestOpenCleansCrashLeftovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		driveOps(t, 0, 40, e)
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
 		pre := captureState(e)
 		if err := e.Close(); err != nil {
 			t.Fatal(err)

@@ -88,22 +88,21 @@ type Engine struct {
 	closed   bool
 
 	// pub is the wait-free read path: an immutable publishedState swapped
-	// at every publication boundary (epoch flush, Register, Unregister,
+	// at every publication boundary (an ingest epoch, Register, Unregister,
 	// Advance, Restore). Results, ResultsAll, Stats, WindowLen, Queries
 	// and DictionarySize read it without ever acquiring mu. New stores
 	// the first one before the engine escapes, so it is never nil.
 	pub atomic.Pointer[publishedState]
 
-	// Epoch buffer (WithBatchSize > 1): analyzed documents awaiting the
-	// next flush, with their original texts when retention is on. Ids
-	// and the stream clock are assigned at buffer time; the documents
-	// reach the inner engine as one epoch at flush time.
-	pending     []*model.Document
-	pendingText []string
+	// Group commit: IngestBatch enqueues its request under qmu, then
+	// takes mu; whichever writer gets mu first drains the queue and
+	// commits every request in it as one epoch. See commitQueueLocked.
+	qmu   sync.Mutex
+	queue []*ingestReq
 
 	// Watch-delta delivery queue: deltas are enqueued in epoch order
 	// under mu and drained by one goroutine at a time outside it, so
-	// concurrent flushers cannot deliver epochs out of order. See
+	// concurrent writers cannot deliver epochs out of order. See
 	// queueDeltasLocked / deliverQueued in watch.go.
 	dmu        sync.Mutex
 	deliveryQ  []pendingDelta
@@ -127,7 +126,7 @@ func New(opts ...Option) (*Engine, error) {
 	}
 	if cfg.walDir != "" && !cfg.walAttach {
 		// A durable engine: creation and recovery share one entry point.
-		return openDurable(cfg.walDir, opts)
+		return openDurable(cfg.walDir, opts, false)
 	}
 	if cfg.policy == nil {
 		return nil, errors.New("ita: a window option is required (WithCountWindow or WithTimeWindow)")
@@ -168,7 +167,7 @@ type publishedState struct {
 	dict    int
 }
 
-// publishLocked makes the current flushed state visible to wait-free
+// publishLocked makes the current state visible to wait-free
 // readers: the inner engine swaps every changed query's frozen view,
 // then the facade swaps its single published-state pointer. Must be
 // called with e.mu held (except during construction/restore, before the
@@ -200,13 +199,9 @@ func (e *Engine) publishLocked() {
 // must be non-decreasing across calls. A document whose analysis yields
 // no terms (for example, all stopwords) is still ingested: it occupies
 // a window slot, matches nothing, and expires normally — exactly how
-// the paper's window semantics treat it.
-//
-// With WithBatchSize(n), the document is buffered and processed as part
-// of the next epoch (when n documents have accumulated, on Flush, or
-// before Register/Unregister/Advance/Snapshot/Close); the id is
-// assigned immediately, but reads reflect the document only after the
-// epoch flushes.
+// the paper's window semantics treat it. When the call returns, the
+// document is in Results, Stats and WindowLen; concurrent calls share
+// an epoch (see IngestBatch).
 func (e *Engine) IngestText(text string, at time.Time) (DocID, error) {
 	ids, err := e.IngestBatch([]TimedText{{Text: text, At: at}})
 	if len(ids) == 0 {
@@ -215,50 +210,123 @@ func (e *Engine) IngestText(text string, at time.Time) (DocID, error) {
 	return ids[0], err
 }
 
-// IngestBatch analyzes and processes a batch of document arrivals under
-// a single engine lock, returning the assigned ids in order. Arrival
-// times must be non-decreasing within the batch and not precede earlier
-// ingests. The call's documents (together with any WithBatchSize buffer)
-// form one epoch — one net index mutation pass and one net maintenance
-// pass per affected query — so the per-document work (index point
-// mutations, shard fan-out barriers, redundant refills) is amortized
-// across the batch; IngestText is the batch of one. Per-query results
-// after the call are identical to ingesting the same documents in
-// smaller epochs (when documents tie exactly at a query's k-th score,
-// either epoch cut may report either tied document; both are correct
-// top-k answers). Watch callbacks observe one cumulative delta per
-// query per epoch.
+// IngestBatch analyzes and processes a batch of document arrivals,
+// returning the assigned ids in order. Arrival times must be
+// non-decreasing within the batch and not precede earlier ingests. The
+// call's documents form one epoch — one net index mutation pass and one
+// net maintenance pass per affected query — so the per-document work
+// (index point mutations, shard fan-out barriers, redundant refills,
+// the log boundary and its fsync) is amortized across the batch;
+// IngestText is the batch of one.
+//
+// Concurrent calls commit as a group: each call queues its batch, and
+// whichever caller holds the engine lock next processes every queued
+// batch, in queue order, as one epoch with one log record and one
+// boundary. Each call returns after that epoch is published, so every
+// call reads its own write. A batch whose arrival times precede the
+// running clock fails alone with ErrTimeRegression; a log failure fails
+// the whole group. Per-query results after an epoch are identical to
+// ingesting the same documents in smaller epochs (when documents tie
+// exactly at a query's k-th score, either epoch cut may report either
+// tied document; both are correct top-k answers). Watch callbacks
+// observe one cumulative delta per query per epoch.
 func (e *Engine) IngestBatch(items []TimedText) ([]DocID, error) {
 	if len(items) == 0 {
 		return nil, nil
 	}
+	req := &ingestReq{items: items}
+	e.qmu.Lock()
+	e.queue = append(e.queue, req)
+	e.qmu.Unlock()
 	e.mu.Lock()
-	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
-		return nil, err
-	}
-	ids, deltas, err := e.ingestBatchLocked(items)
-	e.queueDeltasLocked(deltas)
-	if err == nil {
-		e.maybeCheckpointLocked()
+	if !req.done {
+		e.commitQueueLocked()
 	}
 	e.mu.Unlock()
 	e.deliverQueued()
-	return ids, err
+	return req.ids, req.err
 }
 
-func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, error) {
-	// Validate and analyze everything up front so a bad item fails the
-	// batch before any document is processed.
+// ingestReq is one queued IngestBatch call. The committing writer fills
+// ids and err and sets done, all under e.mu.
+type ingestReq struct {
+	items []TimedText
+	ids   []DocID
+	err   error
+	done  bool
+}
+
+// commitQueueLocked drains the ingest queue and commits it as one
+// epoch. Requests are validated against the running clock in queue
+// order before anything is analyzed or logged, so one that regresses is
+// answered with its own error and its neighbours still commit. Must be
+// called with e.mu held.
+func (e *Engine) commitQueueLocked() {
+	e.qmu.Lock()
+	group := e.queue
+	e.queue = nil
+	e.qmu.Unlock()
+	gate := e.gateWriteLocked()
+	var live []*ingestReq
 	last := e.lastAt
+	for _, r := range group {
+		r.done = true
+		if r.err = gate; r.err != nil {
+			continue
+		}
+		var at time.Time
+		if at, r.err = checkArrivals(r.items, last); r.err == nil {
+			last = at
+			live = append(live, r)
+		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	var items []TimedText
+	for _, r := range live {
+		items = append(items, r.items...)
+	}
+	ids, deltas, err := e.ingestBatchLocked(items)
+	e.queueDeltasLocked(deltas)
+	for _, r := range live {
+		r.err = err
+		if len(ids) > 0 {
+			n := len(r.items)
+			r.ids, ids = ids[:n:n], ids[n:]
+		}
+	}
+	if err == nil {
+		e.maybeCheckpointLocked()
+	}
+}
+
+// checkArrivals reports ErrTimeRegression unless items' arrival times
+// are non-decreasing and none precedes last; it returns the batch's
+// last arrival time.
+func checkArrivals(items []TimedText, last time.Time) (time.Time, error) {
 	for i, it := range items {
 		if it.At.Before(last) {
-			return nil, nil, fmt.Errorf("%w: item %d: %s < %s", ErrTimeRegression, i, it.At, last)
+			return time.Time{}, fmt.Errorf("%w: item %d: %s < %s", ErrTimeRegression, i, it.At, last)
 		}
 		last = it.At
 	}
-	// Analyze into a local slice first: a bad item must fail the batch
-	// before anything reaches the epoch buffer.
+	return last, nil
+}
+
+// ingestBatchLocked processes items as one epoch: analysis in item
+// order (so document ids and the dictionary's intern order follow the
+// record, which replay re-analyzes in the same order), one KindBatch
+// record, the epoch itself, one boundary and one publication. WAL
+// replay and the replication follower call it directly, one record at a
+// time. Must be called with e.mu held.
+func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, error) {
+	last, err := checkArrivals(items, e.lastAt)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Analyze everything up front so a bad item fails the batch before
+	// anything is logged.
 	ids := make([]DocID, len(items))
 	docs := make([]*model.Document, len(items))
 	for i, it := range items {
@@ -278,80 +346,21 @@ func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, 
 			return nil, nil, err
 		}
 	}
-	e.pending = append(e.pending, docs...)
-	if e.texts != nil {
-		for _, it := range items {
-			e.pendingText = append(e.pendingText, it.Text)
-		}
-	}
 	e.nextDoc += model.DocID(len(items))
 	e.lastAt = last
-	// Without WithBatchSize the whole call is one epoch; with it, the
-	// buffer keeps accumulating until a full epoch is reached. Deltas
-	// (and a publication) exist only when an epoch actually flushed —
-	// a buffered-only call leaves the readable boundary untouched.
-	if e.cfg.batchSize <= 1 || len(e.pending) >= e.cfg.batchSize {
-		if err := e.flushLocked(); err != nil {
-			return ids, nil, err
-		}
-		return ids, e.collectDeltas(), nil
-	}
-	return ids, nil, nil
-}
-
-// flushLocked processes the buffered epoch through the inner engine.
-// Must be called with e.mu held. On return the buffer is empty; on
-// error the buffered documents are discarded (their ids stay consumed).
-func (e *Engine) flushLocked() error {
-	if len(e.pending) == 0 {
-		return nil
-	}
-	docs, texts := e.pending, e.pendingText
-	e.pending, e.pendingText = e.pending[:0], e.pendingText[:0]
 	if err := e.inner.ProcessEpoch(docs); err != nil {
-		return err
+		return ids, nil, err
 	}
 	if e.texts != nil {
 		for i, doc := range docs {
-			e.texts.add(doc.ID, doc.Arrival, texts[i])
+			e.texts.add(doc.ID, doc.Arrival, items[i].Text)
 		}
 	}
 	// Every applied epoch is a durable boundary.
-	return e.walBoundaryLocked()
-}
-
-// flushExplicitLocked flushes the buffered epoch at a point the record
-// stream does not dictate — an explicit Flush, a Snapshot, a Checkpoint
-// or a Close. The boundary is logged as a KindFlush record first, since
-// replaying the document records alone would not reproduce it.
-func (e *Engine) flushExplicitLocked() error {
-	if len(e.pending) == 0 {
-		return nil
+	if err := e.walBoundaryLocked(); err != nil {
+		return ids, nil, err
 	}
-	if err := e.walAppendLocked(&walFlushRecord); err != nil {
-		return err
-	}
-	return e.flushLocked()
-}
-
-// Flush processes any documents buffered by WithBatchSize as one epoch,
-// delivering the epoch's watch deltas. It is a no-op when nothing is
-// buffered (in particular, always, without WithBatchSize). Use it to
-// bound result staleness on a stream that has gone quiet.
-func (e *Engine) Flush() error {
-	e.mu.Lock()
-	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	err := e.flushExplicitLocked()
-	e.queueDeltasLocked(e.collectDeltas())
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
-	e.mu.Unlock()
-	e.deliverQueued()
-	return err
+	return ids, e.collectDeltas(), nil
 }
 
 // gateWriteLocked rejects mutating operations on an engine that can no
@@ -369,16 +378,13 @@ func (e *Engine) gateWriteLocked() error {
 	return nil
 }
 
-// Close flushes any buffered epoch and releases engine resources: the
-// write-ahead log of a durable engine, and the server or client of a
-// replicating one. An engine with neither holds no goroutine between
-// calls (sharded maintenance joins before each epoch returns), so
-// dropping it without Close leaks nothing. The final epoch's watch
-// deltas are delivered before the log closes, so a callback that
-// re-enters the engine (as WatchFunc permits) still finds it readable.
-// Close is idempotent, and every operation after it returns ErrClosed:
-// a Results/IngestText racing Close observes either the live engine or
-// the error, never a half-closed one.
+// Close releases engine resources: the write-ahead log of a durable
+// engine, and the server or client of a replicating one. An engine with
+// neither holds no goroutine between calls (sharded maintenance joins
+// before each epoch returns), so dropping it without Close leaks
+// nothing. Close is idempotent, and every operation after it returns
+// ErrClosed: a Results/IngestText racing Close observes either the live
+// engine or the error, never a half-closed one.
 func (e *Engine) Close() error {
 	e.mu.Lock()
 	if e.closed {
@@ -386,7 +392,6 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	readOnly := e.readOnly
 	var cli *repl.Client
 	var srv *repl.Server
 	if e.repl != nil {
@@ -402,36 +407,23 @@ func (e *Engine) Close() error {
 	if srv != nil {
 		srv.Close()
 	}
-	var err error
 	e.mu.Lock()
-	if !readOnly {
-		// A follower skips the final flush: its buffered epoch belongs to
-		// the primary's record stream and must not grow a local boundary
-		// the primary never logged.
-		err = e.flushExplicitLocked()
-		e.queueDeltasLocked(e.collectDeltas())
+	defer e.mu.Unlock()
+	if e.wal == nil || e.wal.log == nil {
+		return nil
 	}
-	e.mu.Unlock()
-	e.deliverQueued()
-	e.mu.Lock()
-	if e.wal != nil && e.wal.log != nil {
-		// The final epoch is already on disk (flushLocked logged its
-		// boundary); sync once more so even DurabilityOff engines leave a
-		// fully flushed log behind on a clean shutdown.
-		if serr := e.wal.log.Sync(); err == nil && serr != nil {
-			err = serr
-		}
-		if cerr := e.wal.log.Close(); err == nil {
-			err = cerr
-		}
+	// Every epoch is already on disk; sync once more so even
+	// DurabilityOff engines leave a fully flushed log behind on a clean
+	// shutdown.
+	err := e.wal.log.Sync()
+	if cerr := e.wal.log.Close(); err == nil {
+		err = cerr
 	}
-	e.mu.Unlock()
 	return err
 }
 
 // Advance moves the stream clock forward without an arrival, expiring
 // documents from time-based windows. Count-based windows are unaffected.
-// Any buffered epoch is flushed first: its documents arrived before now.
 func (e *Engine) Advance(now time.Time) error {
 	e.mu.Lock()
 	if err := e.gateWriteLocked(); err != nil {
@@ -455,9 +447,6 @@ func (e *Engine) advanceLocked(now time.Time) ([]pendingDelta, error) {
 	if err := e.walAppendLocked(&wal.Record{Kind: wal.KindAdvance, At: now.UnixNano()}); err != nil {
 		return nil, err
 	}
-	if err := e.flushLocked(); err != nil {
-		return nil, err
-	}
 	e.lastAt = now
 	e.inner.ExpireUntil(now)
 	deltas := e.collectDeltas()
@@ -470,26 +459,18 @@ func (e *Engine) advanceLocked(now time.Time) ([]pendingDelta, error) {
 // Register installs a continuous query: the k most similar documents to
 // queryText are maintained from now on. Term frequency in the query
 // text weights the terms, as in the paper's {white white tower} example.
-// Any buffered epoch is flushed first so the initial top-k search sees
-// every document ingested before the call.
+// The initial top-k search sees every document ingested before the call.
 func (e *Engine) Register(queryText string, k int) (QueryID, error) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
 		return 0, err
 	}
-	id, deltas, err := e.registerLocked(queryText, k)
-	e.queueDeltasLocked(deltas)
+	id, err := e.registerAtLocked(e.nextQuery, queryText, k)
 	if err == nil {
 		e.maybeCheckpointLocked()
 	}
-	e.mu.Unlock()
-	e.deliverQueued()
 	return id, err
-}
-
-func (e *Engine) registerLocked(queryText string, k int) (QueryID, []pendingDelta, error) {
-	return e.registerAtLocked(e.nextQuery, queryText, k)
 }
 
 // registerAtLocked registers a query under an explicit id. Ordinary
@@ -498,13 +479,13 @@ func (e *Engine) registerLocked(queryText string, k int) (QueryID, []pendingDelt
 // its hash slice of the global id space consumes the skipped ids via
 // AlignRegister. An id behind e.nextQuery is always an error: those ids
 // are spent, and during replay a regressing id means a corrupt log.
-func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID, []pendingDelta, error) {
+func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID, error) {
 	if id < e.nextQuery {
-		return 0, nil, fmt.Errorf("ita: register id %d already consumed (next is %d)", id, e.nextQuery)
+		return 0, fmt.Errorf("ita: register id %d already consumed (next is %d)", id, e.nextQuery)
 	}
 	counts := e.pipeline.Counts(queryText)
 	if len(counts) == 0 {
-		return 0, nil, ErrNoQueryTerms
+		return 0, ErrNoQueryTerms
 	}
 	terms := e.internedTermsLocked(queryText)
 	if terms == nil {
@@ -512,30 +493,24 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 	}
 	q, err := model.NewQuery(id, k, terms)
 	if err != nil {
-		return 0, nil, fmt.Errorf("ita: analyze query: %w", err)
+		return 0, fmt.Errorf("ita: analyze query: %w", err)
 	}
 	// Log before apply; the record carries the id the apply will assign
 	// so recovery can verify replay determinism.
 	if err := e.walAppendLocked(&wal.Record{
 		Kind: wal.KindRegister, Query: uint64(id), K: k, Text: queryText,
 	}); err != nil {
-		return 0, nil, err
+		return 0, err
 	}
-	if err := e.flushLocked(); err != nil {
-		return 0, nil, err
-	}
-	deltas := e.collectDeltas()
 	if err := e.inner.Register(q); err != nil {
-		return 0, deltas, err
+		return 0, err
 	}
 	e.nextQuery = id + 1
 	e.queryText.Store(id, queryText)
 	e.internStoreLocked(queryText, q.Terms)
-	// Second publication of the op: the flush above published the
-	// pre-registration boundary (for the deltas); this one makes the new
-	// query's initial result visible to wait-free readers.
+	// Make the new query's initial result visible to wait-free readers.
 	e.publishLocked()
-	return id, deltas, e.walBoundaryLocked()
+	return id, e.walBoundaryLocked()
 }
 
 // RegisterWithID registers a continuous query under a caller-chosen id,
@@ -549,17 +524,14 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 // Register, which assigns ids densely.
 func (e *Engine) RegisterWithID(id QueryID, queryText string, k int) error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	_, deltas, err := e.registerAtLocked(id, queryText, k)
-	e.queueDeltasLocked(deltas)
+	_, err := e.registerAtLocked(id, queryText, k)
 	if err == nil {
 		e.maybeCheckpointLocked()
 	}
-	e.mu.Unlock()
-	e.deliverQueued()
 	return err
 }
 
@@ -568,48 +540,39 @@ func (e *Engine) RegisterWithID(id QueryID, queryText string, k int) error {
 // everything else a registration does to the shared stream state — the
 // query text is analyzed so dictionary interning order stays identical
 // across nodes (term ids order the score summation, so a diverged
-// dictionary diverges result bytes), any buffered epoch is flushed at
-// the same stream position the owning node flushes it, and the id is
-// consumed. The operation is WAL-logged and replays through recovery
-// and replication like any other.
+// dictionary diverges result bytes), and the id is consumed. The
+// operation is WAL-logged and replays through recovery and replication
+// like any other.
 func (e *Engine) AlignRegister(id QueryID, queryText string) error {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
 		return err
 	}
-	deltas, err := e.alignRegisterLocked(id, queryText)
-	e.queueDeltasLocked(deltas)
+	err := e.alignRegisterLocked(id, queryText)
 	if err == nil {
 		e.maybeCheckpointLocked()
 	}
-	e.mu.Unlock()
-	e.deliverQueued()
 	return err
 }
 
-func (e *Engine) alignRegisterLocked(id QueryID, queryText string) ([]pendingDelta, error) {
+func (e *Engine) alignRegisterLocked(id QueryID, queryText string) error {
 	if id < e.nextQuery {
-		return nil, fmt.Errorf("ita: align register id %d already consumed (next is %d)", id, e.nextQuery)
+		return fmt.Errorf("ita: align register id %d already consumed (next is %d)", id, e.nextQuery)
 	}
-	// Intern before the flush, exactly where registerAtLocked interns:
-	// buffered documents took their term ids at ingest time, so the
-	// query text's terms land in the same dictionary order either way.
+	// Intern exactly where registerAtLocked interns, so the query text's
+	// terms land in the same dictionary order on every node.
 	if len(e.pipeline.Counts(queryText)) == 0 {
-		return nil, ErrNoQueryTerms
+		return ErrNoQueryTerms
 	}
 	if err := e.walAppendLocked(&wal.Record{
 		Kind: wal.KindAlign, Query: uint64(id), Text: queryText,
 	}); err != nil {
-		return nil, err
+		return err
 	}
-	if err := e.flushLocked(); err != nil {
-		return nil, err
-	}
-	deltas := e.collectDeltas()
 	e.nextQuery = id + 1
 	e.publishLocked()
-	return deltas, e.walBoundaryLocked()
+	return e.walBoundaryLocked()
 }
 
 // NextQueryID returns the id the next Register call would assign. A
@@ -661,35 +624,25 @@ func (e *Engine) internReleaseLocked(text string) {
 }
 
 // Unregister removes a query and any watcher on it, reporting whether
-// the query existed. Like Register, it flushes any buffered epoch first
-// so the buffered documents were maintained while the query was live.
+// the query existed.
 func (e *Engine) Unregister(id QueryID) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.gateWriteLocked() != nil {
 		// The bool signature cannot carry ErrReadOnly/ErrClosed; a gated
 		// engine simply reports the query as not removed.
-		e.mu.Unlock()
 		return false
 	}
 	ok := e.unregisterLocked(id)
 	e.maybeCheckpointLocked()
-	e.mu.Unlock()
-	e.deliverQueued()
 	return ok
 }
 
 func (e *Engine) unregisterLocked(id QueryID) bool {
-	// The bool signature cannot carry an error; a flush error is
-	// impossible by construction here (facade-assigned ids are unique
-	// and arrival times were validated at buffer time), so it is
-	// deliberately discarded rather than widening the API.
-	//
 	// An unknown id is decided before anything is logged, so replay makes
 	// the same decision from the same state and no-op unregisters never
 	// reach the log.
 	if _, known := e.queryText.Load(id); !known {
-		_ = e.flushLocked()
-		e.queueDeltasLocked(e.collectDeltas())
 		return false
 	}
 	// A WAL append error on a live query is the one case the API cannot
@@ -703,8 +656,6 @@ func (e *Engine) unregisterLocked(id QueryID) bool {
 		e.wal.log.Poison(err)
 		return false
 	}
-	_ = e.flushLocked()
-	e.queueDeltasLocked(e.collectDeltas())
 	if text, ok := e.queryText.Load(id); ok {
 		e.internReleaseLocked(text.(string))
 	}
@@ -714,15 +665,16 @@ func (e *Engine) unregisterLocked(id QueryID) bool {
 	// Make the removal visible to wait-free readers: until this publish,
 	// readers still see the query at its last pre-unregister boundary.
 	e.publishLocked()
+	// The bool signature cannot carry an error; a failed marker poisons
+	// the log, so the next mutating operation reports it.
 	_ = e.walBoundaryLocked()
 	return ok
 }
 
 // Results returns the query's current top-k in descending score order.
 // It returns nil for an unknown query; a registered query with no
-// matching documents returns an empty non-nil slice. With WithBatchSize,
-// results reflect flushed epochs only — at most batchSize-1 documents
-// behind the last IngestText; call Flush first for read-your-writes.
+// matching documents returns an empty non-nil slice. It reflects every
+// ingest call that has returned.
 //
 // The read is wait-free for every algorithm: it loads the published
 // epoch-boundary view and copies it without acquiring the engine lock,
@@ -743,7 +695,7 @@ func (e *Engine) Results(id QueryID) []Match {
 // weakly consistent across queries — each query's entry is a real
 // epoch-boundary result at least as fresh as the last boundary
 // completed before the call, but two entries may come from adjacent
-// boundaries when the call races a flush.
+// boundaries when the call races an epoch.
 func (e *Engine) ResultsAll() []QueryResult {
 	var out []QueryResult
 	ps := e.pub.Load()
@@ -797,8 +749,7 @@ func (e *Engine) QueryText(id QueryID) (string, bool) {
 	return s.(string), true
 }
 
-// WindowLen returns the number of currently valid documents in flushed
-// epochs (buffered documents are not yet part of the window).
+// WindowLen returns the number of currently valid documents.
 func (e *Engine) WindowLen() int { return e.pub.Load().window }
 
 // Queries returns the number of registered queries.
@@ -824,8 +775,7 @@ func (e *Engine) MemoryUsage() Memory {
 }
 
 // DictionarySize returns the number of distinct terms interned as of
-// the last publication boundary (terms of buffered, unflushed documents
-// are counted once their epoch flushes).
+// the last publication boundary.
 func (e *Engine) DictionarySize() int { return e.pub.Load().dict }
 
 // textRing mirrors the window policy for retained document texts, with

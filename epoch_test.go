@@ -7,135 +7,60 @@ import (
 	"time"
 )
 
-// TestBatchSizeValidation covers the option's input checking.
-func TestBatchSizeValidation(t *testing.T) {
-	if _, err := New(WithCountWindow(5), WithBatchSize(0)); err == nil {
-		t.Fatal("WithBatchSize(0) accepted")
-	}
-	if _, err := New(WithCountWindow(5), WithBatchSize(-3)); err == nil {
-		t.Fatal("WithBatchSize(-3) accepted")
-	}
-	e := newEngine(t, WithCountWindow(5), WithBatchSize(1))
-	if _, err := e.IngestText("plain unbatched path", at(0)); err != nil {
-		t.Fatal(err)
-	}
-	if e.WindowLen() != 1 {
-		t.Fatalf("WindowLen = %d, want 1 (batch size 1 must not buffer)", e.WindowLen())
-	}
-}
-
-// TestBatchBufferingAndFlush checks the core WithBatchSize semantics:
-// reads reflect flushed epochs only, the buffer auto-flushes at the
-// epoch size, and Flush bounds staleness on a quiet stream.
-func TestBatchBufferingAndFlush(t *testing.T) {
-	e := newEngine(t, WithCountWindow(10), WithBatchSize(4))
-	q, err := e.Register("solar turbine", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id1, err := e.IngestText("solar turbine output", at(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id2, err := e.IngestText("solar panel farm", at(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id2 != id1+1 {
-		t.Fatalf("buffered ingest ids %d, %d: want consecutive", id1, id2)
-	}
-	// Nothing flushed yet: reads are allowed to be stale.
-	if got := e.WindowLen(); got != 0 {
-		t.Fatalf("WindowLen = %d before flush, want 0", got)
-	}
-	if got := e.Results(q); len(got) != 0 {
-		t.Fatalf("Results = %v before flush, want empty", got)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.WindowLen(); got != 2 {
-		t.Fatalf("WindowLen = %d after Flush, want 2", got)
-	}
-	if got := e.Results(q); len(got) == 0 || got[0].Doc != id1 {
-		t.Fatalf("Results after Flush = %v, want doc %d first", got, id1)
-	}
-	// Flush with an empty buffer is a no-op.
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Auto-flush on the 4th buffered document.
-	for i := 0; i < 3; i++ {
-		if _, err := e.IngestText("unrelated filler text", at(20+i)); err != nil {
-			t.Fatal(err)
-		}
-		if got := e.WindowLen(); got != 2 {
-			t.Fatalf("WindowLen = %d with %d buffered, want 2", got, i+1)
-		}
-	}
-	if _, err := e.IngestText("more filler arrives", at(30)); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.WindowLen(); got != 6 {
-		t.Fatalf("WindowLen = %d after auto-flush, want 6", got)
-	}
-	if got := e.Stats().Epochs; got == 0 {
-		t.Fatal("auto-flush did not take the epoch path")
-	}
-}
-
-// TestBatchFlushOnBarrierOps checks that Register, Advance, Snapshot and
-// Close apply the buffered epoch before acting.
+// TestBatchFlushOnBarrierOps checks that Register, Advance, Unregister
+// and Close act on a state that already holds every document of the
+// IngestBatch call that returned before them: an epoch is complete when
+// its call returns, so no operation has anything left to flush.
 func TestBatchFlushOnBarrierOps(t *testing.T) {
+	batch := []TimedText{{Text: "solar turbine output", At: at(0)}, {Text: "markets were calm", At: at(1)}}
 	t.Run("register", func(t *testing.T) {
-		e := newEngine(t, WithCountWindow(10), WithBatchSize(8))
-		if _, err := e.IngestText("solar turbine output", at(0)); err != nil {
+		e := newEngine(t, WithCountWindow(10))
+		if _, err := e.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		q, err := e.Register("solar turbine", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The initial search must have seen the buffered document.
+		// The initial search must have seen the ingested document.
 		if got := e.Results(q); len(got) != 1 {
 			t.Fatalf("Results = %v, want the pre-registration document", got)
 		}
 	})
 	t.Run("advance", func(t *testing.T) {
-		e := newEngine(t, WithTimeWindow(50*time.Millisecond), WithBatchSize(8))
-		if _, err := e.IngestText("a breaking story", at(0)); err != nil {
+		e := newEngine(t, WithTimeWindow(50*time.Millisecond))
+		if _, err := e.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Advance(at(100)); err != nil {
 			t.Fatal(err)
 		}
-		// Flushed by Advance, then immediately expired by the span.
+		// Applied by the ingest, then expired by the span.
 		if got := e.WindowLen(); got != 0 {
 			t.Fatalf("WindowLen = %d, want 0", got)
 		}
-		if got := e.Stats().Arrivals; got != 1 {
-			t.Fatalf("Arrivals = %d, want 1 (buffer must flush before expiry)", got)
+		if got := e.Stats().Arrivals; got != 2 {
+			t.Fatalf("Arrivals = %d, want 2", got)
 		}
 	})
 	t.Run("unregister", func(t *testing.T) {
-		e := newEngine(t, WithCountWindow(10), WithBatchSize(8))
+		e := newEngine(t, WithCountWindow(10))
 		q, err := e.Register("solar turbine", 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.IngestText("solar turbine output", at(0)); err != nil {
+		if _, err := e.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		if !e.Unregister(q) {
 			t.Fatal("Unregister reported unknown query")
 		}
-		if got := e.WindowLen(); got != 1 {
-			t.Fatalf("WindowLen = %d, want 1 (buffer must flush before unregister)", got)
+		if got := e.WindowLen(); got != 2 {
+			t.Fatalf("WindowLen = %d, want 2", got)
 		}
 	})
 	t.Run("close", func(t *testing.T) {
-		e := newEngine(t, WithCountWindow(10), WithBatchSize(8))
+		e := newEngine(t, WithCountWindow(10))
 		q, err := e.Register("solar turbine", 1)
 		if err != nil {
 			t.Fatal(err)
@@ -144,22 +69,26 @@ func TestBatchFlushOnBarrierOps(t *testing.T) {
 		if err := e.Watch(q, func(Delta) { deltas++ }); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.IngestText("solar turbine output", at(0)); err != nil {
+		if _, err := e.IngestBatch(batch); err != nil {
 			t.Fatal(err)
+		}
+		if deltas != 1 {
+			t.Fatalf("ingest delivered %d deltas before returning, want 1", deltas)
 		}
 		if err := e.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if deltas != 1 {
-			t.Fatalf("Close delivered %d deltas, want 1 (final epoch)", deltas)
+			t.Fatalf("Close delivered %d more deltas, want none", deltas-1)
 		}
 	})
 }
 
 // TestBatchGridMatchesSerialFacade drives every epoch size × shard
-// count combination through an identical text stream and compares
-// results at every epoch boundary against the unbatched single-threaded
-// facade, under the epoch pipeline's guarantee (sameTopK).
+// count combination through an identical text stream — the stream cut
+// into IngestBatch calls of B documents — and compares results at every
+// epoch boundary against the single-document single-threaded facade,
+// under the epoch pipeline's guarantee (sameTopK).
 func TestBatchGridMatchesSerialFacade(t *testing.T) {
 	texts := feedTexts(160)
 	queries := []string{"crude oil", "tanker export market", "refinery barrel price", "oil price"}
@@ -193,9 +122,6 @@ func TestBatchGridMatchesSerialFacade(t *testing.T) {
 			B, S := B, S
 			t.Run(fmt.Sprintf("b%d_s%d", B, S), func(t *testing.T) {
 				opts := []Option{WithCountWindow(12)}
-				if B > 1 {
-					opts = append(opts, WithBatchSize(B))
-				}
 				if S > 0 {
 					opts = append(opts, WithShards(S))
 				}
@@ -206,13 +132,16 @@ func TestBatchGridMatchesSerialFacade(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				for i, text := range texts {
-					if _, err := e.IngestText(text, at(i*10)); err != nil {
+				// The last, partial epoch compares the final state too.
+				for start := 0; start < len(texts); start += B {
+					var items []TimedText
+					for i := start; i < min(start+B, len(texts)); i++ {
+						items = append(items, TimedText{Text: texts[i], At: at(i * 10)})
+					}
+					if _, err := e.IngestBatch(items); err != nil {
 						t.Fatal(err)
 					}
-					if (i+1)%B != 0 {
-						continue // mid-epoch: results are allowed to lag
-					}
+					i := start + len(items) - 1
 					for qi := range queries {
 						got := e.Results(QueryID(qi + 1))
 						want := steps[i].results[qi]
@@ -221,29 +150,19 @@ func TestBatchGridMatchesSerialFacade(t *testing.T) {
 						}
 					}
 				}
-				// Drain the tail and compare the final state too.
-				if err := e.Flush(); err != nil {
-					t.Fatal(err)
-				}
-				last := steps[len(steps)-1]
-				for qi := range queries {
-					if err := sameTopK(e.Results(QueryID(qi+1)), last.results[qi]); err != nil {
-						t.Fatalf("final state, query %d: %v", qi+1, err)
-					}
-				}
 			})
 		}
 	}
 }
 
-// TestConcurrentFlushDeltaOrder drives an ingest goroutine against a
-// background Flush goroutine (the itaserver -flush ticker pattern) and
-// checks the cross-epoch delivery guarantee: a watcher replaying its
-// deltas in delivery order must always see a consistent top-k mirror —
-// every Exited doc present, every Entered doc absent. Out-of-order
-// epoch delivery breaks this immediately. Run under -race in CI.
+// TestConcurrentFlushDeltaOrder drives concurrent IngestText writers,
+// whose calls commit in groups of varying size, and checks the
+// cross-epoch delivery guarantee: a watcher replaying its deltas in
+// delivery order must always see a consistent top-k mirror — every
+// Exited doc present, every Entered doc absent. Out-of-order epoch
+// delivery breaks this immediately. Run under -race in CI.
 func TestConcurrentFlushDeltaOrder(t *testing.T) {
-	e := newEngine(t, WithCountWindow(3), WithBatchSize(4))
+	e := newEngine(t, WithCountWindow(3))
 	defer e.Close()
 	q, err := e.Register("solar turbine", 2)
 	if err != nil {
@@ -270,39 +189,28 @@ func TestConcurrentFlushDeltaOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	var flusher sync.WaitGroup
-	flusher.Add(1)
-	go func() {
-		defer flusher.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				if err := e.Flush(); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}
-	}()
 	texts := []string{
 		"solar turbine output rose",
 		"markets were calm today",
 		"giant solar turbine unveiled",
 		"a quiet day in parliament",
 	}
-	for i := 0; i < 400; i++ {
-		if _, err := e.IngestText(texts[i%len(texts)], at(i*10)); err != nil {
-			t.Fatal(err)
-		}
+	// One shared arrival time: concurrent writers reach the queue in any
+	// order, and equal times never regress.
+	var writers sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < 100; i++ {
+				if _, err := e.IngestText(texts[(w+i)%len(texts)], at(0)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
 	}
-	close(stop)
-	flusher.Wait()
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	writers.Wait()
 	if violation != nil {
 		t.Fatal(violation)
 	}
@@ -325,7 +233,7 @@ func TestConcurrentFlushDeltaOrder(t *testing.T) {
 // document that enters and leaves the top-k within one epoch produces
 // no notification, and a burst produces one net delta per query.
 func TestBatchWatchCoalescing(t *testing.T) {
-	e := newEngine(t, WithCountWindow(2), WithBatchSize(4))
+	e := newEngine(t, WithCountWindow(2))
 	q, err := e.Register("solar turbine", 1)
 	if err != nil {
 		t.Fatal(err)
@@ -336,16 +244,11 @@ func TestBatchWatchCoalescing(t *testing.T) {
 	}
 	// One epoch: a match arrives, then two unrelated documents push it
 	// out of the 2-document window — all inside the same batch.
-	if _, err := e.IngestText("solar turbine output rose", at(0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.IngestText("markets were calm", at(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.IngestText("a quiet day in parliament", at(20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
+	if _, err := e.IngestBatch([]TimedText{
+		{Text: "solar turbine output rose", At: at(0)},
+		{Text: "markets were calm", At: at(10)},
+		{Text: "a quiet day in parliament", At: at(20)},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {
@@ -354,13 +257,10 @@ func TestBatchWatchCoalescing(t *testing.T) {
 
 	// A burst whose net effect is one new top document: exactly one
 	// delta with the net change, not one per arrival.
-	if _, err := e.IngestText("solar turbine blades spin", at(30)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.IngestText("giant solar turbine unveiled today", at(40)); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
+	if _, err := e.IngestBatch([]TimedText{
+		{Text: "solar turbine blades spin", At: at(30)},
+		{Text: "giant solar turbine unveiled today", At: at(40)},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {

@@ -131,11 +131,6 @@ func runReplicatedSequence(t *testing.T, data []byte, seed int64, cfg faults.Con
 	crashes := 0
 
 	compare := func(step string) {
-		for _, e := range []*Engine{p, ref} {
-			if err := e.Flush(); err != nil {
-				t.Fatalf("%s: flush: %v", step, err)
-			}
-		}
 		waitReplCaughtUp(t, f, p, 30*time.Second)
 		requireMirroredSegment(t, p, f, step)
 		want := captureState(ref)
@@ -204,12 +199,6 @@ func runReplicatedSequence(t *testing.T, data []byte, seed int64, cfg faults.Con
 					t.Fatalf("%s: advance: %v", ctx, err)
 				}
 			}
-		case opFlush:
-			for _, e := range []*Engine{p, ref} {
-				if err := e.Flush(); err != nil {
-					t.Fatalf("%s: flush: %v", ctx, err)
-				}
-			}
 		case opResults:
 			compare(ctx)
 		case opCrash:
@@ -254,11 +243,6 @@ func runReplicatedSequence(t *testing.T, data []byte, seed int64, cfg faults.Con
 	}
 	requireSameState(t, captureState(f), captureState(ref), "promoted standby vs reference")
 	driveOps(t, 2000, 2024, f, ref)
-	for _, e := range []*Engine{f, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	requireSameState(t, captureState(f), captureState(ref), "promoted standby after writes")
 }
 

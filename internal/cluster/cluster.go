@@ -49,8 +49,6 @@ type Node interface {
 	IngestBatch(items []model.TimedText) ([]model.DocID, error)
 	// Advance moves the stream clock without an arrival.
 	Advance(now time.Time) error
-	// Flush forces a partial epoch out of the batch buffer.
-	Flush() error
 	// Results returns an owned query's top-k and its text; nil matches
 	// with ok=false means the node does not serve the query.
 	Results(id model.QueryID) (matches []model.Match, text string, ok bool, err error)
@@ -94,7 +92,6 @@ type LocalEngine interface {
 	IngestText(text string, at time.Time) (model.DocID, error)
 	IngestBatch(items []model.TimedText) ([]model.DocID, error)
 	Advance(now time.Time) error
-	Flush() error
 	Results(id model.QueryID) []model.Match
 	ResultsAll() []model.QueryResult
 	QueryText(id model.QueryID) (string, bool)
@@ -132,7 +129,6 @@ func (n localNode) IngestBatch(items []model.TimedText) ([]model.DocID, error) {
 }
 
 func (n localNode) Advance(now time.Time) error { return n.e.Advance(now) }
-func (n localNode) Flush() error                { return n.e.Flush() }
 
 func (n localNode) Results(id model.QueryID) ([]model.Match, string, bool, error) {
 	matches := n.e.Results(id)

@@ -168,11 +168,6 @@ func (n *HTTPNode) Advance(now time.Time) error {
 	return n.do(http.MethodPost, "/cluster/advance", req, nil)
 }
 
-// Flush implements Node.
-func (n *HTTPNode) Flush() error {
-	return n.do(http.MethodPost, "/cluster/flush", nil, nil)
-}
-
 // Results implements Node.
 func (n *HTTPNode) Results(id model.QueryID) ([]model.Match, string, bool, error) {
 	var resp struct {

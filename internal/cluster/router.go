@@ -158,10 +158,9 @@ func (r *Router) Register(text string, k int) (model.QueryID, error) {
 	return id, nil
 }
 
-// Unregister removes the query from its owner. The other nodes get a
-// Flush so every node reaches the same epoch boundary the owner's
-// unregister forced — exactly what a single-process engine does for an
-// id it does not know.
+// Unregister removes the query from its owner. The other nodes do not
+// know the id, and a single-process engine does nothing for an id it
+// does not know, so they are left alone.
 func (r *Router) Unregister(id model.QueryID) (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -170,13 +169,7 @@ func (r *Router) Unregister(id model.QueryID) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("cluster: unregister on owner node %d: %w", owner, err)
 	}
-	err = r.fanOut(owner, func(i int, n Node) error {
-		if err := n.Flush(); err != nil {
-			return fmt.Errorf("cluster: flush on node %d: %w", i, err)
-		}
-		return nil
-	})
-	return ok, err
+	return ok, nil
 }
 
 // IngestText fans the document to every node with one shared arrival
@@ -237,18 +230,6 @@ func (r *Router) Advance(now time.Time) error {
 	return r.fanOut(-1, func(i int, n Node) error {
 		if err := n.Advance(now); err != nil {
 			return fmt.Errorf("cluster: advance on node %d: %w", i, err)
-		}
-		return nil
-	})
-}
-
-// Flush forces every node's partial epoch out.
-func (r *Router) Flush() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.fanOut(-1, func(i int, n Node) error {
-		if err := n.Flush(); err != nil {
-			return fmt.Errorf("cluster: flush on node %d: %w", i, err)
 		}
 		return nil
 	})

@@ -33,10 +33,10 @@ func (g *gauge) exit() { g.cur.Add(-1) }
 // need.
 type fanProbe struct {
 	cluster.Node
-	g        *gauge
-	delay    time.Duration
-	flushErr error
-	flushes  atomic.Int32
+	g          *gauge
+	delay      time.Duration
+	advanceErr error
+	advances   atomic.Int32
 }
 
 func (n *fanProbe) observe() func() {
@@ -57,16 +57,11 @@ func (n *fanProbe) IngestBatch(items []model.TimedText) ([]model.DocID, error) {
 
 func (n *fanProbe) Advance(now time.Time) error {
 	defer n.observe()()
-	return n.Node.Advance(now)
-}
-
-func (n *fanProbe) Flush() error {
-	defer n.observe()()
-	n.flushes.Add(1)
-	if n.flushErr != nil {
-		return n.flushErr
+	n.advances.Add(1)
+	if n.advanceErr != nil {
+		return n.advanceErr
 	}
-	return n.Node.Flush()
+	return n.Node.Advance(now)
 }
 
 func (n *fanProbe) AlignRegister(id model.QueryID, text string) error {
@@ -125,7 +120,6 @@ func TestRouterFanOutParallel(t *testing.T) {
 		return err
 	})
 	check("advance", func() error { return router.Advance(at(30)) })
-	check("flush", func() error { return router.Flush() })
 	// Register's alignment fan-out (the owner itself is sequential, and
 	// with 4 nodes there are 3 aligners to overlap).
 	check("register align", func() error {
@@ -142,19 +136,19 @@ func TestRouterFanOutParallel(t *testing.T) {
 func TestRouterFanOutFirstError(t *testing.T) {
 	router, probes, _ := newProbedCluster(t, 4, time.Millisecond)
 	errLow, errHigh := errors.New("node 1 down"), errors.New("node 3 down")
-	probes[1].flushErr = errLow
-	probes[3].flushErr = errHigh
+	probes[1].advanceErr = errLow
+	probes[3].advanceErr = errHigh
 
-	err := router.Flush()
+	err := router.Advance(at(10))
 	if !errors.Is(err, errLow) {
-		t.Fatalf("Flush error = %v, want node 1's (lowest failing index)", err)
+		t.Fatalf("Advance error = %v, want node 1's (lowest failing index)", err)
 	}
 	if errors.Is(err, errHigh) {
-		t.Fatalf("Flush error %v carries the higher-indexed node's failure", err)
+		t.Fatalf("Advance error %v carries the higher-indexed node's failure", err)
 	}
 	for i, p := range probes {
-		if n := p.flushes.Load(); n != 1 {
-			t.Fatalf("node %d saw %d flushes, want 1 (fan-out must reach every node)", i, n)
+		if n := p.advances.Load(); n != 1 {
+			t.Fatalf("node %d saw %d advances, want 1 (fan-out must reach every node)", i, n)
 		}
 	}
 }

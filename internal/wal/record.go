@@ -16,13 +16,15 @@ const (
 	// Text. The facade no longer writes it (an ingest of one is a
 	// KindBatch of one) but still replays it from older logs.
 	KindDoc Kind = 3
-	// KindBatch is one IngestText or IngestBatch call: Doc (the first
-	// assigned id) and Items.
+	// KindBatch is one ingest epoch — an IngestText or IngestBatch
+	// call, or a group of concurrent ones: Doc (the first assigned id)
+	// and Items.
 	KindBatch Kind = 4
 	// KindAdvance moves the stream clock to At without an arrival.
 	KindAdvance Kind = 5
-	// KindFlush is an explicit epoch flush of the buffered documents —
-	// the one boundary that is not derivable from the other records.
+	// KindFlush was an explicit flush of documents an engine with a
+	// batch size had buffered. The facade no longer writes it, and
+	// replay, where every KindBatch is already its own epoch, skips it.
 	KindFlush Kind = 6
 	// KindEpoch marks a completed publication boundary carrying the
 	// engine's epoch sequence number. It bears no state: replay derives

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -104,8 +105,12 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 		pol = WithCountWindow(10)
 	}
 	base := []Option{pol}
+	// The B axis: in a third of the sequences the generator coalesces
+	// ingest ops into IngestBatch calls of up to 4 documents, sent to the
+	// router and the reference alike (see flush and ingest below).
+	batch := 1
 	if len(data) > 1 && data[1]%3 == 0 {
-		base = append(base, WithBatchSize(4))
+		batch = 4
 	}
 
 	ref, err := New(base...)
@@ -165,13 +170,33 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 		return out
 	}
 
+	var pend []TimedText
+	flush := func(step string) {
+		if len(pend) == 0 {
+			return
+		}
+		ids, err := router.IngestBatch(pend)
+		if err != nil {
+			t.Fatalf("%s: cluster ingest: %v", step, err)
+		}
+		want, err := ref.IngestBatch(pend)
+		if err != nil {
+			t.Fatalf("%s: reference ingest: %v", step, err)
+		}
+		if !reflect.DeepEqual(ids, want) {
+			t.Fatalf("%s: doc ids %v vs %v", step, ids, want)
+		}
+		pend = nil
+	}
+	ingest := func(step string, items ...TimedText) {
+		pend = append(pend, items...)
+		if len(pend) >= batch {
+			flush(step)
+		}
+	}
+
 	compare := func(step string) {
-		if err := router.Flush(); err != nil {
-			t.Fatalf("%s: cluster flush: %v", step, err)
-		}
-		if err := ref.Flush(); err != nil {
-			t.Fatalf("%s: reference flush: %v", step, err)
-		}
+		flush(step)
 		for i, m := range members {
 			waitReplCaughtUp(t, m.f, m.eng, 30*time.Second)
 			requireMirroredSegment(t, m.eng, m.f, fmt.Sprintf("%s: node %d", step, i))
@@ -204,31 +229,20 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 	for step, op := range ops {
 		ctx := fmt.Sprintf("op %d", step)
 		switch op.kind {
+		case opRegister, opUnregister, opAdvance, opFlush, opCheckpoint:
+			flush(ctx)
+		}
+		switch op.kind {
 		case opIngest:
 			clock += op.dtMs
-			id, err := router.IngestText(op.text, at(clock))
-			if err != nil {
-				t.Fatalf("%s: cluster ingest: %v", ctx, err)
-			}
-			want, err := ref.IngestText(op.text, at(clock))
-			if err != nil {
-				t.Fatalf("%s: reference ingest: %v", ctx, err)
-			}
-			if id != want {
-				t.Fatalf("%s: doc id %d vs %d", ctx, id, want)
-			}
+			ingest(ctx, TimedText{Text: op.text, At: at(clock)})
 		case opIngestBatch:
 			items := make([]TimedText, len(op.batch))
 			for j, text := range op.batch {
 				clock += op.dtMs
 				items[j] = TimedText{Text: text, At: at(clock)}
 			}
-			if _, err := router.IngestBatch(items); err != nil {
-				t.Fatalf("%s: cluster batch: %v", ctx, err)
-			}
-			if _, err := ref.IngestBatch(items); err != nil {
-				t.Fatalf("%s: reference batch: %v", ctx, err)
-			}
+			ingest(ctx, items...)
 		case opRegister:
 			id, err := router.Register(op.text, op.k)
 			if err != nil {
@@ -265,12 +279,7 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 				t.Fatalf("%s: reference advance: %v", ctx, err)
 			}
 		case opFlush:
-			if err := router.Flush(); err != nil {
-				t.Fatalf("%s: cluster flush: %v", ctx, err)
-			}
-			if err := ref.Flush(); err != nil {
-				t.Fatalf("%s: reference flush: %v", ctx, err)
-			}
+			// Submitted above.
 		case opResults:
 			compare(ctx)
 		case opCrash:
@@ -327,12 +336,6 @@ func runClusterSequence(t *testing.T, data []byte, seed int64, k int, cfg faults
 	router.SwapNode(0, cluster.Local(loss.eng))
 
 	finale := func(step string) {
-		if err := router.Flush(); err != nil {
-			t.Fatalf("%s: cluster flush: %v", step, err)
-		}
-		if err := ref.Flush(); err != nil {
-			t.Fatalf("%s: reference flush: %v", step, err)
-		}
 		want := captureState(ref)
 		requireSameState(t, captureClusterState(t, step, engines()...), want, step)
 	}

@@ -14,8 +14,8 @@ import (
 // This file is the randomized metamorphic equivalence suite of the
 // published-view read path: a deterministic byte-driven generator
 // interleaves every facade operation (Register, Unregister, IngestText,
-// IngestBatch, Advance, Flush, Results) and replays the identical
-// sequence against
+// IngestBatch, Advance, Results) and replays the identical sequence
+// against
 //
 //   - the serial ITA facade (the reference),
 //   - the Naïve brute-force facade (an independent oracle
@@ -31,19 +31,22 @@ import (
 // checkpoint ops: a grid engine is dropped mid-stream (worker
 // goroutines stopped, nothing flushed) and recovered from its log, and
 // the recovered engine must be byte-identical to the crashed one —
-// results, stats, id sequences, buffered epoch — before the run
-// continues on it. CI runs the suite under -race; a failing seed is
-// printed and can be replayed with ITA_EQ_SEED=<seed> go test -run
+// results, stats, id sequences — before the run continues on it. CI
+// runs the suite under -race; a failing seed is printed and can be
+// replayed with ITA_EQ_SEED=<seed> go test -run
 // TestMetamorphicEquivalence.
 //
 // There is one ingest pipeline, so B is an epoch-size axis, not a
 // code-path twin: B=1 makes every IngestText its own epoch and every
-// IngestBatch one epoch of its items, while B=64 coalesces calls into
-// epochs that cross op boundaries — different epoch cuts of the same
-// stream, which must agree at every boundary. The whole grid runs once
-// under cosine scoring (TestMetamorphicEquivalence) and once under
-// Okapi BM25 (TestMetamorphicOkapi), whose unnormalized weights give
-// the floors and probe bounds a different numeric range to hold in.
+// IngestBatch one epoch of its items, while for B=64 the generator
+// coalesces consecutive ingest ops into IngestBatch calls of up to 64
+// documents (submitted once 64 are held, and before every Register,
+// Unregister, Advance, Results, Checkpoint and opFlush) — different
+// epoch cuts of the same stream, which must agree at every boundary.
+// The whole grid runs once under cosine scoring
+// (TestMetamorphicEquivalence) and once under Okapi BM25
+// (TestMetamorphicOkapi), whose unnormalized weights give the floors
+// and probe bounds a different numeric range to hold in.
 
 // opKind enumerates the generated facade operations.
 const (
@@ -52,8 +55,8 @@ const (
 	opRegister
 	opUnregister
 	opAdvance
-	opFlush
-	opResults     // flush-to-boundary + full cross-engine comparison
+	opFlush       // submit the B=64 cells' coalesced ingests
+	opResults     // submit coalesced ingests + full cross-engine comparison
 	opCrash       // durable engines: crash, reopen, assert byte-identical recovery
 	opCheckpoint  // durable engines: force a checkpoint + log rotation
 	opWatchToggle // un/re-watch a live query mid-stream (often mid-epoch)
@@ -174,6 +177,12 @@ type eqEngine struct {
 	e      *Engine
 	walDir string
 	scan   bool // probe trees pinned to the scan-all representation
+	// batch > 1 coalesces ingest ops into IngestBatch calls of up to
+	// batch documents: pend holds them, and want the ids the serial
+	// reference assigned them.
+	batch int
+	pend  []TimedText
+	want  []DocID
 	// watched is the delta-reconstruction oracle: per watched query, the
 	// top-k document set rebuilt purely from delivered watch deltas
 	// (seeded from the published result at Watch time). The engine's
@@ -181,6 +190,30 @@ type eqEngine struct {
 	// which fails on any lost, duplicated or mis-baselined delta,
 	// however batching coalesced the epochs that produced it.
 	watched map[QueryID]map[DocID]bool
+}
+
+// ingest submits items, whose ids on the serial reference are want —
+// at once, or coalesced until the cell's batch is full.
+func (g *eqEngine) ingest(items []TimedText, want []DocID) error {
+	g.pend = append(g.pend, items...)
+	g.want = append(g.want, want...)
+	if len(g.pend) < g.batch {
+		return nil
+	}
+	return g.flush()
+}
+
+// flush submits the coalesced ingests as one IngestBatch call.
+func (g *eqEngine) flush() error {
+	if len(g.pend) == 0 {
+		return nil
+	}
+	ids, err := g.e.IngestBatch(g.pend)
+	if err == nil && !reflect.DeepEqual(ids, g.want) {
+		err = fmt.Errorf("doc ids %v, serial %v", ids, g.want)
+	}
+	g.pend, g.want = nil, nil
+	return err
 }
 
 // watchQuery (re)subscribes one engine to a query and resets its
@@ -281,9 +314,6 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 				dir := t.TempDir()
 				opts := append([]Option{WithShards(s), withFloorMargins(1, 1),
 					WithDurability(DurabilityOff), WithCheckpointEvery(24)}, extra...)
-				if b > 1 {
-					opts = append(opts, WithBatchSize(b))
-				}
 				name := fmt.Sprintf("s%d_b%d", s, b)
 				if scan {
 					opts = append(opts, withScanAllTrees())
@@ -294,7 +324,7 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 					t.Fatalf("policy %s: %v", polName, err)
 				}
 				pair[i] = len(grid)
-				grid = append(grid, eqEngine{name: name, e: e, walDir: dir, scan: scan,
+				grid = append(grid, eqEngine{name: name, e: e, walDir: dir, scan: scan, batch: b,
 					watched: map[QueryID]map[DocID]bool{}})
 			}
 			twins = append(twins, pair)
@@ -314,12 +344,15 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 	forbidden := make(map[QueryID]bool)
 	clock := 0
 
-	compare := func(step int) {
-		for _, g := range grid {
-			if err := g.e.Flush(); err != nil {
-				t.Fatalf("op %d: %s: flush: %v", step, g.name, err)
+	flush := func(step int) {
+		for gi := range grid {
+			if err := grid[gi].flush(); err != nil {
+				t.Fatalf("op %d: %s: coalesced ingest: %v", step, grid[gi].name, err)
 			}
 		}
+	}
+	compare := func(step int) {
+		flush(step)
 		for _, g := range grid[1:] {
 			if gw, ww := g.e.WindowLen(), serial.e.WindowLen(); gw != ww {
 				t.Fatalf("op %d: %s: WindowLen %d, serial %d", step, g.name, gw, ww)
@@ -406,36 +439,29 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 
 	for step, op := range ops {
 		switch op.kind {
-		case opIngest:
-			clock += op.dtMs
-			var want DocID
-			for gi, g := range grid {
-				id, err := g.e.IngestText(op.text, at(clock))
-				if err != nil {
-					t.Fatalf("op %d: %s: ingest: %v", step, g.name, err)
-				}
-				if gi == 0 {
-					want = id
-				} else if id != want {
-					t.Fatalf("op %d: %s: doc id %d, serial %d", step, g.name, id, want)
-				}
-			}
-		case opIngestBatch:
-			items := make([]TimedText, len(op.batch))
-			for j, text := range op.batch {
+		case opRegister, opUnregister, opAdvance, opFlush, opCheckpoint:
+			flush(step)
+		}
+		switch op.kind {
+		case opIngest, opIngestBatch:
+			var items []TimedText
+			if op.kind == opIngest {
 				clock += op.dtMs
-				items[j] = TimedText{Text: text, At: at(clock)}
+				items = []TimedText{{Text: op.text, At: at(clock)}}
 			}
-			var want []DocID
-			for gi, g := range grid {
-				ids, err := g.e.IngestBatch(items)
-				if err != nil {
-					t.Fatalf("op %d: %s: batch: %v", step, g.name, err)
-				}
-				if gi == 0 {
-					want = ids
-				} else if !reflect.DeepEqual(ids, want) {
-					t.Fatalf("op %d: %s: batch ids %v, serial %v", step, g.name, ids, want)
+			for _, text := range op.batch {
+				clock += op.dtMs
+				items = append(items, TimedText{Text: text, At: at(clock)})
+			}
+			// The serial reference (grid[0]) ingests first and fixes the ids.
+			want, err := serial.e.IngestBatch(items)
+			if err != nil {
+				t.Fatalf("op %d: serial: ingest: %v", step, err)
+			}
+			for gi := range grid[1:] {
+				g := &grid[gi+1]
+				if err := g.ingest(items, want); err != nil {
+					t.Fatalf("op %d: %s: ingest: %v", step, g.name, err)
 				}
 			}
 		case opRegister:
@@ -483,11 +509,7 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 				}
 			}
 		case opFlush:
-			for _, g := range grid {
-				if err := g.e.Flush(); err != nil {
-					t.Fatalf("op %d: %s: flush: %v", step, g.name, err)
-				}
-			}
+			// Submitted above.
 		case opResults:
 			compare(step)
 		case opWatchToggle:
@@ -503,9 +525,9 @@ func runOpSequence(t *testing.T, data []byte, extra ...Option) {
 					delete(grid[gi].watched, id)
 				}
 			} else {
-				// Re-watching lands at whatever point the engine happens to
-				// be — for batched cells, typically mid-epoch with documents
-				// buffered — so the stored baseline must be the published
+				// Re-watching lands at whatever point the stream happens to
+				// be — for batched cells, typically with ingests still
+				// coalescing — so the stored baseline must be the published
 				// boundary for the reconstruction to stay exact.
 				for gi := range grid {
 					watchQuery(t, &grid[gi], id, forbidden)

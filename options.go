@@ -63,7 +63,6 @@ type config struct {
 	floorTarget   int  // floor margin overrides; 0 = engine default
 	floorRaise    int
 	shards        int // ITA query shards; 0 = one per CPU, resolved by build
-	batchSize     int // epoch size for auto-coalesced ingestion; <= 1 disables
 
 	// Durability (see durable.go). walAttach marks a config built by the
 	// Open recovery path itself, where New must not recurse into Open.
@@ -154,37 +153,14 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithBatchSize enables epoch-batched ingestion: IngestText calls
-// buffer their analyzed documents and the engine processes them as one
-// epoch — a single net index mutation pass plus one net maintenance
-// pass per affected query — once n have accumulated, when Flush is
-// called, or before any operation that needs the stream applied
-// (Register, Unregister, Advance, Snapshot, Close). Per-query results
-// at every epoch boundary are identical to unbatched processing; the
-// trade is bounded read staleness (Results, Stats, WindowLen reflect
-// flushed epochs only, at most n-1 documents behind) for substantially
-// higher sustained throughput, and watchers receive one coalesced delta
-// per query per epoch. n = 1 (the default) disables buffering. See the
-// "Epochs" section of the package documentation.
-func WithBatchSize(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("ita: batch size must be >= 1, got %d", n)
-		}
-		c.batchSize = n
-		return nil
-	}
-}
-
 // Durability selects the write-ahead log's fsync policy; see WithWAL.
 type Durability int
 
 const (
 	// DurabilityEpochSync (the default) fsyncs the log at every epoch
-	// boundary: once an ingest, flush, register, unregister or advance
-	// returns, its epoch survives any crash. Documents of a partial
-	// epoch buffered by WithBatchSize may be lost with the OS page
-	// cache if the machine (not just the process) fails.
+	// boundary: once an ingest, register, unregister or advance returns,
+	// its epoch survives any crash. Concurrent ingests that commit as one
+	// epoch share one fsync.
 	DurabilityEpochSync Durability = iota
 	// DurabilityOff never fsyncs. A process crash still loses nothing
 	// that reached the log (the page cache survives the process); an OS

@@ -210,7 +210,7 @@ func OpenFollower(dir, primaryAddr string, opts ...Option) (*Engine, error) {
 			return nil, err
 		}
 	}
-	e, err := openDurable(dir, opts)
+	e, err := openDurable(dir, opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -330,8 +330,14 @@ func (e *Engine) Promote() error {
 	}
 	e.readOnly = false
 	e.wal.recovering = false
+	// The primary may have died between an operation's record and its
+	// marker; seal the log before this engine appends a marker of its own.
+	err := e.walSealLocked()
+	if err != nil {
+		e.wal.log.Poison(err)
+	}
 	e.mu.Unlock()
-	return nil
+	return err
 }
 
 // followerApplier adapts the engine to repl.Applier. Every method takes
@@ -433,10 +439,9 @@ func (a *followerApplier) Rotate(seq uint64) error {
 	if w == nil || !e.readOnly {
 		return errors.New("ita: rotate on a non-follower")
 	}
-	// The primary checkpoints only at a boundary with an empty epoch
-	// buffer; a mirrored follower is in the same state. Anything else
-	// means the streams diverged.
-	if w.epochSeq != seq || len(e.pending) != 0 {
+	// The primary checkpoints only at a boundary; a mirrored follower is
+	// at the same one. Anything else means the streams diverged.
+	if w.epochSeq != seq {
 		return repl.ErrNeedSnapshot
 	}
 	return e.writeCheckpointLocked(seq)
@@ -514,7 +519,6 @@ func (e *Engine) adoptLocked(ne *Engine) {
 	e.texts = ne.texts
 	e.interned = ne.interned
 	e.wal = ne.wal
-	e.pending, e.pendingText = nil, nil
 	e.queryText.Range(func(k, _ any) bool {
 		e.queryText.Delete(k)
 		return true

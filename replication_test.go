@@ -98,9 +98,8 @@ func waitReplCaughtUp(t *testing.T, f, p *Engine, timeout time.Duration) {
 		p.mu.Unlock()
 		f.mu.Lock()
 		fSeq, fOff, fEpoch := f.wal.ckptSeq, f.wal.log.Offset(), f.wal.epochSeq
-		pending := len(f.pending)
 		f.mu.Unlock()
-		if fSeq == pSeq && fOff == pOff && fEpoch == pEpoch && pending == 0 {
+		if fSeq == pSeq && fOff == pOff && fEpoch == pEpoch {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -177,11 +176,6 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 	defer f.Close()
 
 	live := driveOps(t, 0, 120, p, ref)
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	waitReplCaughtUp(t, f, p, 10*time.Second)
 	requireMirroredSegment(t, p, f, "after catch-up")
 	want := captureState(ref)
@@ -201,9 +195,6 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 	}
 	if err := f.Advance(at(99999)); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("follower Advance: %v, want ErrReadOnly", err)
-	}
-	if err := f.Flush(); !errors.Is(err, ErrReadOnly) {
-		t.Fatalf("follower Flush: %v, want ErrReadOnly", err)
 	}
 	if err := f.Checkpoint(); !errors.Is(err, ErrReadOnly) {
 		t.Fatalf("follower Checkpoint: %v, want ErrReadOnly", err)
@@ -271,11 +262,6 @@ func TestFollowerServesReplicatedReads(t *testing.T) {
 			}
 		}
 	}
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	waitReplCaughtUp(t, f, p, 10*time.Second)
 	mu.Lock()
 	n := len(got)
@@ -307,11 +293,6 @@ func TestFollowerKillRejoinResumes(t *testing.T) {
 	f := openReplFollower(t, fDir, addr, "standby")
 
 	driveOps(t, 0, 80, p, ref)
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	waitReplCaughtUp(t, f, p, 10*time.Second)
 	if err := f.Close(); err != nil {
 		t.Fatalf("close follower: %v", err)
@@ -323,11 +304,6 @@ func TestFollowerKillRejoinResumes(t *testing.T) {
 	// back to a checkpoint fetch (the past-retention fallback is proven
 	// separately in internal/repl).
 	driveOps(t, 80, 115, p, ref)
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 
 	f2 := openReplFollower(t, fDir, addr, "standby")
 	defer f2.Close()
@@ -337,6 +313,67 @@ func TestFollowerKillRejoinResumes(t *testing.T) {
 	if fs := f2.ReplicationStats(); fs.Resyncs != 0 {
 		t.Fatalf("rejoin fell back to a checkpoint resync: %+v", fs)
 	}
+}
+
+// TestPromoteSealsUnmarkedRecord: a primary that dies between an
+// operation's record and its epoch marker leaves its standby holding
+// the record without the marker. Promote must write the marker before
+// the promoted engine appends one of its own, or the next reopen of the
+// standby's directory refuses the log.
+func TestPromoteSealsUnmarkedRecord(t *testing.T) {
+	p, addr, _ := openReplPrimary(t)
+	ref, err := New(WithCountWindow(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	fDir := t.TempDir()
+	f := openReplFollower(t, fDir, addr, "standby")
+	defer f.Close()
+	driveOps(t, 0, 20, p, ref)
+	waitReplCaughtUp(t, f, p, 10*time.Second)
+
+	// The interrupted operation: its record is logged and shipped, its
+	// marker never written.
+	text := "crude oil tanker report"
+	p.mu.Lock()
+	err = p.walAppendLocked(&wal.Record{Kind: wal.KindBatch, Doc: uint64(p.nextDoc),
+		Items: []wal.DocEntry{{At: at(1000).UnixNano(), Text: text}}})
+	off := p.wal.log.Offset()
+	p.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.IngestText(text, at(1000)); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+		f.mu.Lock()
+		fOff := f.wal.log.Offset()
+		f.mu.Unlock()
+		if fOff == off {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("standby at offset %d, primary at %d", fOff, off)
+		}
+	}
+	crashPrimaryForTest(p)
+
+	if err := f.Promote(); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	requireSameState(t, captureState(f), captureState(ref), "promoted standby vs reference")
+	driveOps(t, 200, 210, f, ref)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(fDir)
+	if err != nil {
+		t.Fatalf("reopen the promoted standby's directory: %v", err)
+	}
+	defer r.Close()
+	requireSameState(t, captureState(r), captureState(ref), "reopened promoted standby vs reference")
 }
 
 // TestPrimaryKillPromoteContinues is the failover path: kill -9 the
@@ -354,11 +391,6 @@ func TestPrimaryKillPromoteContinues(t *testing.T) {
 	defer f.Close()
 
 	driveOps(t, 0, 100, p, ref)
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	waitReplCaughtUp(t, f, p, 10*time.Second)
 
 	crashPrimaryForTest(p)
@@ -370,11 +402,6 @@ func TestPrimaryKillPromoteContinues(t *testing.T) {
 	// The promoted engine accepts writes and stays in lockstep with the
 	// reference.
 	driveOps(t, 100, 160, f, ref)
-	for _, e := range []*Engine{f, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	requireSameState(t, captureState(f), captureState(ref), "promoted standby after writes")
 	if err := f.Promote(); err == nil {
 		t.Fatal("second Promote succeeded")
@@ -439,20 +466,12 @@ func TestPromoteUnderPartition(t *testing.T) {
 	defer f.Close()
 
 	driveOps(t, 0, 90, p, ref)
-	for _, e := range []*Engine{p, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	waitReplCaughtUp(t, f, p, 10*time.Second)
 
 	// Split brain: the primary keeps writing behind the partition; none
 	// of it reaches the standby.
 	netw.Partition()
 	driveOps(t, 200, 240, p)
-	if err := p.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	if err := f.Promote(); err != nil {
 		t.Fatalf("promote under partition: %v", err)
 	}
@@ -461,11 +480,6 @@ func TestPromoteUnderPartition(t *testing.T) {
 	// The promoted side continues with its own history (different ops
 	// than the partitioned primary wrote).
 	driveOps(t, 300, 345, f, ref)
-	for _, e := range []*Engine{f, ref} {
-		if err := e.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	requireSameState(t, captureState(f), captureState(ref), "promoted after divergence")
 
 	// Heal and fail the old primary over: its WAL holds records the new

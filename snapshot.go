@@ -41,8 +41,9 @@ const snapshotVersion = 3
 // guarantee is built on. The inverted index itself remains derivable
 // (it is a pure function of the window documents) and is still rebuilt.
 // Snapshots written while the engine had two posting layouts also carry
-// a PostingLayout field; gob drops a field the struct no longer has, so
-// they restore onto the one layout there is.
+// a PostingLayout field, and those written while it had a batch size a
+// BatchSize field; gob drops a field the struct no longer has, so they
+// restore onto the one layout there is, with every ingest its own epoch.
 type snapshot struct {
 	Version   int
 	Algorithm Algorithm
@@ -60,9 +61,6 @@ type snapshot struct {
 	// ShardedIncrementalThreshold (0 meaning one per CPU) and left it
 	// zero for the one-shard engine, which restores with one shard.
 	Shards int
-	// Epoch size of WithBatchSize. Older snapshots decode it as zero,
-	// which restores unbatched — the pre-batching behavior.
-	BatchSize int
 	// Dictionary terms in id order, so interned ids survive the round
 	// trip and query/document term ids keep matching.
 	Terms []string
@@ -112,43 +110,25 @@ type snapshotDoc struct {
 	Postings  []model.Posting
 }
 
-// Snapshot serializes the engine: configuration (including the epoch
-// batch size, so a restored engine keeps its ingestion configuration),
-// dictionary, registered queries with their exact incremental state,
-// operation counters and the current window. Any buffered epoch is
-// flushed first so the snapshot captures every ingested document.
-// Watchers are not serialized (they are process-local callbacks). The
-// engine stays usable afterwards.
+// Snapshot serializes the engine: configuration, dictionary, registered
+// queries with their exact incremental state, operation counters and
+// the current window. Watchers are not serialized (they are
+// process-local callbacks). The engine stays usable afterwards. A
+// follower refuses with ErrReadOnly: its primary's checkpoints are the
+// snapshots of that stream.
 func (e *Engine) Snapshot(w io.Writer) error {
 	e.mu.Lock()
-	// Gated on followers too: the pre-snapshot flush would create a
-	// local epoch boundary the primary's record stream never had.
+	defer e.mu.Unlock()
 	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
-		return err
-	}
-	err := e.snapshotLocked(w)
-	e.queueDeltasLocked(e.collectDeltas())
-	e.mu.Unlock()
-	e.deliverQueued()
-	return err
-}
-
-func (e *Engine) snapshotLocked(w io.Writer) error {
-	if err := e.flushExplicitLocked(); err != nil {
 		return err
 	}
 	return e.encodeSnapshotLocked(w)
 }
 
 // encodeSnapshotLocked writes the snapshot of the current state. Must
-// be called with e.mu held and no buffered epoch pending (checkpoints
-// rely on that invariant: every logged record up to this boundary is
-// reflected in the encoded state).
+// be called with e.mu held, at a boundary (checkpoints rely on that:
+// every logged record up to it is reflected in the encoded state).
 func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
-	if len(e.pending) != 0 {
-		return fmt.Errorf("ita: snapshot with %d buffered documents", len(e.pending))
-	}
 	s := snapshot{
 		Version:    snapshotVersion,
 		Algorithm:  e.cfg.algorithm,
@@ -156,7 +136,6 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 		Stopwords:  e.cfg.stopwords,
 		RetainText: e.cfg.retainText,
 		Shards:     e.cfg.shards,
-		BatchSize:  e.cfg.batchSize,
 		NextDoc:    uint64(e.nextDoc),
 		NextQuery:  uint64(e.nextQuery),
 		LastAtNs:   e.lastAt.UnixNano(),
@@ -227,9 +206,6 @@ func (s *snapshot) options() []Option {
 	opts := []Option{WithAlgorithm(s.Algorithm)}
 	if s.Shards > 0 {
 		opts = append(opts, WithShards(s.Shards))
-	}
-	if s.BatchSize > 1 {
-		opts = append(opts, WithBatchSize(s.BatchSize))
 	}
 	if s.CountN > 0 {
 		opts = append(opts, WithCountWindow(s.CountN))

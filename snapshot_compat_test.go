@@ -114,7 +114,6 @@ func TestRegenerateV1Fixture(t *testing.T) {
 		RetainText: s.RetainText,
 		Seed:       1, // version-1 writers recorded the structure seed; 1 was the default
 		Shards:     s.Shards,
-		BatchSize:  s.BatchSize,
 		Terms:      s.Terms,
 		Texts:      s.Texts,
 		NextDoc:    s.NextDoc,

@@ -144,23 +144,25 @@ func TestSnapshotOkapiAndFlags(t *testing.T) {
 
 // TestSnapshotRoundTripAllOptions round-trips every persistable
 // configuration option — algorithm, window, scoring, analysis flags,
-// text retention, shard count and epoch batch size — and checks
-// each survives into the restored engine's configuration and behavior.
+// text retention and shard count — and checks each survives into the
+// restored engine's configuration and behavior, with the stream fed in
+// IngestBatch calls of batch documents.
 func TestSnapshotRoundTripAllOptions(t *testing.T) {
 	cases := []struct {
-		name string
-		opts []Option
+		name  string
+		opts  []Option
+		batch int
 	}{
-		{"defaults", []Option{WithCountWindow(8)}},
-		{"time_window", []Option{WithTimeWindow(400 * time.Millisecond)}},
-		{"batch", []Option{WithCountWindow(8), WithBatchSize(4)}},
-		{"sharded_batch", []Option{WithCountWindow(8), WithShards(3), WithBatchSize(16)}},
+		{"defaults", []Option{WithCountWindow(8)}, 1},
+		{"time_window", []Option{WithTimeWindow(400 * time.Millisecond)}, 1},
+		{"batch", []Option{WithCountWindow(8)}, 4},
+		{"sharded_batch", []Option{WithCountWindow(8), WithShards(3)}, 16},
 		{"kitchen_sink", []Option{
-			WithCountWindow(8), WithShards(2), WithBatchSize(5),
+			WithCountWindow(8), WithShards(2),
 			WithOkapiScoring(30), WithoutStemming(), WithoutStopwords(),
 			WithTextRetention(),
-		}},
-		{"naive", []Option{WithCountWindow(8), WithAlgorithm(NaiveKmax), WithBatchSize(3)}},
+		}, 5},
+		{"naive", []Option{WithCountWindow(8), WithAlgorithm(NaiveKmax)}, 3},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -171,17 +173,28 @@ func TestSnapshotRoundTripAllOptions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, text := range feedTexts(13) { // 13: leaves a partial epoch buffered
-				if _, err := e.IngestText(text, at(i*10)); err != nil {
-					t.Fatal(err)
+			// ingest feeds texts[i] at at(i*10) for i in [from, to), in
+			// calls of tc.batch documents.
+			ingest := func(texts []string, from, to int, engs ...*Engine) {
+				t.Helper()
+				for i := from; i < to; i += tc.batch {
+					var items []TimedText
+					for j := i; j < min(i+tc.batch, to); j++ {
+						items = append(items, TimedText{Text: texts[j], At: at(j * 10)})
+					}
+					for _, x := range engs {
+						if _, err := x.IngestBatch(items); err != nil {
+							t.Fatal(err)
+						}
+					}
 				}
 			}
+			ingest(feedTexts(13), 0, 13, e)
 			r := snapshotRoundTrip(t, e)
 			defer r.Close()
 
 			// The full configuration must survive.
 			if r.cfg.algorithm != e.cfg.algorithm ||
-				r.cfg.batchSize != e.cfg.batchSize ||
 				r.cfg.shards != e.cfg.shards ||
 				r.cfg.stemming != e.cfg.stemming ||
 				r.cfg.stopwords != e.cfg.stopwords ||
@@ -190,9 +203,8 @@ func TestSnapshotRoundTripAllOptions(t *testing.T) {
 				r.cfg.policy.String() != e.cfg.policy.String() {
 				t.Fatalf("restored config %+v, want %+v", r.cfg, e.cfg)
 			}
-			// Snapshot flushed the partial epoch, so the snapshotting
-			// engine and the restored one agree immediately. (The
-			// restored engine replays only the surviving window, not the
+			// The snapshotting engine and the restored one agree
+			// immediately. (The restored engine replays only the surviving window, not the
 			// full stream history, so inside an exact-score tie group at
 			// the k-th rank it may retain a different — equally correct —
 			// member; sameTopK is exactly that guarantee.)
@@ -202,23 +214,12 @@ func TestSnapshotRoundTripAllOptions(t *testing.T) {
 			if r.WindowLen() != e.WindowLen() {
 				t.Fatalf("window %d vs %d", r.WindowLen(), e.WindowLen())
 			}
-			// ...and keep agreeing while the restored engine continues
-			// batching with the persisted epoch size.
+			// ...and keep agreeing while both continue.
+			more := make([]string, 29)
 			for i := 13; i < 29; i++ {
-				text := fmt.Sprintf("crude market report %d", i)
-				if _, err := e.IngestText(text, at(i*10)); err != nil {
-					t.Fatal(err)
-				}
-				if _, err := r.IngestText(text, at(i*10)); err != nil {
-					t.Fatal(err)
-				}
+				more[i] = fmt.Sprintf("crude market report %d", i)
 			}
-			if err := e.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.Flush(); err != nil {
-				t.Fatal(err)
-			}
+			ingest(more, 13, 29, e, r)
 			if err := sameTopK(r.Results(q), e.Results(q)); err != nil {
 				t.Fatalf("post-restore evolution: %v", err)
 			}
@@ -256,7 +257,7 @@ func TestSnapshotNaiveEngine(t *testing.T) {
 // (b) watchers attached to both engines pick up identically: feeding the
 // same subsequent epochs to both produces the same delta stream.
 func TestMidStreamSnapshotWithActiveReaders(t *testing.T) {
-	e := newEngine(t, WithCountWindow(9), WithShards(2), WithBatchSize(4), WithTextRetention())
+	e := newEngine(t, WithCountWindow(9), WithShards(2), WithTextRetention())
 	defer e.Close()
 	queries := []string{"crude oil market", "solar turbine grid", "tanker export"}
 	var qids []QueryID
@@ -292,12 +293,21 @@ func TestMidStreamSnapshotWithActiveReaders(t *testing.T) {
 		}(r)
 	}
 
+	// The stream arrives in IngestBatch calls of up to 4 documents.
 	texts := feedTexts(60)
-	for i := 0; i < 42; i++ { // 42 % 4 != 0: a partial epoch stays buffered
-		if _, err := e.IngestText(texts[i], at(i*10)); err != nil {
-			t.Fatal(err)
+	ingest := func(eng *Engine, from, to int) {
+		t.Helper()
+		for i := from; i < to; i += 4 {
+			var items []TimedText
+			for j := i; j < min(i+4, to); j++ {
+				items = append(items, TimedText{Text: texts[j], At: at(j * 10)})
+			}
+			if _, err := eng.IngestBatch(items); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
+	ingest(e, 0, 42) // 42 % 4 != 0: the last call is a partial epoch
 	var buf bytes.Buffer
 	if err := e.Snapshot(&buf); err != nil {
 		t.Fatal(err)
@@ -388,25 +398,12 @@ func TestMidStreamSnapshotWithActiveReaders(t *testing.T) {
 			}
 		}
 	}
-	for i := 42; i < 60; i++ {
-		ts := at(i * 10)
-		if _, err := e.IngestText(texts[i], ts); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := r.IngestText(texts[i], ts); err != nil {
-			t.Fatal(err)
-		}
-		if (i-42)%4 == 3 { // both engines just completed an epoch
-			checkBoundary(i)
-		}
+	for i := 42; i < 60; i += 4 {
+		end := min(i+4, 60)
+		ingest(e, i, end)
+		ingest(r, i, end)
+		checkBoundary(end - 1)
 	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	checkBoundary(60)
 	if deltas == 0 {
 		t.Fatal("tail epochs produced no deltas; test stream too weak")
 	}

@@ -9,8 +9,8 @@ import (
 )
 
 // Delta describes how one query's result changed across one epoch — an
-// unbatched IngestText or Advance call, an IngestBatch call, or a
-// WithBatchSize flush. Entered lists documents newly present in the
+// Advance call, or an ingest epoch (one IngestText or IngestBatch call,
+// or a group of concurrent ones that committed together). Entered lists documents newly present in the
 // top-k, in result order; Exited lists documents that left it (by
 // expiring or by being displaced).
 //
@@ -23,8 +23,8 @@ import (
 // instead of one per event. Deltas of one epoch are delivered in
 // ascending query id, after the triggering call released the engine
 // lock; consecutive epochs deliver in epoch order even when different
-// goroutines flush them (a background Flush ticker racing an ingest
-// cannot reorder a watcher's view).
+// goroutines commit them (concurrent writers cannot reorder a watcher's
+// view).
 type Delta struct {
 	Query   QueryID
 	Entered []Match
@@ -200,7 +200,7 @@ func (e *Engine) boundaryResultLocked(id QueryID) ([]model.ScoredDoc, bool) {
 // queueDeltasLocked appends one epoch's deltas to the delivery queue.
 // Must be called with e.mu held: e.mu serializes epochs, so enqueueing
 // under it keeps the queue in epoch order even when several goroutines
-// (say, a background flush ticker racing an ingest) flush concurrently.
+// (say, concurrent writers) commit epochs concurrently.
 func (e *Engine) queueDeltasLocked(deltas []pendingDelta) {
 	if len(deltas) == 0 {
 		return
@@ -215,9 +215,9 @@ func (e *Engine) queueDeltasLocked(deltas []pendingDelta) {
 // caller finding a drain in progress leaves its deltas for the active
 // drainer, which loops until the queue is empty — this is what makes
 // the cross-epoch delivery order a real guarantee under concurrent
-// flushes, not just within one goroutine. Must be called without e.mu
+// writers, not just within one goroutine. Must be called without e.mu
 // held; callbacks run with no engine locks held and may re-enter the
-// engine (a re-entrant flush simply enqueues for the active drainer).
+// engine (a re-entrant ingest simply enqueues for the active drainer).
 func (e *Engine) deliverQueued() {
 	for {
 		e.dmu.Lock()
@@ -240,7 +240,7 @@ func (e *Engine) deliverQueued() {
 // the panicking one are pushed back to the front of the queue first:
 // collectDeltas already advanced their watchers' cursors when it
 // produced them, so dropping them here would silently lose
-// notifications — the next flush would diff against a boundary those
+// notifications — the next epoch would diff against a boundary those
 // watchers never saw.
 func (e *Engine) deliverBatch(batch []pendingDelta) {
 	i := 0

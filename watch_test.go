@@ -189,7 +189,7 @@ func TestWatchDroppedWithUnregister(t *testing.T) {
 // epoch's deltas are delivered in ascending query id, regardless of
 // registration or watch order.
 func TestWatchDeliveryOrder(t *testing.T) {
-	e := newEngine(t, WithCountWindow(8), WithBatchSize(4))
+	e := newEngine(t, WithCountWindow(8))
 	var qids []QueryID
 	for _, text := range []string{"solar turbine", "turbine blades", "solar panels", "turbine output", "solar farming"} {
 		q, err := e.Register(text, 2)
@@ -206,10 +206,12 @@ func TestWatchDeliveryOrder(t *testing.T) {
 		}
 	}
 	// One epoch that matches every query.
+	var batch []TimedText
 	for i := 0; i < 4; i++ {
-		if _, err := e.IngestText("solar turbine blades panels output farming", at(i)); err != nil {
-			t.Fatal(err)
-		}
+		batch = append(batch, TimedText{Text: "solar turbine blades panels output farming", At: at(i)})
+	}
+	if _, err := e.IngestBatch(batch); err != nil {
+		t.Fatal(err)
 	}
 	if len(order) != len(qids) {
 		t.Fatalf("delivered %d deltas, want %d", len(order), len(qids))
@@ -350,20 +352,12 @@ func TestWatchPanicKeepsBatchTail(t *testing.T) {
 // a different allocation, and (on a follower applying a chunk that
 // stopped short of its epoch marker) a different, mid-epoch value.
 func TestWatchBaselineIsPublishedBoundary(t *testing.T) {
-	e := newEngine(t, WithCountWindow(8), WithBatchSize(4))
+	e := newEngine(t, WithCountWindow(8))
 	q, err := e.Register("solar turbine", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first, err := e.IngestText("solar turbine array", at(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	// A buffered, unflushed document: the engine is mid-epoch.
-	second, err := e.IngestText("solar panel field", at(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +376,12 @@ func TestWatchBaselineIsPublishedBoundary(t *testing.T) {
 		t.Fatalf("watch baseline is not the published boundary slice: %v vs %v", ws.last, bound)
 	}
 	if ws.last[0].Doc != first {
-		t.Fatalf("baseline = %+v, want the flushed boundary {doc %d}", ws.last, first)
+		t.Fatalf("baseline = %+v, want the published boundary {doc %d}", ws.last, first)
 	}
-	// Flushing the buffered epoch must deliver exactly the
-	// boundary-to-boundary difference.
-	if err := e.Flush(); err != nil {
+	// The next epoch must deliver exactly the boundary-to-boundary
+	// difference.
+	second, err := e.IngestText("solar panel field", at(5))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || len(got[0].Entered) != 1 || got[0].Entered[0].Doc != second || len(got[0].Exited) != 0 {
@@ -395,11 +390,11 @@ func TestWatchBaselineIsPublishedBoundary(t *testing.T) {
 }
 
 // TestWatchChurnRacesFlushes hammers Watch/Unwatch from several
-// goroutines while ingests flush batched epochs and deliver deltas.
-// Run under -race; the assertions are the race detector's plus the
-// engine surviving with a consistent final state.
+// goroutines while IngestBatch calls commit epochs of 8 and deliver
+// deltas. Run under -race; the assertions are the race detector's plus
+// the engine surviving with a consistent final state.
 func TestWatchChurnRacesFlushes(t *testing.T) {
-	e := newEngine(t, WithCountWindow(32), WithBatchSize(8))
+	e := newEngine(t, WithCountWindow(32))
 	var ids []QueryID
 	for _, text := range []string{"solar turbine", "oil tanker", "grid storage", "crude futures"} {
 		id, err := e.Register(text, 2)
@@ -431,16 +426,17 @@ func TestWatchChurnRacesFlushes(t *testing.T) {
 		}(w)
 	}
 	texts := []string{"solar turbine output", "oil tanker docked", "grid storage demand", "crude futures price"}
-	for i := 0; i < 400; i++ {
-		if _, err := e.IngestText(texts[i%len(texts)], at(i)); err != nil {
+	for i := 0; i < 400; i += 8 {
+		batch := make([]TimedText, 8)
+		for j := range batch {
+			batch[j] = TimedText{Text: texts[(i+j)%len(texts)], At: at(i + j)}
+		}
+		if _, err := e.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 	}
 	close(stop)
 	wg.Wait()
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	for _, id := range ids {
 		if res := e.Results(id); len(res) == 0 {
 			t.Fatalf("query %d lost its results under churn", id)
@@ -556,7 +552,7 @@ func TestWatchReplaceSuppressesQueuedDelta(t *testing.T) {
 // the Unwatch guarantee: once Unwatch has returned AND in-flight
 // delivery has quiesced, the detached callback can never fire again.
 func TestWatchQuiescedUnwatchNeverFiresLate(t *testing.T) {
-	e := newEngine(t, WithCountWindow(16), WithBatchSize(4))
+	e := newEngine(t, WithCountWindow(16))
 	q, err := e.Register("solar turbine", 4)
 	if err != nil {
 		t.Fatal(err)
