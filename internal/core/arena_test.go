@@ -6,6 +6,7 @@ import (
 	"time"
 	"unsafe"
 
+	"ita/internal/invindex"
 	"ita/internal/model"
 	"ita/internal/window"
 )
@@ -204,7 +205,13 @@ func TestAdmitListsFreedWhenLastQueryLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(e.shards[0].m.holders) == 0 {
+	lists := 0
+	for _, s := range e.shards[0].m.slots {
+		if len(s.refs) > 0 {
+			lists++
+		}
+	}
+	if lists == 0 {
 		t.Fatal("no admit lists recorded; the scenario does not exercise them")
 	}
 	for id := model.QueryID(1); id <= 30; id++ {
@@ -215,10 +222,61 @@ func TestAdmitListsFreedWhenLastQueryLeaves(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(e.shards[0].m.holders); n != 0 {
-		t.Fatalf("%d admit lists outlive every query", n)
+	if n := len(e.shards[0].m.slots); n != 0 {
+		t.Fatalf("a window-slot table of %d slots outlives every query", n)
 	}
 	if got, want := e.MemoryUsage().QueryStateBytes, uint64(len(e.shards[0].m.slabs))*uint64(unsafe.Sizeof(stateSlab{})); got != want {
 		t.Fatalf("QueryStateBytes = %d with no queries, want the bare slabs' %d", got, want)
+	}
+}
+
+// TestWindowSlotsShrinkKeepsAdmitLists shrinks the window-slot table
+// after a burst. The documents left in the window have ids 128 apart:
+// slots of their own in the burst's 4 096-slot table, but one shared
+// slot in the 64-slot table the small window asks for, so the shrink
+// must double back instead of dropping admit lists.
+func TestWindowSlotsShrinkKeepsAdmitLists(t *testing.T) {
+	index := invindex.NewIndex(0)
+	var stats Stats
+	m := NewMaintainer(index, &stats, MaintainerConfig{})
+	if err := m.Register(mkQuery(t, 1, 40, model.QueryTerm{Term: 2, Weight: 1})); err != nil {
+		t.Fatal(err)
+	}
+	arrive := func(docs []*model.Document) {
+		for _, d := range docs {
+			if err := index.Insert(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.HandleEpoch(docs, nil)
+	}
+	var burst, held []*model.Document
+	for id := 1; id <= 3000; id++ {
+		burst = append(burst, mkDoc(t, model.DocID(id), id, model.Posting{Term: 1, Weight: 0.5}))
+	}
+	for i := range 32 {
+		id := 4096 + 128*i
+		held = append(held, mkDoc(t, model.DocID(id), id, model.Posting{Term: 2, Weight: 0.9}))
+	}
+	arrive(burst)
+	arrive(held)
+	if n := len(m.slots); n != 4096 {
+		t.Fatalf("%d slots for a %d-document window, want 4096", n, index.Len())
+	}
+	var expired []*model.Document
+	for range burst {
+		expired = append(expired, index.RemoveOldest())
+	}
+	m.HandleEpoch(nil, expired)
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	expired = expired[:0]
+	for range held {
+		expired = append(expired, index.RemoveOldest())
+	}
+	m.HandleEpoch(nil, expired)
+	if top, _ := m.Result(1); len(top) != 0 {
+		t.Fatalf("expired documents still in the result: %v", top)
 	}
 }

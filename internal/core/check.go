@@ -115,8 +115,8 @@ func (m *Maintainer) checkQuery(qs *queryState) error {
 			rErr = fmt.Errorf("R: query %d doc %d beats no probe bound (floor %g)", qid, doc, qs.f)
 			return
 		}
-		if !slices.Contains(m.holders[doc], qs.id) {
-			rErr = fmt.Errorf("R: query %d holds doc %d, whose admit list %v does not name it", qid, doc, m.holders[doc])
+		if s := m.at(doc); s.doc != doc || !slices.Contains(s.refs, qs.id) {
+			rErr = fmt.Errorf("R: query %d holds doc %d, whose admit list does not name it", qid, doc)
 		}
 	})
 	if rErr != nil {

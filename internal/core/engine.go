@@ -71,9 +71,9 @@ type Engine interface {
 	// Unregister removes a query, reporting whether it existed.
 	Unregister(id model.QueryID) bool
 	// Process handles one document arrival, including any expirations
-	// the sliding-window policy derives from it. It fails on a
-	// duplicate document id; the engine state is unchanged in that
-	// case.
+	// the sliding-window policy derives from it. It fails unless the
+	// document id is above every valid document's; the engine state is
+	// unchanged in that case.
 	Process(d *model.Document) error
 	// ExpireUntil advances the stream clock without an arrival,
 	// expiring documents as the window policy dictates. Only time-based

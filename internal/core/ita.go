@@ -269,7 +269,7 @@ func (e *ITA) ProcessEpoch(docs []*model.Document) error {
 }
 
 // ExpireUntil implements Engine: an epoch without arrivals, which
-// cannot fail (only an arriving duplicate id can).
+// cannot fail (only an arriving id out of order can).
 func (e *ITA) ExpireUntil(now time.Time) { _ = e.epoch(nil, now) }
 
 // epoch applies docs (possibly none) and every expiration the window

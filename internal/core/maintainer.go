@@ -90,25 +90,16 @@ type Maintainer struct {
 	docW     []docWEntry
 	docStamp uint64
 
-	// Admit lists: for every window document, the dense ids of the
-	// queries that admitted it into their R. Expiry walks the
-	// document's list instead of probing the trees — the list touches
-	// exactly the queries that hold the document (plus tolerated stale
-	// entries, see recordAdmit), while a probe visits every query with
-	// a beatable bound, a superset that is typically an order of
-	// magnitude larger. Lists are recycled through holderPool when
-	// their document expires.
-	holders    map[model.DocID][]threshtree.Ref
-	holderPool [][]threshtree.Ref
+	// Window slots (see docSlot), indexed by DocID modulo the table's
+	// power-of-two length; slotFloor is the least length a collision
+	// forced, and scanStamp the running rebuild scan's stamp.
+	slots     []docSlot
+	slotFloor int
+	scanStamp uint64
 
 	// Epoch scratch: per-query net work lists reused across HandleEpoch
-	// calls (the inner adds/dels slices keep their capacity), plus the
-	// whole-term epoch skip: per-term max contribution across the epoch's
-	// documents, resolved once per term against the tree's min-θ.
-	epochQueue  []epochWork
-	epochMaxW   map[model.TermID]float64
-	epochSkip   map[model.TermID]bool
-	epochSkipOn bool
+	// calls (the inner adds/dels slices keep their capacity).
+	epochQueue []epochWork
 	// epochLow tracks consecutive HandleEpoch calls that used only a
 	// small fraction of the retained scratch capacity; past a threshold
 	// the scratch shrinks back (see shrinkScratch).
@@ -182,7 +173,7 @@ func NewMaintainer(index *invindex.Index, stats *Stats, cfg MaintainerConfig) *M
 		index:         index,
 		stats:         stats,
 		trees:         make(map[model.TermID]*threshtree.Tree),
-		holders:       make(map[model.DocID][]threshtree.Ref),
+		scanStamp:     1,
 		tgtMargin:     tgt,
 		raiseMargin:   raise,
 		rollupEnabled: !cfg.DisableRollup,
@@ -319,6 +310,7 @@ func (m *Maintainer) install(q *model.Query, r *topk.ResultSet) *queryState {
 	qs.pubDirty = false
 	qs.f = 0
 	qs.terms = qs.terms[:0]
+	m.fitSlots() // the first query creates the window-slot table
 	n := float64(len(q.Terms))
 	for _, t := range q.Terms {
 		qs.terms = append(qs.terms, termState{
@@ -387,8 +379,8 @@ func (m *Maintainer) Unregister(id model.QueryID) bool {
 	if m.n == 0 {
 		// Every admit entry is now stale, and HandleEpoch returns before
 		// reaching an expiry walk that would free one (ITA does not even
-		// fan out to an empty shard), so drop them all here.
-		m.holders = make(map[model.DocID][]threshtree.Ref)
+		// fan out to an empty shard), so drop the whole table here.
+		m.slots, m.slotFloor = nil, 0
 	}
 	return true
 }
@@ -454,11 +446,9 @@ func (m *Maintainer) scoreDoc(qs *queryState) float64 {
 // floor.go for why no other query can be affected). The cost is
 // proportional to the number of beatable bounds, not the number of
 // queries registered on d's terms: each probe walks the θ-ordered
-// prefix and exits at the first unbeatable bound, a whole term is
-// skipped in O(1) when its min-θ exceeds the contribution, and in the
-// batch path a term whose min-θ exceeds the epoch's max contribution is
-// skipped once for the entire epoch. The dedup is an epoch-stamped mark
-// in each dense slot, no map and no clearing pass.
+// prefix and exits at the first unbeatable bound, and a whole term is
+// skipped in O(1) when its min-θ exceeds the contribution. The dedup is
+// an epoch-stamped mark in each dense slot, no map and no clearing pass.
 //
 // The result is a maintainer-owned scratch slice, valid until the next
 // call.
@@ -467,9 +457,6 @@ func (m *Maintainer) collectAffected(d *model.Document) []*queryState {
 	m.stamp++
 	stamp := m.stamp
 	for _, p := range d.Postings {
-		if m.epochSkipOn && m.epochSkip[p.Term] {
-			continue
-		}
 		tr := m.trees[p.Term]
 		if tr == nil || tr.Len() == 0 {
 			continue
@@ -503,6 +490,82 @@ func (m *Maintainer) collectAffected(d *model.Document) []*queryState {
 // staged pipeline). The document must already be present in the index.
 func (m *Maintainer) HandleArrival(d *model.Document) { m.HandleEpoch([]*model.Document{d}, nil) }
 
+// docSlot is one window document's state: its admit list (the dense ids
+// of the queries that admitted it into R) and the stamp of the last
+// rebuild scan that read it. Expiry walks the admit list, which names
+// exactly the document's holders (plus tolerated stale entries, see
+// recordAdmit), instead of probing the trees, whose beatable bounds are
+// typically an order of magnitude more. Ids ascend through the window,
+// consecutively when the engine numbers them, so a table as long as the
+// window gives each document a slot of its own; a document mapping to a
+// slot in use (a non-empty list, or the running scan's stamp) doubles
+// the table, so sparse ids need no fallback map.
+type docSlot struct {
+	doc   model.DocID
+	stamp uint64
+	refs  []threshtree.Ref
+}
+
+// inUse reports whether s holds state its document still needs. Between
+// scans no slot carries scanStamp, which starts at 1 and is never 0.
+func (m *Maintainer) inUse(s *docSlot) bool { return len(s.refs) > 0 || s.stamp == m.scanStamp }
+
+func (m *Maintainer) at(doc model.DocID) *docSlot {
+	return &m.slots[uint64(doc)&uint64(len(m.slots)-1)]
+}
+
+// slot returns doc's slot, claiming it, with its list's capacity, when
+// no other document uses it.
+func (m *Maintainer) slot(doc model.DocID) *docSlot {
+	for {
+		s := m.at(doc)
+		if s.doc == doc {
+			return s
+		}
+		if !m.inUse(s) {
+			s.doc, s.refs = doc, s.refs[:0]
+			return s
+		}
+		m.resizeSlots(2*len(m.slots), true)
+	}
+}
+
+// fitSlots sizes the table to the window: the least power of two of at
+// least 64 and slotFloor that the store's valid documents fit in. It
+// grows at once but shrinks only past four times that, so a time-window
+// burst does not pin its peak and a steady window does not flap.
+func (m *Maintainer) fitSlots() {
+	want := max(64, m.slotFloor)
+	for want < m.index.Len() {
+		want *= 2
+	}
+	if len(m.slots) < want || len(m.slots) >= 4*want {
+		m.resizeSlots(want, false)
+	}
+}
+
+// resizeSlots moves the slots in use into a table of length n, doubling
+// n while two of them collide; forced, or a collision, raises slotFloor
+// to the final length. Slots not in use are dropped with their capacity.
+func (m *Maintainer) resizeSlots(n int, forced bool) {
+	old := m.slots
+retry:
+	m.slots = make([]docSlot, n)
+	for i := range old {
+		if o := &old[i]; m.inUse(o) {
+			if s := m.at(o.doc); !m.inUse(s) {
+				*s = *o
+				continue
+			}
+			n, forced = 2*n, true
+			goto retry
+		}
+	}
+	if forced {
+		m.slotFloor = n
+	}
+}
+
 // recordAdmit appends a query's dense id to a document's admit list.
 // Every path that adds a document to some R must record the admit, so
 // the expiry walk finds every holder without probing the trees
@@ -515,37 +578,10 @@ func (m *Maintainer) HandleArrival(d *model.Document) { m.HandleEpoch([]*model.D
 // after a purge) leaves a stale or duplicate entry behind. The expiry
 // walk tolerates all three — r.Remove reports false for a non-member
 // and the liveness check skips dead slots — so admits stay O(1) and
-// the list is simply discarded wholesale when its document expires.
+// the list is simply emptied wholesale when its document expires.
 func (m *Maintainer) recordAdmit(doc model.DocID, id threshtree.Ref) {
-	l, ok := m.holders[doc]
-	if !ok && len(m.holderPool) > 0 {
-		n := len(m.holderPool) - 1
-		l, m.holderPool[n] = m.holderPool[n], nil
-		m.holderPool = m.holderPool[:n]
-	}
-	m.holders[doc] = append(l, id)
-}
-
-// takeHolders detaches and returns a document's admit list (nil when no
-// query ever admitted it — the common case for most of the stream).
-// The caller walks the list and hands it back through releaseHolders.
-func (m *Maintainer) takeHolders(doc model.DocID) []threshtree.Ref {
-	refs, ok := m.holders[doc]
-	if !ok {
-		return nil
-	}
-	delete(m.holders, doc)
-	return refs
-}
-
-// releaseHolders recycles an expired document's admit list for reuse by
-// recordAdmit. The pool is capped so one burst of expirations cannot
-// pin its high-water slice count forever.
-func (m *Maintainer) releaseHolders(refs []threshtree.Ref) {
-	const maxPool = 1024
-	if refs != nil && len(m.holderPool) < maxPool {
-		m.holderPool = append(m.holderPool, refs[:0])
-	}
+	s := m.slot(doc)
+	s.refs = append(s.refs, id)
 }
 
 // HandleExpire applies one expiration as an epoch of its own, the
@@ -584,25 +620,22 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 	if m.n == 0 {
 		return
 	}
-	// The whole-term skip amortizes one tree consultation over the
-	// epoch's documents; a single arrival has nothing to amortize, and
-	// its per-posting min-θ check in collectAffected skips the same terms.
-	if len(arrived) > 1 {
-		m.beginEpochSkip(arrived)
-	}
 	m.estamp++
 	for _, d := range expired {
-		refs := m.takeHolders(d.ID)
-		for _, ref := range refs {
-			qs := m.state(ref)
-			if !qs.live {
-				continue
+		// Another document holding the slot means d has no admit list.
+		if s := m.at(d.ID); s.doc == d.ID {
+			for _, ref := range s.refs {
+				if qs := m.state(ref); qs.live {
+					w := m.epochFor(qs)
+					w.dels = append(w.dels, d)
+				}
 			}
-			w := m.epochFor(qs)
-			w.dels = append(w.dels, d)
+			s.refs = s.refs[:0]
 		}
-		m.releaseHolders(refs)
 	}
+	// Every expired admit list is empty now, so the table fits the
+	// epoch-end window alone.
+	m.fitSlots()
 	for _, d := range arrived {
 		m.prepDoc(d)
 		for _, qs := range m.collectAffected(d) {
@@ -616,7 +649,6 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 			w.addScores = append(w.addScores, score)
 		}
 	}
-	m.epochSkipOn = false
 	for i := range m.epochQueue {
 		w := &m.epochQueue[i]
 		m.maintainEpoch(w.qs, w.adds, w.addScores, w.dels)
@@ -631,42 +663,6 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 	used := len(m.epochQueue)
 	m.epochQueue = m.epochQueue[:0]
 	m.shrinkScratch(used)
-}
-
-// beginEpochSkip computes the whole-term epoch skip: the maximum
-// contribution any of the epoch's arrivals carries for each term,
-// resolved once against the term tree's min-θ. A term whose epoch-max
-// contribution cannot beat even the smallest bound is skipped for every
-// document of the epoch with one map lookup, without re-consulting the
-// tree per document. The skip is semantically a no-op (the per-document
-// probe would find nothing), so it cannot change visit sets or
-// counters. Only arrivals feed the table — expirations resolve through
-// admit lists and never probe.
-func (m *Maintainer) beginEpochSkip(arrived []*model.Document) {
-	if m.epochMaxW == nil {
-		m.epochMaxW = make(map[model.TermID]float64, 256)
-		m.epochSkip = make(map[model.TermID]bool, 256)
-	}
-	clear(m.epochMaxW)
-	clear(m.epochSkip)
-	for _, d := range arrived {
-		for _, p := range d.Postings {
-			if p.Weight > m.epochMaxW[p.Term] {
-				m.epochMaxW[p.Term] = p.Weight
-			}
-		}
-	}
-	for t, w := range m.epochMaxW {
-		tr := m.trees[t]
-		skip := tr == nil || tr.Len() == 0
-		if !skip {
-			if min, ok := tr.MinTheta(); !ok || min > w {
-				skip = true
-			}
-		}
-		m.epochSkip[t] = skip
-	}
-	m.epochSkipOn = true
 }
 
 // shrinkScratch bounds the retained capacity of the epoch and touched
@@ -831,9 +827,10 @@ func (m *Maintainer) MemoryUsage() Memory {
 		mem.QueryStateBytes += uint64(cap(qs.terms)) * uint64(unsafe.Sizeof(termState{}))
 		mem.QueryStateBytes += qs.r.MemoryBytes()
 	})
-	// Admit lists: one map entry plus a ref slice per held document.
-	for _, refs := range m.holders {
-		mem.QueryStateBytes += 48 + uint64(cap(refs))*4
+	// Window slots and their admit lists.
+	mem.QueryStateBytes += uint64(len(m.slots)) * uint64(unsafe.Sizeof(docSlot{}))
+	for i := range m.slots {
+		mem.QueryStateBytes += uint64(cap(m.slots[i].refs)) * uint64(unsafe.Sizeof(threshtree.Ref(0)))
 	}
 	mem.ViewBytes = m.views.memoryBytes()
 	return mem

@@ -22,17 +22,17 @@ import (
 //   - every list is exhausted (each matching document has been seen).
 //
 // The scan costs O(entries read × log target), not O(entries read ×
-// |R|):
+// |R|), plus one store fetch per scored document:
 //
 //   - The target-th best score is the root of a bounded min-heap
 //     (topScores), seeded with R's members and fed every new score.
 //   - Scored documents go into a maintainer-owned candidate scratch,
 //     not into R.
-//   - Deduplication needs no set. A document is read once from each
-//     list holding it, and list j's cursor only moves down, so a
-//     document read from list i was already consumed iff, for another
-//     query term j, its entry lies before list j's cursor or list j is
-//     exhausted.
+//   - Deduplication is one window-slot stamp per read (see docSlot). A
+//     document is read once from each list holding it; the first read
+//     stamps its slot with the scan's stamp and scores it, and a later
+//     read from another list finds the stamp and skips it, with no
+//     document fetch and no term lookups.
 //
 // After the scan the floor F is the target-th best score when there are
 // that many — unseen documents score at most τ ≤ F, so completeness
@@ -63,7 +63,8 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		top.push(qs.r.Kth(i))
 	}
 	cands := m.cands[:0]
-	rr := 0 // round-robin cursor for the ablation probe order
+	m.scanStamp++ // this scan's stamp
+	rr := 0       // round-robin cursor for the ablation probe order
 	for {
 		// τ over the current cursor positions; exhausted lists
 		// contribute 0.
@@ -108,8 +109,13 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		if qs.r.Contains(key.Doc) {
 			continue
 		}
+		slot := m.slot(key.Doc)
+		if slot.stamp == m.scanStamp {
+			continue // read earlier from another query term's list
+		}
+		slot.stamp = m.scanStamp
 		d, ok := m.index.Get(key.Doc)
-		if !ok || consumedElsewhere(qs.terms, iters, best, d) {
+		if !ok {
 			continue
 		}
 		m.stats.ScoreComputations++
@@ -117,6 +123,7 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		cands = append(cands, model.ScoredDoc{Doc: d.ID, Score: s})
 		top.push(s)
 	}
+	m.scanStamp++ // retires this scan's stamp: its slots are free again
 	newF := 0.0
 	if top.full() {
 		newF = top.kth()
@@ -132,26 +139,6 @@ func (m *Maintainer) rebuild(qs *queryState) {
 		}
 	}
 	m.cands = reuse(cands, len(cands), &m.candsLow)
-}
-
-// consumedElsewhere reports whether document d, just read from list i
-// of a rebuild's scan, was read earlier in the same scan from the list
-// of another query term j: d holds t_j, and its entry {w_{d,t_j}, d}
-// lies before list j's cursor, or list j is exhausted.
-func consumedElsewhere(terms []termState, iters []invindex.Iterator, i int, d *model.Document) bool {
-	for j := range iters {
-		if j == i {
-			continue
-		}
-		w, ok := d.Weight(terms[j].term)
-		if !ok {
-			continue
-		}
-		if !iters[j].Valid() || invindex.Before(invindex.EntryKey{W: w, Doc: d.ID}, iters[j].Key()) {
-			return true
-		}
-	}
-	return false
 }
 
 // topScores is a bounded min-heap of the best n scores pushed since the

@@ -187,7 +187,9 @@ func sameMaintenance(got, want *Maintainer) error {
 // random tie-heavy windows, expiration bursts that drain R below k and
 // force refills, and arrivals that refill the window. After every step
 // R, F, every term bound and every counter must agree exactly, under
-// greedy and round-robin probing, with tight and default margins.
+// greedy and round-robin probing, with tight and default margins, on
+// consecutive document ids and on ids 4 096 apart, which all share one
+// window slot until the table has doubled past 4 096 times the window.
 func TestRebuildMatchesPerReadReference(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -200,15 +202,21 @@ func TestRebuildMatchesPerReadReference(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 12; seed++ {
-				if err := compareRebuilds(seed, tc.cfg); err != nil {
+				if err := compareRebuilds(seed, tc.cfg, 1); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
+				}
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				if err := compareRebuilds(seed, tc.cfg, 4096); err != nil {
+					t.Fatalf("seed %d, ids 4096 apart: %v", seed, err)
 				}
 			}
 		})
 	}
 }
 
-func compareRebuilds(seed int64, cfg MaintainerConfig) error {
+// compareRebuilds runs one such stream with document ids stride apart.
+func compareRebuilds(seed int64, cfg MaintainerConfig, stride model.DocID) error {
 	rng := rand.New(rand.NewSource(seed))
 	vocab := 6 + rng.Intn(10)
 	index := invindex.NewIndex(0)
@@ -221,7 +229,7 @@ func compareRebuilds(seed int64, cfg MaintainerConfig) error {
 		batch := make([]*model.Document, n)
 		for i := range batch {
 			batch[i] = tieHeavyDoc(rng, nextDoc, vocab)
-			nextDoc++
+			nextDoc += stride
 			if err := index.Insert(batch[i]); err != nil {
 				return err
 			}
@@ -275,6 +283,11 @@ func compareRebuilds(seed int64, cfg MaintainerConfig) error {
 	}
 	if gotStats.Refills == 0 {
 		return fmt.Errorf("no refill in 40 steps; only registrations were compared")
+	}
+	// Consecutive ids never share a slot: the table covers the window,
+	// and every expiry empties its document's admit list.
+	if collided := got.slotFloor != 0; collided != (stride > 1) {
+		return fmt.Errorf("ids %d apart: window-slot collision %v", stride, collided)
 	}
 	return sameMaintenance(got, want)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,11 +132,13 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestApplyBatchValidation checks the all-or-nothing duplicate checks.
+// TestApplyBatchValidation checks the all-or-nothing ascending-id
+// checks.
 func TestApplyBatchValidation(t *testing.T) {
 	x := NewIndex(1)
 	d1 := randomDoc(rand.New(rand.NewSource(1)), 1, 0, 10)
-	if _, err := x.ApplyBatch([]*model.Document{d1}, func(*model.Document, int) bool { return false }); err != nil {
+	d5 := randomDoc(rand.New(rand.NewSource(5)), 5, 0, 10)
+	if _, err := x.ApplyBatch([]*model.Document{d1, d5}, func(*model.Document, int) bool { return false }); err != nil {
 		t.Fatal(err)
 	}
 	before, _ := indexState(t, x)
@@ -149,6 +152,17 @@ func TestApplyBatchValidation(t *testing.T) {
 	d3 := randomDoc(rand.New(rand.NewSource(3)), 3, 2, 10)
 	if _, err := x.ApplyBatch([]*model.Document{d3, d3}, func(*model.Document, int) bool { return false }); err == nil {
 		t.Fatal("duplicate within batch accepted")
+	}
+	// Below the newest live id, though no live document has it.
+	d4 := randomDoc(rand.New(rand.NewSource(4)), 4, 3, 10)
+	if _, err := x.ApplyBatch([]*model.Document{d4}, func(*model.Document, int) bool { return false }); err == nil || !strings.Contains(err.Error(), "ascend") {
+		t.Fatalf("id below the newest live id: err %v, want the ascending-id rule", err)
+	}
+	// Descending within the batch.
+	d7 := randomDoc(rand.New(rand.NewSource(7)), 7, 4, 10)
+	d6 := randomDoc(rand.New(rand.NewSource(6)), 6, 4, 10)
+	if _, err := x.ApplyBatch([]*model.Document{d7, d6}, func(*model.Document, int) bool { return false }); err == nil {
+		t.Fatal("descending batch accepted")
 	}
 	after, _ := indexState(t, x)
 	if fmt.Sprint(before) != fmt.Sprint(after) {

@@ -23,7 +23,6 @@
 package invindex
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -443,7 +442,8 @@ func (x *Index) listFor(t model.TermID) *List {
 
 // Insert adds an arriving document to the store and posts an impact
 // entry into the inverted list of each of its terms: an epoch of one
-// arrival that expires nothing. It fails on a duplicate document id.
+// arrival that expires nothing. It fails unless the document's id is
+// above every valid document's.
 func (x *Index) Insert(d *model.Document) error {
 	_, err := x.ApplyBatch([]*model.Document{d}, func(*model.Document, int) bool { return false })
 	return err
@@ -501,8 +501,9 @@ type BatchResult struct {
 // on its own mutations in stream order, which partitioning by term
 // keeps, so the result is the same at any share count.
 //
-// Validation is all-or-nothing: a duplicate document id (against the
-// store or within the batch) fails the call before any mutation.
+// Validation is all-or-nothing: an arrival whose id is not above the
+// newest valid document's and every earlier arrival's (see Store) fails
+// the call before any mutation.
 func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool) (BatchResult, error) {
 	return x.applyEpoch(arrivals, expired, applyShares)
 }
@@ -524,26 +525,10 @@ func applyShares(m int) int {
 // chosen by shares from the epoch's net mutation count.
 func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool, shares func(mutations int) int) (BatchResult, error) {
 	var res BatchResult
-	var ids map[model.DocID]struct{} // only a batch of several can repeat an id
-	if len(arrivals) > 1 {
-		ids = make(map[model.DocID]struct{}, len(arrivals))
+	if err := x.Store.ascending(arrivals); err != nil {
+		return res, err
 	}
-	for _, d := range arrivals {
-		if _, dup := x.Store.Get(d.ID); dup {
-			return res, fmt.Errorf("invindex: duplicate document id %d", d.ID)
-		}
-		if ids != nil {
-			if _, dup := ids[d.ID]; dup {
-				return res, fmt.Errorf("invindex: duplicate document id %d within batch", d.ID)
-			}
-			ids[d.ID] = struct{}{}
-		}
-	}
-	for _, d := range arrivals {
-		if err := x.Store.Insert(d); err != nil {
-			return res, err // unreachable after validation
-		}
-	}
+	x.Store.fifo = append(x.Store.fifo, arrivals...)
 	for {
 		oldest := x.Store.Oldest()
 		if oldest == nil || !expired(oldest, x.Store.Len()) {

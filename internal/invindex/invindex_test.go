@@ -199,6 +199,33 @@ func TestStoreFIFOCompaction(t *testing.T) {
 	}
 }
 
+// TestStoreGetSparseIDs checks Get on live ids with gaps, where the
+// offset from the oldest id overshoots and a binary search takes over,
+// and on ids between, below and above the live ones.
+func TestStoreGetSparseIDs(t *testing.T) {
+	s := NewStore()
+	ids := []model.DocID{3, 4, 10, 11, 12, 40, 4096, 8192}
+	for _, id := range ids {
+		if err := s.Insert(mkDoc(t, id, model.Posting{Term: 1, Weight: 0.5})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.RemoveOldest()
+	for _, id := range ids[1:] {
+		if d, ok := s.Get(id); !ok || d.ID != id {
+			t.Fatalf("Get(%d) = %v, %v", id, d, ok)
+		}
+	}
+	for _, id := range []model.DocID{0, 3, 5, 9, 13, 41, 4095, 4097, 8193} {
+		if d, ok := s.Get(id); ok {
+			t.Fatalf("Get(%d) found %d", id, d.ID)
+		}
+	}
+	if err := s.Insert(mkDoc(t, 5000, model.Posting{Term: 1, Weight: 0.5})); err == nil {
+		t.Fatal("id below the newest accepted")
+	}
+}
+
 func TestStoreEmpty(t *testing.T) {
 	s := NewStore()
 	if s.Oldest() != nil || s.RemoveOldest() != nil || s.Len() != 0 {

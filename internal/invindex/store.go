@@ -1,34 +1,51 @@
 package invindex
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"unsafe"
 
 	"ita/internal/model"
 )
 
-// Store is the FIFO list of valid documents from Figure 1 of the paper,
-// with O(1) id lookup. It is shared by all engines; only ITA layers
-// inverted lists on top of it. The Naïve baseline uses a bare Store so
-// that it is not charged for index maintenance it would never perform.
+// Store is the FIFO list of valid documents from Figure 1 of the paper.
+// It is shared by all engines; only ITA layers inverted lists on top of
+// it. The Naïve baseline uses a bare Store so that it is not charged for
+// index maintenance it would never perform.
+//
+// Document ids strictly ascend in arrival order, so Get needs no id map:
+// it indexes the FIFO by the id's distance from the oldest valid id,
+// exact for the consecutive ids the engine assigns, and binary-searches
+// below that offset for sparse ids.
 type Store struct {
-	docs map[model.DocID]*model.Document
 	fifo []*model.Document // arrival order; live region starts at head
 	head int
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	return &Store{docs: make(map[model.DocID]*model.Document)}
-}
+func NewStore() *Store { return &Store{} }
 
 // Len returns the number of valid documents.
-func (s *Store) Len() int { return len(s.docs) }
+func (s *Store) Len() int { return len(s.fifo) - s.head }
 
 // Get returns a valid document by id.
 func (s *Store) Get(id model.DocID) (*model.Document, bool) {
-	d, ok := s.docs[id]
-	return d, ok
+	live := s.fifo[s.head:]
+	if len(live) == 0 || id < live[0].ID {
+		return nil, false
+	}
+	if off := uint64(id - live[0].ID); off < uint64(len(live)) {
+		if d := live[off]; d.ID == id {
+			return d, true
+		}
+		live = live[:off] // ascending ids sit no further than off
+	}
+	byID := func(d *model.Document, id model.DocID) int { return cmp.Compare(d.ID, id) }
+	if i, ok := slices.BinarySearchFunc(live, id, byID); ok {
+		return live[i], true
+	}
+	return nil, false
 }
 
 // Oldest returns the document at the head of the FIFO, or nil when the
@@ -40,13 +57,29 @@ func (s *Store) Oldest() *model.Document {
 	return s.fifo[s.head]
 }
 
-// Insert appends an arriving document. It fails on a duplicate id.
+// Insert appends an arriving document. Its id must be above every valid
+// document's id.
 func (s *Store) Insert(d *model.Document) error {
-	if _, dup := s.docs[d.ID]; dup {
-		return fmt.Errorf("invindex: duplicate document id %d", d.ID)
+	if err := s.ascending([]*model.Document{d}); err != nil {
+		return err
 	}
-	s.docs[d.ID] = d
 	s.fifo = append(s.fifo, d)
+	return nil
+}
+
+// ascending fails unless the ids of docs ascend from above every valid
+// document's id.
+func (s *Store) ascending(docs []*model.Document) error {
+	var last *model.Document
+	if s.Len() > 0 {
+		last = s.fifo[len(s.fifo)-1]
+	}
+	for _, d := range docs {
+		if last != nil && d.ID <= last.ID {
+			return fmt.Errorf("invindex: document id %d is not above %d: ids must ascend in arrival order", d.ID, last.ID)
+		}
+		last = d
+	}
 	return nil
 }
 
@@ -64,15 +97,13 @@ func (s *Store) RemoveOldest() *model.Document {
 		s.fifo = append([]*model.Document(nil), s.fifo[s.head:]...)
 		s.head = 0
 	}
-	delete(s.docs, d.ID)
 	return d
 }
 
-// MemoryBytes estimates the store's heap footprint: the id map, the
-// FIFO backing array, and the documents themselves (struct + postings).
+// MemoryBytes estimates the store's heap footprint: the FIFO backing
+// array and the documents themselves (struct + postings).
 func (s *Store) MemoryBytes() uint64 {
-	const mapEntry = 48
-	b := uint64(len(s.docs))*mapEntry + uint64(cap(s.fifo))*8
+	b := uint64(cap(s.fifo)) * 8
 	for i := s.head; i < len(s.fifo); i++ {
 		b += allocSize(uint64(unsafe.Sizeof(model.Document{}))) +
 			allocSize(uint64(cap(s.fifo[i].Postings))*uint64(unsafe.Sizeof(model.Posting{})))
