@@ -133,7 +133,7 @@ type Stats struct {
 	Refills      uint64 // incremental refills triggered by expirations
 	TreeUpdates  uint64 // threshold tree insert/delete operations
 	IndexInserts uint64 // impact entries inserted
-	IndexDeletes uint64 // impact entries deleted
+	IndexDeletes uint64 // impact entries of expired documents; the index reclaims them lazily
 	// Shared counters.
 	ScoreComputations uint64 // full S(d|Q) evaluations
 	// Naïve counters.

@@ -14,9 +14,9 @@ import (
 // TestRestoreWindowMatchesPerDocumentInserts restores a window wide
 // enough for ApplyBatch's term-partitioned path (≈ 9 000 postings; CI
 // runs core at -cpu 1,2,4) as one epoch, and requires every inverted
-// list to hold exactly the entries, in order, that inserting the same
-// documents one at a time produces. Chunk layout may differ; entries may
-// not. The restore moves no counter.
+// list to hold exactly the live entries, read through Index.Scan and in
+// order, that inserting the same documents one at a time produces. Chunk
+// layout may differ; entries may not. The restore moves no counter.
 func TestRestoreWindowMatchesPerDocumentInserts(t *testing.T) {
 	const (
 		vocab = 500
@@ -65,19 +65,16 @@ func TestRestoreWindowMatchesPerDocumentInserts(t *testing.T) {
 			t.Fatalf("FIFO position %d holds doc %d, want %d", i, id, stream[i].ID)
 		}
 	}
-	entries := func(l *invindex.List) []invindex.EntryKey {
+	entries := func(x *invindex.Index, term model.TermID) []invindex.EntryKey {
 		var out []invindex.EntryKey
-		if l == nil {
-			return out
-		}
-		for it := l.First(); it.Valid(); it.Next() {
+		for it := x.Scan(term); it.Valid(); it.Next() {
 			out = append(out, it.Key())
 		}
 		return out
 	}
 	postings := 0
 	for term := model.TermID(0); term < vocab; term++ {
-		got, want := entries(restored.index.List(term)), entries(ref.List(term))
+		got, want := entries(restored.index, term), entries(ref, term)
 		if len(got) != len(want) {
 			t.Fatalf("term %d: %d entries, per-document inserts give %d", term, len(got), len(want))
 		}

@@ -51,11 +51,7 @@ func (m *Maintainer) rebuild(qs *queryState) {
 	}
 	iters := m.iterBuf[:n]
 	for i := range qs.terms {
-		if l := m.index.List(qs.terms[i].term); l != nil {
-			iters[i] = l.First()
-		} else {
-			iters[i] = invindex.Iterator{}
-		}
+		iters[i] = m.index.Scan(qs.terms[i].term)
 	}
 	top := &m.topBuf
 	top.reset(target)

@@ -23,9 +23,7 @@ func rebuildPerRead(m *Maintainer, qs *queryState) {
 	n := len(qs.terms)
 	iters := make([]invindex.Iterator, n)
 	for i := range qs.terms {
-		if l := m.index.List(qs.terms[i].term); l != nil {
-			iters[i] = l.First()
-		}
+		iters[i] = m.index.Scan(qs.terms[i].term)
 	}
 	rr := 0
 	for {

@@ -34,59 +34,137 @@ func randomDoc(rng *rand.Rand, id model.DocID, seq, vocab int) *model.Document {
 	return d
 }
 
-// indexState captures everything ApplyBatch is allowed to change.
+// scanTerm returns term t's live entries, read through Scan.
+func scanTerm(x *Index, t model.TermID) []EntryKey {
+	var out []EntryKey
+	for it := x.Scan(t); it.Valid(); it.Next() {
+		out = append(out, it.Key())
+	}
+	return out
+}
+
+// liveLists returns every term's live entries, leaving out the terms
+// that have none.
+func liveLists(x *Index) map[model.TermID][]EntryKey {
+	lists := make(map[model.TermID][]EntryKey)
+	for term := range x.lists {
+		if es := scanTerm(x, model.TermID(term)); len(es) > 0 {
+			lists[model.TermID(term)] = es
+		}
+	}
+	return lists
+}
+
+// liveTerms counts the lists that hold a live entry.
+func liveTerms(x *Index) int { return len(liveLists(x)) }
+
+// indexState captures everything ApplyBatch is allowed to change that a
+// reader can see: the FIFO and the live list entries.
 func indexState(t *testing.T, x *Index) (fifo []model.DocID, lists map[model.TermID][]EntryKey) {
 	t.Helper()
 	x.Docs(func(d *model.Document) { fifo = append(fifo, d.ID) })
-	lists = make(map[model.TermID][]EntryKey)
-	for term, l := range x.lists {
-		if l != nil && l.Len() > 0 {
-			lists[model.TermID(term)] = listContents(l)
-		}
-	}
-	return fifo, lists
+	return fifo, liveLists(x)
 }
 
-// TestApplyBatchMatchesSerial drives a batched index and a serially
-// maintained one through identical streams under a count window and
-// requires identical store and list state after every epoch, including
-// epochs larger than the window (same-epoch transients).
+// requireSameState fails unless a and b hold the same FIFO and the same
+// live entries in every list.
+func requireSameState(t *testing.T, what string, a, b *Index) {
+	t.Helper()
+	aFifo, aLists := indexState(t, a)
+	bFifo, bLists := indexState(t, b)
+	if !slices.Equal(aFifo, bFifo) {
+		t.Fatalf("%s: fifo diverged\n%v\n%v", what, aFifo, bFifo)
+	}
+	if len(aLists) != len(bLists) {
+		t.Fatalf("%s: %d lists with a live entry, want %d", what, len(aLists), len(bLists))
+	}
+	for term, want := range bLists {
+		if got := aLists[term]; !slices.Equal(got, want) {
+			t.Fatalf("%s, term %d:\n%v\nwant %v", what, term, got, want)
+		}
+	}
+	if a.PostingCount() != b.PostingCount() {
+		t.Fatalf("%s: %d live postings, want %d", what, a.PostingCount(), b.PostingCount())
+	}
+}
+
+// TestApplyBatchMatchesSerial drives a batched index, a serially
+// maintained one and the eager reference through identical streams and
+// requires the same results, the same store and the same live list
+// entries after every epoch: under count windows, including epochs
+// larger than the window (same-epoch transients); under a time window
+// that arrival-free epochs empty; and over sparse ids.
 func TestApplyBatchMatchesSerial(t *testing.T) {
+	const tick = 5 * time.Millisecond // timeAt's spacing
 	for _, cfg := range []struct {
+		name                      string
 		vocab, win, batch, epochs int
+		gap                       int // ids advance by 1 + [0, gap)
+		idle                      int // time window: every idle-th epoch is arrival-free and empties it
 	}{
 		{vocab: 8, win: 10, batch: 4, epochs: 40},     // heavy term overlap
 		{vocab: 50, win: 20, batch: 1, epochs: 60},    // single-event epochs
 		{vocab: 20, win: 5, batch: 16, epochs: 30},    // batch > window: transients
 		{vocab: 300, win: 200, batch: 64, epochs: 12}, // rebuild path on hot lists
+		{name: "epochs_over_window", vocab: 12, win: 3, batch: 40, epochs: 30},
+		{name: "time_window_idle", vocab: 10, win: 30, batch: 12, epochs: 60, idle: 5},
+		{name: "sparse_ids", vocab: 10, win: 25, batch: 9, epochs: 50, gap: 4096},
 	} {
-		t.Run(fmt.Sprintf("v%d_w%d_b%d", cfg.vocab, cfg.win, cfg.batch), func(t *testing.T) {
+		name := cfg.name
+		if name == "" {
+			name = fmt.Sprintf("v%d_w%d_b%d", cfg.vocab, cfg.win, cfg.batch)
+		}
+		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(42))
-			batched, serial := NewIndex(1), NewIndex(1)
+			batched, serial, eager := NewIndex(1), NewIndex(1), newEagerIndex()
 			nextID := model.DocID(1)
 			seq := 0
-			expire := func(oldest *model.Document, count int) bool { return count > cfg.win }
+			// policy is the window at time now: the last win documents,
+			// or for a time window those under win ticks old.
+			policy := func(now time.Time) func(*model.Document, int) bool {
+				if cfg.idle > 0 {
+					return func(oldest *model.Document, _ int) bool {
+						return now.Sub(oldest.Arrival) >= time.Duration(cfg.win)*tick
+					}
+				}
+				return func(_ *model.Document, count int) bool { return count > cfg.win }
+			}
+			var wantExpired []model.DocID
+			expireSerial := func(now time.Time) {
+				for oldest := serial.Oldest(); oldest != nil && policy(now)(oldest, serial.Len()); oldest = serial.Oldest() {
+					wantExpired = append(wantExpired, serial.RemoveOldest().ID)
+				}
+			}
 
 			for epoch := 0; epoch < cfg.epochs; epoch++ {
-				docs := make([]*model.Document, cfg.batch)
-				for i := range docs {
-					docs[i] = randomDoc(rng, nextID, seq, cfg.vocab)
-					nextID++
-					seq++
+				var docs []*model.Document
+				if cfg.idle > 0 && epoch%cfg.idle == cfg.idle-1 {
+					seq += 2 * cfg.win // time passes with no arrival
+				} else {
+					docs = make([]*model.Document, cfg.batch)
+					for i := range docs {
+						docs[i] = randomDoc(rng, nextID, seq, cfg.vocab)
+						nextID += 1 + model.DocID(rng.Intn(max(cfg.gap, 1)))
+						seq++
+					}
 				}
-				res, err := batched.ApplyBatch(docs, expire)
+				now := timeAt(seq)
+				res, err := batched.ApplyBatch(docs, policy(now))
 				if err != nil {
 					t.Fatal(err)
 				}
-				var wantExpired []model.DocID
+				want, err := eager.apply(docs, policy(now))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantExpired = wantExpired[:0]
 				for _, d := range docs {
 					if err := serial.Insert(d); err != nil {
 						t.Fatal(err)
 					}
-					for serial.Len() > cfg.win {
-						wantExpired = append(wantExpired, serial.RemoveOldest().ID)
-					}
+					expireSerial(d.Arrival)
 				}
+				expireSerial(now)
 				// Expired must list exactly the pre-epoch victims, in
 				// order; transients are reported as Dropped instead.
 				var gotExpired []model.DocID
@@ -110,22 +188,15 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 					t.Fatalf("epoch %d: expired %v dropped %d, want %v / %d",
 						epoch, gotExpired, res.Dropped, wantPre, wantDropped)
 				}
-
-				bFifo, bLists := indexState(t, batched)
-				sFifo, sLists := indexState(t, serial)
-				if fmt.Sprint(bFifo) != fmt.Sprint(sFifo) {
-					t.Fatalf("epoch %d: fifo diverged\nbatch  %v\nserial %v", epoch, bFifo, sFifo)
+				if fmt.Sprint(res) != fmt.Sprint(want) {
+					t.Fatalf("epoch %d: result %+v, eager reference %+v", epoch, res, want)
 				}
-				if len(bLists) != len(sLists) {
-					t.Fatalf("epoch %d: %d non-empty lists, serial has %d", epoch, len(bLists), len(sLists))
-				}
-				for term, want := range sLists {
-					if got := bLists[term]; fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("epoch %d term %d:\nbatch  %v\nserial %v", epoch, term, got, want)
+				requireSameState(t, fmt.Sprintf("epoch %d, batched against eager", epoch), batched, eager.Index)
+				requireSameState(t, fmt.Sprintf("epoch %d, serial against eager", epoch), serial, eager.Index)
+				for _, l := range batched.lists {
+					if l != nil {
+						checkListInvariants(t, l, epoch)
 					}
-				}
-				if batched.Terms() != serial.Terms() {
-					t.Fatalf("epoch %d: Terms() %d vs %d", epoch, batched.Terms(), serial.Terms())
 				}
 			}
 		})
@@ -170,37 +241,29 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 }
 
-// TestListApplyBatchRebuild forces the merge-rebuild path and checks it
-// against point operations on lists spanning multiple chunks.
+// TestListApplyBatchRebuild forces the merge-rebuild path on a list
+// spanning multiple chunks whose older half has expired, and checks it
+// against point inserts: the same live entries, and no stale one left.
 func TestListApplyBatchRebuild(t *testing.T) {
+	const floor = 1000
 	rng := rand.New(rand.NewSource(9))
 	a, b := newList(), newList()
-	var present []EntryKey
-	for i := 0; i < 2000; i++ {
+	for i := 0; i < 2*floor; i++ {
 		e := EntryKey{W: rng.Float64(), Doc: model.DocID(i)}
-		a.insert(e)
-		b.insert(e)
-		present = append(present, e)
+		a.insert(e, 0)
+		b.insert(e, 0)
 	}
-	// Large mutation set relative to the list: half the entries deleted,
-	// a thousand inserted.
-	var ins, del []EntryKey
+	// A large batch relative to the list: a thousand inserts.
+	var ins []EntryKey
 	for i := 0; i < 1000; i++ {
 		ins = append(ins, EntryKey{W: rng.Float64(), Doc: model.DocID(10000 + i)})
 	}
-	rng.Shuffle(len(present), func(i, j int) { present[i], present[j] = present[j], present[i] })
-	del = append(del, present[:1000]...)
-
 	sortEntries(ins)
-	sortEntries(del)
-	a.applyBatch(ins, del, nil)
-	for _, e := range del {
-		b.delete(e)
-	}
+	a.applyBatch(ins, floor, nil)
 	for _, e := range ins {
-		b.insert(e)
+		b.insert(e, floor)
 	}
-	if got, want := listContents(a), listContents(b); fmt.Sprint(got) != fmt.Sprint(want) {
+	if got, want := listContents(a, 0), listContents(b, floor); !slices.Equal(got, want) {
 		t.Fatalf("rebuild diverged: %d vs %d entries", len(got), len(want))
 	}
 	checkListInvariants(t, a, 0)

@@ -19,49 +19,31 @@ func timeAt(i int) time.Time {
 // matter: the ~1-entry lists that dominate realistic dictionaries, and
 // the Zipf-head lists that reach the window size at N = 100,000.
 
-func BenchmarkListInsertDelete(b *testing.B) {
+// BenchmarkListChurn inserts into a list of a given live size whose
+// oldest entry expires with every arrival: the steady state of a
+// sliding window at list level.
+func BenchmarkListChurn(b *testing.B) {
 	for _, size := range []int{4, 256, 8192, 100000} {
 		b.Run(fmt.Sprintf("len=%d", size), func(b *testing.B) {
 			l := newList()
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < size; i++ {
-				l.insert(EntryKey{W: rng.Float64(), Doc: model.DocID(i)})
+				l.insert(EntryKey{W: rng.Float64(), Doc: model.DocID(i)}, 0)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e := EntryKey{W: rng.Float64(), Doc: model.DocID(size + i)}
-				l.insert(e)
-				l.delete(e)
+				l.insert(EntryKey{W: rng.Float64(), Doc: model.DocID(size + i)}, model.DocID(i+1))
 			}
 		})
 	}
 }
 
-func BenchmarkListSeekGE(b *testing.B) {
-	l := newList()
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 100000; i++ {
-		l.insert(EntryKey{W: rng.Float64(), Doc: model.DocID(i)})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := l.SeekGE(EntryKey{W: rng.Float64(), Doc: 0})
-		if it.Valid() {
-			_ = it.Key()
-		}
-	}
-}
-
-// BenchmarkApplyBatchEpoch slides 64-document WSJ-shaped epochs over a
-// 10,000-document window: the index phase of the benchmark's
-// wide-window workload. An epoch is ≈22,000 net mutations, so -cpu 1,2
-// compares the one-share pass with the term-partitioned one. The
-// documents that expire are recycled as the next epoch's arrivals, so
-// allocs/op is the index's own.
-func BenchmarkApplyBatchEpoch(b *testing.B) {
-	const window, epoch = 10000, 64
+// slideWindow slides epochs of the given size of WSJ-shaped documents
+// over a window of the given size. The documents that expire are
+// recycled as the next epoch's arrivals, so allocs/op is the index's
+// own.
+func slideWindow(b *testing.B, window, epoch int) {
 	synth, err := corpus.NewSynth(corpus.WSJConfig(), vsm.Cosine{})
 	if err != nil {
 		b.Fatal(err)
@@ -104,6 +86,17 @@ func BenchmarkApplyBatchEpoch(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*epoch), "us/doc")
 }
+
+// BenchmarkApplyBatchEpoch slides 64-document epochs over a
+// 10,000-document window: the index phase of the benchmark's
+// wide-window workload. An epoch is ≈11,000 inserts,
+// so -cpu 1,2 compares the one-share pass with the term-partitioned one.
+func BenchmarkApplyBatchEpoch(b *testing.B) { slideWindow(b, 10000, 64) }
+
+// BenchmarkApplyBatchPoint slides single-document epochs, one arrival
+// and one expiry each, over a 10,000-document window: the index phase
+// of a paced or HTTP-fed engine.
+func BenchmarkApplyBatchPoint(b *testing.B) { slideWindow(b, 10000, 1) }
 
 func BenchmarkIndexProcessDocument(b *testing.B) {
 	// Insert + remove a realistic 175-term document against a warm

@@ -20,92 +20,67 @@ func (r *refList) insert(e EntryKey) {
 	r.entries[i] = e
 }
 
-func (r *refList) delete(e EntryKey) bool {
-	i := sort.Search(len(r.entries), func(i int) bool { return !Before(r.entries[i], e) })
-	if i >= len(r.entries) || r.entries[i] != e {
-		return false
+// live returns the entries not below floor, in list order.
+func (r *refList) live(floor model.DocID) []EntryKey {
+	out := make([]EntryKey, 0, len(r.entries))
+	for _, e := range r.entries {
+		if e.Doc >= floor {
+			out = append(out, e)
+		}
 	}
-	r.entries = append(r.entries[:i], r.entries[i+1:]...)
-	return true
+	return out
 }
 
-func listContents(l *List) []EntryKey {
-	var out []EntryKey
-	for it := l.First(); it.Valid(); it.Next() {
+// listContents returns l's entries not below floor, read through the
+// iterator; floor 0 reads every physical entry.
+func listContents(l *List, floor model.DocID) []EntryKey {
+	out := make([]EntryKey, 0, l.length)
+	for it := l.scan(floor); it.Valid(); it.Next() {
 		out = append(out, it.Key())
 	}
 	return out
 }
 
+// requireLive fails unless l's live entries at floor are exactly the
+// reference's, in order.
+func requireLive(t *testing.T, step int, l *List, ref *refList, floor model.DocID) {
+	t.Helper()
+	if got, want := listContents(l, floor), ref.live(floor); !slices.Equal(got, want) {
+		t.Fatalf("step %d: %d live entries, reference %d (or contents differ)", step, len(got), len(want))
+	}
+}
+
 // TestChunkedListAgainstReference drives the chunked list through a
-// large random workload spanning many splits and chunk removals and
-// compares every observable against the flat-slice oracle.
+// large random workload of inserts and floor raises, spanning many
+// splits and chunk compactions, and compares the live entries against
+// the flat-slice oracle; a final compaction must leave exactly them.
 func TestChunkedListAgainstReference(t *testing.T) {
 	l := newList()
 	ref := &refList{}
 	rng := rand.New(rand.NewSource(42))
-	live := make(map[EntryKey]bool)
+	next, floor := model.DocID(0), model.DocID(0)
 
 	for step := 0; step < 30000; step++ {
-		if rng.Intn(3) != 0 || len(live) == 0 {
-			e := EntryKey{
-				W:   float64(rng.Intn(500)+1) / 500, // ties likely
-				Doc: model.DocID(rng.Intn(5000)),
-			}
-			if live[e] {
-				continue
-			}
-			live[e] = true
-			l.insert(e)
+		if rng.Intn(3) != 0 || floor == next {
+			e := EntryKey{W: float64(rng.Intn(500)+1) / 500, Doc: next} // ties likely
+			next++
+			l.insert(e, floor)
 			ref.insert(e)
 		} else {
-			// Delete a random live entry (map order is fine).
-			var victim EntryKey
-			for e := range live {
-				victim = e
-				break
-			}
-			delete(live, victim)
-			if !l.delete(victim) || !func() bool { return ref.delete(victim) }() {
-				t.Fatalf("step %d: delete disagreement for %v", step, victim)
-			}
+			floor += model.DocID(1 + rng.Intn(2))
+			floor = min(floor, next)
 		}
-		if l.Len() != len(ref.entries) {
-			t.Fatalf("step %d: Len %d vs ref %d", step, l.Len(), len(ref.entries))
+		if step%97 == 0 {
+			requireLive(t, step, l, ref, floor)
+			ref.entries = ref.live(floor)
 		}
 	}
-
-	got := listContents(l)
-	if len(got) != len(ref.entries) {
-		t.Fatalf("iteration yielded %d entries, ref has %d", len(got), len(ref.entries))
+	requireLive(t, -1, l, ref, floor)
+	l.compact(floor)
+	if got, want := listContents(l, 0), ref.live(floor); !slices.Equal(got, want) {
+		t.Fatalf("compacted list holds %d entries, %d live", len(got), len(want))
 	}
-	for i := range got {
-		if got[i] != ref.entries[i] {
-			t.Fatalf("entry %d: %v vs ref %v", i, got[i], ref.entries[i])
-		}
-	}
-
-	// Seeks and predecessors at random probes, including phantoms.
-	for probe := 0; probe < 2000; probe++ {
-		pos := EntryKey{W: float64(rng.Intn(510)) / 500, Doc: model.DocID(rng.Intn(5200))}
-		i := sort.Search(len(ref.entries), func(i int) bool { return !Before(ref.entries[i], pos) })
-		it := l.SeekGE(pos)
-		if i == len(ref.entries) {
-			if it.Valid() {
-				t.Fatalf("SeekGE(%v) valid, ref exhausted", pos)
-			}
-		} else if !it.Valid() || it.Key() != ref.entries[i] {
-			t.Fatalf("SeekGE(%v) = %v, ref %v", pos, it.Key(), ref.entries[i])
-		}
-		pk, ok := l.PredBefore(pos)
-		if i == 0 {
-			if ok {
-				t.Fatalf("PredBefore(%v) = %v, ref has none", pos, pk)
-			}
-		} else if !ok || pk != ref.entries[i-1] {
-			t.Fatalf("PredBefore(%v) = %v,%v, ref %v", pos, pk, ok, ref.entries[i-1])
-		}
-	}
+	checkListInvariants(t, l, -1)
 }
 
 // TestChunkedListSplitBoundaries fills a list far past one chunk and
@@ -115,10 +90,10 @@ func TestChunkedListSplitBoundaries(t *testing.T) {
 	l := newList()
 	const n = 4 * maxChunk
 	for i := 0; i < n; i++ {
-		l.insert(EntryKey{W: float64(i%97+1) / 97, Doc: model.DocID(i)})
+		l.insert(EntryKey{W: float64(i%97+1) / 97, Doc: model.DocID(i)}, 0)
 	}
-	if l.Len() != n {
-		t.Fatalf("Len = %d", l.Len())
+	if l.length != n {
+		t.Fatalf("length = %d", l.length)
 	}
 	if len(l.chunks) < 2 {
 		t.Fatalf("expected multiple chunks, got %d", len(l.chunks))
@@ -139,15 +114,14 @@ func TestChunkedListSplitBoundaries(t *testing.T) {
 			prev, first = e, false
 		}
 	}
-	// Drain completely; chunk directory must shrink to nothing.
-	for i := 0; i < n; i++ {
-		if !l.delete(EntryKey{W: float64(i%97+1) / 97, Doc: model.DocID(i)}) {
-			t.Fatalf("delete %d failed", i)
-		}
+	// Expire everything; compaction must shrink the directory to nothing.
+	if examined := l.compact(n); examined != n {
+		t.Fatalf("compaction examined %d entries, want %d", examined, n)
 	}
-	if l.Len() != 0 || l.chunks != nil {
-		t.Fatalf("drained list: len=%d chunks=%d", l.Len(), len(l.chunks))
+	if l.length != 0 || l.chunks != nil {
+		t.Fatalf("drained list: len=%d chunks=%d", l.length, len(l.chunks))
 	}
+	checkListInvariants(t, l, n)
 }
 
 // checkListInvariants holds l to the structural contract of the lean
@@ -185,49 +159,21 @@ func checkListInvariants(t *testing.T, l *List, step int) {
 }
 
 // TestLeanListAgainstReference drives the list through a long random
-// workload — point inserts, point deletes (present and phantom) and
-// batch applications on both sides of the rebuild cutoff, with drains
-// back to empty — against a naive sorted slice, and checks every
-// observable and the structural invariants after every step.
+// workload — point inserts, floor raises, batch applications on both
+// sides of the rebuild cutoff and compactions, with drains back to
+// empty — against a naive sorted slice, and checks the live entries and
+// the structural invariants after every step.
 func TestLeanListAgainstReference(t *testing.T) {
 	l := newList()
 	ref := &refList{}
 	rng := rand.New(rand.NewSource(7))
+	next, floor := model.DocID(0), model.DocID(0)
 
 	randKey := func() EntryKey {
-		return EntryKey{
-			W:   float64(rng.Intn(25)+1) / 25, // ties likely
-			Doc: model.DocID(rng.Intn(120)),
-		}
+		e := EntryKey{W: float64(rng.Intn(25)+1) / 25, Doc: next} // ties likely
+		next++
+		return e
 	}
-	at := func(pos EntryKey) int {
-		return sort.Search(len(ref.entries), func(i int) bool { return !Before(ref.entries[i], pos) })
-	}
-	live := func(e EntryKey) bool {
-		i := at(e)
-		return i < len(ref.entries) && ref.entries[i] == e
-	}
-	anyLive := func() EntryKey { return ref.entries[rng.Intn(len(ref.entries))] }
-	probe := func(step int, pos EntryKey) {
-		i := at(pos)
-		it := l.SeekGE(pos)
-		if i == len(ref.entries) {
-			if it.Valid() {
-				t.Fatalf("step %d: SeekGE(%v) valid at %v, reference exhausted", step, pos, it.Key())
-			}
-		} else if !it.Valid() || it.Key() != ref.entries[i] {
-			t.Fatalf("step %d: SeekGE(%v) = %v,%v, reference %v", step, pos, it.Key(), it.Valid(), ref.entries[i])
-		}
-		pk, ok := l.PredBefore(pos)
-		if i == 0 {
-			if ok {
-				t.Fatalf("step %d: PredBefore(%v) = %v, reference has none", step, pos, pk)
-			}
-		} else if !ok || pk != ref.entries[i-1] {
-			t.Fatalf("step %d: PredBefore(%v) = %v,%v, reference %v", step, pos, pk, ok, ref.entries[i-1])
-		}
-	}
-
 	var scratch []EntryKey
 	draining := false
 	for step := 0; step < 20000; step++ {
@@ -242,60 +188,44 @@ func TestLeanListAgainstReference(t *testing.T) {
 		grew := -1
 		switch r := rng.Intn(10); {
 		case draining:
-			victim := anyLive()
-			if !l.delete(victim) || !ref.delete(victim) {
-				t.Fatalf("step %d: delete(%v) of a live entry failed", step, victim)
+			floor = min(next, floor+model.DocID(1+rng.Intn(64)))
+			if rng.Intn(4) == 0 {
+				l.compact(floor)
 			}
-		case r < 5 || len(ref.entries) == 0: // point insert
+		case r < 5: // point insert
 			e := randKey()
-			if live(e) {
-				continue
-			}
 			before := 0
-			if l.Len() > 0 {
+			if len(l.chunks) > 0 {
 				c, _ := l.lowerBound(e)
 				before = cap(l.chunks[c])
 			}
-			l.insert(e)
+			l.insert(e, floor)
 			ref.insert(e)
 			if c, _ := l.lowerBound(e); cap(l.chunks[c]) != before {
 				grew = c // reallocated: grown or split
 			}
-		case r < 8: // point delete, sometimes phantom
-			victim := anyLive()
-			if rng.Intn(4) == 0 {
-				victim = randKey() // likely phantom
-			}
-			if got, want := l.delete(victim), ref.delete(victim); got != want {
-				t.Fatalf("step %d: delete(%v) = %v, reference %v", step, victim, got, want)
+		case r < 7: // expiry of about an eighth of the live entries
+			floor += model.DocID(rng.Intn(int(next-floor)/4 + 1))
+		case r < 8: // sweep
+			l.compact(floor)
+			if got, want := listContents(l, 0), ref.live(floor); !slices.Equal(got, want) {
+				t.Fatalf("step %d: compacted list holds %d entries, %d live", step, len(got), len(want))
 			}
 		default: // batch, sized to sometimes cross the rebuild cutoff
-			var ins, del []EntryKey
+			var ins []EntryKey
 			for n := rng.Intn(200); n > 0; n-- {
-				if e := randKey(); !live(e) {
-					ins = append(ins, e)
-				}
-			}
-			for n := min(rng.Intn(60), len(ref.entries)); n > 0; n-- {
-				del = append(del, anyLive())
-			}
-			if rng.Intn(4) == 0 {
-				del = append(del, EntryKey{W: 2, Doc: 1}) // never present
+				ins = append(ins, randKey())
 			}
 			sortEntries(ins)
-			sortEntries(del)
-			ins, del = slices.Compact(ins), slices.Compact(del)
-			scratch = l.applyBatch(ins, del, scratch)
-			for _, e := range del {
-				ref.delete(e)
-			}
+			scratch = l.applyBatch(ins, floor, scratch)
 			for _, e := range ins {
 				ref.insert(e)
 			}
 		}
 
-		if l.Len() != len(ref.entries) {
-			t.Fatalf("step %d: Len %d, reference %d", step, l.Len(), len(ref.entries))
+		ref.entries = ref.live(floor)
+		if got := listContents(l, floor); !slices.Equal(got, ref.entries) {
+			t.Fatalf("step %d: %d live entries, reference %d (or contents differ)", step, len(got), len(ref.entries))
 		}
 		checkListInvariants(t, l, step)
 		if grew >= 0 {
@@ -303,41 +233,32 @@ func TestLeanListAgainstReference(t *testing.T) {
 				t.Fatalf("step %d: chunk %d grew to cap %d around %d entries", step, grew, cap(ch), len(ch))
 			}
 		}
-		i := 0
-		for it := l.First(); it.Valid(); it.Next() {
-			if i >= len(ref.entries) || it.Key() != ref.entries[i] {
-				t.Fatalf("step %d: entry %d is %v, reference differs", step, i, it.Key())
-			}
-			i++
-		}
-		if i != len(ref.entries) {
-			t.Fatalf("step %d: iteration yielded %d entries, reference has %d", step, i, len(ref.entries))
-		}
-		probe(step, EntryKey{W: float64(rng.Intn(27)) / 25, Doc: model.DocID(rng.Intn(130))})
-		probe(step, Top())
-		probe(step, Bottom())
 	}
 }
 
 // TestListChurnDoesNotAllocate pins what the steady state of a sliding
 // window relies on: once a list has grown to its working size, an
-// insert+delete pair allocates nothing — including on a singleton list
-// that empties and refills, whose parked chunk is why RemoveOldest can
-// keep emptied lists around for free.
+// arrival whose predecessor has expired allocates nothing, because the
+// full chunk it lands in compacts first — including on a singleton list
+// that refills over its stale entry.
 func TestListChurnDoesNotAllocate(t *testing.T) {
 	for _, size := range []int{0, 1, 5, 200, 5000} {
 		l := newList()
 		for i := 0; i < size; i++ {
-			l.insert(EntryKey{W: float64(i%89 + 1), Doc: model.DocID(i)})
+			l.insert(EntryKey{W: float64(i%89 + 1), Doc: model.DocID(1<<40 + i)}, 0)
 		}
-		e := EntryKey{W: 44.5, Doc: 1 << 40}
-		l.insert(e) // warm: the touched chunk has room from here on
-		l.delete(e)
-		if got := testing.AllocsPerRun(200, func() {
-			l.insert(e)
-			l.delete(e)
-		}); got != 0 {
-			t.Errorf("list of %d: insert+delete allocates %v times", size, got)
+		// The churning entries share one weight, so each lands next to
+		// its expired predecessors.
+		next := model.DocID(1)
+		churn := func() {
+			l.insert(EntryKey{W: 44.5, Doc: next}, next)
+			next++
+		}
+		for range 2 * maxChunk { // warm: the touched chunk reaches its working size
+			churn()
+		}
+		if got := testing.AllocsPerRun(200, churn); got != 0 {
+			t.Errorf("list of %d: churn allocates %v times", size, got)
 		}
 		checkListInvariants(t, l, size)
 	}
@@ -349,21 +270,12 @@ func TestChunkedListOrderInsensitive(t *testing.T) {
 	f := func(ws []uint16) bool {
 		a, b := newList(), newList()
 		for i, w := range ws {
-			a.insert(EntryKey{W: float64(w), Doc: model.DocID(i)})
+			a.insert(EntryKey{W: float64(w), Doc: model.DocID(i)}, 0)
 		}
 		for i := len(ws) - 1; i >= 0; i-- {
-			b.insert(EntryKey{W: float64(ws[i]), Doc: model.DocID(i)})
+			b.insert(EntryKey{W: float64(ws[i]), Doc: model.DocID(i)}, 0)
 		}
-		ca, cb := listContents(a), listContents(b)
-		if len(ca) != len(cb) {
-			return false
-		}
-		for i := range ca {
-			if ca[i] != cb[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(listContents(a, 0), listContents(b, 0))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

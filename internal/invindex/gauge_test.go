@@ -53,13 +53,13 @@ func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
 				}
 			}
 			total, lists := x.MemoryBytes(), x.MemoryBytes()-x.Store.MemoryBytes()
-			t.Logf("%d postings in %d lists, %.1f B/posting", x.PostingCount(), x.Terms(),
+			t.Logf("%d postings in %d lists, %.1f B/posting", x.PostingCount(), liveTerms(x),
 				float64(x.PostingBytes())/float64(x.PostingCount()))
 			withIndex := liveHeap()
 			// Drop everything but the store: what the heap loses is what
-			// the lists, the term table and every share's epoch scratch
-			// held.
-			x.lists, x.batchCounts, x.shares = nil, nil, nil
+			// the lists, the term table, the occupied-list bitmap and
+			// every share's epoch scratch held.
+			x.lists, x.occupied, x.batchCounts, x.shares = nil, nil, nil, nil
 			withStore := liveHeap()
 			runtime.KeepAlive(x)
 			runtime.KeepAlive(synth)

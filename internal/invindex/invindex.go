@@ -3,11 +3,13 @@
 // whose per-term lists hold impact entries ⟨d, w_{d,t}⟩ sorted by
 // decreasing weight.
 //
-// List positions are identified by EntryKey values — (weight, doc id)
-// pairs under the list's total order — rather than by node references,
-// so a stored position (such as a query's local threshold) stays
-// meaningful across arbitrary insertions and deletions, including the
-// deletion of the entry it was derived from.
+// Expiry writes no list. Document ids ascend in FIFO order, so an entry
+// is stale exactly when its id is below the live floor, one past the
+// last expired id, which no valid document's id is below. Iterators
+// step over stale entries, and three rules reclaim them: an insert that
+// would grow or split a full chunk first compacts it, a hot-list merge
+// rebuild drops them, and a term-ordered sweep compacts lists for a
+// budget proportional to the postings each epoch expires (see sweep).
 //
 // Every list is a chunked sorted array of raw EntryKeys whose chunks
 // are allocated to fit. Almost every term of a real dictionary is rare,
@@ -15,15 +17,17 @@
 // handful of entries per list, not by how densely the few Zipf-head
 // lists pack.
 //
-// A large epoch's net postings are applied term-partitioned across up to
+// A large epoch's arrivals are applied term-partitioned across up to
 // GOMAXPROCS goroutines, while a single document stays on the caller.
-// Lists share no state and each still sees its own mutations in stream
-// order, so every list, and with it every result and snapshot byte, is
-// the same at any share count (see ApplyBatch).
+// Lists share no state, each still sees its own inserts in stream order,
+// and the floor and the sweep are functions of the record stream alone,
+// so every list, and with it every result and snapshot byte, is the same
+// at any share count (see ApplyBatch).
 package invindex
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -61,15 +65,6 @@ func compareKeys(a, b EntryKey) int {
 	return 0
 }
 
-// Top returns the sentinel position before every possible entry. A
-// local threshold at Top has consumed nothing.
-func Top() EntryKey { return EntryKey{W: math.Inf(1), Doc: 0} }
-
-// Bottom returns the sentinel position after every possible entry. A
-// local threshold at Bottom has consumed the entire list, and any future
-// arrival with a positive weight lands ahead of it.
-func Bottom() EntryKey { return EntryKey{W: 0, Doc: math.MaxUint64} }
-
 // List is one inverted list: impact entries in list order, held as a
 // chunked sorted array (a tiered vector). At realistic dictionary sizes
 // the vast majority of lists hold a handful of entries
@@ -79,8 +74,8 @@ func Bottom() EntryKey { return EntryKey{W: 0, Doc: math.MaxUint64} }
 // allocation), and chunks grow by an eighth, never by doubling, so a
 // singleton's storage is one 16-byte allocation. The Zipf-head terms,
 // which at a 100,000-document window appear in essentially every
-// document, spread across chunks so that an insert or delete rewrites
-// at most one chunk's worth of memory instead of O(list) — the
+// document, spread across chunks so that an insert rewrites at most
+// one chunk's worth of memory instead of O(list) — the
 // difference between microseconds and milliseconds per arrival at the
 // paper's largest window.
 //
@@ -92,7 +87,7 @@ type List struct {
 	// empty, one[0] parks the emptied chunk's capacity (up to parkMax
 	// entries) for the term's next arrival.
 	one    [1][]EntryKey
-	length int
+	length int // physical entries, stale ones included
 }
 
 const (
@@ -109,9 +104,6 @@ const (
 )
 
 func newList() *List { return &List{} }
-
-// Len returns the number of entries.
-func (l *List) Len() int { return l.length }
 
 // setChunks installs dir as the chunk directory: a one-chunk directory
 // moves inline, and anything one held before is released.
@@ -154,7 +146,10 @@ func (l *List) lowerBound(pos EntryKey) (int, int) {
 	return c, i
 }
 
-func (l *List) insert(e EntryKey) {
+// insert adds e in list order. An insert that would grow or split a
+// full chunk first drops that chunk's entries below floor, and takes the
+// room that frees when there is any.
+func (l *List) insert(e EntryKey, floor model.DocID) {
 	l.length++
 	if len(l.chunks) == 0 {
 		ch := l.one[0]
@@ -167,6 +162,11 @@ func (l *List) insert(e EntryKey) {
 	}
 	c, i := l.lowerBound(e)
 	ch := l.chunks[c]
+	if len(ch) == cap(ch) {
+		n := len(ch)
+		ch, i = dropStale(ch, floor, i)
+		l.length -= n - len(ch)
+	}
 	n := len(ch)
 	switch {
 	case n < cap(ch):
@@ -203,89 +203,107 @@ func (l *List) insert(e EntryKey) {
 	}
 }
 
-func (l *List) delete(e EntryKey) bool {
-	if l.length == 0 {
-		return false
-	}
-	c, i := l.lowerBound(e)
-	ch := l.chunks[c]
-	if i >= len(ch) || ch[i] != e {
-		return false
-	}
-	l.length--
-	switch {
-	case len(ch) > 1:
-		copy(ch[i:], ch[i+1:])
-		l.chunks[c] = ch[:len(ch)-1]
-	case l.length > 0:
-		l.setChunks(slices.Delete(l.chunks, c, c+1))
-	default:
-		l.setChunks(nil)
-		if cap(ch) <= parkMax {
-			l.one[0] = ch[:0]
+// dropStale removes ch's entries below floor in place, and returns the
+// shortened chunk and where the entry at offset at, or the end when at
+// is the length, has moved.
+func dropStale(ch []EntryKey, floor model.DocID, at int) ([]EntryKey, int) {
+	moved, n := at, 0
+	for j, e := range ch {
+		if j == at {
+			moved = n
+		}
+		if e.Doc >= floor {
+			if n != j {
+				ch[n] = e
+			}
+			n++
 		}
 	}
-	return true
+	if at == len(ch) {
+		moved = n
+	}
+	return ch[:n], moved
 }
 
-// applyBatch applies one epoch's mutations to the list: ins entries are
-// inserted and del entries removed, both given in list order. For small
-// mutation sets it falls back to the point operations; once the batch is
-// a meaningful fraction of the list it rewrites the list in a single
-// merge pass, so B inserts into a hot Zipf-head list cost one O(list)
-// sweep instead of B chunk searches and B memmoves — the index-level
-// amortization of the epoch pipeline. Unmatched delete keys are
-// skipped. scratch is reusable merge space (may be nil); the possibly
-// grown scratch is returned for the caller to keep.
-func (l *List) applyBatch(ins, del, scratch []EntryKey) []EntryKey {
-	m := len(ins) + len(del)
-	if m == 0 {
-		return scratch
-	}
-	// Point operations win whenever the mutation set is small — in
-	// absolute terms (each point op is a binary search plus one
-	// sub-chunk memmove, allocation-free, and at realistic dictionary
-	// sparsity almost every touched list takes a handful of mutations)
-	// or relative to the list (the rebuild walks everything). The
-	// rebuild pays off only once a large fraction of the list changes
-	// in one epoch: one merge sweep and one allocation replace m
-	// searches and m memmoves.
-	if m < hotTermMutations || m*2 < l.length {
-		for _, e := range del {
-			l.delete(e)
+// compact drops every entry below floor and releases the chunks that
+// empties, as deleting them one by one would: an emptied list parks a
+// small chunk for the term's next arrival. A chunk left under a quarter
+// full is copied to fit, so a list that dwindles towards its last entry
+// hands its capacity back on the way rather than all at once a sweep
+// cycle after it empties. It returns the number of entries it examined.
+func (l *List) compact(floor model.DocID) int {
+	examined := l.length
+	dir := l.chunks[:0]
+	var park []EntryKey
+	for _, ch := range l.chunks {
+		kept, _ := dropStale(ch, floor, 0)
+		l.length -= len(ch) - len(kept)
+		switch {
+		case len(kept) == 0:
+			if cap(ch) <= parkMax {
+				park = ch[:0]
+			}
+		case len(kept)*4 < cap(kept) && cap(kept) > parkMax:
+			dir = append(dir, slices.Clone(kept))
+		default:
+			dir = append(dir, kept)
 		}
+	}
+	clear(l.chunks[len(dir):]) // released chunks must not stay reachable
+	l.setChunks(dir)
+	if len(dir) == 0 {
+		l.one[0] = park
+	}
+	return examined
+}
+
+// applyBatch inserts one epoch's entries ins, given in list order. For
+// small sets it falls back to point inserts; once the batch is a
+// meaningful fraction of the list it rewrites the list in a single
+// merge pass that also drops the entries below floor, so B inserts into
+// a hot Zipf-head list cost one O(list) sweep instead of B chunk
+// searches and B memmoves — the index-level amortization of the epoch
+// pipeline. scratch is reusable merge space (may be nil); the possibly
+// grown scratch is returned for the caller to keep.
+func (l *List) applyBatch(ins []EntryKey, floor model.DocID, scratch []EntryKey) []EntryKey {
+	// Point inserts win whenever the batch is small — in absolute terms
+	// (each is a binary search plus one sub-chunk memmove,
+	// allocation-free, and at realistic dictionary sparsity almost every
+	// touched list takes a handful of arrivals) or relative to the list
+	// (the rebuild walks everything). The rebuild pays off only once a
+	// large fraction of the list changes in one epoch: one merge sweep
+	// and one allocation replace m searches and m memmoves.
+	if len(ins) < hotTermMutations || len(ins)*2 < l.length {
 		for _, e := range ins {
-			l.insert(e)
+			l.insert(e, floor)
 		}
 		return scratch
 	}
 	merged := scratch[:0]
-	ii, di := 0, 0
+	ii := 0
 	for _, ch := range l.chunks {
 		for _, e := range ch {
 			for ii < len(ins) && Before(ins[ii], e) {
 				merged = append(merged, ins[ii])
 				ii++
 			}
-			for di < len(del) && Before(del[di], e) {
-				di++ // delete key not present; tolerate and move on
+			if e.Doc >= floor {
+				merged = append(merged, e)
 			}
-			if di < len(del) && del[di] == e {
-				di++
-				continue
-			}
-			merged = append(merged, e)
 		}
 	}
 	merged = append(merged, ins[ii:]...)
+	l.layOut(merged)
+	return merged
+}
+
+// layOut replaces the list's entries with a copy of merged, cut into
+// rebuildChunk-sized chunks. All chunks slice one exact-fit backing
+// array (capacity-capped, so a growing chunk copies out instead of
+// clobbering its neighbor), keeping the rebuild at a single persistent
+// allocation.
+func (l *List) layOut(merged []EntryKey) {
 	l.length = len(merged)
-	if l.length == 0 {
-		l.setChunks(nil)
-		return merged
-	}
-	// All chunks slice one exact-fit backing array (capacity-capped, so
-	// a growing chunk copies out instead of clobbering its neighbor),
-	// keeping the rebuild at a single persistent allocation.
 	backing := slices.Clone(merged)
 	dir := l.chunks[:0]
 	clear(l.chunks)
@@ -297,32 +315,35 @@ func (l *List) applyBatch(ins, del, scratch []EntryKey) []EntryKey {
 		dir = append(dir, backing[start:end:end])
 	}
 	l.setChunks(dir)
-	return merged
 }
 
-// Iterator walks a list from a position towards lower impacts. It stays
+// Iterator walks a list's live entries from the head towards lower
+// impacts, stepping over the stale ones (ids below floor). It stays
 // valid only while the list is not modified. The refill loops re-read
 // Key() many times per consumed entry, so the current entry is loaded
 // once per position into k.
 type Iterator struct {
-	l  *List
-	c  int // chunk index
-	i  int // offset within chunk
-	ok bool
-	k  EntryKey
+	l     *List
+	floor model.DocID
+	c     int // chunk index
+	i     int // offset within chunk
+	ok    bool
+	k     EntryKey
 }
 
-// load caches the entry at the iterator's position, stepping over a
-// chunk end first, and clears ok when the position is past the end.
+// load caches the first live entry at or after the iterator's position,
+// stepping over stale entries and chunk ends, and clears ok when there
+// is none.
 func (it *Iterator) load() {
-	l := it.l
-	if it.c < len(l.chunks) && it.i >= len(l.chunks[it.c]) {
-		it.c++
-		it.i = 0
+	for chunks := it.l.chunks; it.c < len(chunks); it.c, it.i = it.c+1, 0 {
+		for ch := chunks[it.c]; it.i < len(ch); it.i++ {
+			if ch[it.i].Doc >= it.floor {
+				it.k, it.ok = ch[it.i], true
+				return
+			}
+		}
 	}
-	if it.ok = it.c < len(l.chunks); it.ok {
-		it.k = l.chunks[it.c][it.i]
-	}
+	it.ok = false
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -337,42 +358,11 @@ func (it *Iterator) Next() {
 // Key returns the current entry; the iterator must be valid.
 func (it *Iterator) Key() EntryKey { return it.k }
 
-// SeekGE returns an iterator at the first entry at or after pos in list
-// order — the resume point for a threshold stored as pos.
-func (l *List) SeekGE(pos EntryKey) Iterator {
-	it := Iterator{l: l}
-	if l.length > 0 {
-		// An insertion point at the end of a chunk is the start of the
-		// following one; load steps over it.
-		it.c, it.i = l.lowerBound(pos)
-	}
+// scan returns an iterator at the highest-impact entry not below floor.
+func (l *List) scan(floor model.DocID) Iterator {
+	it := Iterator{l: l, floor: floor}
 	it.load()
 	return it
-}
-
-// First returns an iterator at the highest-impact entry.
-func (l *List) First() Iterator {
-	it := Iterator{l: l}
-	it.load()
-	return it
-}
-
-// PredBefore returns the last entry strictly before pos in list order —
-// the lowest-impact consumed entry relative to a threshold at pos —
-// or ok == false when nothing precedes pos.
-func (l *List) PredBefore(pos EntryKey) (EntryKey, bool) {
-	if l.length == 0 {
-		return EntryKey{}, false
-	}
-	c, i := l.lowerBound(pos)
-	if i == 0 {
-		if c == 0 {
-			return EntryKey{}, false
-		}
-		prev := l.chunks[c-1]
-		return prev[len(prev)-1], true
-	}
-	return l.chunks[c][i-1], true
 }
 
 // Index is the document store plus the inverted lists over it.
@@ -381,12 +371,19 @@ type Index struct {
 	// lists is indexed by term id. Ids are dictionary-dense (see
 	// model.TermID), so a flat table costs 8 bytes a term where a map
 	// cost a bucket slot and a hash per posting. Emptied lists stay in
-	// the table (see applyShare).
+	// the table: at realistic dictionary sparsity the same rare terms
+	// keep reappearing, and recreating a list per reappearance costs two
+	// allocations per term per document.
 	lists []*List
-	// nonEmpty counts lists with at least one entry, so Terms() is a
-	// cheap gauge and not a dictionary-sized scan.
-	nonEmpty int
-	// batchCounts is ApplyBatch's per-term mutation counter, indexed
+	// floor is the live floor: entries with lower doc ids are stale.
+	// occupied has bit t set while term t's list holds an entry, so the
+	// sweep steps over emptied lists without loading them; cursor is
+	// the sweep's next term, and live counts live entries.
+	floor    model.DocID
+	occupied []uint64
+	cursor   int
+	live     int
+	// batchCounts is ApplyBatch's per-term insert counter, indexed
 	// like lists and all zero between calls; shares holds one merge
 	// scratch per share of the term-partitioned mutation pass.
 	batchCounts []int32
@@ -409,13 +406,14 @@ func NewIndex(seed uint64) *Index {
 	return &Index{Store: NewStore()}
 }
 
-// List returns the inverted list for term t, or nil when no document
-// containing t has been indexed.
-func (x *Index) List(t model.TermID) *List {
-	if int(t) < len(x.lists) {
-		return x.lists[t]
+// Scan returns an iterator at the highest-impact live entry of term t's
+// list, invalid at once when t has none. It stays valid until the next
+// ApplyBatch.
+func (x *Index) Scan(t model.TermID) Iterator {
+	if int(t) < len(x.lists) && x.lists[t] != nil {
+		return x.lists[t].scan(x.floor)
 	}
-	return nil
+	return Iterator{}
 }
 
 // covering returns table, reallocated with an eighth of headroom when
@@ -449,9 +447,9 @@ func (x *Index) Insert(d *model.Document) error {
 	return err
 }
 
-// RemoveOldest removes the FIFO head document and its impact entries,
-// returning the removed document: an epoch that expires exactly one
-// document. It returns nil on an empty index.
+// RemoveOldest expires the FIFO head document, whose impact entries go
+// stale, and returns it: an epoch that expires exactly one document. It
+// returns nil on an empty index.
 func (x *Index) RemoveOldest() *model.Document {
 	calls := 0
 	res, _ := x.ApplyBatch(nil, func(*model.Document, int) bool {
@@ -464,10 +462,6 @@ func (x *Index) RemoveOldest() *model.Document {
 	return res.Expired[0]
 }
 
-// Terms returns the number of terms with non-empty inverted lists, in
-// O(1) via a counter the mutation pass maintains.
-func (x *Index) Terms() int { return x.nonEmpty }
-
 // BatchResult reports what one ApplyBatch call actually did.
 type BatchResult struct {
 	// Expired holds the documents that were valid before the epoch and
@@ -478,8 +472,9 @@ type BatchResult struct {
 	// Expirations pop in FIFO order, so the dropped arrivals always form
 	// a prefix of the batch and arrivals[Dropped:] are the survivors.
 	Dropped int
-	// Inserts and Deletes count the impact entries actually posted and
-	// removed — same-epoch transients contribute to neither.
+	// Inserts counts the impact entries posted and Deletes those of the
+	// expired documents, which went stale — same-epoch transients
+	// contribute to neither.
 	Inserts int
 	Deletes int
 }
@@ -488,18 +483,20 @@ type BatchResult struct {
 // appends the arriving documents to the FIFO store in order, pops
 // expired documents from the head while expired says so (the window
 // policy bound to the epoch's end time; it must be monotone in both
-// arguments, as count- and time-based sliding windows are), and then
-// mutates the inverted lists with the epoch's *net* postings, grouped
-// per term so each touched list is edited in one pass. Documents that
-// arrive and expire within the same epoch occupy window slots while the
-// epoch plays out but are never posted to the lists.
+// arguments, as count- and time-based sliding windows are), raises the
+// live floor past them, inserts the surviving arrivals' postings,
+// grouped per term so each touched list is edited in one pass, and runs
+// the sweep. Expired entries are not deleted: they are stale from here
+// on. Documents that arrive and expire within the same epoch occupy
+// window slots while the epoch plays out but are never posted.
 //
-// An epoch of at least 2·shareMutations net postings is applied
+// An epoch of at least 2·shareMutations inserts is applied
 // term-partitioned: the caller and up to GOMAXPROCS−1 goroutines, which
 // exit before ApplyBatch returns, each edit the lists of their own terms
 // (see applyShare). A list's final entries and chunk layout depend only
-// on its own mutations in stream order, which partitioning by term
-// keeps, so the result is the same at any share count.
+// on its own inserts in stream order and on the floor, which
+// partitioning by term keeps, so the result is the same at any share
+// count.
 //
 // Validation is all-or-nothing: an arrival whose id is not above the
 // newest valid document's and every earlier arrival's (see Store) fails
@@ -508,25 +505,31 @@ func (x *Index) ApplyBatch(arrivals []*model.Document, expired func(oldest *mode
 	return x.applyEpoch(arrivals, expired, applyShares)
 }
 
-// shareMutations is the least mutation count worth a goroutine of its
-// own in the term-partitioned pass. A posting mutation costs about a
-// microsecond of cache misses on a wide window, well above what starting
-// and joining a goroutine costs; a WSJ-sized document is ≈350
-// mutations, so single-document epochs stay inline.
+// shareMutations is the least insert count worth a goroutine of its
+// own in the term-partitioned pass. An insert costs about a microsecond
+// of cache misses on a wide window, well above what starting and joining
+// a goroutine costs; a WSJ-sized document is ≈177 inserts, so
+// single-document epochs stay inline.
 const shareMutations = 1024
 
-// applyShares is the share count of an epoch of m net mutations: one
+// applyShares is the share count of an epoch of m inserts: one
 // per shareMutations, capped at GOMAXPROCS, at least one.
 func applyShares(m int) int {
 	return max(1, min(runtime.GOMAXPROCS(0), m/shareMutations))
 }
 
-// applyEpoch is ApplyBatch with the share count of the mutation pass
-// chosen by shares from the epoch's net mutation count.
-func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool, shares func(mutations int) int) (BatchResult, error) {
+// applyEpoch is ApplyBatch with the share count of the insert pass
+// chosen by shares from the epoch's insert count.
+func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *model.Document, count int) bool, shares func(inserts int) int) (BatchResult, error) {
 	var res BatchResult
 	if err := x.Store.ascending(arrivals); err != nil {
 		return res, err
+	}
+	if len(arrivals) > 0 && x.Store.Len() == 0 && arrivals[0].ID < x.floor {
+		// Ids restart below the floor of an emptied window: reclaim
+		// every entry, all of them stale, before the floor falls.
+		x.sweep(math.MaxInt)
+		x.floor = 0
 	}
 	x.Store.fifo = append(x.Store.fifo, arrivals...)
 	for {
@@ -535,103 +538,92 @@ func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *mode
 			break
 		}
 		x.Store.RemoveOldest()
+		x.floor = oldest.ID + 1
 		// The FIFO reaches this epoch's arrivals only after every older
 		// document is gone, and then in batch order.
 		if res.Dropped < len(arrivals) && oldest == arrivals[res.Dropped] {
 			res.Dropped++
 		} else {
 			res.Expired = append(res.Expired, oldest)
+			res.Deletes += len(oldest.Postings)
 		}
 	}
 
-	// The counting pass: per-term mutation counts for the shares' hot
+	// The counting pass: per-term insert counts for the shares' hot
 	// test, and the largest term, so the list table grows here once and
 	// never while shares run.
 	survivors := arrivals[res.Dropped:]
 	counts := x.batchCounts
 	var maxTerm model.TermID
-	count := func(docs []*model.Document) (postings int) {
-		for _, d := range docs {
-			for _, p := range d.Postings {
-				counts = covering(counts, p.Term)
-				counts[p.Term]++
-				maxTerm = max(maxTerm, p.Term)
-			}
-			postings += len(d.Postings)
+	for _, d := range survivors {
+		for _, p := range d.Postings {
+			counts = covering(counts, p.Term)
+			counts[p.Term]++
+			maxTerm = max(maxTerm, p.Term)
 		}
-		return postings
+		res.Inserts += len(d.Postings)
 	}
-	res.Inserts = count(survivors)
-	res.Deletes = count(res.Expired)
 	x.batchCounts = counts
-	if res.Inserts+res.Deletes > 0 {
+	if res.Inserts > 0 {
 		x.lists = covering(x.lists, maxTerm)
+		x.occupied = covering(x.occupied, maxTerm/64)
 	}
+	x.live += res.Inserts - res.Deletes
 
-	n := shares(res.Inserts + res.Deletes)
+	n := shares(res.Inserts)
 	for len(x.shares) < n {
 		x.shares = append(x.shares, shareScratch{})
 	}
 	if n == 1 { // every single-document epoch: no goroutine, nothing to allocate
-		x.nonEmpty += x.applyShare(0, 1, survivors, res.Expired)
+		x.applyShare(0, 1, survivors)
 	} else {
-		old := res.Expired
-		deltas := make([]int, n)
 		var wg sync.WaitGroup
 		for w := 1; w < n; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				deltas[w] = x.applyShare(w, n, survivors, old)
+				x.applyShare(w, n, survivors)
 			}()
 		}
-		deltas[0] = x.applyShare(0, n, survivors, old)
+		x.applyShare(0, n, survivors)
 		wg.Wait()
-		for _, d := range deltas {
-			x.nonEmpty += d
-		}
 	}
 	for w := n; w < len(x.shares); w++ {
 		x.shares[w].shrink(0) // idle this epoch
 	}
+	x.sweep(sweepPerExpired * res.Deletes)
 
-	// Re-zero the counters by the postings that raised them; the table
-	// is dictionary-sized and an epoch touches a sliver of it.
-	for _, docs := range [2][]*model.Document{survivors, res.Expired} {
-		for _, d := range docs {
-			for _, p := range d.Postings {
-				counts[p.Term] = 0
-			}
+	// Re-zero the counters by the postings that raised them, and mark
+	// their lists occupied; the tables are dictionary-sized and an epoch
+	// touches a sliver of them.
+	for _, d := range survivors {
+		for _, p := range d.Postings {
+			counts[p.Term] = 0
+			x.occupied[p.Term/64] |= 1 << (p.Term % 64)
 		}
 	}
 	return res, nil
 }
 
-// listMut is one hot list's buffered mutations for an epoch.
-type listMut struct{ ins, del []EntryKey }
-
-// applyShare applies the epoch's net postings whose term t has
-// t mod n = w — expirations first, then arrivals, each in stream order —
-// with share w's merge scratch, and returns the change in the number of
-// non-empty lists. Shares edit disjoint lists and only read batchCounts
-// and the list table, so all n run side by side; n = 1 is the whole
-// pass.
+// applyShare inserts the epoch's surviving postings whose term t has
+// t mod n = w, in stream order, with share w's merge scratch. Shares
+// edit disjoint lists and only read batchCounts, the list table and the
+// floor, so all n run side by side; n = 1 is the whole pass.
 //
-// Grouping a term's mutations to apply them in one list pass only pays
+// Grouping a term's inserts to apply them in one list pass only pays
 // off for hot terms — Zipf-head lists collecting a meaningful number of
 // entries per epoch; at realistic dictionary sparsity the vast majority
-// of touched terms see one or two mutations, where buffering costs more
+// of touched terms see one or two inserts, where buffering costs more
 // than the point operations it saves. So the counting pass finds the
-// hot terms, cold terms take direct point operations with no buffering,
+// hot terms, cold terms take direct point inserts with no buffering,
 // and only hot terms are grouped and merge-applied.
-func (x *Index) applyShare(w, n int, survivors, expired []*model.Document) (nonEmpty int) {
-	counts, lists := x.batchCounts, x.lists
+func (x *Index) applyShare(w, n int, survivors []*model.Document) {
+	counts, lists, floor := x.batchCounts, x.lists, x.floor
 	mine := func(t model.TermID) bool { return n == 1 || int(t)%n == w }
-	// hot reports whether term t's mutations are worth grouping: enough
-	// of them in absolute terms AND a meaningful fraction of the
-	// current list, mirroring applyBatch's rebuild condition — there is
-	// no point buffering mutations that will be applied as point
-	// operations anyway.
+	// hot reports whether term t's inserts are worth grouping: enough of
+	// them in absolute terms AND a meaningful fraction of the current
+	// list, mirroring applyBatch's rebuild condition — there is no point
+	// buffering inserts that will be applied as point operations anyway.
 	hot := func(t model.TermID) bool {
 		c := counts[t]
 		if c < hotTermMutations {
@@ -640,39 +632,7 @@ func (x *Index) applyShare(w, n int, survivors, expired []*model.Document) (nonE
 		l := lists[t]
 		return l == nil || int(c)*2 >= l.length
 	}
-	var muts map[model.TermID]*listMut
-	mutFor := func(t model.TermID) *listMut {
-		mu := muts[t]
-		if mu == nil {
-			if muts == nil {
-				muts = make(map[model.TermID]*listMut)
-			}
-			mu = new(listMut)
-			muts[t] = mu
-		}
-		return mu
-	}
-	for _, d := range expired {
-		for _, p := range d.Postings {
-			if !mine(p.Term) {
-				continue
-			}
-			e := EntryKey{W: p.Weight, Doc: d.ID}
-			if hot(p.Term) {
-				mu := mutFor(p.Term)
-				mu.del = append(mu.del, e)
-			} else if l := lists[p.Term]; l != nil && l.delete(e) && l.length == 0 {
-				// An emptied list is kept, with the capacity of its last
-				// small chunk parked: at realistic dictionary sparsity the
-				// same rare terms keep reappearing, and recreating a list
-				// per reappearance costs two allocations per term per
-				// document — measured as a third of the whole per-document
-				// index cost. The retained residue is bounded by the
-				// dictionary size.
-				nonEmpty--
-			}
-		}
-	}
+	var muts map[model.TermID][]EntryKey
 	for _, d := range survivors {
 		for _, p := range d.Postings {
 			if !mine(p.Term) {
@@ -680,34 +640,61 @@ func (x *Index) applyShare(w, n int, survivors, expired []*model.Document) (nonE
 			}
 			e := EntryKey{W: p.Weight, Doc: d.ID}
 			if hot(p.Term) {
-				mu := mutFor(p.Term)
-				mu.ins = append(mu.ins, e)
+				if muts == nil {
+					muts = make(map[model.TermID][]EntryKey)
+				}
+				muts[p.Term] = append(muts[p.Term], e)
 				continue
 			}
-			l := x.listFor(p.Term)
-			if l.length == 0 {
-				nonEmpty++
-			}
-			l.insert(e)
+			x.listFor(p.Term).insert(e, floor)
 		}
 	}
 	s := &x.shares[w]
 	used := 0
-	for t, mu := range muts {
-		slices.SortFunc(mu.ins, compareKeys)
-		slices.SortFunc(mu.del, compareKeys)
-		l := x.listFor(t)
-		wasEmpty := l.length == 0
-		s.buf = l.applyBatch(mu.ins, mu.del, s.buf)
+	for t, ins := range muts {
+		slices.SortFunc(ins, compareKeys)
+		s.buf = x.listFor(t).applyBatch(ins, floor, s.buf)
 		used = max(used, len(s.buf))
-		if wasEmpty && l.length > 0 {
-			nonEmpty++
-		} else if !wasEmpty && l.length == 0 {
-			nonEmpty--
-		}
 	}
 	s.shrink(used)
-	return nonEmpty
+}
+
+// sweepPerExpired is the sweep's budget per expired posting. An epoch
+// expiring E postings compacts lists holding about 4·E entries, so a
+// cycle over an index of P entries takes about P/(4·E) epochs: a term
+// that never comes back loses its entries within one cycle, and the
+// stale entries a list holds when the sweep reaches it are about a
+// quarter of its share of one window's postings, fewer where inserts
+// and rebuilds reclaimed them first (about 9 % of the live entries on
+// WSJ-shaped windows of 1 000 and 10 000 documents).
+const sweepPerExpired = 4
+
+// sweep compacts the occupied lists in term order from the cursor,
+// charging each one unit plus the entries it examined, until budget is
+// spent or the table has been walked once.
+func (x *Index) sweep(budget int) {
+	for words := 0; budget > 0 && words <= len(x.occupied); {
+		w := x.cursor / 64
+		if w >= len(x.occupied) {
+			w, x.cursor = 0, 0
+			if len(x.occupied) == 0 {
+				return
+			}
+		}
+		rest := x.occupied[w] >> (x.cursor % 64)
+		if rest == 0 {
+			x.cursor = (w + 1) * 64
+			words++
+			continue
+		}
+		t := x.cursor + bits.TrailingZeros64(rest)
+		l := x.lists[t]
+		budget -= 1 + l.compact(x.floor)
+		if l.length == 0 {
+			x.occupied[w] &^= 1 << (t % 64)
+		}
+		x.cursor = t + 1
+	}
 }
 
 // shrink bounds the retained capacity of a share's merge scratch — the
@@ -788,12 +775,13 @@ func listBytes(l *List) uint64 {
 }
 
 // MemoryBytes is the index's heap footprint: the FIFO store, every
-// inverted list, the term table and the epoch scratch, every share's
-// merge space included.
+// inverted list, the term table, the occupied-list bitmap and the epoch
+// scratch, every share's merge space included.
 func (x *Index) MemoryBytes() uint64 {
 	b := x.Store.MemoryBytes() + x.PostingBytes() +
 		allocSize(uint64(cap(x.lists))*slotBytes) +
 		allocSize(uint64(cap(x.batchCounts))*countBytes) +
+		allocSize(uint64(cap(x.occupied))*8) +
 		allocSize(uint64(cap(x.shares))*shareBytes)
 	for _, s := range x.shares {
 		b += allocSize(uint64(cap(s.buf)) * entryBytes)
@@ -815,18 +803,11 @@ func (x *Index) PostingBytes() uint64 {
 	return b
 }
 
-// PostingCount is the total number of impact entries across all lists.
-func (x *Index) PostingCount() int {
-	n := 0
-	for _, l := range x.lists {
-		if l != nil {
-			n += l.length
-		}
-	}
-	return n
-}
+// PostingCount is the number of live impact entries: the postings of
+// the valid documents.
+func (x *Index) PostingCount() int { return x.live }
 
-// hotTermMutations is the per-term mutation count at which ApplyBatch
-// switches from direct point operations to grouped one-pass
-// application. It matches applyBatch's own small-set cutoff.
+// hotTermMutations is the per-term insert count at which ApplyBatch
+// switches from point inserts to grouped one-pass application. It
+// matches applyBatch's own small-set cutoff.
 const hotTermMutations = 8

@@ -1,7 +1,7 @@
 package invindex
 
 import (
-	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -35,20 +35,6 @@ func TestBeforeOrdering(t *testing.T) {
 	}
 }
 
-func TestSentinels(t *testing.T) {
-	real := EntryKey{W: math.MaxFloat64, Doc: 0}
-	if !Before(Top(), real) {
-		t.Error("Top must precede every real entry")
-	}
-	tiny := EntryKey{W: math.SmallestNonzeroFloat64, Doc: math.MaxUint64 - 1}
-	if !Before(tiny, Bottom()) {
-		t.Error("every positive-weight entry must precede Bottom")
-	}
-	if !Before(Top(), Bottom()) {
-		t.Error("Top must precede Bottom")
-	}
-}
-
 func TestIndexInsertAndListOrder(t *testing.T) {
 	x := NewIndex(1)
 	// Same term, interleaved weights, plus a tie.
@@ -57,19 +43,10 @@ func TestIndexInsertAndListOrder(t *testing.T) {
 	x.Insert(mkDoc(t, 3, model.Posting{Term: 7, Weight: 0.3}))
 	x.Insert(mkDoc(t, 4, model.Posting{Term: 7, Weight: 0.5}))
 
-	l := x.List(7)
-	if l == nil || l.Len() != 4 {
-		t.Fatalf("list missing or wrong length")
-	}
-	var got []EntryKey
-	for it := l.First(); it.Valid(); it.Next() {
-		got = append(got, it.Key())
-	}
+	got := scanTerm(x, 7)
 	want := []EntryKey{{W: 0.9, Doc: 2}, {W: 0.5, Doc: 4}, {W: 0.3, Doc: 1}, {W: 0.3, Doc: 3}}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("list[%d] = %v, want %v (full %v)", i, got[i], want[i], got)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("list = %v, want %v", got, want)
 	}
 }
 
@@ -77,42 +54,66 @@ func TestIndexRemoveOldestCleansLists(t *testing.T) {
 	x := NewIndex(1)
 	x.Insert(mkDoc(t, 1, model.Posting{Term: 1, Weight: 0.5}, model.Posting{Term: 2, Weight: 0.25}))
 	x.Insert(mkDoc(t, 2, model.Posting{Term: 2, Weight: 0.75}))
-	if x.Terms() != 2 {
-		t.Fatalf("Terms = %d", x.Terms())
+	if n := liveTerms(x); n != 2 {
+		t.Fatalf("%d lists with a live entry, want 2", n)
 	}
 	d := x.RemoveOldest()
 	if d == nil || d.ID != 1 {
 		t.Fatalf("RemoveOldest = %v", d)
 	}
-	// Emptied lists are retained (allocation churn) but report empty.
-	if l := x.List(1); l != nil && l.Len() != 0 {
-		t.Fatalf("list for term 1 should be empty, has %d entries", l.Len())
+	// An expired document's entries are no longer read.
+	if it := x.Scan(1); it.Valid() {
+		t.Fatalf("term 1 still yields %v", it.Key())
 	}
-	if x.Terms() != 1 {
-		t.Fatalf("Terms = %d, want 1 non-empty list", x.Terms())
+	if n := liveTerms(x); n != 1 {
+		t.Fatalf("%d lists with a live entry, want 1", n)
 	}
-	if l := x.List(2); l == nil || l.Len() != 1 {
-		t.Fatal("list for term 2 should keep doc 2's entry")
-	}
-	// A retained empty list behaves like an absent one.
-	if it := x.List(1).First(); it.Valid() {
-		t.Fatal("empty list iterator is valid")
-	}
-	if _, ok := x.List(1).PredBefore(Bottom()); ok {
-		t.Fatal("empty list has a predecessor")
+	if got := scanTerm(x, 2); !slices.Equal(got, []EntryKey{{W: 0.75, Doc: 2}}) {
+		t.Fatalf("term 2 holds %v, want doc 2's entry alone", got)
 	}
 	// Reinsertion reuses the retained list.
+	l := x.lists[1]
 	if err := x.Insert(mkDoc(t, 3, model.Posting{Term: 1, Weight: 0.9})); err != nil {
 		t.Fatal(err)
 	}
-	if l := x.List(1); l.Len() != 1 {
-		t.Fatalf("reused list has %d entries", l.Len())
+	if x.lists[1] != l {
+		t.Fatal("reinsertion replaced the retained list")
+	}
+	if got := scanTerm(x, 1); !slices.Equal(got, []EntryKey{{W: 0.9, Doc: 3}}) {
+		t.Fatalf("reused list holds %v", got)
 	}
 	if _, ok := x.Get(1); ok {
 		t.Fatal("doc 1 still in store")
 	}
 	if x.Len() != 2 {
 		t.Fatalf("Len = %d, want 2 (doc 2 and the reinserted doc 3)", x.Len())
+	}
+}
+
+// TestIDsRestartBelowFloor restarts ids below the floor once the window
+// is empty, which the store accepts, while stale entries of the old ids
+// are still in the lists (a window that empties faster than the sweep
+// reaches its lists): the new documents' entries must be live and the
+// old ones gone.
+func TestIDsRestartBelowFloor(t *testing.T) {
+	x := NewIndex(1)
+	for id := model.DocID(1); id <= 3; id++ {
+		if err := x.Insert(mkDoc(t, id, model.Posting{Term: 7, Weight: float64(id) / 4})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for x.Len() > 0 {
+		x.Store.RemoveOldest()
+	}
+	x.floor = 4
+	if err := x.Insert(mkDoc(t, 2, model.Posting{Term: 7, Weight: 0.1})); err != nil {
+		t.Fatal(err)
+	}
+	if got := scanTerm(x, 7); !slices.Equal(got, []EntryKey{{W: 0.1, Doc: 2}}) {
+		t.Fatalf("term 7 holds %v, want the restarted doc 2 alone", got)
+	}
+	if n := physicalEntries(x); n != 1 {
+		t.Fatalf("%d physical entries, want 1", n)
 	}
 }
 
@@ -126,46 +127,6 @@ func TestIndexDuplicateInsert(t *testing.T) {
 	}
 	if x.Len() != 1 {
 		t.Fatalf("Len = %d after rejected duplicate", x.Len())
-	}
-}
-
-func TestSeekGEAndPredBefore(t *testing.T) {
-	x := NewIndex(1)
-	for i, w := range []float64{0.9, 0.7, 0.5, 0.3} {
-		x.Insert(mkDoc(t, model.DocID(i+1), model.Posting{Term: 1, Weight: w}))
-	}
-	l := x.List(1)
-
-	// Seek to a phantom position between 0.7 and 0.5.
-	it := l.SeekGE(EntryKey{W: 0.6, Doc: 99})
-	if !it.Valid() || it.Key() != (EntryKey{W: 0.5, Doc: 3}) {
-		t.Fatalf("SeekGE(0.6) = %v", it.Key())
-	}
-	// Seek to an existing position lands on it.
-	it = l.SeekGE(EntryKey{W: 0.7, Doc: 2})
-	if !it.Valid() || it.Key() != (EntryKey{W: 0.7, Doc: 2}) {
-		t.Fatalf("SeekGE(existing) = %v", it.Key())
-	}
-	// Seek past the tail.
-	it = l.SeekGE(Bottom())
-	if it.Valid() {
-		t.Fatal("SeekGE(Bottom) should be invalid")
-	}
-	// Seek from Top lands on the head.
-	it = l.SeekGE(Top())
-	if !it.Valid() || it.Key() != (EntryKey{W: 0.9, Doc: 1}) {
-		t.Fatalf("SeekGE(Top) = %v", it.Key())
-	}
-
-	// Predecessors.
-	if _, ok := l.PredBefore(Top()); ok {
-		t.Fatal("PredBefore(Top) should be empty")
-	}
-	if k, ok := l.PredBefore(EntryKey{W: 0.7, Doc: 2}); !ok || k != (EntryKey{W: 0.9, Doc: 1}) {
-		t.Fatalf("PredBefore(0.7) = %v,%v", k, ok)
-	}
-	if k, ok := l.PredBefore(Bottom()); !ok || k != (EntryKey{W: 0.3, Doc: 4}) {
-		t.Fatalf("PredBefore(Bottom) = %v,%v", k, ok)
 	}
 }
 

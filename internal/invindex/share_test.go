@@ -11,14 +11,18 @@ import (
 )
 
 // requireSameLayout fails unless a and b hold the same lists entry for
-// entry and allocation for allocation: the term table, every chunk's
-// length and capacity, each directory's length and capacity, and each
-// emptied list's parked chunk.
+// entry, stale entries included, and allocation for allocation: the
+// floor, the sweep cursor, the occupied-list bitmap, the term table,
+// every chunk's length and capacity, each directory's length and
+// capacity, and each emptied list's parked chunk.
 func requireSameLayout(t *testing.T, what string, a, b *Index) {
 	t.Helper()
-	if a.Terms() != b.Terms() || a.PostingCount() != b.PostingCount() || a.PostingBytes() != b.PostingBytes() {
-		t.Fatalf("%s: Terms/PostingCount/PostingBytes %d/%d/%d, want %d/%d/%d", what,
-			a.Terms(), a.PostingCount(), a.PostingBytes(), b.Terms(), b.PostingCount(), b.PostingBytes())
+	if a.floor != b.floor || a.cursor != b.cursor || a.PostingCount() != b.PostingCount() || a.PostingBytes() != b.PostingBytes() {
+		t.Fatalf("%s: floor/cursor/PostingCount/PostingBytes %d/%d/%d/%d, want %d/%d/%d/%d", what,
+			a.floor, a.cursor, a.PostingCount(), a.PostingBytes(), b.floor, b.cursor, b.PostingCount(), b.PostingBytes())
+	}
+	if !slices.Equal(a.occupied, b.occupied) {
+		t.Fatalf("%s: occupied-list bitmaps differ", what)
 	}
 	if len(a.lists) != len(b.lists) || cap(a.lists) != cap(b.lists) {
 		t.Fatalf("%s: term table %d/%d, want %d/%d", what, len(a.lists), cap(a.lists), len(b.lists), cap(b.lists))
@@ -107,7 +111,7 @@ func TestApplySharesIdentical(t *testing.T) {
 			requireSameLayout(t, fmt.Sprintf("%s, %d shares", s.name, shares), x, indexes[0])
 		}
 	}
-	if n := indexes[0].Terms(); n == 0 {
+	if n := liveTerms(indexes[0]); n == 0 {
 		t.Fatal("refill left no lists")
 	}
 }
