@@ -59,9 +59,7 @@
 // that a durable engine may change at every Open. No goroutine outlives
 // its epoch, so a small epoch costs nothing extra at any S and an
 // engine holds nothing between calls. Prefer IngestBatch for
-// high-volume feeds. The deprecated Algorithm
-// ShardedIncrementalThreshold means WithShards(0). See README.md for
-// the architecture.
+// high-volume feeds. See README.md for the architecture.
 //
 // # Epochs
 //
@@ -179,8 +177,8 @@
 //
 // Reopening the same directory recovers the engine: the newest
 // checkpoint is restored and the log tail replayed through the same
-// code paths live calls use. Because version-2 snapshots carry the
-// exact incremental state (per-query thresholds and result lists, not
+// code paths live calls use. Because snapshots carry the exact
+// incremental state (each query's score floor and result list, not
 // just the window), recovery is byte-identical, not merely
 // result-equivalent: ResultsAll, Stats, the id sequences and every
 // future maintenance decision match an engine that never crashed. The crash-point suites enforce this by
@@ -212,13 +210,14 @@
 // the missing markers before appending resumes (a promoted standby
 // does so at Promote), so every later recovery accepts the log.
 //
-// Logs written while a batch size option existed recover
-// result-identically, not byte-identically: such a log holds one
-// record per ingest call, with markers only where a buffered epoch was
-// flushed (and a KindFlush record before an explicit flush, now a
-// no-op), and replay makes every record its own epoch. Per-query top-k
-// matches the uninterrupted engine's up to exact ties at the k-th
-// score, and Stats counters may differ.
+// Recovery reads exactly the format the engine writes, so every
+// directory Open accepts recovers byte-identically. Older inputs are
+// refused with an error that names them, and the directory is left as
+// it was: snapshots of another version, snapshots that recorded the
+// retired ita-sharded algorithm, checkpoints that recorded a batch size
+// above 1 (their logs may hold records buffered into one epoch), and
+// per-document or flush records. Nothing migrates an old directory; see
+// "On-disk formats" in README.md.
 //
 // # Replication and failover
 //

@@ -24,10 +24,13 @@ import (
 // (so epoch partitioning and id assignment reproduce exactly),
 // tolerates a torn final record by truncating to the last clean frame,
 // writes the markers a crash left unwritten, and garbage-collects
-// leftovers of an interrupted checkpoint. Combined with the exact-state snapshot (snapshot.go,
-// version 2), the recovered engine is byte-identical to the uncrashed
-// one at the recovered boundary: ResultsAll, Stats, Queries and every
-// future maintenance decision match.
+// leftovers of an interrupted checkpoint. Combined with the exact-state
+// snapshot (snapshot.go, version 3), the recovered engine is
+// byte-identical to the uncrashed one at the recovered boundary:
+// ResultsAll, Stats, Queries and every future maintenance decision
+// match. Recovery reads only the format the engine writes; an older
+// checkpoint or record fails Open and leaves the checkpoint and the log
+// as they were (see "On-disk formats" in README.md).
 
 // walState is the durable engine's log attachment.
 type walState struct {
@@ -264,19 +267,10 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 func (e *Engine) replayRecord(rec *wal.Record) error {
 	w := e.wal
 	switch rec.Kind {
-	case wal.KindDoc, wal.KindBatch:
-		// Logs written before every ingest became a batch hold one KindDoc
-		// record per IngestText call; it replays as the batch of one that
-		// call is now. Each record is one epoch, also in logs written when
-		// a batch size could buffer several records into one epoch: those
-		// recover the same per-query results (see "Durability" in the
-		// package documentation).
-		items := []TimedText{{Text: rec.Text, At: time.Unix(0, rec.At)}}
-		if rec.Kind == wal.KindBatch {
-			items = make([]TimedText, len(rec.Items))
-			for i, it := range rec.Items {
-				items[i] = TimedText{Text: it.Text, At: time.Unix(0, it.At)}
-			}
+	case wal.KindBatch:
+		items := make([]TimedText, len(rec.Items))
+		for i, it := range rec.Items {
+			items[i] = TimedText{Text: it.Text, At: time.Unix(0, it.At)}
 		}
 		ids, deltas, err := e.ingestBatchLocked(items)
 		if err != nil {
@@ -311,10 +305,8 @@ func (e *Engine) replayRecord(rec *wal.Record) error {
 			return err
 		}
 		e.queueDeltasLocked(deltas)
-	case wal.KindFlush:
-		// An explicit flush of a buffered epoch, from logs written when a
-		// batch size existed. Every record above is already its own epoch,
-		// so there is nothing left to flush.
+	case wal.KindDoc, wal.KindFlush:
+		return fmt.Errorf("retired record kind %s: the engine no longer writes it and does not replay it", rec.Kind)
 	case wal.KindEpoch:
 		w.markerSeq++
 		if rec.Seq != w.markerSeq || rec.Seq > w.epochSeq {
@@ -358,10 +350,9 @@ func (e *Engine) walAppendLocked(rec *wal.Record) error {
 // record yet. A crash between an operation's record and its marker
 // leaves such a boundary: replay applies the record and counts it, and
 // without its marker the next boundary's marker would skip a number,
-// which the following recovery rejects. Logs from the batch-size era
-// have fewer markers than replay produces boundaries for the same
-// reason. Recovery seals before appending resumes; a promoted standby
-// seals at promotion. Must be called with e.mu held.
+// which the following recovery rejects. Recovery seals before
+// appending resumes; a promoted standby seals at promotion. Must be
+// called with e.mu held.
 func (e *Engine) walSealLocked() error {
 	w := e.wal
 	if w.markerSeq >= w.epochSeq {
@@ -595,12 +586,8 @@ func checkSnapshotCompat(user *config, s *snapshot) error {
 			return mismatch("window", fmt.Sprintf("span %s", pol.D), stored)
 		}
 	}
-	recorded := s.Algorithm
-	if recorded == ShardedIncrementalThreshold {
-		recorded = IncrementalThreshold
-	}
-	if user.algorithm >= 0 && user.algorithm != recorded {
-		return mismatch("algorithm", user.algorithm, recorded)
+	if user.algorithm >= 0 && user.algorithm != s.Algorithm {
+		return mismatch("algorithm", user.algorithm, s.Algorithm)
 	}
 	if !user.stemming && s.Stemming {
 		return mismatch("stemming", false, true)

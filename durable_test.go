@@ -577,7 +577,7 @@ func TestOpenRefusesSegmentsWithoutCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := wal.NewLog(f, 0, wal.DurabilityOff)
-	if err := l.Append(&wal.Record{Kind: wal.KindDoc, Doc: 1, At: 1, Text: "orphaned operation"}); err != nil {
+	if err := l.Append(&wal.Record{Kind: wal.KindBatch, Doc: 1, Items: []wal.DocEntry{{At: 1, Text: "orphaned operation"}}}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()

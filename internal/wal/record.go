@@ -12,9 +12,9 @@ const (
 	KindRegister Kind = 1
 	// KindUnregister removes query Query.
 	KindUnregister Kind = 2
-	// KindDoc is one document ingest: Doc (the assigned id), At and
-	// Text. The facade no longer writes it (an ingest of one is a
-	// KindBatch of one) but still replays it from older logs.
+	// KindDoc was one document ingest: Doc (the assigned id), At and
+	// Text. Retired: decoded so a scan never truncates, refused by
+	// replay.
 	KindDoc Kind = 3
 	// KindBatch is one ingest epoch — an IngestText or IngestBatch
 	// call, or a group of concurrent ones: Doc (the first assigned id)
@@ -23,8 +23,8 @@ const (
 	// KindAdvance moves the stream clock to At without an arrival.
 	KindAdvance Kind = 5
 	// KindFlush was an explicit flush of documents an engine with a
-	// batch size had buffered. The facade no longer writes it, and
-	// replay, where every KindBatch is already its own epoch, skips it.
+	// batch size had buffered. Retired: decoded so a scan never
+	// truncates, refused by replay.
 	KindFlush Kind = 6
 	// KindEpoch marks a completed publication boundary carrying the
 	// engine's epoch sequence number. It bears no state: replay derives

@@ -26,6 +26,8 @@ func sampleRecords() []Record {
 		{Kind: KindEpoch, Seq: 3},
 		{Kind: KindUnregister, Query: 1},
 		{Kind: KindEpoch, Seq: 4},
+		{Kind: KindAlign, Query: 7, Text: "owned by another node"},
+		{Kind: KindEpoch, Seq: 5},
 	}
 }
 

@@ -25,14 +25,6 @@ const (
 	// NaivePlain is NaiveKmax with kmax = k: the unenhanced baseline of
 	// §II of the paper.
 	NaivePlain
-	// ShardedIncrementalThreshold is IncrementalThreshold with one shard
-	// per CPU.
-	//
-	// Deprecated: ITA is one engine with a shard count; use WithShards.
-	// WithAlgorithm(ShardedIncrementalThreshold) means WithShards(0), a
-	// snapshot that recorded it restores with its recorded shard count,
-	// and Engine.Algorithm reports IncrementalThreshold.
-	ShardedIncrementalThreshold
 )
 
 // String implements fmt.Stringer.
@@ -44,8 +36,6 @@ func (a Algorithm) String() string {
 		return "naive-kmax"
 	case NaivePlain:
 		return "naive-plain"
-	case ShardedIncrementalThreshold:
-		return "ita-sharded"
 	default:
 		return fmt.Sprintf("algorithm(%d)", int(a))
 	}
@@ -114,17 +104,12 @@ func WithTimeWindow(d time.Duration) Option {
 }
 
 // WithAlgorithm selects the engine; the default is IncrementalThreshold.
-// The deprecated ShardedIncrementalThreshold selects IncrementalThreshold
-// with WithShards(0).
 func WithAlgorithm(a Algorithm) Option {
 	return func(c *config) error {
 		switch a {
 		case IncrementalThreshold, NaiveKmax, NaivePlain:
 			c.algorithm = a
 			return nil
-		case ShardedIncrementalThreshold:
-			c.algorithm = IncrementalThreshold
-			return WithShards(0)(c)
 		default:
 			return fmt.Errorf("ita: unknown algorithm %d", int(a))
 		}

@@ -295,20 +295,14 @@ func TestWithShardsValidation(t *testing.T) {
 	if e.Algorithm() != IncrementalThreshold || shardCount(e) != 2 {
 		t.Fatalf("Algorithm() = %v with %d shards", e.Algorithm(), shardCount(e))
 	}
-	// Auto shard count, spelled either way.
+	// WithShards(0) spells the default out.
 	auto, err := New(WithCountWindow(5), WithShards(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer auto.Close()
-	alias, err := New(WithCountWindow(5), WithAlgorithm(ShardedIncrementalThreshold))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer alias.Close()
-	if alias.Algorithm() != IncrementalThreshold || shardCount(alias) != shardCount(auto) {
-		t.Fatalf("deprecated alias: Algorithm() = %v with %d shards, want ita with %d",
-			alias.Algorithm(), shardCount(alias), shardCount(auto))
+	if got, want := shardCount(auto), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("WithShards(0) has %d shards, want GOMAXPROCS = %d", got, want)
 	}
 	// Open with WithShards(0) applies one shard per CPU over the count a
 	// checkpoint recorded.

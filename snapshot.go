@@ -2,6 +2,7 @@ package ita
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -13,37 +14,19 @@ import (
 	"ita/internal/window"
 )
 
-// snapshotVersion guards the wire format; bump on incompatible change.
-// Version history:
-//
-//	1 — configuration, dictionary, queries, window documents. Restoring
-//	    replays the window through a fresh engine, which reproduces
-//	    results but recomputes thresholds and counters from scratch.
-//	2 — adds the exact incremental state (per-query local thresholds
-//	    and full result lists), the operation counters, and the epoch
-//	    sequence number used by WAL checkpoints. Restoring reconstructs
-//	    the engine byte-identically: results, Stats, and every future
-//	    maintenance decision match an engine that never restarted.
-//	3 — the engine's incremental state is now a per-query score floor
-//	    (plus the full result list) instead of per-term positional
-//	    thresholds; snapshotQuery gains Floor and the Theta arrays are
-//	    retained only to decode older snapshots. A version-3 snapshot
-//	    restores exactly; version-2 (and 1) snapshots restore through
-//	    the replay path, which reproduces identical results while
-//	    recomputing floors and counters.
+// snapshotVersion guards the wire format; it is the only version
+// decodeSnapshot reads (see "On-disk formats" in README.md).
 const snapshotVersion = 3
 
-// snapshot is the serialized engine state. Up to version 1 the
-// incremental structures (inverted lists, thresholds, result sets) were
-// deliberately excluded as derivable; version 2 carries the per-query
-// threshold and result state so that a restore is exact, not merely
-// result-equivalent — the property the WAL's crash-recovery equivalence
-// guarantee is built on. The inverted index itself remains derivable
-// (it is a pure function of the window documents) and is still rebuilt.
-// Snapshots written while the engine had two posting layouts also carry
-// a PostingLayout field, and those written while it had a batch size a
-// BatchSize field; gob drops a field the struct no longer has, so they
-// restore onto the one layout there is, with every ingest its own epoch.
+// snapshot is the serialized engine state. It carries each ITA query's
+// incremental state — the score floor F and the full result list R — so
+// that a restore is exact, not merely result-equivalent: the property
+// the WAL's crash-recovery equivalence guarantee is built on. The
+// inverted index is a pure function of the window documents and is
+// rebuilt. Snapshots written while the engine had two posting layouts
+// or a structure seed also carry a PostingLayout or Seed field; gob
+// drops a field the struct does not have, so they restore onto the
+// engine there is.
 type snapshot struct {
 	Version   int
 	Algorithm Algorithm
@@ -56,10 +39,8 @@ type snapshot struct {
 	Okapi      bool
 	OkapiAvgDL float64
 	RetainText bool
-	// Shards is the ITA engine's shard count. Snapshots taken before ITA
-	// was one engine recorded it only with the deprecated
-	// ShardedIncrementalThreshold (0 meaning one per CPU) and left it
-	// zero for the one-shard engine, which restores with one shard.
+	// Shards is the ITA engine's shard count; 0 restores one per CPU,
+	// and a recovering Open may override it.
 	Shards int
 	// Dictionary terms in id order, so interned ids survive the round
 	// trip and query/document term ids keep matching.
@@ -74,16 +55,15 @@ type snapshot struct {
 	NextQuery uint64
 	LastAtNs  int64
 
-	// Version 2: exact-state restoration. ExactState reports whether the
-	// per-query ThetaW/ThetaDoc/RDoc/RScore arrays and Counters were
-	// captured (true for the ITA engines, false for the Naïve baselines,
-	// and always false in version-1 snapshots, where gob decodes the
-	// absent fields as zero values).
-	ExactState bool
-	Counters   Stats
+	Counters Stats
 	// EpochSeq is the durable epoch boundary count at capture; WAL
 	// checkpoints use it to name segments and resume marker numbering.
 	EpochSeq uint64
+	// BatchSize is never written. Snapshots taken while a batch size
+	// option existed recorded it, and a log written after one that
+	// recorded more than 1 may hold buffered records whose epochs replay
+	// cannot reproduce; decodeSnapshot refuses those.
+	BatchSize int
 }
 
 type snapshotQuery struct {
@@ -92,16 +72,12 @@ type snapshotQuery struct {
 	Text  string
 	Terms []model.QueryTerm
 
-	// Exact state. Version 3 captures the query's score floor and the
-	// full result list R (parallel RDoc/RScore arrays, result order).
-	// ThetaW/ThetaDoc carried version 2's per-term positional thresholds;
-	// they are kept so old snapshots decode, but the floor engine cannot
-	// reconstruct exact state from them (those restore via replay).
-	Floor    float64
-	ThetaW   []float64
-	ThetaDoc []uint64
-	RDoc     []uint64
-	RScore   []float64
+	// Exact state of an ITA query: its score floor and the full result
+	// list R (parallel RDoc/RScore arrays, result order). Naïve engines
+	// leave them empty and restore by replay.
+	Floor  float64
+	RDoc   []uint64
+	RScore []float64
 }
 
 type snapshotDoc struct {
@@ -162,7 +138,6 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 	}
 
 	exporter, exact := e.inner.(core.StateSnapshotter)
-	s.ExactState = exact
 	e.inner.EachQuery(func(q *model.Query) {
 		text, _ := e.QueryText(q.ID)
 		sq := snapshotQuery{
@@ -227,13 +202,13 @@ func (s *snapshot) options() []Option {
 	return opts
 }
 
-// Restore rebuilds an engine from a snapshot written by Snapshot. A
-// version-2 snapshot of an ITA engine restores the exact incremental
-// state — results, thresholds, operation counters and all future
-// maintenance decisions are byte-identical to the snapshotted engine.
-// Version-1 snapshots and Naïve engines restore by replaying the
-// window, which reproduces identical results while recomputing the
-// internal state.
+// Restore rebuilds an engine from a snapshot written by Snapshot. An
+// ITA engine restores its exact incremental state — results, score
+// floors, operation counters and all future maintenance decisions are
+// byte-identical to the snapshotted engine. Naïve engines restore by
+// replaying the window, which reproduces identical results while
+// recomputing the internal state. A snapshot in a retired format (see
+// "On-disk formats" in README.md) is an error.
 func Restore(r io.Reader) (*Engine, error) {
 	s, err := decodeSnapshot(r)
 	if err != nil {
@@ -247,8 +222,13 @@ func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
 		return nil, fmt.Errorf("ita: decode snapshot: %w", err)
 	}
-	if s.Version < 1 || s.Version > snapshotVersion {
-		return nil, fmt.Errorf("ita: snapshot version %d, want 1..%d", s.Version, snapshotVersion)
+	switch {
+	case s.Version != snapshotVersion:
+		return nil, fmt.Errorf("ita: snapshot version %d is retired; only version %d is read", s.Version, snapshotVersion)
+	case s.Algorithm == 3:
+		return nil, errors.New("ita: snapshot records algorithm 3, the retired ita-sharded alias")
+	case s.BatchSize > 1:
+		return nil, fmt.Errorf("ita: snapshot records batch size %d; logs written under a batch size are retired", s.BatchSize)
 	}
 	return &s, nil
 }
@@ -257,6 +237,9 @@ func decodeSnapshot(r io.Reader) (*snapshot, error) {
 // are applied after the snapshot's own options (the durable Open path
 // passes its WAL configuration through here).
 func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
+	if s.RetainText && len(s.Texts) != len(s.Docs) {
+		return nil, fmt.Errorf("ita: restore: %d retained texts for %d documents", len(s.Texts), len(s.Docs))
+	}
 	e, err := New(append(s.options(), extraOpts...)...)
 	if err != nil {
 		return nil, fmt.Errorf("ita: restore: %w", err)
@@ -271,10 +254,6 @@ func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
 	}
 
 	restorer, exact := e.inner.(core.StateSnapshotter)
-	// Version-2 exact state is positional (per-term thresholds); the
-	// floor engine cannot adopt it, so only version 3+ restores exactly.
-	exact = exact && s.ExactState && s.Version >= 3
-
 	docs := make([]*model.Document, len(s.Docs))
 	for i, sd := range s.Docs {
 		doc, err := model.NewDocument(model.DocID(sd.ID), time.Unix(0, sd.ArrivalNs), sd.Postings)
@@ -334,9 +313,7 @@ func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
 	}
 	if e.texts != nil {
 		for i, doc := range docs {
-			if i < len(s.Texts) {
-				e.texts.add(doc.ID, doc.Arrival, s.Texts[i])
-			}
+			e.texts.add(doc.ID, doc.Arrival, s.Texts[i])
 		}
 	}
 	e.nextDoc = model.DocID(s.NextDoc)

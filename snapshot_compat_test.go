@@ -5,62 +5,39 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
-	"ita/internal/model"
 	"ita/internal/wal"
 )
 
-// Wire-format back-compat: a version-1 snapshot (the format before the
-// durability work added exact state, counters and the epoch sequence)
-// must keep restoring through the replay path. The checked-in fixture
-// testdata/snapshot_v1.snap was generated by
-// TestRegenerateV1Fixture (run with ITA_REGEN_FIXTURES=1), which
-// down-converts a current snapshot to the exact field set version 1
-// encoders wrote — gob matches fields by name, so the encoding is
-// byte-compatible with historical writers.
+// On-disk format compatibility. The repository owes one format:
+// snapshot version 3 as Snapshot writes it (including old version-3
+// checkpoints that carry fields gob drops) and the WAL record kinds the
+// engine writes. The checked-in fixtures under testdata were written by
+// older commits and cannot be regenerated; the retired ones must be
+// refused without touching the directory they sit in.
 
-// snapshotV1 mirrors the version-1 wire struct field for field.
-type snapshotV1 struct {
-	Version    int
-	Algorithm  Algorithm
-	CountN     int
-	SpanNanos  int64
-	Stemming   bool
-	Stopwords  bool
-	Okapi      bool
-	OkapiAvgDL float64
-	RetainText bool
-	Seed       uint64
-	Shards     int
-	BatchSize  int
-	Terms      []string
-	Queries    []snapshotQueryV1
-	Docs       []snapshotDocV1
-	Texts      []string
-	NextDoc    uint64
-	NextQuery  uint64
-	LastAtNs   int64
-}
+const (
+	// v1FixturePath is a version-1 snapshot: configuration, dictionary,
+	// queries and window, without the incremental state.
+	v1FixturePath = "testdata/snapshot_v1.snap"
+	// seedFixturePath and slicesFixturePath are version-3 snapshots of
+	// buildFixtureEngine's workload, taken by the last commits that had
+	// a structure seed option (here 99) and two posting layouts (here the
+	// non-default slice layout, recorded as PostingLayout = 1).
+	seedFixturePath   = "testdata/snapshot_v3_seed99.snap"
+	slicesFixturePath = "testdata/snapshot_v3_slices.snap"
+	// shardedFixturePath is a version-3 snapshot of the same workload
+	// taken while ITA still had a separate sharded engine; it recorded
+	// algorithm 3, the retired ita-sharded alias, with Shards = 3.
+	shardedFixturePath = "testdata/snapshot_v3_sharded3.snap"
+)
 
-type snapshotQueryV1 struct {
-	ID    uint64
-	K     int
-	Text  string
-	Terms []model.QueryTerm
-}
-
-type snapshotDocV1 struct {
-	ID        uint64
-	ArrivalNs int64
-	Postings  []model.Posting
-}
-
-const v1FixturePath = "testdata/snapshot_v1.snap"
-
-// buildV1FixtureEngine is the deterministic workload both the generator
-// and the verification test derive their expectations from.
-func buildV1FixtureEngine(t *testing.T) *Engine {
+// buildFixtureEngine is the deterministic workload every fixture
+// captured.
+func buildFixtureEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := newEngine(t, WithCountWindow(6), WithTextRetention())
 	if _, err := e.Register("crude oil market", 3); err != nil {
@@ -87,84 +64,14 @@ func buildV1FixtureEngine(t *testing.T) *Engine {
 	return e
 }
 
-// TestRegenerateV1Fixture rewrites the checked-in fixture. Guarded so
-// normal runs only ever read it.
-func TestRegenerateV1Fixture(t *testing.T) {
-	if os.Getenv("ITA_REGEN_FIXTURES") == "" {
-		t.Skip("set ITA_REGEN_FIXTURES=1 to regenerate testdata/snapshot_v1.snap")
-	}
-	e := buildV1FixtureEngine(t)
-	var buf bytes.Buffer
-	if err := e.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s, err := decodeSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := snapshotV1{
-		Version:    1,
-		Algorithm:  s.Algorithm,
-		CountN:     s.CountN,
-		SpanNanos:  s.SpanNanos,
-		Stemming:   s.Stemming,
-		Stopwords:  s.Stopwords,
-		Okapi:      s.Okapi,
-		OkapiAvgDL: s.OkapiAvgDL,
-		RetainText: s.RetainText,
-		Seed:       1, // version-1 writers recorded the structure seed; 1 was the default
-		Shards:     s.Shards,
-		Terms:      s.Terms,
-		Texts:      s.Texts,
-		NextDoc:    s.NextDoc,
-		NextQuery:  s.NextQuery,
-		LastAtNs:   s.LastAtNs,
-	}
-	for _, q := range s.Queries {
-		v1.Queries = append(v1.Queries, snapshotQueryV1{ID: q.ID, K: q.K, Text: q.Text, Terms: q.Terms})
-	}
-	for _, d := range s.Docs {
-		v1.Docs = append(v1.Docs, snapshotDocV1{ID: d.ID, ArrivalNs: d.ArrivalNs, Postings: d.Postings})
-	}
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(filepath.Dir(v1FixturePath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1FixturePath, out.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d bytes)", v1FixturePath, out.Len())
-}
-
-// TestSnapshotV1FixtureRestores decodes the checked-in version-1
-// fixture through the modern Restore and holds it to the version-1
-// contract: identical results (via the replay path), identical
-// configuration and id sequences, and identical future evolution at
-// the result level.
-func TestSnapshotV1FixtureRestores(t *testing.T) {
-	data, err := os.ReadFile(v1FixturePath)
-	if err != nil {
-		t.Fatalf("fixture missing (regenerate with ITA_REGEN_FIXTURES=1): %v", err)
-	}
-	r, err := Restore(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("restore v1 fixture: %v", err)
-	}
-	defer r.Close()
-	requireFixtureEngine(t, r)
-}
-
 // requireFixtureEngine holds r, restored from a fixture that captured
-// buildV1FixtureEngine's workload, against a fresh engine fed the same
+// buildFixtureEngine's workload, against a fresh engine fed the same
 // stream: same shape, same results and retained texts now, and the
-// same results after both ingest further (the contract of an old
-// snapshot is result equivalence, not counter equivalence).
+// same results after both ingest further. Counters are not compared:
+// older code wrote the fixtures.
 func requireFixtureEngine(t *testing.T, r *Engine) {
 	t.Helper()
-	ref := buildV1FixtureEngine(t)
+	ref := buildFixtureEngine(t)
 	defer ref.Close()
 
 	if r.Queries() != ref.Queries() || r.WindowLen() != ref.WindowLen() ||
@@ -202,13 +109,18 @@ func requireFixtureEngine(t *testing.T, r *Engine) {
 	}
 }
 
-// slicesFixturePath is a snapshot of buildV1FixtureEngine's workload
-// taken by the last commit that had two posting layouts, from an engine
-// built with the option selecting the slice layout — the non-default
-// choice, which the snapshot recorded as PostingLayout = 1. It cannot be
-// regenerated: the option is gone, and the point of the file is that
-// bytes written back then keep opening.
-const slicesFixturePath = "testdata/snapshot_v2_slices.snap"
+// requireFixtureRestores restores a fixture's bytes directly: same
+// engine as the one that took it. TestOpenCheckpointFromEitherLayout
+// opens the same fixtures through a durable directory.
+func requireFixtureRestores(t *testing.T, data []byte) {
+	t.Helper()
+	r, err := Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	requireFixtureEngine(t, r)
+}
 
 // TestRecordedPostingLayoutIsIgnored restores the fixture that recorded
 // a posting layout: the field no longer exists, gob drops it, and the
@@ -218,31 +130,23 @@ func TestRecordedPostingLayoutIsIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recorded struct{ PostingLayout int }
+	var recorded struct {
+		Version       int
+		PostingLayout int
+	}
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recorded); err != nil {
 		t.Fatal(err)
 	}
-	if recorded.PostingLayout != 1 {
-		t.Fatalf("fixture records posting layout %d, want 1 (the old slice layout)", recorded.PostingLayout)
+	if recorded.Version != 3 || recorded.PostingLayout != 1 {
+		t.Fatalf("fixture is version %d with posting layout %d, want version 3 with layout 1 (the old slice layout)",
+			recorded.Version, recorded.PostingLayout)
 	}
-	r, err := Restore(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	defer r.Close()
-	requireFixtureEngine(t, r)
+	requireFixtureRestores(t, data)
 }
 
-// seedFixturePath is a version-3 snapshot of buildV1FixtureEngine's
-// workload taken by the last commit that had a structure seed option,
-// from an engine built with seed 99. Like the slice-layout fixture it
-// cannot be regenerated: the option is gone.
-const seedFixturePath = "testdata/snapshot_v3_seed99.snap"
-
 // TestRecordedSeedIsIgnored restores the fixture that recorded a
-// non-default seed, both directly and as the checkpoint of a durable
-// directory: gob drops the field, Restore succeeds, and Open with the
-// options of the engine that took it reports no configuration conflict.
+// non-default seed: gob drops the field, and the engine comes back as
+// the one that took it.
 func TestRecordedSeedIsIgnored(t *testing.T) {
 	data, err := os.ReadFile(seedFixturePath)
 	if err != nil {
@@ -255,34 +159,22 @@ func TestRecordedSeedIsIgnored(t *testing.T) {
 	if recorded.Seed != 99 {
 		t.Fatalf("fixture records seed %d, want 99", recorded.Seed)
 	}
-	r, err := Restore(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	defer r.Close()
-	requireFixtureEngine(t, r)
-
-	dir := t.TempDir()
-	if err := os.WriteFile(wal.CheckpointPath(dir, 0), data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e, err := Open(dir, WithCountWindow(6), WithTextRetention(), WithDurability(DurabilityOff))
-	if err != nil {
-		t.Fatalf("open over a seeded checkpoint: %v", err)
-	}
-	defer e.Close()
-	requireFixtureEngine(t, e)
+	requireFixtureRestores(t, data)
 }
 
-// TestOpenCheckpointFromEitherLayout plants each fixture as the genesis
-// checkpoint of a durable directory — one written under the old default
-// layout (which recorded nothing), one under the old alternative — and
-// opens it with the options of the engine that took it: no
-// configuration conflict, same engine.
+// TestOpenCheckpointFromEitherLayout plants each version-3 fixture as
+// the genesis checkpoint of a durable directory — one written under the
+// old default layout (which recorded nothing), one under the old slice
+// layout — and opens it with the options of the engine that took it: no
+// configuration conflict, same engine. The slice case keeps the name the
+// fixture had before it was renamed snapshot_v3_slices.snap.
 func TestOpenCheckpointFromEitherLayout(t *testing.T) {
-	for _, fixture := range []string{v1FixturePath, slicesFixturePath} {
-		t.Run(filepath.Base(fixture), func(t *testing.T) {
-			data, err := os.ReadFile(fixture)
+	for _, tc := range []struct{ name, path string }{
+		{name: "snapshot_v3_seed99.snap", path: seedFixturePath},
+		{name: "snapshot_v2_slices.snap", path: slicesFixturePath},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			data, err := os.ReadFile(tc.path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +184,7 @@ func TestOpenCheckpointFromEitherLayout(t *testing.T) {
 			}
 			e, err := Open(dir, WithCountWindow(6), WithTextRetention(), WithDurability(DurabilityOff))
 			if err != nil {
-				t.Fatalf("open over a %s checkpoint: %v", fixture, err)
+				t.Fatalf("open over a %s checkpoint: %v", tc.path, err)
 			}
 			defer e.Close()
 			requireFixtureEngine(t, e)
@@ -300,61 +192,150 @@ func TestOpenCheckpointFromEitherLayout(t *testing.T) {
 	}
 }
 
-// shardedFixturePath is a version-3 snapshot of buildV1FixtureEngine's
-// workload taken, while ITA still had a separate sharded engine, from an
-// engine built with WithShards(3). It recorded the deprecated
-// ShardedIncrementalThreshold with Shards = 3; like the other old
-// fixtures it cannot be regenerated.
-const shardedFixturePath = "testdata/snapshot_v3_sharded3.snap"
-
-// TestRecordedShardedAlgorithmRestores restores the sharded fixture
-// directly and as the checkpoint of a durable directory: the engine
-// comes back as ITA with the recorded three shards (or the count the
-// caller asks for) and serves the fixture workload's results.
-func TestRecordedShardedAlgorithmRestores(t *testing.T) {
-	data, err := os.ReadFile(shardedFixturePath)
+// fixtureSnapshot returns the decoded current snapshot of
+// buildFixtureEngine's workload, for tests that edit and re-encode it.
+func fixtureSnapshot(t *testing.T) *snapshot {
+	t.Helper()
+	e := buildFixtureEngine(t)
+	defer e.Close()
+	var buf bytes.Buffer
+	if err := e.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s, err := decodeSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recorded struct {
-		Algorithm Algorithm
-		Shards    int
-	}
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&recorded); err != nil {
+	return s
+}
+
+func encodeSnapshot(t *testing.T, s *snapshot) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
 		t.Fatal(err)
 	}
-	if recorded.Algorithm != ShardedIncrementalThreshold || recorded.Shards != 3 {
-		t.Fatalf("fixture records %v with %d shards, want ita-sharded with 3", recorded.Algorithm, recorded.Shards)
-	}
-	r, err := Restore(bytes.NewReader(data))
-	if err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	defer r.Close()
-	if r.Algorithm() != IncrementalThreshold || shardCount(r) != 3 {
-		t.Fatalf("restored %v with %d shards, want ita with 3", r.Algorithm(), shardCount(r))
-	}
-	requireFixtureEngine(t, r)
+	return buf.Bytes()
+}
 
-	for _, tc := range []struct {
-		opts   []Option
-		shards int
-	}{
-		{nil, 3},
-		{[]Option{WithShards(1)}, 1},
-	} {
-		dir := t.TempDir()
-		if err := os.WriteFile(wal.CheckpointPath(dir, 0), data, 0o644); err != nil {
+// readDir returns every file of dir by name.
+func readDir(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(entries))
+	for _, ent := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := Open(dir, append(tc.opts, WithCountWindow(6), WithDurability(DurabilityOff))...)
+		files[ent.Name()] = data
+	}
+	return files
+}
+
+// TestRetiredFormatsRefused holds recovery to the one owed format: each
+// retired input fails Open (and, for a snapshot, Restore) with an error
+// that names it, and Open leaves every file of the directory
+// byte-identical.
+func TestRetiredFormatsRefused(t *testing.T) {
+	fixture := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("open over the sharded checkpoint: %v", err)
+			t.Fatal(err)
 		}
-		if got := shardCount(e); got != tc.shards {
-			t.Fatalf("opened with %d shards, want %d", got, tc.shards)
-		}
-		requireFixtureEngine(t, e)
-		e.Close()
+		return data
+	}
+	edited := func(edit func(*snapshot)) []byte {
+		t.Helper()
+		s := fixtureSnapshot(t)
+		edit(s)
+		return encodeSnapshot(t, s)
+	}
+	opts := []Option{WithCountWindow(6), WithTextRetention(), WithDurability(DurabilityOff), WithCheckpointEvery(0)}
+	for _, tc := range []struct {
+		name string
+		// Exactly one of snap (the bytes of the directory's only
+		// checkpoint) and rec (a record appended to the log of a directory
+		// the engine wrote) is set.
+		snap []byte
+		rec  *wal.Record
+		want string
+	}{
+		{name: "snapshot_v1", snap: fixture(v1FixturePath), want: "version 1"},
+		{name: "snapshot_v2", snap: edited(func(s *snapshot) { s.Version = 2 }), want: "version 2"},
+		{name: "snapshot_v3_sharded3", snap: fixture(shardedFixturePath), want: "ita-sharded"},
+		{name: "batch_size_64", snap: edited(func(s *snapshot) { s.BatchSize = 64 }), want: "batch size 64"},
+		{name: "doc_record", rec: &wal.Record{Kind: wal.KindDoc, Doc: 2, At: at(20).UnixNano(), Text: "crude oil futures"},
+			want: "retired record kind doc"},
+		{name: "flush_record", rec: &wal.Record{Kind: wal.KindFlush}, want: "retired record kind flush"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if tc.snap != nil {
+				if err := os.WriteFile(wal.CheckpointPath(dir, 0), tc.snap, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := Restore(bytes.NewReader(tc.snap)); err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Fatalf("Restore: error %v, want one naming %q", err, tc.want)
+				}
+			} else {
+				e, err := Open(dir, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.Register("crude oil", 2); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := e.IngestText("crude oil rallies", at(10)); err != nil {
+					t.Fatal(err)
+				}
+				if err := e.Close(); err != nil {
+					t.Fatal(err)
+				}
+				f, err := os.OpenFile(wal.SegmentPath(dir, 0), os.O_WRONLY|os.O_APPEND, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fi, err := f.Stat()
+				if err != nil {
+					t.Fatal(err)
+				}
+				l := wal.NewLog(f, fi.Size(), wal.DurabilityOff)
+				if err := l.Append(tc.rec); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := readDir(t, dir)
+			if e, err := Open(dir, opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if e != nil {
+					e.Close()
+				}
+				t.Fatalf("Open: error %v, want one naming %q", err, tc.want)
+			}
+			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// TestRestoreRefusesShortTexts: a text-retaining snapshot must carry one
+// retained text per window document; one that carries fewer is damaged,
+// and restoring it must fail rather than serve blank texts.
+func TestRestoreRefusesShortTexts(t *testing.T) {
+	s := fixtureSnapshot(t)
+	if !s.RetainText || len(s.Texts) != len(s.Docs) || len(s.Docs) == 0 {
+		t.Fatalf("fixture snapshot retains %v with %d texts for %d documents", s.RetainText, len(s.Texts), len(s.Docs))
+	}
+	s.Texts = s.Texts[:len(s.Texts)-1]
+	if _, err := Restore(bytes.NewReader(encodeSnapshot(t, s))); err == nil {
+		t.Fatal("snapshot with fewer retained texts than documents restored")
 	}
 }
