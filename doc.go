@@ -89,11 +89,12 @@
 // publication. A lone writer gets epochs of its own calls, N
 // concurrent writers (HTTP handlers, say) epochs of up to N calls,
 // with no setting to tune and no stale reads. Analysis stays under the
-// lock, in queue order, so document ids and the dictionary follow the
-// log. A call whose arrival times precede the running clock fails
-// alone with ErrTimeRegression; a log failure fails the whole group. A
-// single writer that wants larger epochs passes more documents to each
-// IngestBatch call.
+// lock, and new terms are interned in queue order, so document ids and
+// the dictionary follow the log; a large epoch spreads the rest of its
+// analysis across cores (see Text analysis). A call whose arrival
+// times precede the running clock fails alone with ErrTimeRegression;
+// a log failure fails the whole group. A single writer that wants
+// larger epochs passes more documents to each IngestBatch call.
 //
 // Per-query results at every epoch boundary do not depend on the epoch
 // size (documents tying exactly at a query's k-th score may resolve to
@@ -371,6 +372,25 @@
 // later ASCII token spelling it is counted without re-checking either.
 // The dictionary is append-only, so a marked term stays a fixed point,
 // and the shortcut cannot change which id a token gets.
+//
+// An epoch with enough text is analysed in two phases, in rounds of 64
+// documents. In the first, up to GOMAXPROCS goroutines take the
+// round's documents one at a time and analyse them against the
+// dictionary as it stood when the round began, reading it and the
+// bitset and writing neither: a document with no new term and no
+// missing mark is counted and weighed there. The second phase runs on
+// the caller, in record order: for each other document it interns the
+// terms the dictionary lacked and sets the marks the first phase found
+// missing, token by token, exactly as the serial pass would. Marks are
+// set only there, so the shortcut's soundness argument is unchanged;
+// and every new id lies above every id known when the round began, so
+// a document's known terms, sorted, followed by its new ones, sorted,
+// are the order the serial pass produces. Term ids, postings, log
+// records and snapshots are therefore byte-identical at any core
+// count, and WAL replay and a standby's apply, which take the same
+// path, land on the same ids. The goroutines are joined before the
+// epoch's analysis ends, and an epoch of one document never starts
+// one.
 //
 // # Benchmark
 //

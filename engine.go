@@ -13,6 +13,7 @@ import (
 	"ita/internal/repl"
 	"ita/internal/textproc"
 	"ita/internal/topk"
+	"ita/internal/vsm"
 	"ita/internal/wal"
 	"ita/internal/window"
 )
@@ -56,6 +57,7 @@ type Engine struct {
 	cfg       config
 	inner     core.ServingEngine
 	pipeline  *textproc.Pipeline
+	batch     docBatch // set and cleared by ingestBatchLocked around its analysis
 	nextDoc   model.DocID
 	nextQuery model.QueryID
 	lastAt    time.Time
@@ -327,14 +329,15 @@ func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, 
 	}
 	// Analyze everything up front so a bad item fails the batch before
 	// anything is logged.
+	e.batch = docBatch{items: items, first: e.nextDoc, weighter: e.cfg.weighter, docs: make([]*model.Document, len(items))}
+	err = e.pipeline.CountBatch(&e.batch)
+	docs := e.batch.docs
+	e.batch = docBatch{}
+	if err != nil {
+		return nil, nil, err
+	}
 	ids := make([]DocID, len(items))
-	docs := make([]*model.Document, len(items))
-	for i, it := range items {
-		doc, err := model.NewDocument(e.nextDoc+model.DocID(i), it.At, e.cfg.weighter.Weigh(e.pipeline.Counts(it.Text)))
-		if err != nil {
-			return nil, nil, fmt.Errorf("ita: analyze document %d: %w", i, err)
-		}
-		docs[i] = doc
+	for i, doc := range docs {
 		ids[i] = doc.ID
 	}
 	if e.wal != nil && !e.wal.recovering {
@@ -361,6 +364,30 @@ func (e *Engine) ingestBatchLocked(items []TimedText) ([]DocID, []pendingDelta, 
 		return ids, nil, err
 	}
 	return ids, e.collectDeltas(), nil
+}
+
+// docBatch is what ingestBatchLocked hands the pipeline: the items to
+// analyze and the documents their counts become. It lives in the Engine
+// so that handing it over allocates nothing.
+type docBatch struct {
+	items    []TimedText
+	first    model.DocID
+	weighter vsm.Weighter
+	docs     []*model.Document
+}
+
+func (b *docBatch) Len() int          { return len(b.items) }
+func (b *docBatch) Text(i int) string { return b.items[i].Text }
+
+// Emit builds document i. A large batch calls it from several
+// goroutines at once; the weighters are pure.
+func (b *docBatch) Emit(i int, counts []model.TermCount) error {
+	doc, err := model.NewDocument(b.first+model.DocID(i), b.items[i].At, b.weighter.Weigh(counts))
+	if err != nil {
+		return fmt.Errorf("ita: analyze document %d: %w", i, err)
+	}
+	b.docs[i] = doc
+	return nil
 }
 
 // gateWriteLocked rejects mutating operations on an engine that can no

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -170,7 +171,9 @@ func refDocPostings(freqs map[model.TermID]int) []model.Posting {
 // Pipeline and the reference twice over, so the second round takes the
 // fixed-point path wherever the first round proved it. Under every
 // stem/stop setting the dictionaries must match term by term in id
-// order, the counts exactly, and the cosine postings bit for bit.
+// order, the counts exactly, and the cosine postings bit for bit. The
+// texts then go twice through CountBatch in two shares, which must match
+// Counts to the fixed bitset.
 func FuzzAnalyze(f *testing.F) {
 	for _, seed := range []string{
 		"The THE the",
@@ -218,6 +221,12 @@ func FuzzAnalyze(f *testing.F) {
 						}
 					}
 				}
+			}
+			// The same texts as one batch in two shares, twice over.
+			serial, shared := NewPipeline(NewDictionary(), cfg.stem, cfg.stop), NewPipeline(NewDictionary(), cfg.stem, cfg.stop)
+			for round := 0; round < 2; round++ {
+				want := serialBatch(serial, texts)
+				requireSameAnalysis(t, fmt.Sprintf("%+v, batch round %d", cfg, round), sharedBatch(t, shared, texts, 2), want, shared, serial)
 			}
 		}
 		for _, text := range texts {

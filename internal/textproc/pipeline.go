@@ -13,7 +13,10 @@ import (
 // weighting layer turns into impact weights.
 //
 // A Pipeline reuses its scratch across calls and, like its Dictionary,
-// is not safe for concurrent use.
+// is not safe for concurrent use. CountBatch splits one call across
+// goroutines of its own: they only read the dictionary and the fixed
+// bitset, and every write to either stays on the caller's goroutine
+// (see batch.go).
 type Pipeline struct {
 	dict *Dictionary
 	stem bool
@@ -27,10 +30,9 @@ type Pipeline struct {
 	// check and the stemmer.
 	fixed []uint64
 
-	lower, stemmed []byte         // the current token, lowercased and stemmed
-	counts         []int32        // frequency per TermID of the current text
-	touched        []model.TermID // ids with a non-zero count, in first-seen order
-	out            []model.TermCount
+	// shares[0] holds Counts' buffers and is CountBatch's share 0; the
+	// rest are allocated the first time a round needs them.
+	shares []*share
 }
 
 // NewPipeline builds a pipeline over dict. When stem is true tokens are
@@ -38,7 +40,7 @@ type Pipeline struct {
 // paper applies "standard stopword removal" before building its
 // 181,978-term dictionary).
 func NewPipeline(dict *Dictionary, stem, stop bool) *Pipeline {
-	return &Pipeline{dict: dict, stem: stem, stop: stop}
+	return &Pipeline{dict: dict, stem: stem, stop: stop, shares: []*share{new(share)}}
 }
 
 // Dictionary returns the underlying dictionary.
@@ -49,56 +51,67 @@ func (p *Pipeline) Dictionary() *Dictionary { return p.dict }
 // dictionary in the order they first occur. The result lives in the
 // pipeline's scratch and is valid only until the next call.
 func (p *Pipeline) Counts(text string) []model.TermCount {
+	s := p.shares[0]
 	for i := 0; ; {
 		start, end, ascii := nextToken(text, i)
 		if start == len(text) {
 			break
 		}
 		i = end
-		if !ascii {
-			p.lower = append(p.lower[:0], strings.ToLower(text[start:end])...)
-		} else {
-			p.lower = p.lower[:0]
-			for _, c := range []byte(text[start:end]) {
-				if 'A' <= c && c <= 'Z' {
-					c += 'a' - 'A'
-				}
-				p.lower = append(p.lower, c)
-			}
-			if id, ok := p.dict.ids[string(p.lower)]; ok && p.isFixed(id) {
-				p.count(id)
-				continue
-			}
-		}
-		if id, ok := p.analyze(); ok {
-			p.count(id)
+		if id, ok := p.shortcut(s, text[start:end], ascii); ok {
+			s.count(id)
+		} else if id, ok := p.analyze(s); ok {
+			s.count(id)
 		}
 	}
-	slices.Sort(p.touched)
-	p.out = p.out[:0]
-	for _, id := range p.touched {
-		p.out = append(p.out, model.TermCount{Term: id, Count: int(p.counts[id])})
-		p.counts[id] = 0
-	}
-	p.touched = p.touched[:0]
-	return p.out
+	s.out = s.drain(s.out[:0])
+	return s.out
 }
 
-// analyze maps the lowercased token in p.lower to its term id, interning
-// a new term, and reports false for a stopword.
-func (p *Pipeline) analyze() (model.TermID, bool) {
+// shortcut lowercases tok into s.lower and returns its term id if the
+// fixed-point path applies: tok is ASCII and its lowercased surface is a
+// term whose fixed bit is set. It only reads the dictionary and p.fixed.
+func (p *Pipeline) shortcut(s *share, tok string, ascii bool) (model.TermID, bool) {
+	if !ascii {
+		s.lower = append(s.lower[:0], strings.ToLower(tok)...)
+		return 0, false
+	}
+	s.lower = s.lower[:0]
+	for _, c := range []byte(tok) {
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		s.lower = append(s.lower, c)
+	}
+	id, ok := p.dict.ids[string(s.lower)]
+	return id, ok && p.isFixed(id)
+}
+
+// term returns the term the lowercased token in s.lower analyses to, in
+// s.lower or s.stemmed, and reports false for a stopword.
+func (p *Pipeline) term(s *share) ([]byte, bool) {
 	if p.stop {
-		if _, ok := stopwords[string(p.lower)]; ok {
-			return 0, false
+		if _, ok := stopwords[string(s.lower)]; ok {
+			return nil, false
 		}
 	}
-	term := p.lower
-	if p.stem {
-		p.stemmed = stemBytes(append(p.stemmed[:0], p.lower...))
-		term = p.stemmed
+	if !p.stem {
+		return s.lower, true
+	}
+	s.stemmed = stemBytes(append(s.stemmed[:0], s.lower...))
+	return s.stemmed, true
+}
+
+// analyze maps the lowercased token in s.lower to its term id, interning
+// a new term and setting its fixed bit when the token is the term
+// itself, and reports false for a stopword.
+func (p *Pipeline) analyze(s *share) (model.TermID, bool) {
+	term, ok := p.term(s)
+	if !ok {
+		return 0, false
 	}
 	id := p.dict.internBytes(term)
-	if string(term) == string(p.lower) {
+	if string(term) == string(s.lower) {
 		p.setFixed(id)
 	}
 	return id, true
@@ -120,15 +133,27 @@ func (p *Pipeline) setFixed(id model.TermID) {
 }
 
 // count adds one occurrence of id to the current text's counts.
-func (p *Pipeline) count(id model.TermID) {
-	if int(id) >= len(p.counts) {
+func (s *share) count(id model.TermID) {
+	if int(id) >= len(s.counts) {
 		n := int(id) + 1
-		p.counts = append(p.counts, make([]int32, n+n/8-len(p.counts))...)
+		s.counts = append(s.counts, make([]int32, n+n/8-len(s.counts))...)
 	}
-	if p.counts[id] == 0 {
-		p.touched = append(p.touched, id)
+	if s.counts[id] == 0 {
+		s.touched = append(s.touched, id)
 	}
-	p.counts[id]++
+	s.counts[id]++
+}
+
+// drain appends the current text's counts to out, sorted by term id,
+// and clears them.
+func (s *share) drain(out []model.TermCount) []model.TermCount {
+	slices.Sort(s.touched)
+	for _, id := range s.touched {
+		out = append(out, model.TermCount{Term: id, Count: int(s.counts[id])})
+		s.counts[id] = 0
+	}
+	s.touched = s.touched[:0]
+	return out
 }
 
 // TermFreqs analyzes text like Counts and returns the frequencies as a

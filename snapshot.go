@@ -212,23 +212,25 @@ func (s *snapshot) options() []Option {
 func Restore(r io.Reader) (*Engine, error) {
 	s, err := decodeSnapshot(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ita: %w", err)
 	}
 	return restoreSnapshot(s, nil)
 }
 
+// decodeSnapshot reads a snapshot and refuses a retired format. Its
+// errors carry no "ita:" prefix; each caller adds one with its context.
 func decodeSnapshot(r io.Reader) (*snapshot, error) {
 	var s snapshot
 	if err := gob.NewDecoder(r).Decode(&s); err != nil {
-		return nil, fmt.Errorf("ita: decode snapshot: %w", err)
+		return nil, fmt.Errorf("decode snapshot: %w", err)
 	}
 	switch {
 	case s.Version != snapshotVersion:
-		return nil, fmt.Errorf("ita: snapshot version %d is retired; only version %d is read", s.Version, snapshotVersion)
+		return nil, fmt.Errorf("snapshot version %d is retired; only version %d is read", s.Version, snapshotVersion)
 	case s.Algorithm == 3:
-		return nil, errors.New("ita: snapshot records algorithm 3, the retired ita-sharded alias")
+		return nil, errors.New("snapshot records algorithm 3, the retired ita-sharded alias")
 	case s.BatchSize > 1:
-		return nil, fmt.Errorf("ita: snapshot records batch size %d; logs written under a batch size are retired", s.BatchSize)
+		return nil, fmt.Errorf("snapshot records batch size %d; logs written under a batch size are retired", s.BatchSize)
 	}
 	return &s, nil
 }

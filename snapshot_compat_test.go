@@ -238,8 +238,8 @@ func readDir(t *testing.T, dir string) map[string][]byte {
 
 // TestRetiredFormatsRefused holds recovery to the one owed format: each
 // retired input fails Open (and, for a snapshot, Restore) with an error
-// that names it, and Open leaves every file of the directory
-// byte-identical.
+// that names it and says "ita:" once, and Open leaves every file of the
+// directory byte-identical.
 func TestRetiredFormatsRefused(t *testing.T) {
 	fixture := func(path string) []byte {
 		t.Helper()
@@ -279,8 +279,8 @@ func TestRetiredFormatsRefused(t *testing.T) {
 				if err := os.WriteFile(wal.CheckpointPath(dir, 0), tc.snap, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := Restore(bytes.NewReader(tc.snap)); err == nil || !strings.Contains(err.Error(), tc.want) {
-					t.Fatalf("Restore: error %v, want one naming %q", err, tc.want)
+				if _, err := Restore(bytes.NewReader(tc.snap)); !refusal(err, tc.want) {
+					t.Fatalf("Restore: error %v, want one naming %q, prefixed \"ita:\" once", err, tc.want)
 				}
 			} else {
 				e, err := Open(dir, opts...)
@@ -313,17 +313,24 @@ func TestRetiredFormatsRefused(t *testing.T) {
 				}
 			}
 			before := readDir(t, dir)
-			if e, err := Open(dir, opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if e, err := Open(dir, opts...); !refusal(err, tc.want) {
 				if e != nil {
 					e.Close()
 				}
-				t.Fatalf("Open: error %v, want one naming %q", err, tc.want)
+				t.Fatalf("Open: error %v, want one naming %q, prefixed \"ita:\" once", err, tc.want)
 			}
 			if after := readDir(t, dir); !reflect.DeepEqual(after, before) {
 				t.Fatalf("refused Open changed the directory: %d files before, %d after", len(before), len(after))
 			}
 		})
 	}
+}
+
+// refusal reports whether err names want and starts with the package's
+// "ita:" prefix, which it holds exactly once.
+func refusal(err error, want string) bool {
+	return err != nil && strings.Contains(err.Error(), want) &&
+		strings.HasPrefix(err.Error(), "ita: ") && strings.Count(err.Error(), "ita:") == 1
 }
 
 // TestRestoreRefusesShortTexts: a text-retaining snapshot must carry one
