@@ -150,6 +150,9 @@ func TestServerEndToEnd(t *testing.T) {
 	if total := stats["memory_total"].(float64); total != sum {
 		t.Fatalf("memory_total %v != component sum %v", total, sum)
 	}
+	if v, ok := mem["dictionary_bytes"].(float64); !ok || v <= 0 {
+		t.Fatalf("memory[dictionary_bytes] = %v, want > 0", mem["dictionary_bytes"])
+	}
 
 	// Delete the query.
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/queries/1", nil)

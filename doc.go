@@ -371,7 +371,10 @@
 // changed by the stemmer is marked in a bitset over term ids, and a
 // later ASCII token spelling it is counted without re-checking either.
 // The dictionary is append-only, so a marked term stays a fixed point,
-// and the shortcut cannot change which id a token gets.
+// and the shortcut cannot change which id a token gets. It is one
+// pointer-free open-addressing table whose 16-byte slots hold a term's
+// first eight bytes inline, so a lookup of a short term reads one cache
+// line, with every term's bytes in an arena that never moves.
 //
 // An epoch with enough text is analysed in two phases, in rounds of 64
 // documents. In the first, up to GOMAXPROCS goroutines take the
@@ -380,8 +383,9 @@
 // bitset and writing neither: a document with no new term and no
 // missing mark is counted and weighed there. The second phase runs on
 // the caller, in record order: for each other document it interns the
-// terms the dictionary lacked and sets the marks the first phase found
-// missing, token by token, exactly as the serial pass would. Marks are
+// terms the dictionary lacked, which the first phase analysed once per
+// surface, and sets the marks the first phase found missing, token by
+// token, exactly as the serial pass would. Marks are
 // set only there, so the shortcut's soundness argument is unchanged;
 // and every new id lies above every id known when the round began, so
 // a document's known terms, sorted, followed by its new ones, sorted,

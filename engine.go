@@ -791,14 +791,17 @@ func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
 
 // MemoryUsage returns a per-component estimate of the inner engine's
 // heap footprint (inverted index, threshold trees, query state,
-// published views). Unlike Stats it is computed on demand by walking
-// structure sizes, so it takes the engine lock; it is a diagnostics
-// gauge (the itaserver /stats endpoint), not a hot-path read. The
-// Naïve baselines have no per-component accounting and report zero.
+// published views), and the term dictionary's in DictionaryBytes.
+// Unlike Stats it is computed on demand by walking structure sizes, so
+// it takes the engine lock; it is a diagnostics gauge (the itaserver
+// /stats endpoint), not a hot-path read. The Naïve baselines have no
+// per-component accounting and report zero for the engine's components.
 func (e *Engine) MemoryUsage() Memory {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.inner.MemoryUsage()
+	mem := e.inner.MemoryUsage()
+	mem.DictionaryBytes = e.pipeline.Dictionary().MemoryBytes()
+	return mem
 }
 
 // DictionarySize returns the number of distinct terms interned as of

@@ -157,6 +157,10 @@ type Memory struct {
 	// of the benchmark's traced pass.
 	PostingBytes uint64 `json:"posting_bytes"`
 	Postings     uint64 `json:"postings"`
+	// DictionaryBytes is the term dictionary's slot table, id table and
+	// term arena. The dictionary belongs to the facade, so the engines
+	// here leave it zero, and Total does not add it.
+	DictionaryBytes uint64 `json:"dictionary_bytes"`
 }
 
 // Total sums the components.
@@ -173,6 +177,7 @@ func (m *Memory) Merge(o Memory) {
 	m.ViewBytes += o.ViewBytes
 	m.PostingBytes += o.PostingBytes
 	m.Postings += o.Postings
+	m.DictionaryBytes += o.DictionaryBytes
 }
 
 // Add accumulates o into s field-wise. ITA keeps one Stats block per

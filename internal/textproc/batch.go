@@ -15,12 +15,17 @@ import (
 // stopwords, stems and looks terms up, but only reads the dictionary and
 // the fixed bitset. A token whose term the dictionary lacks is a miss; a
 // known term whose token is its own surface but whose fixed bit is unset
-// is a mark. A text with neither is finished inside its share. The rest
-// are held, and the caller's goroutine finishes them in record order
-// (phase 2): it replays their marks and misses in token order, a mark by
-// setting its fixed bit and a miss through Counts' per-token path, which
-// interns it, so every write to the dictionary and the bitset happens as
-// Counts would have made it.
+// is a mark. A share analyses each lowercased surface it misses once per
+// round: it keeps the term, the term's hash and whether the surface is
+// the term itself, and finds the surface's later tokens in a scratch
+// table. A text with neither misses nor marks is finished inside its
+// share. The rest are held, and the caller's goroutine finishes them in
+// record order (phase 2): it replays their marks and misses in token
+// order, a mark by setting its fixed bit and a surface's first miss by
+// interning its term and, when the surface is the term, setting the
+// term's bit. Every later token of the surface analyses to the same id
+// and, in Counts, changes neither the dictionary nor the bitset, so
+// every write to either happens as Counts would have made it.
 //
 // Every id phase 2 assigns lies above every id known when the round
 // began, and phase 1 counted only those known ids, so a held text's
@@ -32,7 +37,8 @@ import (
 const (
 	// roundDocs is the most texts one round takes. A cold dictionary
 	// turns almost every token of the first round into a miss, which
-	// phase 2 analyses again; rounds keep that to one round's worth.
+	// phase 2 finishes on one goroutine; rounds keep that to one round's
+	// worth.
 	roundDocs = 64
 	// shareText is the least text, in bytes, worth a share of its own.
 	// It is about half a millisecond of analysis, well above the time
@@ -51,12 +57,17 @@ func analyzeShares(bytes int) int {
 // for share 0, phase 1's for every share.
 type share struct {
 	lower, stemmed []byte            // the current token, lowercased and stemmed
+	lowerHash      uint64            // the dictionary's hash of lower
 	counts         []int32           // frequency per TermID of the current text
 	touched        []model.TermID    // ids with a non-zero count, in first-seen order
 	out            []model.TermCount // the current text's counts, sorted by term id
 	held           []heldText        // texts phase 2 finishes, in record order
 	known          []model.TermCount // their phase-1 counts, back to back
 	deferred       []int             // their misses and marks, back to back (see mark)
+	surfaces       *Dictionary       // the round's missed surfaces, numbering misses
+	misses         []miss            // per missed surface
+	terms          []byte            // their terms, back to back
+	low            [6]int            // rounds each of the six above was sparse (see trim)
 	next           int               // phase 2's next held text
 	err            error             // Emit's error; the share stopped at it,
 	errAt          int               // at this text
@@ -67,10 +78,42 @@ type share struct {
 	_ [64]byte
 }
 
-// A held text's deferred tokens are ints, in token order: a miss is the
-// offset its token starts at, where nextToken finds it again, and a
-// mark for term id is mark(id), which is negative.
+// A held text's deferred tokens are ints, in token order: a miss is its
+// surface's index in the share's misses, and a mark for term id is
+// mark(id), which is negative.
 func mark(id model.TermID) int { return -1 - int(id) }
+
+// miss is one surface a share missed in a round. Its term ends at end in
+// the share's terms and begins where the previous miss's ends.
+type miss struct {
+	hash     uint64 // the term's hash
+	end      int
+	own      bool         // the surface is the term itself
+	interned bool         // phase 2 has interned the term,
+	id       model.TermID // as id
+}
+
+// trim empties buf for the next round. A buffer its last round filled
+// to at most a quarter, shrinkAfter rounds running, is reallocated at
+// twice that use first (the policy of invindex's merge scratch), so a
+// cold round's capacity does not stay for the engine's life; low counts
+// the rounds.
+func trim[T any](buf []T, low *int) []T {
+	const (
+		minCap      = 256
+		shrinkAfter = 16
+	)
+	if cap(buf) <= minCap || len(buf)*4 > cap(buf) {
+		*low = 0
+		return buf[:0]
+	}
+	*low++
+	if *low < shrinkAfter {
+		return buf[:0]
+	}
+	*low = 0
+	return make([]T, 0, max(2*len(buf), minCap))
+}
 
 // heldText is one text phase 2 finishes: its index in the batch and
 // the ends of its runs in the share's known and deferred.
@@ -170,20 +213,23 @@ func (p *Pipeline) round(b Batch, lo, hi, n int) error {
 			from = sh.held[sh.next-1]
 		}
 		sh.next++
-		t := b.Text(h.i)
 		for _, d := range sh.deferred[from.deferred:h.deferred] {
 			if d < 0 {
 				p.setFixed(model.TermID(-1 - d))
 				continue
 			}
-			// As in Counts: a term an earlier miss interned may take the
-			// shortcut now.
-			start, end, ascii := nextToken(t, d)
-			id, ok := p.shortcut(s, t[start:end], ascii)
-			if !ok {
-				id, _ = p.analyze(s) // phase 1 found it no stopword
+			m := &sh.misses[d]
+			if !m.interned {
+				start := 0
+				if d > 0 {
+					start = sh.misses[d-1].end
+				}
+				m.id, m.interned = p.dict.intern(bytesString(sh.terms[start:m.end]), m.hash), true
+				if m.own {
+					p.setFixed(m.id)
+				}
 			}
-			s.count(id)
+			s.count(m.id)
 		}
 		s.out = s.drain(append(s.out[:0], sh.known[from.known:h.known]...))
 		if err := b.Emit(h.i, s.out); err != nil {
@@ -197,7 +243,13 @@ func (p *Pipeline) round(b Batch, lo, hi, n int) error {
 // mark, and holds the rest for phase 2. It stops at the first error
 // Emit returns. It only reads the pipeline.
 func (p *Pipeline) lookup(b Batch, sh *share, next *atomic.Int64, hi int) {
-	sh.held, sh.known, sh.deferred, sh.next, sh.err = sh.held[:0], sh.known[:0], sh.deferred[:0], 0, nil
+	sh.held, sh.known = trim(sh.held, &sh.low[0]), trim(sh.known, &sh.low[1])
+	sh.deferred, sh.misses, sh.terms = trim(sh.deferred, &sh.low[2]), trim(sh.misses, &sh.low[3]), trim(sh.terms, &sh.low[4])
+	if sh.surfaces == nil {
+		sh.surfaces = new(Dictionary)
+	}
+	sh.surfaces.reset(p.dict, &sh.low[5])
+	sh.next, sh.err = 0, nil
 	for {
 		i := int(next.Add(1)) - 1
 		if i >= hi {
@@ -213,15 +265,22 @@ func (p *Pipeline) lookup(b Batch, sh *share, next *atomic.Int64, hi int) {
 			j = end
 			id, ok := p.shortcut(sh, t[start:end], ascii)
 			if !ok {
-				term, keep := p.term(sh)
+				lower := bytesString(sh.lower)
+				if k, seen := sh.surfaces.lookup(lower, sh.lowerHash); seen {
+					sh.deferred = append(sh.deferred, int(k))
+					continue
+				}
+				term, h, own, keep := p.term(sh)
 				if !keep {
 					continue
 				}
-				if id, ok = p.dict.ids[string(term)]; !ok {
-					sh.deferred = append(sh.deferred, start)
+				if id, ok = p.dict.lookup(term, h); !ok {
+					sh.deferred = append(sh.deferred, int(sh.surfaces.intern(lower, sh.lowerHash)))
+					sh.terms = append(sh.terms, term...)
+					sh.misses = append(sh.misses, miss{hash: h, end: len(sh.terms), own: own})
 					continue
 				}
-				if string(term) == string(sh.lower) && !p.isFixed(id) {
+				if own && !p.isFixed(id) {
 					sh.deferred = append(sh.deferred, mark(id))
 				}
 			}

@@ -119,7 +119,7 @@ func requireSameAnalysis(t *testing.T, what string, got, want []analysed, gp, wp
 			t.Fatalf("%s: text %d postings %v, want %v", what, i, got[i].postings, want[i].postings)
 		}
 	}
-	if !slices.Equal(gp.dict.terms, wp.dict.terms) {
+	if !slices.Equal(dictTerms(gp.dict), dictTerms(wp.dict)) {
 		t.Fatalf("%s: dictionary of %d terms differs from the serial one of %d", what, gp.dict.Size(), wp.dict.Size())
 	}
 	if !slices.Equal(gp.fixed, wp.fixed) {
@@ -261,5 +261,37 @@ func BenchmarkAnalyzeBatch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(texts)), "us/doc")
 		})
+	}
+}
+
+// TestShareBuffersShrink: a round over a dictionary that knows only a
+// few texts' terms holds every text and fills the shares' buffers and
+// scratch tables far past what warm rounds use; after enough warm rounds
+// every one is back at its least size.
+func TestShareBuffersShrink(t *testing.T) {
+	texts := synthTexts(t, 3, 64)
+	p := NewPipeline(NewDictionary(), true, true)
+	serialBatch(p, synthTexts(t, 4, 4))
+	sharedBatch(t, p, texts, 2)
+	caps := func() (c [7]int) {
+		for _, sh := range p.shares {
+			for i, n := range [...]int{cap(sh.held), cap(sh.known), cap(sh.deferred), cap(sh.misses), cap(sh.terms), cap(sh.surfaces.locs), len(sh.surfaces.slots)} {
+				c[i] = max(c[i], n)
+			}
+		}
+		return c
+	}
+	cold := caps()
+	for i, n := range cold[1:] { // a round holds 64 texts at most
+		if n <= 1024 {
+			t.Fatalf("buffer %d: capacity %d after the cold round, want far above the least size (all: %v)", i+1, n, cold)
+		}
+	}
+	for range 20 {
+		sharedBatch(t, p, texts, 2)
+	}
+	// trim's least capacity is 256, and a table for 256 surfaces has 512 slots.
+	if warm := caps(); slices.Max(warm[:6]) > 256 || warm[6] > 512 {
+		t.Fatalf("capacities %v after warm rounds, %v after the cold one", warm, cold)
 	}
 }

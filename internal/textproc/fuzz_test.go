@@ -132,7 +132,28 @@ func refStem(word string) string {
 	return string(z.b[:z.k+1])
 }
 
-func refTermFreqs(dict *Dictionary, stem, stop bool, text string) map[model.TermID]int {
+// refDictionary is the dictionary as a map and a slice: ids in
+// first-seen order from 0.
+type refDictionary struct {
+	ids   map[string]model.TermID
+	terms []string
+}
+
+func newRefDictionary() *refDictionary {
+	return &refDictionary{ids: make(map[string]model.TermID)}
+}
+
+func (d *refDictionary) Intern(term string) model.TermID {
+	if id, ok := d.ids[term]; ok {
+		return id
+	}
+	id := model.TermID(len(d.terms))
+	d.ids[term] = id
+	d.terms = append(d.terms, term)
+	return id
+}
+
+func refTermFreqs(dict *refDictionary, stem, stop bool, text string) map[model.TermID]int {
 	freqs := make(map[model.TermID]int)
 	refTokenize(text, func(tok string) {
 		if stop && IsStopword(tok) {
@@ -168,12 +189,12 @@ func refDocPostings(freqs map[model.TermID]int) []model.Posting {
 
 // FuzzAnalyze is the differential oracle for the analysis fast path. The
 // input is cut at '|' into up to four texts, which go through a fresh
-// Pipeline and the reference twice over, so the second round takes the
-// fixed-point path wherever the first round proved it. Under every
-// stem/stop setting the dictionaries must match term by term in id
-// order, the counts exactly, and the cosine postings bit for bit. The
-// texts then go twice through CountBatch in two shares, which must match
-// Counts to the fixed bitset.
+// Pipeline and the reference, with its own map-based dictionary, twice
+// over, so the second round takes the fixed-point path wherever the
+// first round proved it. Under every stem/stop setting the dictionaries
+// must match term by term in id order, the counts exactly, and the
+// cosine postings bit for bit. The texts then go twice through
+// CountBatch in two shares, which must match Counts to the fixed bitset.
 func FuzzAnalyze(f *testing.F) {
 	for _, seed := range []string{
 		"The THE the",
@@ -192,7 +213,7 @@ func FuzzAnalyze(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data string) {
 		texts := strings.SplitN(data, "|", 4)
 		for _, cfg := range []struct{ stem, stop bool }{{true, true}, {true, false}, {false, true}, {false, false}} {
-			got, want := NewDictionary(), NewDictionary()
+			got, want := NewDictionary(), newRefDictionary()
 			p := NewPipeline(got, cfg.stem, cfg.stop)
 			for round := 0; round < 2; round++ {
 				for _, text := range texts {
@@ -212,12 +233,15 @@ func FuzzAnalyze(f *testing.F) {
 							t.Fatalf("%+v %q: posting %d = %+v, reference %+v", cfg, text, i, ps[i], ref[i])
 						}
 					}
-					if got.Size() != want.Size() {
-						t.Fatalf("%+v %q: dictionary has %d terms, reference %d", cfg, text, got.Size(), want.Size())
+					if got.Size() != len(want.terms) {
+						t.Fatalf("%+v %q: dictionary has %d terms, reference %d", cfg, text, got.Size(), len(want.terms))
 					}
-					for id := 0; id < got.Size(); id++ {
-						if g, w := got.Term(model.TermID(id)), want.Term(model.TermID(id)); g != w {
+					for id, w := range want.terms {
+						if g := got.Term(model.TermID(id)); g != w {
 							t.Fatalf("%+v %q: term %d is %q, reference %q", cfg, text, id, g, w)
+						}
+						if g, ok := got.Lookup(w); !ok || g != model.TermID(id) {
+							t.Fatalf("%+v %q: Lookup(%q) = %d, %v, reference %d", cfg, text, w, g, ok, id)
 						}
 					}
 				}

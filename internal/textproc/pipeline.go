@@ -68,12 +68,14 @@ func (p *Pipeline) Counts(text string) []model.TermCount {
 	return s.out
 }
 
-// shortcut lowercases tok into s.lower and returns its term id if the
-// fixed-point path applies: tok is ASCII and its lowercased surface is a
-// term whose fixed bit is set. It only reads the dictionary and p.fixed.
+// shortcut lowercases tok into s.lower, with its hash in s.lowerHash,
+// and returns its term id if the fixed-point path applies: tok is ASCII
+// and its lowercased surface is a term whose fixed bit is set. It only
+// reads the dictionary and p.fixed.
 func (p *Pipeline) shortcut(s *share, tok string, ascii bool) (model.TermID, bool) {
 	if !ascii {
 		s.lower = append(s.lower[:0], strings.ToLower(tok)...)
+		s.lowerHash = p.dict.hash(bytesString(s.lower))
 		return 0, false
 	}
 	s.lower = s.lower[:0]
@@ -83,35 +85,40 @@ func (p *Pipeline) shortcut(s *share, tok string, ascii bool) (model.TermID, boo
 		}
 		s.lower = append(s.lower, c)
 	}
-	id, ok := p.dict.ids[string(s.lower)]
+	s.lowerHash = p.dict.hash(bytesString(s.lower))
+	id, ok := p.dict.lookup(bytesString(s.lower), s.lowerHash)
 	return id, ok && p.isFixed(id)
 }
 
 // term returns the term the lowercased token in s.lower analyses to, in
-// s.lower or s.stemmed, and reports false for a stopword.
-func (p *Pipeline) term(s *share) ([]byte, bool) {
+// s.lower or s.stemmed, with its hash and whether it is the token's own
+// surface, and reports false for a stopword.
+func (p *Pipeline) term(s *share) (term string, h uint64, own, ok bool) {
 	if p.stop {
 		if _, ok := stopwords[string(s.lower)]; ok {
-			return nil, false
+			return "", 0, false, false
 		}
 	}
-	if !p.stem {
-		return s.lower, true
+	if p.stem {
+		s.stemmed = stemBytes(append(s.stemmed[:0], s.lower...))
+		if string(s.stemmed) != string(s.lower) {
+			term = bytesString(s.stemmed)
+			return term, p.dict.hash(term), false, true
+		}
 	}
-	s.stemmed = stemBytes(append(s.stemmed[:0], s.lower...))
-	return s.stemmed, true
+	return bytesString(s.lower), s.lowerHash, true, true
 }
 
 // analyze maps the lowercased token in s.lower to its term id, interning
 // a new term and setting its fixed bit when the token is the term
 // itself, and reports false for a stopword.
 func (p *Pipeline) analyze(s *share) (model.TermID, bool) {
-	term, ok := p.term(s)
+	term, h, own, ok := p.term(s)
 	if !ok {
 		return 0, false
 	}
-	id := p.dict.internBytes(term)
-	if string(term) == string(s.lower) {
+	id := p.dict.intern(term, h)
+	if own {
 		p.setFixed(id)
 	}
 	return id, true

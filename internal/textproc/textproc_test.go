@@ -197,23 +197,38 @@ func TestCountsDoesNotAllocate(t *testing.T) {
 // BenchmarkAnalyze prices analysis plus weighing per document on a
 // warmed pipeline: benchmark-shaped text, where every token takes the
 // fixed-point path, and inflected prose, where most tokens are stemmed.
+// Their vocabularies fit in L2. bigdict prices Counts alone on the
+// benchmark's documents over a dictionary warmed with 150 000 synthWord
+// terms first, the size of the benchmark's and the paper's
+// dictionaries.
 func BenchmarkAnalyze(b *testing.B) {
 	for _, in := range []struct {
-		name string
-		docs []string
+		name  string
+		vocab int
+		docs  []string
+		weigh bool
 	}{
-		{"consonant", consonantDocs(256)},
-		{"inflected", []string{inflectedDoc}},
+		{"consonant", 0, consonantDocs(256), true},
+		{"inflected", 0, []string{inflectedDoc}, true},
+		{"bigdict", 150_000, synthTexts(b, 1, 256), false},
 	} {
 		b.Run(in.name, func(b *testing.B) {
 			p := NewPipeline(NewDictionary(), true, true)
+			var vocab strings.Builder
+			for t := range in.vocab {
+				vocab.WriteString(synthWord(model.TermID(t)))
+				vocab.WriteByte(' ')
+			}
+			p.Counts(vocab.String())
 			for _, d := range in.docs {
 				p.Counts(d)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				vsm.Cosine{}.Weigh(p.Counts(in.docs[i%len(in.docs)]))
+				if counts := p.Counts(in.docs[i%len(in.docs)]); in.weigh {
+					vsm.Cosine{}.Weigh(counts)
+				}
 			}
 		})
 	}
