@@ -342,13 +342,16 @@
 //
 // # Posting storage
 //
-// The window side has one layout: each per-term list is a chunked
-// sorted array of raw ⟨weight, doc⟩ entries sized to fit. Almost every
-// dictionary term is rare, so the layout spends its effort on per-list
-// overhead — a one-chunk list keeps its chunk directory inline, chunks
-// grow by an eighth so a singleton costs one 16-byte allocation, an
-// emptied list parks its small chunk for the term's next arrival, and
-// the term table is a flat slice over the dictionary's dense ids. An
+// The window side has one layout: each per-term list is a sorted run
+// of raw ⟨weight, doc⟩ entries sized to fit, and a list of 256 entries
+// or more adds a small sorted pending run that takes its inserts and
+// merges into the main run in one sequential pass when an epoch's
+// inserts no longer fit (between 64 and 512 entries, an eighth of the
+// list). Almost every dictionary term is rare, so the layout spends its
+// effort on per-list overhead — a short list is a single run that grows
+// by an eighth so a singleton costs one 16-byte allocation, an emptied
+// list parks a small run for the term's next arrival, and the term
+// table is a flat slice over the dictionary's dense ids. An
 // earlier block-compressed layout and the option selecting it are
 // gone: it reached 9.5 bytes/posting at a 100k-document window, about
 // half of what raw entries need, but cost a decode and a repack per

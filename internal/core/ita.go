@@ -348,8 +348,7 @@ func (e *ITA) ExportQueryState(id model.QueryID) (QueryState, bool) {
 // no per-query maintenance and no counter movement — the restored
 // counters arrive via SetStats. One epoch lets a large window take
 // ApplyBatch's term-partitioned path; the restored lists hold the same
-// entries a document-at-a-time insert would, in a chunk layout of their
-// own.
+// entries a document-at-a-time insert would, in runs of their own.
 func (e *ITA) RestoreWindow(docs []*model.Document) error {
 	_, err := e.index.ApplyBatch(docs, func(*model.Document, int) bool { return false })
 	return err

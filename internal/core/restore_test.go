@@ -15,8 +15,8 @@ import (
 // enough for ApplyBatch's term-partitioned path (≈ 9 000 postings; CI
 // runs core at -cpu 1,2,4) as one epoch, and requires every inverted
 // list to hold exactly the live entries, read through Index.Scan and in
-// order, that inserting the same documents one at a time produces. Chunk
-// layout may differ; entries may not. The restore moves no counter.
+// order, that inserting the same documents one at a time produces. The
+// lists' runs may differ; entries may not. The restore moves no counter.
 func TestRestoreWindowMatchesPerDocumentInserts(t *testing.T) {
 	const (
 		vocab = 500

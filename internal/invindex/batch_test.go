@@ -3,6 +3,7 @@ package invindex
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -105,7 +106,7 @@ func TestApplyBatchMatchesSerial(t *testing.T) {
 		{vocab: 8, win: 10, batch: 4, epochs: 40},     // heavy term overlap
 		{vocab: 50, win: 20, batch: 1, epochs: 60},    // single-event epochs
 		{vocab: 20, win: 5, batch: 16, epochs: 30},    // batch > window: transients
-		{vocab: 300, win: 200, batch: 64, epochs: 12}, // rebuild path on hot lists
+		{vocab: 300, win: 200, batch: 64, epochs: 12}, // many runs per epoch
 		{name: "epochs_over_window", vocab: 12, win: 3, batch: 40, epochs: 30},
 		{name: "time_window_idle", vocab: 10, win: 30, batch: 12, epochs: 60, idle: 5},
 		{name: "sparse_ids", vocab: 10, win: 25, batch: 9, epochs: 50, gap: 4096},
@@ -241,17 +242,18 @@ func TestApplyBatchValidation(t *testing.T) {
 	}
 }
 
-// TestListApplyBatchRebuild forces the merge-rebuild path on a list
-// spanning multiple chunks whose older half has expired, and checks it
-// against point inserts: the same live entries, and no stale one left.
+// TestListApplyBatchRebuild adds a run larger than pending to a long
+// list whose older half has expired, which merges pending and then the
+// run into main, and checks it against point inserts: the same live
+// entries, and no stale one left.
 func TestListApplyBatchRebuild(t *testing.T) {
 	const floor = 1000
 	rng := rand.New(rand.NewSource(9))
 	a, b := newList(), newList()
 	for i := 0; i < 2*floor; i++ {
 		e := EntryKey{W: rng.Float64(), Doc: model.DocID(i)}
-		a.insert(e, 0)
-		b.insert(e, 0)
+		insertOne(a, e, 0)
+		insertOne(b, e, 0)
 	}
 	// A large batch relative to the list: a thousand inserts.
 	var ins []EntryKey
@@ -259,30 +261,20 @@ func TestListApplyBatchRebuild(t *testing.T) {
 		ins = append(ins, EntryKey{W: rng.Float64(), Doc: model.DocID(10000 + i)})
 	}
 	sortEntries(ins)
-	a.applyBatch(ins, floor, nil)
+	a.add(ins, floor)
 	for _, e := range ins {
-		b.insert(e, floor)
+		insertOne(b, e, floor)
 	}
 	if got, want := listContents(a, 0), listContents(b, floor); !slices.Equal(got, want) {
-		t.Fatalf("rebuild diverged: %d vs %d entries", len(got), len(want))
+		t.Fatalf("merge diverged: %d vs %d entries", len(got), len(want))
 	}
 	checkListInvariants(t, a, 0)
 }
 
-// scratchCap is the largest merge scratch any share retains.
-func scratchCap(x *Index) int {
-	c := 0
-	for _, s := range x.shares {
-		c = max(c, cap(s.buf))
-	}
-	return c
-}
-
-// TestBatchScratchShrink verifies the index releases the hot-list merge
-// scratch after sustained small epochs — one burst must not pin its
-// high-water capacity forever, whichever share rebuilt the burst's list
-// (term 7 is share 1's at two shares, and small epochs run on share 0
-// alone, so an idle share must shrink too).
+// TestBatchScratchShrink verifies the index releases the epoch's
+// grouping scratch after sustained small epochs — one burst must not pin
+// its high-water capacity forever — and that the run table goes with
+// it.
 func TestBatchScratchShrink(t *testing.T) {
 	x := NewIndex(1)
 	docAt := func(id int, term model.TermID, n int) []*model.Document {
@@ -299,25 +291,64 @@ func TestBatchScratchShrink(t *testing.T) {
 	}
 	never := func(*model.Document, int) bool { return false }
 
-	// A burst epoch rebuilds one hot list at several thousand entries.
-	if _, err := x.ApplyBatch(docAt(0, 7, 4096), never); err != nil {
+	// A burst epoch groups tens of thousands of inserts to one term.
+	const burst = 1 << 15
+	if _, err := x.ApplyBatch(docAt(0, 7, burst), never); err != nil {
 		t.Fatal(err)
 	}
-	high := scratchCap(x)
-	if high < 4096 {
+	high := cap(x.grouped)
+	if high < burst {
 		t.Fatalf("burst did not grow scratch: cap=%d", high)
 	}
-	// Sustained small epochs: each rebuilds a tiny fresh hot term (8
-	// mutations clears hotTermMutations; a new term keeps the list size
-	// below the point-op cutoff).
+	// Sustained small epochs, each of 8 inserts to a fresh term.
+	const small = 8
 	id := 1 << 20
 	for epoch := 0; epoch < 40; epoch++ {
-		if _, err := x.ApplyBatch(docAt(id, model.TermID(100+epoch), hotTermMutations), never); err != nil {
+		if _, err := x.ApplyBatch(docAt(id, model.TermID(100+epoch), small), never); err != nil {
 			t.Fatal(err)
 		}
-		id += hotTermMutations
+		id += small
 	}
-	if got := scratchCap(x); got >= high {
+	if got := cap(x.grouped); got >= high {
 		t.Fatalf("scratch cap %d never shrank from high water %d", got, high)
+	}
+	if len(x.runs) != 1 || cap(x.runs) >= high {
+		t.Fatalf("run table %d/%d after one-term epochs", len(x.runs), cap(x.runs))
+	}
+}
+
+// TestApplyBatchAllocations pins the index's steady-state allocations on
+// a 10,000-document window of WSJ-shaped documents, slid a full window
+// past its fill so that every list has met its largest size: an epoch
+// of 64 documents makes no more allocations than its Expired slice's
+// growth, a single-document epoch one, and neither allocates more than
+// a few kilobytes per epoch. Merges reuse their runs' capacity; a merge
+// that laid main down afresh would allocate the list's size each time.
+func TestApplyBatchAllocations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fills two 10k-document windows")
+	}
+	for _, c := range []struct {
+		epoch  int
+		allocs float64
+		bytes  uint64
+	}{{64, 8, 16 << 10}, {1, 1, 2 << 10}} {
+		const window, steps = 10000, 100
+		step := slider(t, window, c.epoch)
+		for range window / c.epoch {
+			step()
+		}
+		if got := testing.AllocsPerRun(steps, step); got > c.allocs {
+			t.Errorf("%d-document epoch: %v allocations, want at most %v", c.epoch, got, c.allocs)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range steps {
+			step()
+		}
+		runtime.ReadMemStats(&after)
+		if got := (after.TotalAlloc - before.TotalAlloc) / steps; got > c.bytes {
+			t.Errorf("%d-document epoch: %d bytes allocated per epoch, want at most %d", c.epoch, got, c.bytes)
+		}
 	}
 }

@@ -31,10 +31,16 @@ func (r *refList) live(floor model.DocID) []EntryKey {
 	return out
 }
 
+// insertOne adds e to l as an epoch's only insert to it.
+func insertOne(l *List, e EntryKey, floor model.DocID) { l.add([]EntryKey{e}, floor) }
+
+// physical counts l's entries, stale ones included.
+func physical(l *List) int { return len(l.main) + len(l.pending) }
+
 // listContents returns l's entries not below floor, read through the
 // iterator; floor 0 reads every physical entry.
 func listContents(l *List, floor model.DocID) []EntryKey {
-	out := make([]EntryKey, 0, l.length)
+	out := make([]EntryKey, 0, physical(l))
 	for it := l.scan(floor); it.Valid(); it.Next() {
 		out = append(out, it.Key())
 	}
@@ -50,10 +56,11 @@ func requireLive(t *testing.T, step int, l *List, ref *refList, floor model.DocI
 	}
 }
 
-// TestChunkedListAgainstReference drives the chunked list through a
-// large random workload of inserts and floor raises, spanning many
-// splits and chunk compactions, and compares the live entries against
-// the flat-slice oracle; a final compaction must leave exactly them.
+// TestChunkedListAgainstReference drives the list through a large
+// random workload of inserts and floor raises, spanning many merges of
+// pending into main and compactions of full runs, and compares the live
+// entries against the flat-slice oracle; a final compaction must leave
+// exactly them.
 func TestChunkedListAgainstReference(t *testing.T) {
 	l := newList()
 	ref := &refList{}
@@ -64,7 +71,7 @@ func TestChunkedListAgainstReference(t *testing.T) {
 		if rng.Intn(3) != 0 || floor == next {
 			e := EntryKey{W: float64(rng.Intn(500)+1) / 500, Doc: next} // ties likely
 			next++
-			l.insert(e, floor)
+			insertOne(l, e, floor)
 			ref.insert(e)
 		} else {
 			floor += model.DocID(1 + rng.Intn(2))
@@ -83,86 +90,95 @@ func TestChunkedListAgainstReference(t *testing.T) {
 	checkListInvariants(t, l, -1)
 }
 
-// TestChunkedListSplitBoundaries fills a list far past one chunk and
-// checks structural invariants: chunks non-empty, within bounds,
-// globally ordered.
-func TestChunkedListSplitBoundaries(t *testing.T) {
+// TestListRunBoundaries fills a list one insert at a time across the
+// short-list bound and through many pending merges, and checks where
+// each insert lands: in main while main is short, then in pending until
+// it is full, when the next insert merges pending into main first. A
+// run larger than pending goes straight to main, and expiring everything
+// drains the list.
+func TestListRunBoundaries(t *testing.T) {
+	for m, want := range map[int]int{0: 64, 256: 64, 1023: 64, 1024: 128, 2048: 256, 4096: 512, 1 << 20: 512} {
+		if got := pendingCap(m); got != want {
+			t.Errorf("pendingCap(%d) = %d, want %d", m, got, want)
+		}
+	}
 	l := newList()
-	const n = 4 * maxChunk
+	const n = 4 * shortList
+	merges := 0
 	for i := 0; i < n; i++ {
-		l.insert(EntryKey{W: float64(i%97+1) / 97, Doc: model.DocID(i)}, 0)
-	}
-	if l.length != n {
-		t.Fatalf("length = %d", l.length)
-	}
-	if len(l.chunks) < 2 {
-		t.Fatalf("expected multiple chunks, got %d", len(l.chunks))
-	}
-	var prev EntryKey
-	first := true
-	for ci, ch := range l.chunks {
-		if len(ch) == 0 {
-			t.Fatalf("chunk %d empty", ci)
-		}
-		if len(ch) > maxChunk {
-			t.Fatalf("chunk %d oversized: %d", ci, len(ch))
-		}
-		for _, e := range ch {
-			if !first && !Before(prev, e) {
-				t.Fatalf("order violation at chunk %d: %v then %v", ci, prev, e)
+		main, pending, full := len(l.main), len(l.pending), len(l.pending) == cap(l.pending)
+		insertOne(l, EntryKey{W: float64(i%97+1) / 97, Doc: model.DocID(i)}, 0)
+		switch {
+		case main < shortList:
+			if len(l.main) != main+1 || len(l.pending) != 0 {
+				t.Fatalf("insert %d into a short list of %d: main %d, pending %d", i, main, len(l.main), len(l.pending))
 			}
-			prev, first = e, false
+		case full:
+			merges++
+			if len(l.main) != main+pending || len(l.pending) != 1 || cap(l.pending) != pendingCap(len(l.main)) {
+				t.Fatalf("insert %d into a full pending of %d: main %d → %d, pending %d/%d, want %d, 1/%d",
+					i, pending, main, len(l.main), len(l.pending), cap(l.pending), main+pending, pendingCap(len(l.main)))
+			}
+		default:
+			if len(l.main) != main || len(l.pending) != pending+1 {
+				t.Fatalf("insert %d into pending of %d: main %d → %d, pending %d", i, pending, main, len(l.main), len(l.pending))
+			}
 		}
+		checkListInvariants(t, l, i)
 	}
-	// Expire everything; compaction must shrink the directory to nothing.
-	if examined := l.compact(n); examined != n {
-		t.Fatalf("compaction examined %d entries, want %d", examined, n)
+	if merges < 3 {
+		t.Fatalf("%d inserts merged pending into main %d times", n, merges)
 	}
-	if l.length != 0 || l.chunks != nil {
-		t.Fatalf("drained list: len=%d chunks=%d", l.length, len(l.chunks))
+	main, pending := len(l.main), len(l.pending)
+	big := make([]EntryKey, n) // more than pending holds at this length
+	for i := range big {
+		big[i] = EntryKey{W: float64(i%89+1) / 89, Doc: model.DocID(n + i)}
+	}
+	sortEntries(big)
+	l.add(big, 0)
+	if len(l.main) != main+pending+len(big) || len(l.pending) != 0 {
+		t.Fatalf("a run of %d beside pending %d: main %d → %d, pending %d", len(big), pending, main, len(l.main), len(l.pending))
 	}
 	checkListInvariants(t, l, n)
+	// Expire everything; compaction must release both runs.
+	total := physical(l)
+	if examined := l.compact(model.DocID(total)); examined != total {
+		t.Fatalf("compaction examined %d entries, want %d", examined, total)
+	}
+	if l.main != nil || l.pending != nil {
+		t.Fatalf("drained list keeps main %d/%d, pending %d/%d", len(l.main), cap(l.main), len(l.pending), cap(l.pending))
+	}
 }
 
-// checkListInvariants holds l to the structural contract of the lean
-// layout.
+// checkListInvariants holds l to the structural contract of the
+// two-run layout: both runs strictly in list order, pending empty while
+// main is short and at most twice its capacity rule otherwise, and an
+// empty list holding no more than a parked run.
 func checkListInvariants(t *testing.T, l *List, step int) {
 	t.Helper()
-	n := 0
-	for ci, ch := range l.chunks {
-		if len(ch) == 0 || len(ch) > maxChunk {
-			t.Fatalf("step %d: chunk %d holds %d entries", step, ci, len(ch))
+	for _, run := range [][]EntryKey{l.main, l.pending} {
+		for i := 1; i < len(run); i++ {
+			if !Before(run[i-1], run[i]) {
+				t.Fatalf("step %d: order violation at %d: %v then %v", step, i, run[i-1], run[i])
+			}
 		}
-		if cap(ch) > maxChunk {
-			t.Fatalf("step %d: chunk %d cap %d", step, ci, cap(ch))
-		}
-		n += len(ch)
 	}
-	if n != l.length {
-		t.Fatalf("step %d: chunks hold %d entries, length says %d", step, n, l.length)
-	}
-	switch len(l.chunks) {
-	case 0:
-		if l.chunks != nil || cap(l.one[0]) > parkMax || len(l.one[0]) != 0 {
-			t.Fatalf("step %d: empty list keeps chunks=%v, parked len %d cap %d",
-				step, l.chunks, len(l.one[0]), cap(l.one[0]))
-		}
-	case 1:
-		if &l.chunks[0] != &l.one[0] {
-			t.Fatalf("step %d: one-chunk list has a heap directory", step)
-		}
-	default:
-		if l.one[0] != nil {
-			t.Fatalf("step %d: %d-chunk list still pins a chunk inline", step, len(l.chunks))
-		}
+	switch {
+	case len(l.main) < shortList && len(l.pending) > 0:
+		t.Fatalf("step %d: a short main of %d beside %d pending entries", step, len(l.main), len(l.pending))
+	case len(l.main) >= shortList && cap(l.pending) > 2*pendingCap(len(l.main)):
+		t.Fatalf("step %d: pending cap %d over a main of %d", step, cap(l.pending), len(l.main))
+	case physical(l) == 0 && (cap(l.main) > parkMax || l.pending != nil):
+		t.Fatalf("step %d: empty list keeps main cap %d, pending cap %d", step, cap(l.main), cap(l.pending))
 	}
 }
 
 // TestLeanListAgainstReference drives the list through a long random
-// workload — point inserts, floor raises, batch applications on both
-// sides of the rebuild cutoff and compactions, with drains back to
-// empty — against a naive sorted slice, and checks the live entries and
-// the structural invariants after every step.
+// workload — point inserts, floor raises, runs of inserts on both sides
+// of the short-list bound and of pending's capacity, and compactions,
+// with drains back to empty — against a naive sorted slice, and checks
+// the live entries and the structural invariants after every step, and
+// that main grows by an eighth.
 func TestLeanListAgainstReference(t *testing.T) {
 	l := newList()
 	ref := &refList{}
@@ -174,18 +190,17 @@ func TestLeanListAgainstReference(t *testing.T) {
 		next++
 		return e
 	}
-	var scratch []EntryKey
 	draining := false
 	for step := 0; step < 20000; step++ {
-		// Every so often run the list down to empty and back, so the
-		// directory moves inline and the parked chunk gets exercised.
+		// Every so often run the list down to empty and back, so the list
+		// turns short again and the parked run gets exercised.
 		if step%5000 == 2500 {
 			draining = true
 		}
 		if draining && len(ref.entries) == 0 {
 			draining = false
 		}
-		grew := -1
+		before := cap(l.main)
 		switch r := rng.Intn(10); {
 		case draining:
 			floor = min(next, floor+model.DocID(1+rng.Intn(64)))
@@ -194,16 +209,8 @@ func TestLeanListAgainstReference(t *testing.T) {
 			}
 		case r < 5: // point insert
 			e := randKey()
-			before := 0
-			if len(l.chunks) > 0 {
-				c, _ := l.lowerBound(e)
-				before = cap(l.chunks[c])
-			}
-			l.insert(e, floor)
+			insertOne(l, e, floor)
 			ref.insert(e)
-			if c, _ := l.lowerBound(e); cap(l.chunks[c]) != before {
-				grew = c // reallocated: grown or split
-			}
 		case r < 7: // expiry of about an eighth of the live entries
 			floor += model.DocID(rng.Intn(int(next-floor)/4 + 1))
 		case r < 8: // sweep
@@ -211,13 +218,13 @@ func TestLeanListAgainstReference(t *testing.T) {
 			if got, want := listContents(l, 0), ref.live(floor); !slices.Equal(got, want) {
 				t.Fatalf("step %d: compacted list holds %d entries, %d live", step, len(got), len(want))
 			}
-		default: // batch, sized to sometimes cross the rebuild cutoff
+		default: // a run, sized to sometimes outgrow pending
 			var ins []EntryKey
-			for n := rng.Intn(200); n > 0; n-- {
+			for n := 1 + rng.Intn(200); n > 0; n-- {
 				ins = append(ins, randKey())
 			}
 			sortEntries(ins)
-			scratch = l.applyBatch(ins, floor, scratch)
+			l.add(ins, floor)
 			for _, e := range ins {
 				ref.insert(e)
 			}
@@ -228,33 +235,32 @@ func TestLeanListAgainstReference(t *testing.T) {
 			t.Fatalf("step %d: %d live entries, reference %d (or contents differ)", step, len(got), len(ref.entries))
 		}
 		checkListInvariants(t, l, step)
-		if grew >= 0 {
-			if ch := l.chunks[grew]; cap(ch) > len(ch)+len(ch)/8+1 {
-				t.Fatalf("step %d: chunk %d grew to cap %d around %d entries", step, grew, cap(ch), len(ch))
-			}
+		if n := len(l.main); cap(l.main) > before && cap(l.main) > n+n/8 {
+			t.Fatalf("step %d: main grew to cap %d around %d entries", step, cap(l.main), n)
 		}
 	}
 }
 
 // TestListChurnDoesNotAllocate pins what the steady state of a sliding
 // window relies on: once a list has grown to its working size, an
-// arrival whose predecessor has expired allocates nothing, because the
-// full chunk it lands in compacts first — including on a singleton list
-// that refills over its stale entry.
+// arrival whose predecessor has expired allocates nothing, because a
+// full short list compacts before it grows and a long list's merge of
+// pending into main drops the stale entries first — including on a
+// singleton list that refills over its stale entry.
 func TestListChurnDoesNotAllocate(t *testing.T) {
 	for _, size := range []int{0, 1, 5, 200, 5000} {
 		l := newList()
 		for i := 0; i < size; i++ {
-			l.insert(EntryKey{W: float64(i%89 + 1), Doc: model.DocID(1<<40 + i)}, 0)
+			insertOne(l, EntryKey{W: float64(i%89 + 1), Doc: model.DocID(1<<40 + i)}, 0)
 		}
 		// The churning entries share one weight, so each lands next to
 		// its expired predecessors.
 		next := model.DocID(1)
 		churn := func() {
-			l.insert(EntryKey{W: 44.5, Doc: next}, next)
+			insertOne(l, EntryKey{W: 44.5, Doc: next}, next)
 			next++
 		}
-		for range 2 * maxChunk { // warm: the touched chunk reaches its working size
+		for range 4 * pendingCap(size) { // warm: both runs reach their working size
 			churn()
 		}
 		if got := testing.AllocsPerRun(200, churn); got != 0 {
@@ -270,10 +276,10 @@ func TestChunkedListOrderInsensitive(t *testing.T) {
 	f := func(ws []uint16) bool {
 		a, b := newList(), newList()
 		for i, w := range ws {
-			a.insert(EntryKey{W: float64(w), Doc: model.DocID(i)}, 0)
+			insertOne(a, EntryKey{W: float64(w), Doc: model.DocID(i)}, 0)
 		}
 		for i := len(ws) - 1; i >= 0; i-- {
-			b.insert(EntryKey{W: float64(ws[i]), Doc: model.DocID(i)}, 0)
+			insertOne(b, EntryKey{W: float64(ws[i]), Doc: model.DocID(i)}, 0)
 		}
 		return slices.Equal(listContents(a, 0), listContents(b, 0))
 	}

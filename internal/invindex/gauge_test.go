@@ -23,10 +23,10 @@ func liveHeap() uint64 {
 // TestMemoryBytesMatchesLiveHeap holds the index's footprint gauge
 // against the collector: an index over WSJ-shaped documents is filled
 // to its window and slid well past it in 64-document epochs (so lists
-// have emptied, parked, regrown and split), and MemoryBytes must then
-// be within 10 % of the live heap the index accounts for — as a whole,
-// and for the inverted lists alone, which is the share that decides
-// what a layout costs. The benchmark's serve-http workload reports this
+// have emptied, parked, regrown and merged pending into main), and
+// MemoryBytes must then be within 10 % of the live heap the index
+// accounts for — as a whole, and for the inverted lists alone, which is
+// the share that decides what a layout costs. The benchmark's serve-http workload reports this
 // gauge as its heap_mb.
 func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
@@ -58,8 +58,8 @@ func TestMemoryBytesMatchesLiveHeap(t *testing.T) {
 			withIndex := liveHeap()
 			// Drop everything but the store: what the heap loses is what
 			// the lists, the term table, the occupied-list bitmap and
-			// every share's epoch scratch held.
-			x.lists, x.occupied, x.batchCounts, x.shares = nil, nil, nil, nil
+			// the epoch's grouping scratch held.
+			x.lists, x.occupied, x.batchCounts, x.runs, x.grouped = nil, nil, nil, nil, nil
 			withStore := liveHeap()
 			runtime.KeepAlive(x)
 			runtime.KeepAlive(synth)

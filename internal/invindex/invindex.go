@@ -6,23 +6,26 @@
 // Expiry writes no list. Document ids ascend in FIFO order, so an entry
 // is stale exactly when its id is below the live floor, one past the
 // last expired id, which no valid document's id is below. Iterators
-// step over stale entries, and three rules reclaim them: an insert that
-// would grow or split a full chunk first compacts it, a hot-list merge
-// rebuild drops them, and a term-ordered sweep compacts lists for a
-// budget proportional to the postings each epoch expires (see sweep).
+// step over stale entries, and three rules reclaim them: a merge that
+// would outgrow its run's capacity first drops the run's stale entries,
+// a long list's pending-into-main merge drops those of both runs, and a
+// term-ordered sweep compacts lists for a budget proportional to the
+// postings each epoch expires (see sweep).
 //
-// Every list is a chunked sorted array of raw EntryKeys whose chunks
-// are allocated to fit. Almost every term of a real dictionary is rare,
-// so what a window's index costs is set by the overhead around a
-// handful of entries per list, not by how densely the few Zipf-head
-// lists pack.
+// Every list is a sorted run of raw EntryKeys allocated to fit, and a
+// long one adds a small sorted run that takes its inserts (see List).
+// Almost every term of a real dictionary is rare, so what a window's
+// index costs is set by the overhead around a handful of entries per
+// list, not by how densely the few Zipf-head lists pack.
 //
-// A large epoch's arrivals are applied term-partitioned across up to
-// GOMAXPROCS goroutines, while a single document stays on the caller.
-// Lists share no state, each still sees its own inserts in stream order,
-// and the floor and the sweep are functions of the record stream alone,
-// so every list, and with it every result and snapshot byte, is the same
-// at any share count (see ApplyBatch).
+// An epoch's surviving postings are grouped by term, and each touched
+// list takes its run of them in one merge. A large epoch's runs are
+// applied term-partitioned across up to GOMAXPROCS goroutines, while a
+// single document stays on the caller. Lists share no state, each still
+// sees its own inserts in stream order, and the floor and the sweep are
+// functions of the record stream alone, so every list, and with it
+// every result and snapshot byte, is the same at any share count (see
+// ApplyBatch).
 package invindex
 
 import (
@@ -65,285 +68,177 @@ func compareKeys(a, b EntryKey) int {
 	return 0
 }
 
-// List is one inverted list: impact entries in list order, held as a
-// chunked sorted array (a tiered vector). At realistic dictionary sizes
-// the vast majority of lists hold a handful of entries
-// (window·terms/dictionary ≈ 1 for the paper's configuration), so the
-// layout is built around their overhead: a one-chunk list keeps its
-// chunk directory inline (chunks aliases one — no directory
-// allocation), and chunks grow by an eighth, never by doubling, so a
-// singleton's storage is one 16-byte allocation. The Zipf-head terms,
-// which at a 100,000-document window appear in essentially every
-// document, spread across chunks so that an insert rewrites at most
-// one chunk's worth of memory instead of O(list) — the
-// difference between microseconds and milliseconds per arrival at the
-// paper's largest window.
-//
-// A List is always handled by pointer, because chunks may point into
-// one.
+// List is one inverted list: impact entries in list order, held in at
+// most two sorted runs. At realistic dictionary sizes the vast majority
+// of lists hold a handful of entries (window·terms/dictionary ≈ 1 for
+// the paper's configuration), so a short list is one run, main,
+// allocated to fit: it grows by an eighth, never by doubling, so a
+// singleton's storage is one 16-byte allocation, and an epoch's inserts
+// merge into it in one backward pass. The Zipf-head terms, which at a
+// 100,000-document window appear in essentially every document, would
+// pay a pass over the whole list per epoch that way. So a long list
+// (main at least shortList entries) takes its inserts into pending, a
+// run of at most pendingCap entries, and merges pending into main only
+// when an epoch's inserts no longer fit beside it: the log-structured
+// merge idea at the scale of one list. Both merges run in place in the
+// steady state of a sliding window, because the entries a merge drops
+// below the floor make room for the ones it adds.
 type List struct {
-	chunks [][]EntryKey // each non-empty and sorted; nil while the list is empty
-	// one is the directory of a one-chunk list. While the list is
-	// empty, one[0] parks the emptied chunk's capacity (up to parkMax
-	// entries) for the term's next arrival.
-	one    [1][]EntryKey
-	length int // physical entries, stale ones included
+	// main holds the list's entries, stale ones included; an empty list
+	// parks up to parkMax entries of capacity here for the term's next
+	// arrival.
+	main []EntryKey
+	// pending holds a long list's most recent inserts; it is empty while
+	// main is short.
+	pending []EntryKey
 }
 
 const (
-	// maxChunk bounds chunk size; a full chunk splits in two. 256
-	// entries (4 KiB of EntryKeys) keeps the memmove within a couple of
-	// cache lines' worth of pages while keeping the chunk directory
-	// tiny.
-	maxChunk = 256
-	// rebuildChunk is the chunk size a merge rebuild lays down: half
-	// fill, the steady state that splits leave behind.
-	rebuildChunk = maxChunk / 2
-	// parkMax is the largest emptied chunk an empty list holds on to.
+	// shortList is the main length from which a list takes its inserts
+	// into pending: 256 entries (4 KiB of EntryKeys) keep a merge into
+	// main within a few pages.
+	shortList = 256
+	// parkMax is the largest emptied run an empty list holds on to.
 	parkMax = 8
 )
 
+// pendingCap is the pending capacity of a long list whose main holds m
+// entries: an eighth of m rounded down to a power of two, clamped to
+// [64, 512]. A merge into main then moves at most about sixteen entries
+// per insert up to 4 096 entries, and the capacity changes only when m
+// crosses a power of two.
+func pendingCap(m int) int { return 1 << min(max(bits.Len(uint(m/8))-1, 6), 9) }
+
 func newList() *List { return &List{} }
 
-// setChunks installs dir as the chunk directory: a one-chunk directory
-// moves inline, and anything one held before is released.
-func (l *List) setChunks(dir [][]EntryKey) {
-	switch len(dir) {
-	case 0:
-		l.chunks, l.one[0] = nil, nil
-	case 1:
-		l.one[0] = dir[0]
-		l.chunks = l.one[:]
-	default:
-		l.chunks, l.one[0] = dir, nil
+// add merges ins, one epoch's inserts to the list in list order, into
+// pending when the list is long and they fit there, and into main
+// otherwise. A long list whose pending cannot take them first merges
+// pending into main, and resizes pending to main's new length.
+func (l *List) add(ins []EntryKey, floor model.DocID) {
+	if len(l.pending)+len(ins) > cap(l.pending) && len(l.main) >= shortList {
+		l.flush(floor)
+		if c := pendingCap(len(l.main)); cap(l.pending) < c || cap(l.pending) > 2*c {
+			l.pending = make([]EntryKey, 0, c)
+		}
+	}
+	if len(l.pending) == 0 && len(l.main) < shortList || len(l.pending)+len(ins) > cap(l.pending) {
+		l.main = merge(l.main, ins, floor)
+	} else {
+		l.pending = merge(l.pending, ins, floor)
 	}
 }
 
-// lowerBound locates the first entry not before pos as a (chunk,
-// offset) pair. The chunk is the first whose last element is not before
-// pos, clamped to the final chunk, so offset may equal the chunk length
-// (insertion at the very end). The list must not be empty.
-func (l *List) lowerBound(pos EntryKey) (int, int) {
-	c, hi := 0, len(l.chunks)-1
-	for c < hi {
-		mid := int(uint(c+hi) >> 1)
-		if ch := l.chunks[mid]; Before(ch[len(ch)-1], pos) {
-			c = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	ch := l.chunks[c]
-	i, n := 0, len(ch)
-	for i < n {
-		mid := int(uint(i+n) >> 1)
-		if Before(ch[mid], pos) {
-			i = mid + 1
-		} else {
-			n = mid
-		}
-	}
-	return c, i
+// flush merges pending into main, dropping both runs' entries below
+// floor.
+func (l *List) flush(floor model.DocID) {
+	l.main = merge(dropStale(l.main, floor), dropStale(l.pending, floor), floor)
+	l.pending = l.pending[:0]
 }
 
-// insert adds e in list order. An insert that would grow or split a
-// full chunk first drops that chunk's entries below floor, and takes the
-// room that frees when there is any.
-func (l *List) insert(e EntryKey, floor model.DocID) {
-	l.length++
-	if len(l.chunks) == 0 {
-		ch := l.one[0]
-		if ch == nil {
-			ch = make([]EntryKey, 0, 1)
-		}
-		l.one[0] = append(ch, e)
-		l.chunks = l.one[:]
-		return
+// merge merges the sorted run src into the sorted run dst and returns
+// the result. When it does not fit dst's capacity, dst's entries below
+// floor are dropped first, and only if it still does not fit does dst
+// move to a new array an eighth larger than the result.
+func merge(dst, src []EntryKey, floor model.DocID) []EntryKey {
+	if len(dst)+len(src) > cap(dst) {
+		dst = dropStale(dst, floor)
 	}
-	c, i := l.lowerBound(e)
-	ch := l.chunks[c]
-	if len(ch) == cap(ch) {
-		n := len(ch)
-		ch, i = dropStale(ch, floor, i)
-		l.length -= n - len(ch)
+	n := len(dst) + len(src)
+	if n > cap(dst) {
+		dst = append(make([]EntryKey, 0, n+(n-1)/8), dst...)
 	}
-	n := len(ch)
-	switch {
-	case n < cap(ch):
-		ch = ch[:n+1]
-		copy(ch[i+1:], ch[i:n])
-		ch[i] = e
-		l.chunks[c] = ch
-	case n < maxChunk:
-		// Grow by an eighth: the steps land on the allocator's size
-		// classes for the short chunks that make up most of a
-		// dictionary, and leave at most 12.5 % slack on the long ones.
-		grown := make([]EntryKey, n+1, min(n+n/8+1, maxChunk))
-		copy(grown, ch[:i])
-		grown[i] = e
-		copy(grown[i+1:], ch[i:])
-		l.chunks[c] = grown
-	default:
-		// A full chunk splits into two exact-fit halves around e.
-		mid := (n + 1) / 2
-		left, right := make([]EntryKey, mid), make([]EntryKey, n+1-mid)
-		if i < mid {
-			copy(left, ch[:i])
-			left[i] = e
-			copy(left[i+1:], ch[i:mid-1])
-			copy(right, ch[mid-1:])
-		} else {
-			copy(left, ch[:mid])
-			copy(right, ch[mid:i])
-			right[i-mid] = e
-			copy(right[i-mid+1:], ch[i:])
-		}
-		l.chunks[c] = left
-		l.setChunks(slices.Insert(l.chunks, c+1, right))
-	}
-}
-
-// dropStale removes ch's entries below floor in place, and returns the
-// shortened chunk and where the entry at offset at, or the end when at
-// is the length, has moved.
-func dropStale(ch []EntryKey, floor model.DocID, at int) ([]EntryKey, int) {
-	moved, n := at, 0
-	for j, e := range ch {
-		if j == at {
-			moved = n
-		}
-		if e.Doc >= floor {
-			if n != j {
-				ch[n] = e
+	// Backwards from the end, so that no entry of dst is overwritten
+	// before it has moved: each entry of src, last first, finds its place
+	// among dst's unmoved entries, and the block of dst above that place
+	// moves up past the src entries still to come in one copy.
+	out, hi := dst[:n], len(dst)
+	for j := len(src) - 1; j >= 0; j-- {
+		lo, e := 0, src[j]
+		for m := hi; lo < m; {
+			if mid := int(uint(lo+m) >> 1); Before(dst[mid], e) {
+				lo = mid + 1
+			} else {
+				m = mid
 			}
+		}
+		copy(out[lo+j+1:], dst[lo:hi])
+		out[lo+j], hi = e, lo
+	}
+	return out
+}
+
+// dropStale removes run's entries below floor in place.
+func dropStale(run []EntryKey, floor model.DocID) []EntryKey {
+	n := 0
+	for n < len(run) && run[n].Doc >= floor {
+		n++
+	}
+	for _, e := range run[n:] {
+		if e.Doc >= floor {
+			run[n] = e
 			n++
 		}
 	}
-	if at == len(ch) {
-		moved = n
-	}
-	return ch[:n], moved
+	return run[:n]
 }
 
-// compact drops every entry below floor and releases the chunks that
-// empties, as deleting them one by one would: an emptied list parks a
-// small chunk for the term's next arrival. A chunk left under a quarter
-// full is copied to fit, so a list that dwindles towards its last entry
-// hands its capacity back on the way rather than all at once a sweep
-// cycle after it empties. It returns the number of entries it examined.
+// compact drops every entry below floor, merging pending into main, and
+// releases what the list no longer needs, as deleting the entries one
+// by one would: an emptied list parks a small run for the term's next
+// arrival, a short list gives up its pending capacity, and a main left
+// under a quarter full is copied to fit, so a list that dwindles
+// towards its last entry hands its capacity back on the way rather than
+// all at once a sweep cycle after it empties. It returns the number of
+// entries it examined.
 func (l *List) compact(floor model.DocID) int {
-	examined := l.length
-	dir := l.chunks[:0]
-	var park []EntryKey
-	for _, ch := range l.chunks {
-		kept, _ := dropStale(ch, floor, 0)
-		l.length -= len(ch) - len(kept)
-		switch {
-		case len(kept) == 0:
-			if cap(ch) <= parkMax {
-				park = ch[:0]
-			}
-		case len(kept)*4 < cap(kept) && cap(kept) > parkMax:
-			dir = append(dir, slices.Clone(kept))
-		default:
-			dir = append(dir, kept)
-		}
+	examined := len(l.main) + len(l.pending)
+	l.flush(floor)
+	switch n := len(l.main); {
+	case cap(l.main) <= parkMax: // kept as it is, parked if empty
+	case n == 0:
+		l.main = nil
+	case n*4 < cap(l.main):
+		l.main = slices.Clone(l.main)
 	}
-	clear(l.chunks[len(dir):]) // released chunks must not stay reachable
-	l.setChunks(dir)
-	if len(dir) == 0 {
-		l.one[0] = park
+	if len(l.main) < shortList || cap(l.pending) > 2*pendingCap(len(l.main)) {
+		l.pending = nil
 	}
 	return examined
 }
 
-// applyBatch inserts one epoch's entries ins, given in list order. For
-// small sets it falls back to point inserts; once the batch is a
-// meaningful fraction of the list it rewrites the list in a single
-// merge pass that also drops the entries below floor, so B inserts into
-// a hot Zipf-head list cost one O(list) sweep instead of B chunk
-// searches and B memmoves — the index-level amortization of the epoch
-// pipeline. scratch is reusable merge space (may be nil); the possibly
-// grown scratch is returned for the caller to keep.
-func (l *List) applyBatch(ins []EntryKey, floor model.DocID, scratch []EntryKey) []EntryKey {
-	// Point inserts win whenever the batch is small — in absolute terms
-	// (each is a binary search plus one sub-chunk memmove,
-	// allocation-free, and at realistic dictionary sparsity almost every
-	// touched list takes a handful of arrivals) or relative to the list
-	// (the rebuild walks everything). The rebuild pays off only once a
-	// large fraction of the list changes in one epoch: one merge sweep
-	// and one allocation replace m searches and m memmoves.
-	if len(ins) < hotTermMutations || len(ins)*2 < l.length {
-		for _, e := range ins {
-			l.insert(e, floor)
-		}
-		return scratch
-	}
-	merged := scratch[:0]
-	ii := 0
-	for _, ch := range l.chunks {
-		for _, e := range ch {
-			for ii < len(ins) && Before(ins[ii], e) {
-				merged = append(merged, ins[ii])
-				ii++
-			}
-			if e.Doc >= floor {
-				merged = append(merged, e)
-			}
-		}
-	}
-	merged = append(merged, ins[ii:]...)
-	l.layOut(merged)
-	return merged
-}
-
-// layOut replaces the list's entries with a copy of merged, cut into
-// rebuildChunk-sized chunks. All chunks slice one exact-fit backing
-// array (capacity-capped, so a growing chunk copies out instead of
-// clobbering its neighbor), keeping the rebuild at a single persistent
-// allocation.
-func (l *List) layOut(merged []EntryKey) {
-	l.length = len(merged)
-	backing := slices.Clone(merged)
-	dir := l.chunks[:0]
-	clear(l.chunks)
-	if need := (len(backing) + rebuildChunk - 1) / rebuildChunk; cap(dir) < need {
-		dir = make([][]EntryKey, 0, need)
-	}
-	for start := 0; start < len(backing); start += rebuildChunk {
-		end := min(start+rebuildChunk, len(backing))
-		dir = append(dir, backing[start:end:end])
-	}
-	l.setChunks(dir)
-}
-
 // Iterator walks a list's live entries from the head towards lower
-// impacts, stepping over the stale ones (ids below floor). It stays
-// valid only while the list is not modified. The refill loops re-read
-// Key() many times per consumed entry, so the current entry is loaded
-// once per position into k.
+// impacts, merging its two runs and stepping over the stale entries
+// (ids below floor) of both. It stays valid only while the list is not
+// modified. The refill loops re-read Key() many times per consumed
+// entry, so the current entry is loaded once per position into k.
 type Iterator struct {
-	l     *List
-	floor model.DocID
-	c     int // chunk index
-	i     int // offset within chunk
-	ok    bool
-	k     EntryKey
+	l               *List
+	floor           model.DocID
+	i, j            int // next positions in main and pending
+	k               EntryKey
+	ok, fromPending bool // fromPending: k is pending[j] rather than main[i]
 }
 
-// load caches the first live entry at or after the iterator's position,
-// stepping over stale entries and chunk ends, and clears ok when there
-// is none.
+// load caches the first live entry at or after the iterator's
+// positions, and clears ok when there is none.
 func (it *Iterator) load() {
-	for chunks := it.l.chunks; it.c < len(chunks); it.c, it.i = it.c+1, 0 {
-		for ch := chunks[it.c]; it.i < len(ch); it.i++ {
-			if ch[it.i].Doc >= it.floor {
-				it.k, it.ok = ch[it.i], true
-				return
-			}
-		}
+	main, pending := it.l.main, it.l.pending
+	for it.i < len(main) && main[it.i].Doc < it.floor {
+		it.i++
 	}
-	it.ok = false
+	for it.j < len(pending) && pending[it.j].Doc < it.floor {
+		it.j++
+	}
+	it.fromPending = it.j < len(pending) && (it.i == len(main) || Before(pending[it.j], main[it.i]))
+	switch {
+	case it.fromPending:
+		it.k, it.ok = pending[it.j], true
+	case it.i < len(main):
+		it.k, it.ok = main[it.i], true
+	default:
+		it.ok = false
+	}
 }
 
 // Valid reports whether the iterator is positioned on an entry.
@@ -351,7 +246,11 @@ func (it *Iterator) Valid() bool { return it.ok }
 
 // Next advances towards the tail (lower impact).
 func (it *Iterator) Next() {
-	it.i++
+	if it.fromPending {
+		it.j++
+	} else {
+		it.i++
+	}
 	it.load()
 }
 
@@ -383,19 +282,21 @@ type Index struct {
 	occupied []uint64
 	cursor   int
 	live     int
-	// batchCounts is ApplyBatch's per-term insert counter, indexed
-	// like lists and all zero between calls; shares holds one merge
-	// scratch per share of the term-partitioned mutation pass.
+	// The epoch's grouping scratch, kept between calls: batchCounts is
+	// indexed like lists and all zero between calls; runs names each
+	// term the epoch inserts into with its run of grouped, which holds
+	// the surviving postings grouped by term; low counts consecutive
+	// low-usage epochs towards a shrink (see shrink).
 	batchCounts []int32
-	shares      []shareScratch
+	runs        []termRun
+	grouped     []EntryKey
+	low         int
 }
 
-// shareScratch is one share's reusable merge space for hot-list
-// rebuilds, with low counting consecutive low-usage epochs towards a
-// shrink (see shrink).
-type shareScratch struct {
-	buf []EntryKey
-	low int
+// termRun is one term's inserts of an epoch: grouped[start:end].
+type termRun struct {
+	term       model.TermID
+	start, end int32
 }
 
 // NewIndex returns an empty index. The seed is accepted for interface
@@ -485,18 +386,17 @@ type BatchResult struct {
 // policy bound to the epoch's end time; it must be monotone in both
 // arguments, as count- and time-based sliding windows are), raises the
 // live floor past them, inserts the surviving arrivals' postings,
-// grouped per term so each touched list is edited in one pass, and runs
-// the sweep. Expired entries are not deleted: they are stale from here
+// grouped per term so each touched list takes them in one merge, and
+// runs the sweep. Expired entries are not deleted: they are stale from here
 // on. Documents that arrive and expire within the same epoch occupy
 // window slots while the epoch plays out but are never posted.
 //
 // An epoch of at least 2·shareMutations inserts is applied
 // term-partitioned: the caller and up to GOMAXPROCS−1 goroutines, which
 // exit before ApplyBatch returns, each edit the lists of their own terms
-// (see applyShare). A list's final entries and chunk layout depend only
-// on its own inserts in stream order and on the floor, which
-// partitioning by term keeps, so the result is the same at any share
-// count.
+// (see applyShare). A list's final entries and runs depend only on its
+// own inserts in stream order and on the floor, which partitioning by
+// term keeps, so the result is the same at any share count.
 //
 // Validation is all-or-nothing: an arrival whose id is not above the
 // newest valid document's and every earlier arrival's (see Store) fails
@@ -549,21 +449,32 @@ func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *mode
 		}
 	}
 
-	// The counting pass: per-term insert counts for the shares' hot
-	// test, and the largest term, so the list table grows here once and
-	// never while shares run.
+	// The counting pass: per-term insert counts, the touched terms in
+	// order of first insert, and the largest term, so the list table
+	// grows here once and never while shares run. A counting sort then
+	// gives each term its run of grouped, and counts becomes the run's
+	// write cursor.
 	survivors := arrivals[res.Dropped:]
-	counts := x.batchCounts
+	counts, runs := x.batchCounts, x.runs[:0]
 	var maxTerm model.TermID
 	for _, d := range survivors {
 		for _, p := range d.Postings {
 			counts = covering(counts, p.Term)
+			if counts[p.Term] == 0 {
+				runs = append(runs, termRun{term: p.Term})
+			}
 			counts[p.Term]++
 			maxTerm = max(maxTerm, p.Term)
 		}
 		res.Inserts += len(d.Postings)
 	}
-	x.batchCounts = counts
+	var end int32
+	for i, r := range runs {
+		runs[i].start, end = end, end+counts[r.term]
+		runs[i].end, counts[r.term] = end, runs[i].start
+	}
+	x.batchCounts, x.runs = counts, runs
+	x.grouped = slices.Grow(x.grouped[:0], res.Inserts)[:res.Inserts]
 	if res.Inserts > 0 {
 		x.lists = covering(x.lists, maxTerm)
 		x.occupied = covering(x.occupied, maxTerm/64)
@@ -571,9 +482,6 @@ func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *mode
 	x.live += res.Inserts - res.Deletes
 
 	n := shares(res.Inserts)
-	for len(x.shares) < n {
-		x.shares = append(x.shares, shareScratch{})
-	}
 	if n == 1 { // every single-document epoch: no goroutine, nothing to allocate
 		x.applyShare(0, 1, survivors)
 	} else {
@@ -588,75 +496,42 @@ func (x *Index) applyEpoch(arrivals []*model.Document, expired func(oldest *mode
 		x.applyShare(0, n, survivors)
 		wg.Wait()
 	}
-	for w := n; w < len(x.shares); w++ {
-		x.shares[w].shrink(0) // idle this epoch
-	}
+	x.shrink(res.Inserts)
 	x.sweep(sweepPerExpired * res.Deletes)
 
-	// Re-zero the counters by the postings that raised them, and mark
-	// their lists occupied; the tables are dictionary-sized and an epoch
-	// touches a sliver of them.
-	for _, d := range survivors {
-		for _, p := range d.Postings {
-			counts[p.Term] = 0
-			x.occupied[p.Term/64] |= 1 << (p.Term % 64)
-		}
+	// Re-zero the counters of the touched terms and mark their lists
+	// occupied; the tables are dictionary-sized and an epoch touches a
+	// sliver of them.
+	for _, r := range runs {
+		counts[r.term] = 0
+		x.occupied[r.term/64] |= 1 << (r.term % 64)
 	}
 	return res, nil
 }
 
-// applyShare inserts the epoch's surviving postings whose term t has
-// t mod n = w, in stream order, with share w's merge scratch. Shares
-// edit disjoint lists and only read batchCounts, the list table and the
-// floor, so all n run side by side; n = 1 is the whole pass.
-//
-// Grouping a term's inserts to apply them in one list pass only pays
-// off for hot terms — Zipf-head lists collecting a meaningful number of
-// entries per epoch; at realistic dictionary sparsity the vast majority
-// of touched terms see one or two inserts, where buffering costs more
-// than the point operations it saves. So the counting pass finds the
-// hot terms, cold terms take direct point inserts with no buffering,
-// and only hot terms are grouped and merge-applied.
+// applyShare groups the epoch's surviving postings whose term t has
+// t mod n = w into their terms' runs, in stream order, sorts each run
+// into list order and adds it to its list. Shares write disjoint runs
+// and lists and only read the run table, the list table and the floor,
+// so all n run side by side; n = 1 is the whole pass.
 func (x *Index) applyShare(w, n int, survivors []*model.Document) {
-	counts, lists, floor := x.batchCounts, x.lists, x.floor
 	mine := func(t model.TermID) bool { return n == 1 || int(t)%n == w }
-	// hot reports whether term t's inserts are worth grouping: enough of
-	// them in absolute terms AND a meaningful fraction of the current
-	// list, mirroring applyBatch's rebuild condition — there is no point
-	// buffering inserts that will be applied as point operations anyway.
-	hot := func(t model.TermID) bool {
-		c := counts[t]
-		if c < hotTermMutations {
-			return false
-		}
-		l := lists[t]
-		return l == nil || int(c)*2 >= l.length
-	}
-	var muts map[model.TermID][]EntryKey
+	counts, grouped := x.batchCounts, x.grouped
 	for _, d := range survivors {
 		for _, p := range d.Postings {
-			if !mine(p.Term) {
-				continue
+			if mine(p.Term) {
+				grouped[counts[p.Term]] = EntryKey{W: p.Weight, Doc: d.ID}
+				counts[p.Term]++
 			}
-			e := EntryKey{W: p.Weight, Doc: d.ID}
-			if hot(p.Term) {
-				if muts == nil {
-					muts = make(map[model.TermID][]EntryKey)
-				}
-				muts[p.Term] = append(muts[p.Term], e)
-				continue
-			}
-			x.listFor(p.Term).insert(e, floor)
 		}
 	}
-	s := &x.shares[w]
-	used := 0
-	for t, ins := range muts {
-		slices.SortFunc(ins, compareKeys)
-		s.buf = x.listFor(t).applyBatch(ins, floor, s.buf)
-		used = max(used, len(s.buf))
+	for _, r := range x.runs {
+		if mine(r.term) {
+			run := grouped[r.start:r.end]
+			slices.SortFunc(run, compareKeys)
+			x.listFor(r.term).add(run, x.floor)
+		}
 	}
-	s.shrink(used)
 }
 
 // sweepPerExpired is the sweep's budget per expired posting. An epoch
@@ -664,8 +539,8 @@ func (x *Index) applyShare(w, n int, survivors []*model.Document) {
 // cycle over an index of P entries takes about P/(4·E) epochs: a term
 // that never comes back loses its entries within one cycle, and the
 // stale entries a list holds when the sweep reaches it are about a
-// quarter of its share of one window's postings, fewer where inserts
-// and rebuilds reclaimed them first (about 9 % of the live entries on
+// quarter of its share of one window's postings, fewer where merges
+// reclaimed them first (about 8 % and 7 % of the live entries on
 // WSJ-shaped windows of 1 000 and 10 000 documents).
 const sweepPerExpired = 4
 
@@ -690,36 +565,36 @@ func (x *Index) sweep(budget int) {
 		t := x.cursor + bits.TrailingZeros64(rest)
 		l := x.lists[t]
 		budget -= 1 + l.compact(x.floor)
-		if l.length == 0 {
+		if len(l.main) == 0 {
 			x.occupied[w] &^= 1 << (t % 64)
 		}
 		x.cursor = t + 1
 	}
 }
 
-// shrink bounds the retained capacity of a share's merge scratch — the
+// shrink bounds the retained capacity of the grouping scratch — the
 // same policy core.Maintainer applies to its epoch buffers. One
-// unusually large epoch (a burst, a catch-up replay) grows the scratch
-// to the biggest list it rebuilt and, without this, that high-water
-// capacity is pinned for the index's lifetime. After shrinkAfter
-// consecutive epochs using less than a quarter of the retained capacity
-// (an epoch the share sat out uses none), the scratch is reallocated to
-// twice the recent working size.
-func (s *shareScratch) shrink(used int) {
+// unusually large epoch (a burst, a catch-up replay) grows it to that
+// epoch's inserts and, without this, that high-water capacity is pinned
+// for the index's lifetime. After shrinkAfter consecutive epochs using
+// less than a quarter of the retained capacity, it is reallocated to
+// twice the recent working size, and the run table with it.
+func (x *Index) shrink(used int) {
 	const (
-		minCap      = 256
+		minCap      = 4096 // a large document's postings: point epochs never shrink
 		shrinkAfter = 16
 	)
-	if cap(s.buf) <= minCap || used*4 > cap(s.buf) {
-		s.low = 0
+	if cap(x.grouped) <= minCap || used*4 > cap(x.grouped) {
+		x.low = 0
 		return
 	}
-	s.low++
-	if s.low < shrinkAfter {
+	x.low++
+	if x.low < shrinkAfter {
 		return
 	}
-	s.low = 0
-	s.buf = make([]EntryKey, 0, max(used*2, minCap))
+	x.low = 0
+	c := max(used*2, minCap)
+	x.grouped, x.runs = make([]EntryKey, 0, c), make([]termRun, 0, c)
 }
 
 // sizeClasses are the Go allocator's small-object sizes; a larger
@@ -748,49 +623,33 @@ func allocSize(n uint64) uint64 {
 
 const (
 	entryBytes  = uint64(unsafe.Sizeof(EntryKey{}))
-	chunkBytes  = uint64(unsafe.Sizeof([]EntryKey(nil)))
 	structBytes = uint64(unsafe.Sizeof(List{}))
 	slotBytes   = uint64(unsafe.Sizeof((*List)(nil)))
 	countBytes  = uint64(unsafe.Sizeof(int32(0)))
-	shareBytes  = uint64(unsafe.Sizeof(shareScratch{}))
+	runBytes    = uint64(unsafe.Sizeof(termRun{}))
 )
 
-// listBytes is one list's heap footprint: the struct, the chunk
-// directory unless it is the inline one, and the chunks' (or the parked
-// chunk's) capacity. Chunks a merge rebuild cut from one backing array
-// are counted one by one, which the half-fill chunk size makes exact
-// for all but the last.
+// listBytes is one list's heap footprint: the struct and both runs'
+// capacity.
 func listBytes(l *List) uint64 {
-	b := allocSize(structBytes)
-	if len(l.chunks) == 0 {
-		return b + allocSize(uint64(cap(l.one[0]))*entryBytes)
-	}
-	if len(l.chunks) > 1 {
-		b += allocSize(uint64(cap(l.chunks)) * chunkBytes)
-	}
-	for _, ch := range l.chunks {
-		b += allocSize(uint64(cap(ch)) * entryBytes)
-	}
-	return b
+	return allocSize(structBytes) + allocSize(uint64(cap(l.main))*entryBytes) +
+		allocSize(uint64(cap(l.pending))*entryBytes)
 }
 
 // MemoryBytes is the index's heap footprint: the FIFO store, every
-// inverted list, the term table, the occupied-list bitmap and the epoch
-// scratch, every share's merge space included.
+// inverted list, the term table, the occupied-list bitmap and the
+// epoch's grouping scratch.
 func (x *Index) MemoryBytes() uint64 {
-	b := x.Store.MemoryBytes() + x.PostingBytes() +
+	return x.Store.MemoryBytes() + x.PostingBytes() +
 		allocSize(uint64(cap(x.lists))*slotBytes) +
 		allocSize(uint64(cap(x.batchCounts))*countBytes) +
 		allocSize(uint64(cap(x.occupied))*8) +
-		allocSize(uint64(cap(x.shares))*shareBytes)
-	for _, s := range x.shares {
-		b += allocSize(uint64(cap(s.buf)) * entryBytes)
-	}
-	return b
+		allocSize(uint64(cap(x.runs))*runBytes) +
+		allocSize(uint64(cap(x.grouped))*entryBytes)
 }
 
 // PostingBytes is the inverted-list portion of MemoryBytes: every
-// list's struct, directory and entry storage, excluding the FIFO store
+// list's struct and entry storage, excluding the FIFO store
 // and the term table. PostingBytes over PostingCount is the
 // bytes-per-posting figure the benchmark's traced pass records.
 func (x *Index) PostingBytes() uint64 {
@@ -806,8 +665,3 @@ func (x *Index) PostingBytes() uint64 {
 // PostingCount is the number of live impact entries: the postings of
 // the valid documents.
 func (x *Index) PostingCount() int { return x.live }
-
-// hotTermMutations is the per-term insert count at which ApplyBatch
-// switches from point inserts to grouped one-pass application. It
-// matches applyBatch's own small-set cutoff.
-const hotTermMutations = 8

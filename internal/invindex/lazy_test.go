@@ -12,9 +12,9 @@ import (
 // eagerIndex is the delete-on-expiry index that lazy expiry replaced,
 // kept as the reference for live contents and for what the lists cost:
 // an epoch deletes its expired documents' entries at once, by point
-// deletes in stream order or, on a hot list, in the merge pass that also
-// takes the epoch's inserts. Its floor stays 0 and its lists never hold
-// a stale entry, so Scan reads them whole. It runs as one share.
+// deletes from whichever run holds them, and then adds each list's
+// sorted run of inserts. Its floor stays 0 and its lists never hold a
+// stale entry, so Scan reads them whole. It runs as one share.
 type eagerIndex struct{ *Index }
 
 func newEagerIndex() eagerIndex { return eagerIndex{NewIndex(1)} }
@@ -64,57 +64,38 @@ func (e eagerIndex) apply(arrivals []*model.Document, expired func(oldest *model
 	for _, t := range terms {
 		x.lists = covering(x.lists, t)
 		l, mu := x.listFor(t), byTerm[t]
-		if m := len(mu.ins) + len(mu.del); m < hotTermMutations || m*2 < l.length {
-			for _, e := range mu.del {
-				eagerDelete(l, e)
-			}
-			for _, e := range mu.ins {
-				l.insert(e, 0)
-			}
-			continue
+		for _, e := range mu.del {
+			eagerDelete(l, e)
 		}
-		sortEntries(mu.ins)
-		sortEntries(mu.del)
-		var merged []EntryKey
-		ii, di := 0, 0
-		for _, ch := range l.chunks {
-			for _, e := range ch {
-				for ii < len(mu.ins) && Before(mu.ins[ii], e) {
-					merged = append(merged, mu.ins[ii])
-					ii++
-				}
-				if di < len(mu.del) && mu.del[di] == e {
-					di++
-					continue
-				}
-				merged = append(merged, e)
-			}
+		if len(mu.ins) > 0 {
+			sortEntries(mu.ins)
+			l.add(mu.ins, 0)
 		}
-		l.layOut(append(merged, mu.ins[ii:]...))
 	}
 	return res, nil
 }
 
 // eagerDelete removes e from l at once: a binary search and a memmove
-// within its chunk, releasing the chunk it empties, and parking a small
-// last chunk when the list empties.
+// within the run that holds it. A main run that turns short takes
+// pending in, and a list that empties releases both runs but a small
+// main, which it parks.
 func eagerDelete(l *List, e EntryKey) {
-	c, i := l.lowerBound(e)
-	ch := l.chunks[c]
-	if i >= len(ch) || ch[i] != e {
+	run := &l.main
+	i, ok := slices.BinarySearchFunc(l.main, e, compareKeys)
+	if !ok {
+		run = &l.pending
+		i, ok = slices.BinarySearchFunc(l.pending, e, compareKeys)
+	}
+	if !ok {
 		panic(fmt.Sprintf("eager reference: %v is not in its list", e))
 	}
-	l.length--
-	switch {
-	case len(ch) > 1:
-		copy(ch[i:], ch[i+1:])
-		l.chunks[c] = ch[:len(ch)-1]
-	case l.length > 0:
-		l.setChunks(slices.Delete(l.chunks, c, c+1))
-	default:
-		l.setChunks(nil)
-		if cap(ch) <= parkMax {
-			l.one[0] = ch[:0]
+	*run = slices.Delete(*run, i, i+1)
+	if len(l.main) < shortList && len(l.pending) > 0 {
+		l.flush(0)
+	}
+	if physical(l) == 0 {
+		if l.pending = nil; cap(l.main) > parkMax {
+			l.main = nil
 		}
 	}
 }
@@ -124,15 +105,15 @@ func physicalEntries(x *Index) int {
 	n := 0
 	for _, l := range x.lists {
 		if l != nil {
-			n += l.length
+			n += physical(l)
 		}
 	}
 	return n
 }
 
 // driftDoc builds a document over terms [base, base+vocab), skewed
-// towards the low end so that a few lists span several chunks while
-// most hold a handful of entries.
+// towards the low end so that a few lists grow long while most hold a
+// handful of entries.
 func driftDoc(rng *rand.Rand, id model.DocID, base model.TermID, vocab, terms int) *model.Document {
 	used := map[model.TermID]bool{}
 	var ps []model.Posting
@@ -196,8 +177,8 @@ func TestStaleMemoryBound(t *testing.T) {
 			continue
 		}
 		for term := (w - 2) * vocab; term < (w-1)*vocab; term++ {
-			if l := lazy.lists[term]; l != nil && l.length > 0 {
-				t.Fatalf("window %d: term %d, absent for a window, still holds %d entries", w, term, l.length)
+			if l := lazy.lists[term]; l != nil && physical(l) > 0 {
+				t.Fatalf("window %d: term %d, absent for a window, still holds %d entries", w, term, physical(l))
 			}
 		}
 	}
@@ -221,15 +202,27 @@ func TestStaleMemoryBound(t *testing.T) {
 // only the oldest document, arrival-free epochs that empty the window,
 // and id restarts below the floor of an emptied window — and requires
 // the same results and the same live lists, read through Scan, after
-// every epoch, with every list structurally sound.
+// every epoch, with every list structurally sound. The window is win's
+// low ten bits, and its top two bits narrow the vocabulary from six
+// terms to one or two, with twice the arrivals an op brings, so that
+// lists grow long, fill pending and merge, and an epoch's run can
+// outgrow pending.
 func FuzzLazyExpiry(f *testing.F) {
 	f.Add(int64(1), uint16(40), []byte{0x10, 0x41, 0x80, 0x03, 0x24, 0xff, 0x02, 0x33})
 	f.Add(int64(2), uint16(700), []byte{0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0xfc, 0x01, 0x02, 0xfc})
 	f.Add(int64(3), uint16(3), []byte{0x20, 0x40, 0x03, 0x04, 0x80, 0x02, 0x07, 0x10})
 	// A window emptied one expiry at a time, then ids restarting low.
 	f.Add(int64(4), uint16(1000), append(append([]byte{0x40}, slices.Repeat([]byte{0x01}, 17)...), 0x03, 0x20))
+	// One term: its list crosses the short-list bound, then pending
+	// fills and merges as the window slides, in large runs and small.
+	f.Add(int64(5), uint16(1<<14|900), append(append(slices.Repeat([]byte{0xfc}, 20), slices.Repeat([]byte{0x04, 0x08, 0x01}, 60)...), 0xfc, 0xfc, 0x02, 0x00))
+	// Two terms under a window the list outgrows, emptied and refilled
+	// with ids restarting low.
+	f.Add(int64(6), uint16(2<<14|1000), append(append(slices.Repeat([]byte{0xfc, 0x10}, 12), 0x02, 0x07), slices.Repeat([]byte{0xfc, 0x01, 0x0c}, 16)...))
 	f.Fuzz(func(t *testing.T, seed int64, win uint16, ops []byte) {
 		rng := rand.New(rand.NewSource(seed))
+		vocab := [...]int{6, 1, 2, 6}[win>>14]
+		arrivals := min(6/vocab, 2) // a run can outgrow a 64-entry pending
 		window := func() func(*model.Document, int) bool {
 			return func(_ *model.Document, count int) bool { return count > int(win%1024) }
 		}
@@ -247,9 +240,9 @@ func FuzzLazyExpiry(f *testing.F) {
 			expired := window
 			switch op % 4 {
 			case 0: // arrivals, ids ascending with occasional gaps
-				for range 1 + int(op>>2) {
+				for range (1 + int(op>>2)) * arrivals {
 					ps := make([]model.Posting, 0, 4)
-					for _, t := range rng.Perm(6)[:1+rng.Intn(4)] {
+					for _, t := range rng.Perm(vocab)[:1+rng.Intn(min(vocab, 4))] {
 						ps = append(ps, model.Posting{Term: model.TermID(t), Weight: float64(1+rng.Intn(8)) / 8})
 					}
 					d, err := model.NewDocument(next, timeAt(int(next)), ps)

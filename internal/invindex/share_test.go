@@ -13,8 +13,8 @@ import (
 // requireSameLayout fails unless a and b hold the same lists entry for
 // entry, stale entries included, and allocation for allocation: the
 // floor, the sweep cursor, the occupied-list bitmap, the term table,
-// every chunk's length and capacity, each directory's length and
-// capacity, and each emptied list's parked chunk.
+// and every list's main and pending runs with their capacities, an
+// emptied list's parked run included.
 func requireSameLayout(t *testing.T, what string, a, b *Index) {
 	t.Helper()
 	if a.floor != b.floor || a.cursor != b.cursor || a.PostingCount() != b.PostingCount() || a.PostingBytes() != b.PostingBytes() {
@@ -35,16 +35,13 @@ func requireSameLayout(t *testing.T, what string, a, b *Index) {
 		if la == nil {
 			continue
 		}
-		if la.length != lb.length || len(la.chunks) != len(lb.chunks) ||
-			cap(la.chunks) != cap(lb.chunks) || cap(la.one[0]) != cap(lb.one[0]) {
-			t.Fatalf("%s term %d: len %d, dir %d/%d, park %d; want %d, %d/%d, %d", what, term,
-				la.length, len(la.chunks), cap(la.chunks), cap(la.one[0]),
-				lb.length, len(lb.chunks), cap(lb.chunks), cap(lb.one[0]))
-		}
-		for c, ch := range la.chunks {
-			if want := lb.chunks[c]; cap(ch) != cap(want) || !slices.Equal(ch, want) {
-				t.Fatalf("%s term %d chunk %d: %d/%d entries, want %d/%d (or contents differ)",
-					what, term, c, len(ch), cap(ch), len(want), cap(want))
+		for _, r := range []struct {
+			name      string
+			got, want []EntryKey
+		}{{"main", la.main, lb.main}, {"pending", la.pending, lb.pending}} {
+			if cap(r.got) != cap(r.want) || !slices.Equal(r.got, r.want) {
+				t.Fatalf("%s term %d %s: %d/%d entries, want %d/%d (or contents differ)",
+					what, term, r.name, len(r.got), cap(r.got), len(r.want), cap(r.want))
 			}
 		}
 	}
@@ -54,9 +51,9 @@ func requireSameLayout(t *testing.T, what string, a, b *Index) {
 // 1–4 through the internal entry point, forcing the count on every
 // epoch, and requires every index to match the one-share index exactly
 // after each epoch: a fill, a slide, a burst larger than the window
-// (same-epoch transients, every list rebuilt or emptied), an epoch of
-// expirations that empties every list, and a refill over the parked
-// chunks.
+// (same-epoch transients, long lists merging runs larger than pending),
+// an epoch of expirations that empties every list, and a refill over
+// the parked runs.
 func TestApplySharesIdentical(t *testing.T) {
 	const win, epoch = 1000, 64
 	synth, err := corpus.NewSynth(corpus.WSJConfig(), vsm.Cosine{})

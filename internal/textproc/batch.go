@@ -95,7 +95,7 @@ type miss struct {
 
 // trim empties buf for the next round. A buffer its last round filled
 // to at most a quarter, shrinkAfter rounds running, is reallocated at
-// twice that use first (the policy of invindex's merge scratch), so a
+// twice that use first (the policy of invindex's grouping scratch), so a
 // cold round's capacity does not stay for the engine's life; low counts
 // the rounds.
 func trim[T any](buf []T, low *int) []T {
