@@ -356,7 +356,8 @@ func (s *server) stats(w http.ResponseWriter, _ *http.Request) {
 		"counters":   s.eng.Stats(),
 		// Per-component engine heap estimate (bytes): inverted index,
 		// threshold trees, dense query state, published views; and the
-		// term dictionary, which memory_total leaves out.
+		// term dictionary and the shards' term tables, which
+		// memory_total leaves out.
 		"memory":       mem,
 		"memory_total": mem.Total(),
 		// Replication role, per-follower ack positions and lag (primary)

@@ -150,8 +150,10 @@ func TestServerEndToEnd(t *testing.T) {
 	if total := stats["memory_total"].(float64); total != sum {
 		t.Fatalf("memory_total %v != component sum %v", total, sum)
 	}
-	if v, ok := mem["dictionary_bytes"].(float64); !ok || v <= 0 {
-		t.Fatalf("memory[dictionary_bytes] = %v, want > 0", mem["dictionary_bytes"])
+	for _, comp := range []string{"dictionary_bytes", "term_table_bytes"} {
+		if v, ok := mem[comp].(float64); !ok || v <= 0 {
+			t.Fatalf("memory[%s] = %v, want > 0", comp, mem[comp])
+		}
 	}
 
 	// Delete the query.

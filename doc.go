@@ -318,13 +318,17 @@
 // the entire epoch. Zero-floor queries (every bound trivially
 // beatable) are scored during the probe itself: their shared-term
 // contributions accumulate in ascending term order — bit-identical to
-// a full evaluation — so the dominant case never touches the scoring
-// scratch map at all.
+// a full evaluation — so the dominant case never reads the document's
+// weights from the term table at all.
 //
 // Each tree is one sorted slice (16 bytes per entry, binary-search
-// updates, a contiguous prefix probe), and each query's result list R
-// is two parallel sorted slices (32 bytes per document) that release
-// their backing arrays once a tie-swollen R drains away. Query
+// updates, a contiguous prefix probe), and a shard keeps its trees by
+// value in one slice, found through the shard's vocabulary-sized term
+// table (whose entry also holds the term's weight in the document being
+// scored), so a probe does no hash lookup. Each query's result list R
+// is one slice in result order (16 bytes per document), held in the
+// query's arena slot, that releases its backing array once a
+// tie-swollen R drains away. Query
 // populations per term are Zipfian, but the head stays small: with
 // query terms drawn from the corpus Zipf (bench workload hot-terms)
 // only 14 of 3 365 trees exceed 128 entries and the largest holds

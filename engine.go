@@ -791,7 +791,8 @@ func (e *Engine) Algorithm() Algorithm { return e.cfg.algorithm }
 
 // MemoryUsage returns a per-component estimate of the inner engine's
 // heap footprint (inverted index, threshold trees, query state,
-// published views), and the term dictionary's in DictionaryBytes.
+// published views, and the shards' term tables in TermTableBytes), and
+// the term dictionary's in DictionaryBytes.
 // Unlike Stats it is computed on demand by walking structure sizes, so
 // it takes the engine lock; it is a diagnostics gauge (the itaserver
 // /stats endpoint), not a hot-path read. The Naïve baselines have no

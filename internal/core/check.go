@@ -10,8 +10,8 @@ import (
 
 // CheckInvariants verifies the floor invariants (see floor.go) for every
 // owned query, that every R member's admit list names its query (see
-// recordAdmit), plus structural consistency between the probe trees and
-// the per-query floor state of this maintainer.
+// recordAdmit), plus structural consistency between the probe trees, the
+// term table and the per-query floor state of this maintainer.
 func (m *Maintainer) CheckInvariants() error {
 	// Structural: every term's registered bound must be finite,
 	// non-negative, and exactly the floor-derived value F·fac, and tree
@@ -60,18 +60,61 @@ func (m *Maintainer) CheckInvariants() error {
 	if int(m.next) != m.n+len(m.free) {
 		return fmt.Errorf("arena high-water %d != %d live + %d free", m.next, m.n, len(m.free))
 	}
-	trees := 0
-	for _, tr := range m.trees {
-		trees += tr.Len()
-	}
-	if trees != total {
-		return fmt.Errorf("probe trees hold %d entries, queries own %d terms", trees, total)
+	if err := m.checkTrees(total); err != nil {
+		return err
 	}
 
 	var err error
 	m.eachLive(func(qs *queryState) {
 		if err == nil {
 			err = m.checkQuery(qs)
+		}
+	})
+	return err
+}
+
+// checkTrees verifies the tree slice against the term table: each
+// term-table reference names a distinct non-empty tree, every other
+// slot is an empty one on the free list, every owned query term has a
+// tree, and the trees hold terms entries in all.
+func (m *Maintainer) checkTrees(terms int) error {
+	refs := make([]int, len(m.trees))
+	for t, e := range m.termTab {
+		if e.tree == 0 {
+			continue
+		}
+		if int(e.tree) > len(m.trees) {
+			return fmt.Errorf("term %d names tree %d of %d", t, e.tree, len(m.trees))
+		}
+		if refs[e.tree-1]++; refs[e.tree-1] > 1 {
+			return fmt.Errorf("term %d shares tree %d with another term", t, e.tree)
+		}
+		if m.trees[e.tree-1].Len() == 0 {
+			return fmt.Errorf("term %d holds empty tree %d", t, e.tree)
+		}
+	}
+	for _, i := range m.freeTrees {
+		if i == 0 || int(i) > len(m.trees) || refs[i-1] != 0 || m.trees[i-1].Len() != 0 {
+			return fmt.Errorf("free tree %d is referenced, out of range or not empty", i)
+		}
+		refs[i-1] = -1
+	}
+	entries := 0
+	for i := range m.trees {
+		if refs[i] == 0 {
+			return fmt.Errorf("tree %d is neither referenced nor free", i+1)
+		}
+		entries += m.trees[i].Len()
+	}
+	if entries != terms {
+		return fmt.Errorf("probe trees hold %d entries, queries own %d terms", entries, terms)
+	}
+	var err error
+	m.eachLive(func(qs *queryState) {
+		for i := range qs.terms {
+			if t := qs.terms[i].term; err == nil && (int(t) >= len(m.termTab) || m.termTab[t].tree == 0) {
+				err = fmt.Errorf("query %d term %d has no probe tree", qs.q.ID, t)
+			}
 		}
 	})
 	return err

@@ -7,7 +7,7 @@ import (
 	"ita/internal/model"
 )
 
-// TestScoreDocMatchesModelScore checks the per-document scoring scratch
+// TestScoreDocMatchesModelScore checks scoring from the term table
 // against model.Score, bit for bit, across documents that grow it and
 // an empty document.
 func TestScoreDocMatchesModelScore(t *testing.T) {

@@ -161,6 +161,10 @@ type Memory struct {
 	// term arena. The dictionary belongs to the facade, so the engines
 	// here leave it zero, and Total does not add it.
 	DictionaryBytes uint64 `json:"dictionary_bytes"`
+	// TermTableBytes is every shard's term table: 16 bytes per
+	// vocabulary term per shard, finding a term's probe tree and holding
+	// the scored document's weights. Total does not add it.
+	TermTableBytes uint64 `json:"term_table_bytes"`
 }
 
 // Total sums the components.
@@ -178,6 +182,7 @@ func (m *Memory) Merge(o Memory) {
 	m.PostingBytes += o.PostingBytes
 	m.Postings += o.Postings
 	m.DictionaryBytes += o.DictionaryBytes
+	m.TermTableBytes += o.TermTableBytes
 }
 
 // Add accumulates o into s field-wise. ITA keeps one Stats block per

@@ -27,7 +27,8 @@ import (
 // affected-query dedup, epoch work queues) run entirely on dense ids
 // with array indexing instead of map lookups. The probe trees store
 // dense ids too, which is what lets a probe hit resolve to its query
-// state without touching any map.
+// state without touching any map, and the trees themselves live by
+// value in one slice, found through the term table (see termEntry).
 //
 // A Maintainer is not safe for concurrent use with itself; a sharded
 // ITA runs many maintainers concurrently, each on its own goroutine,
@@ -36,7 +37,13 @@ import (
 type Maintainer struct {
 	index *invindex.Index
 	stats *Stats
-	trees map[model.TermID]*threshtree.Tree
+
+	// Probe trees, by value, one per term some owned query holds; a
+	// term's termEntry.tree is 1 + its index here. An emptied tree's
+	// slot joins freeTrees for the next new term. Creating a tree can
+	// grow the slice, so no *Tree is held across a call to tree.
+	trees     []threshtree.Tree
+	freeTrees []uint32
 
 	// Dense query-state arena: stable-addressed slabs indexed by dense
 	// id, a free list for Unregister churn, and the live count. The
@@ -78,17 +85,17 @@ type Maintainer struct {
 	cands    []model.ScoredDoc
 	candsLow int
 
-	// Per-document scoring scratch: the current document's postings as a
-	// stamp-marked dense array keyed by TermID (term ids are interned
-	// densely, so the array is bounded by vocabulary size). Scoring an
-	// affected query costs one array load per query term — mark and
-	// weight share a cache line, no map hashing — and loading the next
-	// document is a plain overwrite with a fresh stamp, no clearing
-	// pass over the previous document's terms. scoreDoc reproduces
-	// model.Score's exact float summation order, so the fast path is
-	// bit-identical to the slow one.
-	docW     []docWEntry
-	docStamp uint64
+	// The term table (see termEntry), dense by TermID: term ids are
+	// interned densely, so it is bounded by vocabulary size. It finds a
+	// term's probe tree, and holds the current document's postings as
+	// stamp-marked weights. Scoring an affected query costs one array
+	// load per query term — mark and weight share a cache line, no map
+	// hashing — and loading the next document is a plain overwrite with
+	// a fresh stamp, no clearing pass over the previous document's
+	// terms. scoreDoc reproduces model.Score's exact float summation
+	// order, so the fast path is bit-identical to the slow one.
+	termTab  []termEntry
+	docStamp uint32
 
 	// Window slots (see docSlot), indexed by DocID modulo the table's
 	// power-of-two length; slotFloor is the least length a collision
@@ -172,7 +179,6 @@ func NewMaintainer(index *invindex.Index, stats *Stats, cfg MaintainerConfig) *M
 	return &Maintainer{
 		index:         index,
 		stats:         stats,
-		trees:         make(map[model.TermID]*threshtree.Tree),
 		scanStamp:     1,
 		tgtMargin:     tgt,
 		raiseMargin:   raise,
@@ -199,9 +205,9 @@ type termState struct {
 type queryState struct {
 	q     *model.Query
 	terms []termState
-	r     *topk.ResultSet
-	f     float64 // score floor F: R holds every valid doc scoring ≥ F
-	id    uint32  // own dense id (slab index)
+	r     topk.ResultSet // by value: no pointer between a slot and its R
+	f     float64        // score floor F: R holds every valid doc scoring ≥ F
+	id    uint32         // own dense id (slab index)
 	live  bool
 
 	// Publication state: whether r changed since the last Publish. The
@@ -282,18 +288,23 @@ func (m *Maintainer) eachLive(fn func(qs *queryState)) {
 // tree returns the probe tree for term t, creating it on first use.
 // Trees exist independently of inverted lists: a query term that matches
 // no valid document still needs its bound registered so future arrivals
-// can probe it.
+// can probe it. The pointer is valid until the next tree creation.
 func (m *Maintainer) tree(t model.TermID) *threshtree.Tree {
-	tr := m.trees[t]
-	if tr == nil {
-		if m.scanTrees {
-			tr = threshtree.NewScanAll()
+	m.growTerms(t)
+	e := &m.termTab[t]
+	if e.tree == 0 {
+		if n := len(m.freeTrees); n > 0 {
+			e.tree = m.freeTrees[n-1]
+			m.freeTrees = m.freeTrees[:n-1]
 		} else {
-			tr = threshtree.New()
+			m.trees = append(m.trees, threshtree.Tree{})
+			e.tree = uint32(len(m.trees))
 		}
-		m.trees[t] = tr
+		if m.scanTrees {
+			m.trees[e.tree-1] = threshtree.NewScanAll()
+		}
 	}
-	return tr
+	return &m.trees[e.tree-1]
 }
 
 // install claims a dense slot for query q and wires it into the arena,
@@ -326,7 +337,7 @@ func (m *Maintainer) install(q *model.Query, r *topk.ResultSet) *queryState {
 	if r == nil {
 		r = topk.NewResultSet(q.ID)
 	}
-	qs.r = r
+	qs.r = *r
 	m.n++
 	m.views.ensure(id)
 	m.views.lookup.Store(q.ID, id)
@@ -358,18 +369,20 @@ func (m *Maintainer) Unregister(id model.QueryID) bool {
 	}
 	for i := range qs.terms {
 		ts := &qs.terms[i]
-		if tr := m.trees[ts.term]; tr != nil {
-			tr.Remove(qs.id, ts.b)
-			m.stats.TreeUpdates++
-			if tr.Len() == 0 {
-				delete(m.trees, ts.term)
-			}
+		e := &m.termTab[ts.term]
+		tr := &m.trees[e.tree-1]
+		tr.Remove(qs.id, ts.b)
+		m.stats.TreeUpdates++
+		if tr.Len() == 0 {
+			*tr = threshtree.Tree{} // release the entries
+			m.freeTrees = append(m.freeTrees, e.tree)
+			e.tree = 0
 		}
 	}
 	m.views.lookup.Delete(id)
 	m.views.clear(qs.id)
 	qs.q = nil
-	qs.r = nil
+	qs.r = topk.ResultSet{}
 	qs.live = false
 	qs.pubDirty = false
 	qs.f = 0
@@ -394,33 +407,54 @@ func (m *Maintainer) Result(id model.QueryID) ([]model.ScoredDoc, bool) {
 	return qs.r.Top(qs.q.K), true
 }
 
-// docWEntry is one slot of the per-document scoring scratch: a term's
-// weight in the current document, valid only while mark carries the
-// current document stamp.
-type docWEntry struct {
-	mark uint64
+// termEntry is one term's slot in the term table: 1 + the index of the
+// term's probe tree in trees (0 when no owned query holds the term), and
+// the term's weight in the current document, valid only while mark
+// carries the current document stamp. The 16 bytes put a document
+// term's tree and its weight on the cache line prepDoc just wrote, so
+// collectAffected finds the tree without a hash probe.
+type termEntry struct {
+	mark uint32
+	tree uint32
 	w    float64
 }
 
-// prepDoc loads d's composition list into the scoring scratch so
-// subsequent scoreDoc calls against d are one array load per query
-// term. A term's entry is valid only under the current stamp, so stale
-// weights from earlier documents are dead without being cleared. Every
-// shard has its own vocabulary-sized scratch, so it grows to d's largest
-// term plus a sixteenth (new terms arrive at the top of the dictionary)
-// rounded up to a page, rather than by half again.
+// growTerms makes the term table cover term t. Every shard has its own
+// vocabulary-sized table, so it grows to t plus a sixteenth (new terms
+// arrive at the top of the dictionary) rounded up to a page, rather than
+// by half again.
+func (m *Maintainer) growTerms(t model.TermID) {
+	if int(t) < len(m.termTab) {
+		return
+	}
+	const perPage = 4096 / int(unsafe.Sizeof(termEntry{}))
+	need := int(t) + 1
+	grown := make([]termEntry, (need+need/16+perPage-1)/perPage*perPage)
+	copy(grown, m.termTab)
+	m.termTab = grown
+}
+
+// prepDoc loads d's composition list into the term table so subsequent
+// scoreDoc calls against d are one array load per query term. A term's
+// weight is valid only under the current stamp, so stale weights from
+// earlier documents are dead without being cleared. When the 32-bit
+// stamp wraps, every mark is cleared once, so no mark written 2^32
+// documents ago can match a reused stamp.
 func (m *Maintainer) prepDoc(d *model.Document) {
 	m.docStamp++
+	if m.docStamp == 0 {
+		for i := range m.termTab {
+			m.termTab[i].mark = 0
+		}
+		m.docStamp = 1
+	}
 	// Postings are in ascending term order: the last is the largest.
-	if n := len(d.Postings); n > 0 && int(d.Postings[n-1].Term) >= len(m.docW) {
-		const perPage = 4096 / int(unsafe.Sizeof(docWEntry{}))
-		need := int(d.Postings[n-1].Term) + 1
-		grown := make([]docWEntry, (need+need/16+perPage-1)/perPage*perPage)
-		copy(grown, m.docW)
-		m.docW = grown
+	if n := len(d.Postings); n > 0 {
+		m.growTerms(d.Postings[n-1].Term)
 	}
 	for _, p := range d.Postings {
-		m.docW[p.Term] = docWEntry{mark: m.docStamp, w: p.Weight}
+		e := &m.termTab[p.Term]
+		e.mark, e.w = m.docStamp, p.Weight
 	}
 }
 
@@ -433,8 +467,9 @@ func (m *Maintainer) prepDoc(d *model.Document) {
 func (m *Maintainer) scoreDoc(qs *queryState) float64 {
 	var s float64
 	for i := range qs.terms {
-		if t := qs.terms[i].term; int(t) < len(m.docW) && m.docW[t].mark == m.docStamp {
-			s += qs.terms[i].qw * m.docW[t].w
+		// Every query term has a tree, so the table covers it.
+		if e := &m.termTab[qs.terms[i].term]; e.mark == m.docStamp {
+			s += qs.terms[i].qw * e.w
 		}
 	}
 	return s
@@ -457,10 +492,11 @@ func (m *Maintainer) collectAffected(d *model.Document) []*queryState {
 	m.stamp++
 	stamp := m.stamp
 	for _, p := range d.Postings {
-		tr := m.trees[p.Term]
-		if tr == nil || tr.Len() == 0 {
-			continue
+		ti := m.termTab[p.Term].tree
+		if ti == 0 {
+			continue // no owned query holds the term
 		}
+		tr := &m.trees[ti-1]
 		if min, ok := tr.MinTheta(); !ok || min > p.Weight {
 			continue // O(1) whole-term skip: no bound on t is beatable
 		}
@@ -812,16 +848,18 @@ func (m *Maintainer) maintainEpoch(qs *queryState, adds []*model.Document, addSc
 }
 
 // MemoryUsage reports the maintainer's estimated per-component heap
-// footprint: probe trees, dense query state (arena slabs, term vectors,
-// result sets) and the published view slots. The inverted index is
-// owned by the coordinator and accounted there.
+// footprint: probe trees (the slice, its free list and every tree's
+// entries), dense query state (arena slabs, term vectors, result sets,
+// window slots), the published view slots and the term table. The
+// inverted index is owned by the coordinator and accounted there.
 func (m *Maintainer) MemoryUsage() Memory {
 	var mem Memory
-	for _, tr := range m.trees {
-		mem.TreeBytes += tr.MemoryBytes()
+	mem.TreeBytes = uint64(cap(m.trees))*uint64(unsafe.Sizeof(threshtree.Tree{})) +
+		uint64(cap(m.freeTrees))*uint64(unsafe.Sizeof(uint32(0)))
+	for i := range m.trees {
+		mem.TreeBytes += m.trees[i].MemoryBytes()
 	}
-	// The trees map itself.
-	mem.TreeBytes += uint64(len(m.trees)) * 48
+	mem.TermTableBytes = uint64(cap(m.termTab)) * uint64(unsafe.Sizeof(termEntry{}))
 	mem.QueryStateBytes += uint64(len(m.slabs)) * uint64(unsafe.Sizeof(stateSlab{}))
 	m.eachLive(func(qs *queryState) {
 		mem.QueryStateBytes += uint64(cap(qs.terms)) * uint64(unsafe.Sizeof(termState{}))

@@ -335,9 +335,6 @@ func TestApplyBatchAllocations(t *testing.T) {
 	}{{64, 8, 16 << 10}, {1, 1, 2 << 10}} {
 		const window, steps = 10000, 100
 		step := slider(t, window, c.epoch)
-		for range window / c.epoch {
-			step()
-		}
 		if got := testing.AllocsPerRun(steps, step); got > c.allocs {
 			t.Errorf("%d-document epoch: %v allocations, want at most %v", c.epoch, got, c.allocs)
 		}

@@ -40,10 +40,12 @@ func BenchmarkListChurn(b *testing.B) {
 }
 
 // slider fills an index with WSJ-shaped documents to a window of the
-// given size, in epochs of the given size, and returns a step that
-// slides it by one more epoch. The documents that expire are recycled
-// as the next epoch's arrivals, so a step allocates only what the index
-// does.
+// given size, in epochs of the given size, slides it one more window,
+// and returns a step that slides it by one more epoch. The documents
+// that expire are recycled as the next epoch's arrivals, so a step
+// allocates only what the index does. The second window is what makes
+// the step a steady-state one: the first slide after the fill is where
+// lists outgrow their fill-time capacity.
 func slider(tb testing.TB, window, epoch int) (step func()) {
 	synth, err := corpus.NewSynth(corpus.WSJConfig(), vsm.Cosine{})
 	if err != nil {
@@ -75,7 +77,7 @@ func slider(tb testing.TB, window, epoch int) (step func()) {
 	for i := range batch {
 		batch[i] = new(model.Document)
 	}
-	return func() {
+	step = func() {
 		arrive()
 		res, err := x.ApplyBatch(batch, expire)
 		if err != nil {
@@ -83,6 +85,10 @@ func slider(tb testing.TB, window, epoch int) (step func()) {
 		}
 		batch = res.Expired
 	}
+	for range window / epoch {
+		step()
+	}
+	return step
 }
 
 // slideWindow times slider's steps, per document.

@@ -21,7 +21,7 @@ func TestTreeMatchesScanAll(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			sorted := New()
+			sorted := new(Tree)
 			scan := NewScanAll()
 
 			type reg struct {

@@ -14,7 +14,9 @@
 //
 // A tree is one sorted slice: 16 bytes per entry, zero per-entry
 // allocation, binary-search updates plus one memmove, and a contiguous
-// prefix probe. Query populations per term are Zipfian, but even the
+// prefix probe. The zero Tree is an empty θ-ordered tree, so an engine
+// keeps its trees by value in one slice rather than as separate heap
+// objects. Query populations per term are Zipfian, but even the
 // Zipf head stays small enough for that: with query terms drawn from
 // the corpus Zipf (bench workload hot-terms) only 14 of 3 365 trees
 // exceed 128 entries and the largest holds 2 326, and with 40 000
@@ -29,7 +31,10 @@
 // it is not a production configuration.
 package threshtree
 
-import "sort"
+import (
+	"sort"
+	"unsafe"
+)
 
 // Ref identifies a query registered in a tree. The engine passes dense
 // internal query ids (see internal/core), never external QueryIDs: the
@@ -41,17 +46,12 @@ type key struct {
 	ref   Ref
 }
 
-// Tree is the probe index of one inverted list. The zero value is not
-// usable; call New or NewScanAll.
+// Tree is the probe index of one inverted list. The zero value is an
+// empty θ-ordered tree.
 type Tree struct {
 	// entries is sorted by (θ, ref), or by ref alone in scan-all mode.
 	entries []key
 	scanAll bool
-}
-
-// New returns an empty θ-ordered tree.
-func New() *Tree {
-	return &Tree{}
 }
 
 // NewScanAll returns an empty tree in entry-ordered reference mode:
@@ -59,8 +59,8 @@ func New() *Tree {
 // is a full scan. It exists so equivalence suites can prove the
 // θ-ordered prefix probe visits exactly the same queries; it is not a
 // production configuration.
-func NewScanAll() *Tree {
-	return &Tree{scanAll: true}
+func NewScanAll() Tree {
+	return Tree{scanAll: true}
 }
 
 // Len returns the number of registered bounds.
@@ -144,9 +144,8 @@ func (t *Tree) ProbeBeatable(c float64, fn func(q Ref)) {
 	}
 }
 
-// MemoryBytes estimates the tree's heap footprint: the fixed header plus
-// 16 bytes per entry of slice capacity.
+// MemoryBytes estimates the heap the tree's entries hold: 16 bytes per
+// entry of slice capacity. The Tree value itself is its holder's.
 func (t *Tree) MemoryBytes() uint64 {
-	const treeFixed = 64
-	return treeFixed + uint64(cap(t.entries))*16
+	return uint64(cap(t.entries)) * uint64(unsafe.Sizeof(key{}))
 }

@@ -25,7 +25,7 @@ func eq(a, b []Ref) bool {
 }
 
 func TestProbeBeatableReturnsPrefix(t *testing.T) {
-	tr := New()
+	tr := new(Tree)
 	// Query 1 needs at least 0.5 from this term to matter; query 2 needs
 	// 0.2; query 3 matches on any contribution (bound 0).
 	tr.Set(1, 0.5)
@@ -49,7 +49,7 @@ func TestProbeBeatableReturnsPrefix(t *testing.T) {
 func TestProbeBeatableIncludesExactBound(t *testing.T) {
 	// A contribution exactly equal to a bound can still meet it, so the
 	// probe must be inclusive: θ ≤ c matches, only θ > c is skipped.
-	tr := New()
+	tr := new(Tree)
 	tr.Set(1, 0.5)
 	if got := probeAll(tr, 0.5); !eq(got, []Ref{1}) {
 		t.Fatalf("probe at exact bound = %v, want [1]", got)
@@ -60,7 +60,7 @@ func TestProbeBeatableIncludesExactBound(t *testing.T) {
 }
 
 func TestRemoveAndLen(t *testing.T) {
-	tr := New()
+	tr := new(Tree)
 	tr.Set(1, 0.5)
 	tr.Set(2, 0.4)
 	if tr.Len() != 2 {
@@ -84,7 +84,7 @@ func TestRemoveAndLen(t *testing.T) {
 }
 
 func TestManyQueriesSameTerm(t *testing.T) {
-	tr := New()
+	tr := new(Tree)
 	for q := Ref(1); q <= 100; q++ {
 		tr.Set(q, float64(q)/100)
 	}
@@ -100,8 +100,8 @@ func TestMinTheta(t *testing.T) {
 		name string
 		new  func() *Tree
 	}{
-		{"sorted", func() *Tree { return New() }},
-		{"scan-all", func() *Tree { return NewScanAll() }},
+		{"sorted", func() *Tree { return new(Tree) }},
+		{"scan-all", func() *Tree { tr := NewScanAll(); return &tr }},
 	} {
 		t.Run(mk.name, func(t *testing.T) {
 			tr := mk.new()
@@ -123,7 +123,7 @@ func TestMinTheta(t *testing.T) {
 }
 
 func TestZeroBoundAlwaysProbed(t *testing.T) {
-	tr := New()
+	tr := new(Tree)
 	tr.Set(1, 0)
 	got := probeAll(tr, 1e-12)
 	if !eq(got, []Ref{1}) {
@@ -132,7 +132,7 @@ func TestZeroBoundAlwaysProbed(t *testing.T) {
 }
 
 func TestProbeOrderIsThetaThenRef(t *testing.T) {
-	tr := New()
+	tr := new(Tree)
 	tr.Set(5, 0.3)
 	tr.Set(2, 0.1)
 	tr.Set(9, 0.3)

@@ -188,7 +188,10 @@ func TestResultSetSteadyChurnAllocFree(t *testing.T) {
 	for name, rs := range sets {
 		next := model.DocID(1 << 20)
 		allocs := testing.AllocsPerRun(500, func() {
-			oldest := rs.docs[0].doc
+			oldest := rs.order[0].doc
+			for _, e := range rs.order {
+				oldest = min(oldest, e.doc)
+			}
 			rs.Add(next, float64(next%7))
 			rs.Remove(oldest)
 			next++

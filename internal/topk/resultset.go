@@ -3,17 +3,24 @@
 // ordered by descending score, with order-statistic access to the k-th
 // score Sk.
 //
-// R is two parallel sorted slices — (score desc, doc asc) result order
-// and doc order — at 32 bytes per document with zero per-entry
-// allocation; an update is a binary search plus one memmove in each. At
-// engine scale R holds tens of documents: k plus the floor margins,
-// since a rebuild admits only the documents that reach its new floor
-// and a floor raise trims arrivals back to it. Only ties can hold more
-// (a raise cannot pass a score its target-th member shares), so Remove
-// still releases a backing array once it is mostly empty (see shrink).
+// R is one slice in result order (score desc, doc asc) at 16 bytes per
+// document with zero per-entry allocation. At engine scale R holds tens
+// of documents: k plus the floor margins, since a rebuild admits only
+// the documents that reach its new floor and a floor raise trims
+// arrivals back to it. So an insert is a binary search plus one memmove,
+// and a membership test (Remove, Contains, Score) is a linear scan of
+// the same few cache lines the memmove touches anyway; a doc-ordered
+// twin would double R's bytes to save a scan no longer than a memmove.
+// Only ties can hold more (a raise cannot pass a score its target-th
+// member shares), so Remove still releases a backing array once it is
+// mostly empty (see shrink).
 package topk
 
-import "ita/internal/model"
+import (
+	"unsafe"
+
+	"ita/internal/model"
+)
 
 type entry struct {
 	score float64
@@ -29,21 +36,13 @@ func entryLess(a, b entry) bool {
 	return a.doc < b.doc
 }
 
-// docScore is one entry of the doc-ordered index.
-type docScore struct {
-	doc   model.DocID
-	score float64
-}
-
 // ResultSet is R for a single query. The zero value is not usable; call
 // NewResultSet.
 type ResultSet struct {
 	owner model.QueryID
 
-	// Parallel sorted slices: order is result order (score desc, doc
-	// asc); docs is ascending doc order.
+	// order is R in result order: score desc, doc asc.
 	order []entry
-	docs  []docScore
 
 	// Copy-on-publish cache: the last frozen top-k, invalidated by any
 	// mutation. Freezing an unchanged result set returns the same
@@ -87,32 +86,14 @@ func (r *ResultSet) Freeze(k int) *Frozen {
 // Len returns the number of documents in R.
 func (r *ResultSet) Len() int { return len(r.order) }
 
-// docIdx returns the doc-index position of doc and whether it is
-// present. Hand-rolled binary search: this sits on the per-event hot
-// path (every R add/remove/membership test at engine scale), where
-// sort.Search's closure call per halving step is measurable.
-func (r *ResultSet) docIdx(doc model.DocID) (int, bool) {
-	// Endpoint fast paths. Sliding-window streams with monotonically
-	// assigned document ids hit these almost always: an expiring
-	// document is the window's oldest (at or below position 0) and an
-	// arriving one its newest (past the end), so both membership tests
-	// touch one cache line instead of a log-width pointer chase through
-	// a cold slice. Non-monotonic id assignment just falls through.
-	if n := len(r.docs); n == 0 || doc <= r.docs[0].doc {
-		return 0, n > 0 && r.docs[0].doc == doc
-	} else if doc > r.docs[n-1].doc {
-		return n, false
-	}
-	lo, hi := 1, len(r.docs)-1
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.docs[mid].doc < doc {
-			lo = mid + 1
-		} else {
-			hi = mid
+// find returns doc's result-order position and whether it is present.
+func (r *ResultSet) find(doc model.DocID) (int, bool) {
+	for i := range r.order {
+		if r.order[i].doc == doc {
+			return i, true
 		}
 	}
-	return lo, lo < len(r.docs) && r.docs[lo].doc == doc
+	return -1, false
 }
 
 // orderIdx returns the result-order position of e: the first index
@@ -135,37 +116,31 @@ func (r *ResultSet) orderIdx(e entry) int {
 // is already present panics: scores are immutable while a document is in
 // the window, so a re-add indicates an engine bug.
 func (r *ResultSet) Add(doc model.DocID, score float64) {
-	r.frozen = nil
-	di, present := r.docIdx(doc)
-	if present {
+	if _, present := r.find(doc); present {
 		panic("topk: document added twice")
 	}
+	r.frozen = nil
 	e := entry{score: score, doc: doc}
-	oi := r.orderIdx(e)
+	i := r.orderIdx(e)
 	r.order = append(r.order, entry{})
-	copy(r.order[oi+1:], r.order[oi:])
-	r.order[oi] = e
-	r.docs = append(r.docs, docScore{})
-	copy(r.docs[di+1:], r.docs[di:])
-	r.docs[di] = docScore{doc: doc, score: score}
+	copy(r.order[i+1:], r.order[i:])
+	r.order[i] = e
 }
 
 // Remove deletes doc from R, reporting whether it was present.
 func (r *ResultSet) Remove(doc model.DocID) bool {
-	di, present := r.docIdx(doc)
+	i, present := r.find(doc)
 	if !present {
 		return false
 	}
 	r.frozen = nil
-	oi := r.orderIdx(entry{score: r.docs[di].score, doc: doc})
-	r.docs = append(r.docs[:di], r.docs[di+1:]...)
-	r.order = append(r.order[:oi], r.order[oi+1:]...)
+	r.order = append(r.order[:i], r.order[i+1:]...)
 	r.shrink()
 	return true
 }
 
-// shrink reallocates both slices at twice their length once they use
-// under a quarter of their capacity. Ties at the floor can grow R far
+// shrink reallocates the slice at twice its length once it uses under
+// a quarter of its capacity. Ties at the floor can grow R far
 // past its margins before expirations drain it again; without this the
 // high-water backing arrays would stay pinned for the query's lifetime.
 // Reallocating at 2·len leaves room to grow back to 2·len and shrink to
@@ -176,20 +151,19 @@ func (r *ResultSet) shrink() {
 		return
 	}
 	r.order = append(make([]entry, 0, 2*n), r.order...)
-	r.docs = append(make([]docScore, 0, 2*n), r.docs...)
 }
 
 // Score returns doc's stored score.
 func (r *ResultSet) Score(doc model.DocID) (float64, bool) {
-	if i, ok := r.docIdx(doc); ok {
-		return r.docs[i].score, true
+	if i, ok := r.find(doc); ok {
+		return r.order[i].score, true
 	}
 	return 0, false
 }
 
 // Contains reports whether doc is in R.
 func (r *ResultSet) Contains(doc model.DocID) bool {
-	_, ok := r.docIdx(doc)
+	_, ok := r.find(doc)
 	return ok
 }
 
@@ -231,9 +205,9 @@ func (r *ResultSet) Each(fn func(doc model.DocID, score float64)) {
 	}
 }
 
-// MemoryBytes estimates the result set's heap footprint: the fixed
-// header plus 16 bytes per slot of capacity in each slice.
+// MemoryBytes estimates the heap the result set's entries hold: 16
+// bytes per slot of capacity. The ResultSet value itself is its
+// holder's, and the cached frozen snapshot the published view's.
 func (r *ResultSet) MemoryBytes() uint64 {
-	const fixed = 120
-	return fixed + uint64(cap(r.order))*16 + uint64(cap(r.docs))*16
+	return uint64(cap(r.order)) * uint64(unsafe.Sizeof(entry{}))
 }
