@@ -71,6 +71,15 @@
 // IngestBatch call an epoch of its items, and every Advance an epoch of
 // expirations alone.
 //
+// Below its top k, each query keeps a margin of lower-scoring documents
+// in R, so that expirations do not force a fresh search each time the
+// top k loses a member. A refill, the search run when expirations leave
+// R with fewer than k documents, fills R to k+12 and sets the floor at
+// the (k+12)-th score; once arrivals grow R past k+20, a roll-up raises
+// the floor back to the (k+12)-th score. A registration, a caller's
+// wait, searches only to k+4. The margins change how often refills
+// run, never a result.
+//
 // The index-mutation pass of an epoch with at least 2,048 net postings
 // is split by term across up to GOMAXPROCS goroutines, the caller
 // included, which are started for that epoch and joined before it ends;

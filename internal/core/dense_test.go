@@ -207,7 +207,7 @@ func TestMemoryUsageMatchesLiveHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("registers 10 000 queries")
 	}
-	r := newEpochRig(t, 1000, 10000)
+	r := newEpochRig(t, 1000, 10000, uniformQuery)
 	m := r.m
 	mem := m.MemoryUsage()
 	live := func() uint64 {

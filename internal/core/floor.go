@@ -37,28 +37,52 @@ package core
 // prunes the Zipf-head terms where most registered queries live.
 const boundSlack = 1 - 1e-9
 
-// Floor maintenance margins. A rebuild fills R down to k+tgtMargin
-// members before setting F to the (k+tgtMargin)-th score; arrivals then
-// grow R until it passes k+tgtMargin+raiseMargin, when the floor is
-// raised back to the (k+tgtMargin)-th score and the sub-floor tail
-// purged. tgtMargin is headroom against expirations (R dropping below k
-// forces a rebuild, the expensive path); raiseMargin is hysteresis so
-// the floor — and with it every per-term tree entry — moves once per
-// raiseMargin admissions instead of once per arrival. The defaults are
-// tuned on a million-query scale sweep (window 32,768, uniform
-// dictionary queries): at 1M standing queries, {4, 8} sustains ~1.25×
-// the ingest rate of the old {16, 16} — the higher floor prunes probe
-// visits whose score lands
-// below F, and the smaller R halves the result-list memory traffic —
-// at a refill cost of ~0.2/event, which wider margins buy down to zero
-// without paying for themselves. Tighter than {2, 4} inverts the
-// trade: refills jump two orders of magnitude and dominate. Tests use
-// still-smaller margins via MaintainerConfig to exercise raises and
-// rebuilds densely in small windows.
+// Floor maintenance margins. A refill rebuilds R down to k+tgtMargin
+// members and sets F to the (k+tgtMargin)-th score; arrivals then grow R
+// until it passes k+tgtMargin+raiseMargin, when the floor is raised back
+// to the (k+tgtMargin)-th score and the sub-floor tail purged. tgtMargin
+// is headroom against expirations (R dropping below k forces a refill,
+// the expensive path); raiseMargin is hysteresis so the floor — and with
+// it every per-term tree entry — moves once per raiseMargin admissions
+// instead of once per arrival. Register's initial search stops shallower,
+// at k+min(registerMargin, tgtMargin): a registration is a caller's
+// wait, while the refill's extra depth is paid for where expirations
+// drain R, which is Yi et al.'s kmax argument (naive.go).
+//
+// The refill depth comes from a sweep of the bench's traced pass
+// (bench/run.sh -trace 1 -seed 1, register depth k+4, raise margin 8):
+// refills per 1 000 documents, list entries a search reads per
+// document, and query-state MB.
+//
+//	refill depth   hot-terms             many-queries
+//	k+4            851   435   4.40      1 209   33.4   34.5
+//	k+8            477   269   4.48        613   18.6   34.3
+//	k+12           398   239   4.58        439   13.9   34.3
+//	k+16           384   243   5.16        393   12.9   34.8
+//	k+24           379   263   5.98        380   13.6   35.2
+//
+// Going on from k+12 to k+24 saves another 5 % of refills on hot-terms
+// and 13 % on many-queries, while each refill reads more entries and
+// hot-terms' query state grows by 31 %. Register keeps k+4: its search
+// runs against a full window on every registration, and a deeper one
+// would lengthen the caller's wait to save refills the query may never
+// need.
+//
+// Tests use still-smaller margins via MaintainerConfig to exercise
+// raises and rebuilds densely in small windows.
 const (
-	defaultTargetMargin = 4
+	defaultTargetMargin = 12
 	defaultRaiseMargin  = 8
+	registerMargin      = 4
 )
+
+// registerTarget is the depth of a query's initial search.
+func (m *Maintainer) registerTarget(qs *queryState) int {
+	return qs.q.K + min(registerMargin, m.tgtMargin)
+}
+
+// refillTarget is the depth of a refill and of a floor raise.
+func (m *Maintainer) refillTarget(qs *queryState) int { return qs.q.K + m.tgtMargin }
 
 // boundFor returns the probe-tree bound of one term at floor f.
 func boundFor(f, fac float64) float64 { return f * fac }
@@ -97,16 +121,16 @@ func (m *Maintainer) purgeBelow(qs *queryState) {
 	}
 }
 
-// raiseFloor lifts the floor to the (k+tgtMargin)-th best score and
-// purges the tail below it. Soundness: the new floor is a score R
-// actually holds, every purged member scores below it, and any unseen
-// document scores at most the old floor ≤ the new one — so the
-// completeness invariant survives with the tighter bound. A raise that
-// would not move the floor (ties pinning the (k+tgtMargin)-th score at
-// F) is a no-op rather than a counted step, so a tie-heavy R cannot
-// spin the counter.
+// raiseFloor lifts the floor to the (k+tgtMargin)-th best score, the
+// refill target's, and purges the tail below it. Soundness: the new
+// floor is a score R actually holds, every purged member scores below
+// it, and any unseen document scores at most the old floor ≤ the new
+// one — so the completeness invariant survives with the tighter bound.
+// A raise that would not move the floor (ties pinning the
+// (k+tgtMargin)-th score at F) is a no-op rather than a counted step, so
+// a tie-heavy R cannot spin the counter.
 func (m *Maintainer) raiseFloor(qs *queryState) {
-	newF := qs.r.Kth(qs.q.K + m.tgtMargin)
+	newF := qs.r.Kth(m.refillTarget(qs))
 	if newF <= qs.f {
 		return
 	}

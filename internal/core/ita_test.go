@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"ita/internal/invindex"
 	"ita/internal/model"
 	"ita/internal/window"
 )
@@ -222,15 +223,101 @@ func TestITAInitialSearchKeepsMargin(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustCheck(t, e)
-	// Ten matches exceed the rebuild target k+tgtMargin, so the scan
-	// stops there: R holds the target count — a tgtMargin of
-	// below-top-k members — with the floor at the target-th score.
+	// Ten matches exceed the register target k+4, so the scan stops
+	// there: R holds the target count — four below-top-k members —
+	// with the floor at the target-th score. Register searches
+	// shallower than a refill (k+tgtMargin) does.
 	wantResult(t, e, 1, []model.ScoredDoc{{Doc: 10, Score: 0.50}, {Doc: 9, Score: 0.45}, {Doc: 8, Score: 0.40}})
 	qs := e.shards[0].m.lookup(1)
-	target := 3 + defaultTargetMargin
+	const target = 3 + 4
 	if qs.r.Len() != target || qs.f <= 0 || qs.f != qs.r.Kth(target) {
 		t.Fatalf("|R| = %d floor = %g, want %d members with the floor at the %d-th score %g",
 			qs.r.Len(), qs.f, target, target, qs.r.Kth(target))
+	}
+}
+
+// TestRefillSearchesDeeperThanRegister pins the default depths: a query
+// registers at k+4, an expiry that drains R below k refills it to k+12
+// (or to every match, at floor 0), and arrivals then grow R without a
+// floor raise until it passes k+20, when the floor rises back to the
+// (k+12)-th score. Query A's term is in all 40 documents, query B's in
+// the first 12; document i weighs (41-i)/100 for both, so the oldest
+// score best and expiring them drains both results.
+func TestRefillSearchesDeeperThanRegister(t *testing.T) {
+	const k = 3
+	index := invindex.NewIndex(0)
+	var stats Stats
+	m := NewMaintainer(index, &stats, MaintainerConfig{})
+	insert := func(d *model.Document) {
+		t.Helper()
+		if err := index.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 1; i <= 40; i++ {
+		w := float64(41-i) / 100
+		ps := []model.Posting{{Term: termA, Weight: w}}
+		if i <= 12 {
+			ps = append(ps, model.Posting{Term: termB, Weight: w})
+		}
+		insert(doc(t, model.DocID(i), i, ps...))
+	}
+	for _, q := range []*model.Query{
+		query(t, 1, k, model.QueryTerm{Term: termA, Weight: 1}),
+		query(t, 2, k, model.QueryTerm{Term: termB, Weight: 1}),
+	} {
+		if err := m.Register(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	qa, qb := m.lookup(1), m.lookup(2)
+	// depth checks that R holds n members with the floor at the n-th.
+	depth := func(qs *queryState, n int, what string) {
+		t.Helper()
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if qs.r.Len() != n || qs.f <= 0 || qs.f != qs.r.Kth(n) {
+			t.Fatalf("%s: query %d |R| = %d, floor %g; want %d members, floor at the %d-th score",
+				what, qs.q.ID, qs.r.Len(), qs.f, n, n)
+		}
+	}
+	depth(qa, k+4, "register")
+	depth(qb, k+4, "register")
+
+	// Expiring the five best leaves both with two members: each refills.
+	var expired []*model.Document
+	for range 5 {
+		expired = append(expired, index.RemoveOldest())
+	}
+	m.HandleEpoch(nil, expired)
+	if stats.Refills != 2 {
+		t.Fatalf("refills = %d, want 2", stats.Refills)
+	}
+	depth(qa, k+12, "refill")
+	// B has 7 matches left, under k+12: R holds them all at floor 0.
+	if qb.r.Len() != 7 || qb.f != 0 {
+		t.Fatalf("refill: query 2 |R| = %d, floor %g; want all 7 matches at floor 0", qb.r.Len(), qb.f)
+	}
+
+	// Arrivals above the floor grow A's R one by one; the ninth takes it
+	// past k+20 and raises the floor back to the (k+12)-th score.
+	for i := 1; i <= 9; i++ {
+		d := doc(t, model.DocID(40+i), 40+i, model.Posting{Term: termA, Weight: 0.5 + float64(i)/100})
+		insert(d)
+		floor := qa.f
+		m.HandleEpoch([]*model.Document{d}, nil)
+		if i < 9 {
+			if stats.RollupSteps != 0 || qa.f != floor || qa.r.Len() != k+12+i {
+				t.Fatalf("arrival %d: %d raises, floor %g (was %g), |R| = %d; want no raise and %d members",
+					i, stats.RollupSteps, qa.f, floor, qa.r.Len(), k+12+i)
+			}
+			continue
+		}
+		if stats.RollupSteps != 1 {
+			t.Fatalf("arrival %d: %d raises, want 1", i, stats.RollupSteps)
+		}
+		depth(qa, k+12, "raise")
 	}
 }
 

@@ -55,8 +55,9 @@ type Maintainer struct {
 	n     int    // live queries
 
 	// Floor maintenance margins (see floor.go): a refill rebuilds R down
-	// to k+tgtMargin members and a floor raise triggers past
-	// k+tgtMargin+raiseMargin.
+	// to k+tgtMargin members, a floor raise triggers past
+	// k+tgtMargin+raiseMargin, and Register searches to
+	// k+min(registerMargin, tgtMargin).
 	tgtMargin   int
 	raiseMargin int
 
@@ -67,7 +68,7 @@ type Maintainer struct {
 	scanTrees     bool // entry-ordered scan-all probe trees (equivalence reference)
 
 	// Scratch reused across events to keep steady-state processing
-	// allocation-free. Affected-query dedup and the epoch work queue
+	// allocation-free. Affected-query dedup and the epoch queue
 	// are epoch-stamped dense marks inside the query states themselves
 	// (queryState.mark/emark against stamp/estamp), so there is no map
 	// to clear between events.
@@ -104,9 +105,9 @@ type Maintainer struct {
 	slotFloor int
 	scanStamp uint64
 
-	// Epoch scratch: per-query net work lists reused across HandleEpoch
-	// calls (the inner adds/dels slices keep their capacity).
-	epochQueue []epochWork
+	// Epoch scratch: the queries whose R the current epoch changed, each
+	// once, reused across HandleEpoch calls.
+	epochQueue []*queryState
 	// epochLow tracks consecutive HandleEpoch calls that used only a
 	// small fraction of the retained scratch capacity; past a threshold
 	// the scratch shrinks back (see shrinkScratch).
@@ -134,17 +135,6 @@ const (
 )
 
 type stateSlab [slabSize]queryState
-
-// epochWork is the net effect of one epoch on one query: the arrived
-// documents whose contribution beats one of the query's bounds (with
-// their scores, computed once at probe time while the document's
-// posting map is hot) and the expired ones.
-type epochWork struct {
-	qs        *queryState
-	adds      []*model.Document
-	addScores []float64
-	dels      []*model.Document
-}
 
 // MaintainerConfig carries the tuning knobs every shard of an ITA
 // shares.
@@ -218,8 +208,7 @@ type queryState struct {
 	// epochIdx maps: a slot is "marked" exactly when its stamp equals
 	// the maintainer's current one.
 	mark  uint64 // collectAffected dedup stamp
-	emark uint64 // HandleEpoch work-queue stamp
-	eslot int32  // index into epochQueue, valid while emark is current
+	emark uint64 // HandleEpoch queue stamp: R changed this epoch
 
 	// escore accumulates the probed document's score while mark is
 	// current, for zero-floor queries only: with F = 0 every bound is 0,
@@ -352,7 +341,7 @@ func (m *Maintainer) Register(q *model.Query) error {
 		return fmt.Errorf("core: duplicate query id %d", q.ID)
 	}
 	qs := m.install(q, nil)
-	m.rebuild(qs)
+	m.rebuild(qs, m.registerTarget(qs))
 	m.markDirty(qs)
 	return nil
 }
@@ -638,13 +627,18 @@ func (m *Maintainer) HandleExpire(d *model.Document) { m.HandleEpoch(nil, []*mod
 // admitted the document, so the walk touches R holders directly instead
 // of probing the trees, whose beatable-bound visit set is a strict
 // superset of the holders. Arrivals are probed against the probe trees
-// with the epoch-start bounds, deduplicating affected queries across
-// the whole batch. Each affected query then gets one net maintenance
-// pass (maintainEpoch). Collecting before any maintenance is sound: an
-// arrival collected here that a smaller epoch would have filtered
-// (because an intra-epoch floor raise happened first) is merely extra
-// work that the epoch-end floor comparison discards, and a stale admit
-// entry merely enqueues a removal that r.Remove reports as a no-op.
+// with the epoch-start bounds, and each affected query's score is
+// computed once, at probe time, while the document's weights are in the
+// term table. Both are applied to R on the spot: every expiry is
+// removed, then every arrival reaching the query's epoch-start floor
+// added (with its admit recorded). No floor moves until every event is
+// applied, so each query sees the same operations in the same order as
+// if its events had been gathered first. A query whose R changed joins
+// the epoch queue once, and then gets at most one rebuild or floor
+// raise (settle). Probing every arrival before any floor moves is
+// sound: an arrival an intra-epoch floor raise would have filtered is
+// merely extra work that the epoch-end floor comparison discards, and a
+// stale admit entry is a removal that r.Remove reports as a no-op.
 //
 // At the epoch boundary the maintained state satisfies the floor
 // invariants whatever the epoch size, so the reported top-k does not
@@ -661,9 +655,8 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 		// Another document holding the slot means d has no admit list.
 		if s := m.at(d.ID); s.doc == d.ID {
 			for _, ref := range s.refs {
-				if qs := m.state(ref); qs.live {
-					w := m.epochFor(qs)
-					w.dels = append(w.dels, d)
+				if qs := m.state(ref); qs.live && qs.r.Remove(d.ID) {
+					m.enqueue(qs)
 				}
 			}
 			s.refs = s.refs[:0]
@@ -675,26 +668,20 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 	for _, d := range arrived {
 		m.prepDoc(d)
 		for _, qs := range m.collectAffected(d) {
-			w := m.epochFor(qs)
 			m.stats.ScoreComputations++
 			score := qs.escore
 			if qs.f != 0 {
 				score = m.scoreDoc(qs)
 			}
-			w.adds = append(w.adds, d)
-			w.addScores = append(w.addScores, score)
+			if score >= qs.f {
+				qs.r.Add(d.ID, score)
+				m.recordAdmit(d.ID, qs.id)
+				m.enqueue(qs)
+			}
 		}
 	}
-	for i := range m.epochQueue {
-		w := &m.epochQueue[i]
-		m.maintainEpoch(w.qs, w.adds, w.addScores, w.dels)
-		// Drop the document references (keeping capacity): otherwise the
-		// scratch pins one burst's worth of expired documents until a
-		// future epoch happens to reuse every slot to the same depth.
-		w.qs = nil
-		clear(w.adds)
-		clear(w.dels)
-		w.adds, w.addScores, w.dels = w.adds[:0], w.addScores[:0], w.dels[:0]
+	for _, qs := range m.epochQueue {
+		m.settle(qs)
 	}
 	used := len(m.epochQueue)
 	m.epochQueue = m.epochQueue[:0]
@@ -703,8 +690,8 @@ func (m *Maintainer) HandleEpoch(arrived, expired []*model.Document) {
 
 // shrinkScratch bounds the retained capacity of the epoch and touched
 // scratch buffers. One unusually large epoch (a burst, a catch-up
-// replay) would otherwise pin its high-water capacity — including every
-// inner adds/dels backing array — for the maintainer's lifetime.
+// replay) would otherwise pin its high-water capacity for the
+// maintainer's lifetime.
 func (m *Maintainer) shrinkScratch(used int) {
 	old := cap(m.epochQueue)
 	m.epochQueue = reuse(m.epochQueue, used, &m.epochLow)
@@ -735,24 +722,13 @@ func reuse[T any](buf []T, used int, low *int) []T {
 	return make([]T, 0, max(used*2, minCap))
 }
 
-// epochFor returns the epoch work entry for qs, creating it on first
-// touch. Entries live in a reusable queue so steady-state epochs do not
-// allocate; membership is the emark stamp in the dense slot.
-func (m *Maintainer) epochFor(qs *queryState) *epochWork {
-	if qs.emark == m.estamp {
-		return &m.epochQueue[qs.eslot]
+// enqueue adds qs, whose R the epoch changed, to the epoch queue unless
+// it is there already; membership is the emark stamp in the dense slot.
+func (m *Maintainer) enqueue(qs *queryState) {
+	if qs.emark != m.estamp {
+		qs.emark = m.estamp
+		m.epochQueue = append(m.epochQueue, qs)
 	}
-	qs.emark = m.estamp
-	i := len(m.epochQueue)
-	qs.eslot = int32(i)
-	if i < cap(m.epochQueue) {
-		m.epochQueue = m.epochQueue[:i+1]
-		w := &m.epochQueue[i]
-		w.qs, w.adds, w.addScores, w.dels = qs, w.adds[:0], w.addScores[:0], w.dels[:0]
-	} else {
-		m.epochQueue = append(m.epochQueue, epochWork{qs: qs})
-	}
-	return &m.epochQueue[i]
 }
 
 // markDirty records that a query's result may have changed since the
@@ -810,38 +786,20 @@ func (m *Maintainer) Publish() {
 // Views returns the maintainer's published read handle.
 func (m *Maintainer) Views() *Views { return &m.views }
 
-// maintainEpoch is the net-effect maintenance of one query for one
-// epoch: all expirations are removed from R and all floor-reaching
-// arrivals added (scores were computed at probe time), then at most one
+// settle finishes one epoch for a query whose R it changed: at most one
 // rebuild (only when the removals actually left the top-k deficient —
-// additions may have already repaired it) or one floor raise runs,
-// instead of one of each per event. A query whose R the epoch left
-// untouched — every removal a stale admit entry, every arrival below
-// the floor — still satisfies both invariants and needs neither a pass
-// nor a publication.
-func (m *Maintainer) maintainEpoch(qs *queryState, adds []*model.Document, addScores []float64, dels []*model.Document) {
-	changed := false
-	for _, d := range dels {
-		if qs.r.Remove(d.ID) {
-			changed = true
-		}
-	}
-	for i, d := range adds {
-		if s := addScores[i]; s >= qs.f {
-			qs.r.Add(d.ID, s)
-			m.recordAdmit(d.ID, qs.id)
-			changed = true
-		}
-	}
-	if !changed {
-		return
-	}
+// additions may have already repaired it) or one floor raise, instead of
+// one of each per event. A query whose R the epoch left untouched —
+// every removal a stale admit entry, every arrival below the floor —
+// still satisfies both invariants and needs neither a pass nor a
+// publication.
+func (m *Maintainer) settle(qs *queryState) {
 	m.markDirty(qs)
 	k := qs.q.K
 	switch {
 	case qs.r.Len() < k && qs.f > 0:
 		m.stats.Refills++
-		m.rebuild(qs)
+		m.rebuild(qs, m.refillTarget(qs))
 	case m.rollupEnabled && qs.r.Len() > k+m.tgtMargin+m.raiseMargin:
 		m.raiseFloor(qs)
 	}

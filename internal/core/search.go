@@ -6,19 +6,19 @@ import (
 )
 
 // rebuild recomputes R and the score floor from the inverted lists with
-// a threshold-algorithm scan, used both for the initial top-k
-// computation at Register and for refills after an expiration leaves R
-// with fewer than k members. It consumes inverted-list entries from the
-// heads downwards — greedily from the list with the highest w_{Q,t}·c_t,
-// where c_t is the impact of the next unread entry — scoring each newly
-// encountered document (R's members are skipped: their stored scores
-// are exact, so the surviving high region of R is never re-scored),
-// until either
+// a threshold-algorithm scan to depth target. It serves both the initial
+// top-k computation at Register (target = k+min(4, tgtMargin), see
+// registerTarget) and refills after an expiration leaves R with fewer
+// than k members (target = k+tgtMargin, see floor.go). It consumes
+// inverted-list entries from the heads downwards — greedily from the
+// list with the highest w_{Q,t}·c_t, where c_t is the impact of the next
+// unread entry — scoring each newly encountered document (R's members
+// are skipped: their stored scores are exact, so the surviving high
+// region of R is never re-scored), until either
 //
-//   - R and the scored documents number at least target = k+tgtMargin
-//     and τ = Σ w_{Q,t}·c_t has dropped to at most the target-th best
-//     score among them (every unseen document provably scores below
-//     it), or
+//   - R and the scored documents number at least target and τ = Σ
+//     w_{Q,t}·c_t has dropped to at most the target-th best score among
+//     them (every unseen document provably scores below it), or
 //   - every list is exhausted (each matching document has been seen).
 //
 // The scan costs O(entries read × log target), not O(entries read ×
@@ -41,8 +41,7 @@ import (
 // follow the floor, R's members below it are purged, and only the
 // candidates scoring ≥ F (ties included) join R and their admit lists;
 // the rest count as RollupDrops, like the purged members.
-func (m *Maintainer) rebuild(qs *queryState) {
-	target := qs.q.K + m.tgtMargin
+func (m *Maintainer) rebuild(qs *queryState, target int) {
 	n := len(qs.terms)
 	// Reuse the maintainer's scratch: rebuilds run at most once per
 	// affected query per epoch, and rebuild is never reentered.

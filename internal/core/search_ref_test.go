@@ -17,9 +17,8 @@ import (
 // dedup set and supplies the target-th score of the stop test, and
 // purgeBelow afterwards drops everything below the new floor. It is the
 // reference rebuild must reproduce exactly: same R, floor, bounds and
-// counters.
-func rebuildPerRead(m *Maintainer, qs *queryState) {
-	target := qs.q.K + m.tgtMargin
+// counters. target is the scan depth the caller's rebuild uses.
+func rebuildPerRead(m *Maintainer, qs *queryState, target int) {
 	n := len(qs.terms)
 	iters := make([]invindex.Iterator, n)
 	for i := range qs.terms {
@@ -81,15 +80,18 @@ func rebuildPerRead(m *Maintainer, qs *queryState) {
 	m.purgeBelow(qs)
 }
 
-// refRegister is Register with the reference rebuild.
+// refRegister is Register with the reference rebuild, to the register
+// target.
 func refRegister(m *Maintainer, q *model.Query) {
-	rebuildPerRead(m, m.install(q, nil))
+	qs := m.install(q, nil)
+	rebuildPerRead(m, qs, m.registerTarget(qs))
 }
 
 // refExpire is an expiration-only HandleEpoch with the reference
-// rebuild: it is maintainEpoch without arrivals, applied to every live
-// query (a superset of the admit lists' holders; removing a non-member
-// is a no-op there too).
+// rebuild, refilling to the refill target: every expiry is removed from
+// every live query's R (a superset of the admit lists' holders;
+// removing a non-member is a no-op there too), and each changed query
+// is settled.
 func refExpire(m *Maintainer, expired []*model.Document) {
 	m.eachLive(func(qs *queryState) {
 		changed := false
@@ -104,7 +106,7 @@ func refExpire(m *Maintainer, expired []*model.Document) {
 		switch k := qs.q.K; {
 		case qs.r.Len() < k && qs.f > 0:
 			m.stats.Refills++
-			rebuildPerRead(m, qs)
+			rebuildPerRead(m, qs, m.refillTarget(qs))
 		case m.rollupEnabled && qs.r.Len() > k+m.tgtMargin+m.raiseMargin:
 			m.raiseFloor(qs)
 		}

@@ -3,13 +3,18 @@ package ita
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"ita/internal/core"
+	"ita/internal/model"
 	"ita/internal/wal"
+	"ita/internal/window"
 )
 
 // On-disk format compatibility. The repository owes one format:
@@ -190,6 +195,136 @@ func TestOpenCheckpointFromEitherLayout(t *testing.T) {
 			requireFixtureEngine(t, e)
 		})
 	}
+}
+
+// TestRestoreEvolvesUnderCurrentMargins restores snapshots that engines
+// with the old floor margins took (refills to k+4, raises past k+12)
+// and ingests two more windows under the current ones: the seed-99
+// fixture, whose six-document window leaves every floor at 0, and a
+// snapshot taken with those margins over a 40-document window, whose
+// floors are positive, so the restored engine must refill them. Neither
+// invariant depends on the margins, so after every epoch the restored
+// engine must pass CheckInvariants, and every query's top-k must equal
+// that of an Oracle fed the restored window and the same documents.
+func TestRestoreEvolvesUnderCurrentMargins(t *testing.T) {
+	t.Run("fixture", func(t *testing.T) {
+		data, err := os.ReadFile(seedFixturePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		evolveAgainstOracle(t, data, 6, 9)
+	})
+	t.Run("old-margins", func(t *testing.T) {
+		e := newEngine(t, WithCountWindow(40), withFloorMargins(4, 8))
+		defer e.Close()
+		if _, err := e.Register("crude oil market", 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Register("solar turbine grid", 2); err != nil {
+			t.Fatal(err)
+		}
+		// Strong matches fill the window and set the floors; the weak
+		// ones ingested after the restore score below them, so expiring
+		// the strong ones drains R.
+		rng := rand.New(rand.NewSource(99))
+		for i := range 40 {
+			if _, err := e.IngestText(marginText(rng, 6), at((i+1)*10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := e.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if refills := evolveAgainstOracle(t, buf.Bytes(), 40, 41); refills == 0 {
+			t.Fatal("no refill after the restore: the old floors were never drained")
+		}
+	})
+}
+
+// marginText draws a text from the restore tests' vocabulary: n of the
+// six query words, then noise words up to six in all. Texts with more
+// query words score higher.
+func marginText(rng *rand.Rand, n int) string {
+	query := []string{"crude", "oil", "market", "solar", "turbine", "grid"}
+	noise := []string{"export", "refinery", "futures", "storage", "pipeline", "tanker"}
+	words := make([]string, 0, 6)
+	for range n {
+		words = append(words, query[rng.Intn(len(query))])
+	}
+	for len(words) < 6 {
+		words = append(words, noise[rng.Intn(len(noise))])
+	}
+	return strings.Join(words, " ")
+}
+
+// evolveAgainstOracle restores data, an engine over a count window of
+// the given size with queries 1 and 2, ingests two windows of documents
+// from the first'th ten-millisecond tick on, checks the invariants and
+// both top-ks against an Oracle after every epoch, and returns the
+// refills the restored engine ran. Each new document holds one query
+// word.
+func evolveAgainstOracle(t *testing.T, data []byte, size, first int) uint64 {
+	t.Helper()
+	r, err := Restore(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	defer r.Close()
+	eng := r.inner.(*core.ITA)
+	o := core.NewOracle(window.Count{N: size})
+	eng.EachQuery(func(q *model.Query) {
+		if err := o.Register(q); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var restored []*model.Document
+	eng.EachDoc(func(d *model.Document) { restored = append(restored, d) })
+	for _, d := range restored {
+		if err := o.Process(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(step string) {
+		t.Helper()
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		for _, q := range []QueryID{1, 2} {
+			got := r.Results(q)
+			for i := range got {
+				got[i].Text = ""
+			}
+			ranked, _ := o.Result(q)
+			want := make([]Match, len(ranked))
+			for i, sd := range ranked {
+				want[i] = Match{Doc: sd.Doc, Score: sd.Score}
+			}
+			if err := sameTopK(got, want); err != nil {
+				t.Fatalf("%s, query %d: %v", step, q, err)
+			}
+		}
+	}
+	check("restored")
+	before := r.Stats().Refills
+	rng := rand.New(rand.NewSource(int64(size)))
+	for i := range 2 * size {
+		id, err := r.IngestText(marginText(rng, 1), at((first+i)*10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var d *model.Document
+		eng.EachDoc(func(x *model.Document) {
+			if x.ID == id {
+				d = x
+			}
+		})
+		if err := o.Process(d); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("document %d", id))
+	}
+	return r.Stats().Refills - before
 }
 
 // fixtureSnapshot returns the decoded current snapshot of
