@@ -39,6 +39,44 @@ func TestReadsAcquireNoEngineLock(t *testing.T) {
 	}
 }
 
+// TestReadPathAllocations pins what the published read path allocates:
+// Results copies the frozen view into the one caller-owned slice it
+// returns, and QueryText reads the text off the same snapshot with no
+// allocation at all, for ITA and NaivePlain, with and without text
+// retention. The query id is past 255 so that boxing it into an
+// interface would allocate and show.
+func TestReadPathAllocations(t *testing.T) {
+	for _, a := range []Algorithm{IncrementalThreshold, NaivePlain} {
+		for _, retain := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/retain=%v", a, retain), func(t *testing.T) {
+				opts := []Option{WithCountWindow(8), WithAlgorithm(a)}
+				if retain {
+					opts = append(opts, WithTextRetention())
+				}
+				e := newEngine(t, opts...)
+				const q = QueryID(1000)
+				if err := e.RegisterWithID(q, "solar turbine", 2); err != nil {
+					t.Fatal(err)
+				}
+				for i, text := range []string{"solar turbine output", "turbine blades", "solar panels"} {
+					if _, err := e.IngestText(text, at(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := e.Results(q); len(got) != 2 || (got[0].Text != "") != retain {
+					t.Fatalf("Results = %v", got)
+				}
+				if got := testing.AllocsPerRun(200, func() { e.Results(q) }); got != 1 {
+					t.Errorf("Results allocates %.2f times per call, want 1", got)
+				}
+				if got := testing.AllocsPerRun(200, func() { e.QueryText(q) }); got != 0 {
+					t.Errorf("QueryText allocates %.2f times per call, want 0", got)
+				}
+			})
+		}
+	}
+}
+
 func testReadsAcquireNoEngineLock(t *testing.T, a Algorithm) {
 	e := newEngine(t, WithCountWindow(8), WithTextRetention(), WithAlgorithm(a))
 	q, err := e.Register("solar turbine", 2)

@@ -121,7 +121,8 @@
 // engine lock. At every publication boundary — an ingest epoch,
 // Register, Unregister, Advance, and restore —
 // the engine publishes an immutable view of each changed query's top-k
-// (a frozen copy-on-publish snapshot), a
+// (a frozen copy-on-publish snapshot that carries the query itself, so
+// QueryText reads the same snapshot as Results), a
 // copy-on-write snapshot of the retained texts, and frozen operation
 // counters; the facade swaps one atomic pointer. A read loads that
 // pointer and copies off-lock, so serving throughput is independent of
@@ -307,13 +308,13 @@
 // result list — recycled through a free list when the query
 // unregisters. External ids appear exactly at the API boundary: one
 // concurrent ext→dense lookup (shared between the write path and the
-// wait-free readers) translates on the way in, and published result
-// snapshots carry their owning external id so a reader racing a slot
-// reuse can never observe another query's view. Everything below that
-// boundary — threshold-tree entries, affected-query deduplication,
-// epoch work queues, publication slots — is dense-id array indexing
-// with no per-event map traffic, and identical query texts share one
-// immutable term vector.
+// wait-free readers) translates on the way in, and a published result
+// snapshot carries its query (id, k, terms and text), so a reader
+// racing a slot reuse checks the query id and can never observe another
+// query's view. Everything below that boundary — threshold-tree
+// entries, affected-query deduplication, epoch work queues,
+// publication slots — is dense-id array indexing with no per-event map
+// traffic, and the facade keeps no per-query table of its own.
 //
 // The per-term threshold trees are θ-ordered: each (query, term) entry
 // carries the score threshold θ the term's contribution must beat,

@@ -30,6 +30,7 @@ func (e *Engine) crashForTest() {
 // equivalence is asserted over.
 type engineState struct {
 	Results   []QueryResult
+	Texts     []string // each query's QueryText, in Results order
 	Stats     Stats
 	Queries   int
 	Window    int
@@ -42,8 +43,14 @@ func captureState(e *Engine) engineState {
 	e.mu.Lock()
 	nextDoc, nextQuery := e.nextDoc, e.nextQuery
 	e.mu.Unlock()
+	results := e.ResultsAll()
+	texts := make([]string, len(results))
+	for i, r := range results {
+		texts[i], _ = e.QueryText(r.Query)
+	}
 	return engineState{
-		Results:   e.ResultsAll(),
+		Results:   results,
+		Texts:     texts,
 		Stats:     e.Stats(),
 		Queries:   e.Queries(),
 		Window:    e.WindowLen(),
@@ -203,6 +210,60 @@ func TestReopenAfterCleanClose(t *testing.T) {
 	}
 	defer r.Close()
 	requireSameState(t, captureState(r), captureState(ref), "after clean close")
+}
+
+// TestUnregisterDurable is TestUnregister on a durable engine: an
+// Unregister that finds no query, whether already unregistered or never
+// registered, decides so before logging and leaves the segment as it
+// was, and the log reopens to the same state.
+func TestUnregisterDurable(t *testing.T) {
+	dir := t.TempDir()
+	e, err := Open(dir, WithCountWindow(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	segSize := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(wal.SegmentPath(dir, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	q, err := e.Register("energy prices", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := segSize()
+	if !e.Unregister(q) {
+		t.Fatal("Unregister failed")
+	}
+	logged := segSize()
+	if logged <= before {
+		t.Fatalf("Unregister logged nothing: segment %d -> %d bytes", before, logged)
+	}
+	if e.Unregister(q) {
+		t.Fatal("double Unregister succeeded")
+	}
+	if e.Unregister(q + 100) {
+		t.Fatal("Unregister of a never-registered id succeeded")
+	}
+	if got := segSize(); got != logged {
+		t.Fatalf("no-op Unregisters grew the segment from %d to %d bytes", logged, got)
+	}
+	want := captureState(e)
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	requireSameState(t, captureState(r), want, "after unregisters")
+	if r.Queries() != 0 {
+		t.Fatalf("Queries = %d after reopen", r.Queries())
+	}
 }
 
 // TestReopenAfterUnmarkedRecord: a crash between an operation's record

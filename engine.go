@@ -61,18 +61,8 @@ type Engine struct {
 	nextDoc   model.DocID
 	nextQuery model.QueryID
 	lastAt    time.Time
-	queryText sync.Map // QueryID → string; read off-lock by QueryText
 	texts     *textRing
 	watches   map[QueryID]*watchState
-
-	// interned shares one immutable term vector across every live query
-	// registered with the same text. Real query populations are heavily
-	// duplicated (the same alert text registered by many users), and the
-	// analysis pipeline is deterministic — identical text always yields
-	// the identical sorted, weighted vector — so duplicates can share
-	// one backing array. Entries are refcounted and dropped when the
-	// last query with that text unregisters.
-	interned map[string]*internEntry
 
 	// wal is the durability attachment (nil for in-memory engines):
 	// mutating operations append records before applying, epoch
@@ -514,14 +504,11 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 	if len(counts) == 0 {
 		return 0, ErrNoQueryTerms
 	}
-	terms := e.internedTermsLocked(queryText)
-	if terms == nil {
-		terms = e.cfg.weighter.WeighQuery(counts)
-	}
-	q, err := model.NewQuery(id, k, terms)
+	q, err := model.NewQuery(id, k, e.cfg.weighter.WeighQuery(counts))
 	if err != nil {
 		return 0, fmt.Errorf("ita: analyze query: %w", err)
 	}
+	q.Text = queryText
 	// Log before apply; the record carries the id the apply will assign
 	// so recovery can verify replay determinism.
 	if err := e.walAppendLocked(&wal.Record{
@@ -533,8 +520,6 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 		return 0, err
 	}
 	e.nextQuery = id + 1
-	e.queryText.Store(id, queryText)
-	e.internStoreLocked(queryText, q.Terms)
 	// Make the new query's initial result visible to wait-free readers.
 	e.publishLocked()
 	return id, e.walBoundaryLocked()
@@ -611,45 +596,6 @@ func (e *Engine) NextQueryID() QueryID {
 	return e.nextQuery
 }
 
-type internEntry struct {
-	terms []model.QueryTerm
-	refs  int
-}
-
-// internedTermsLocked returns the canonical shared term vector of a
-// query text, nil when no live query uses it. Must be called with e.mu
-// held.
-func (e *Engine) internedTermsLocked(text string) []model.QueryTerm {
-	if ent, ok := e.interned[text]; ok {
-		return ent.terms
-	}
-	return nil
-}
-
-// internStoreLocked records one more live query using terms as the
-// canonical vector for text. Must be called with e.mu held, after the
-// registration has succeeded.
-func (e *Engine) internStoreLocked(text string, terms []model.QueryTerm) {
-	if e.interned == nil {
-		e.interned = make(map[string]*internEntry)
-	}
-	if ent, ok := e.interned[text]; ok {
-		ent.refs++
-		return
-	}
-	e.interned[text] = &internEntry{terms: terms, refs: 1}
-}
-
-// internReleaseLocked drops one live reference to a query text's
-// interned vector. Must be called with e.mu held.
-func (e *Engine) internReleaseLocked(text string) {
-	if ent, ok := e.interned[text]; ok {
-		if ent.refs--; ent.refs <= 0 {
-			delete(e.interned, text)
-		}
-	}
-}
-
 // Unregister removes a query and any watcher on it, reporting whether
 // the query existed.
 func (e *Engine) Unregister(id QueryID) bool {
@@ -668,8 +614,9 @@ func (e *Engine) Unregister(id QueryID) bool {
 func (e *Engine) unregisterLocked(id QueryID) bool {
 	// An unknown id is decided before anything is logged, so replay makes
 	// the same decision from the same state and no-op unregisters never
-	// reach the log.
-	if _, known := e.queryText.Load(id); !known {
+	// reach the log. Under e.mu the published boundary is the current
+	// state: every mutation publishes before it releases the lock.
+	if _, known := e.pub.Load().reader.Result(id); !known {
 		return false
 	}
 	// A WAL append error on a live query is the one case the API cannot
@@ -683,10 +630,6 @@ func (e *Engine) unregisterLocked(id QueryID) bool {
 		e.wal.log.Poison(err)
 		return false
 	}
-	if text, ok := e.queryText.Load(id); ok {
-		e.internReleaseLocked(text.(string))
-	}
-	e.queryText.Delete(id)
 	e.dropWatchLocked(id)
 	ok := e.inner.Unregister(id)
 	// Make the removal visible to wait-free readers: until this publish,
@@ -766,14 +709,15 @@ func (e *Engine) matches(ps *publishedState, f *topk.Frozen) []Match {
 	return out
 }
 
-// QueryText returns the original text a query was registered with. It
-// never acquires the engine lock.
+// QueryText returns the original text a query was registered with.
+// Like Results it is wait-free: the text rides the query's published
+// snapshot.
 func (e *Engine) QueryText(id QueryID) (string, bool) {
-	s, ok := e.queryText.Load(id)
+	f, ok := e.pub.Load().reader.Result(id)
 	if !ok {
 		return "", false
 	}
-	return s.(string), true
+	return f.Query.Text, true
 }
 
 // WindowLen returns the number of currently valid documents.

@@ -71,8 +71,8 @@ func TestDenseIDReuse(t *testing.T) {
 			if fmt.Sprint(f.Docs) != fmt.Sprint(r) {
 				t.Fatalf("round %d: query %d: published %v, locked %v", round, id, f.Docs, r)
 			}
-			if f.Query != id {
-				t.Fatalf("round %d: query %d: published snapshot owned by %d", round, id, f.Query)
+			if f.Query.ID != id {
+				t.Fatalf("round %d: query %d: published snapshot owned by %d", round, id, f.Query.ID)
 			}
 		}
 		// Unregister the odd half; their ids must go fully dark even
@@ -102,7 +102,7 @@ func TestDenseIDReuse(t *testing.T) {
 			if fmt.Sprint(r) != fmt.Sprint(want[id]) {
 				t.Fatalf("round %d: survivor %d result changed: %v vs %v", round, id, r, want[id])
 			}
-			if f, ok := reader.Result(id); !ok || f.Query != id {
+			if f, ok := reader.Result(id); !ok || f.Query.ID != id {
 				t.Fatalf("round %d: survivor %d published view corrupted", round, id)
 			}
 		}

@@ -299,9 +299,9 @@ func (m *Maintainer) tree(t model.TermID) *threshtree.Tree {
 // install claims a dense slot for query q and wires it into the arena,
 // lookup, and probe trees (with zero bounds: floor 0 until the caller
 // sets one). Shared by Register and RestoreQuery; r is the query's
-// result set (nil builds a fresh empty one — RestoreQuery passes the
+// result set (Register passes the empty set, RestoreQuery the
 // prevalidated set it already built).
-func (m *Maintainer) install(q *model.Query, r *topk.ResultSet) *queryState {
+func (m *Maintainer) install(q *model.Query, r topk.ResultSet) *queryState {
 	id := m.alloc()
 	qs := m.state(id)
 	qs.q = q
@@ -323,10 +323,7 @@ func (m *Maintainer) install(q *model.Query, r *topk.ResultSet) *queryState {
 		m.tree(qs.terms[i].term).Set(id, 0)
 		m.stats.TreeUpdates++
 	}
-	if r == nil {
-		r = topk.NewResultSet(q.ID)
-	}
-	qs.r = *r
+	qs.r = r
 	m.n++
 	m.views.ensure(id)
 	m.views.lookup.Store(q.ID, id)
@@ -340,7 +337,7 @@ func (m *Maintainer) Register(q *model.Query) error {
 	if m.Has(q.ID) {
 		return fmt.Errorf("core: duplicate query id %d", q.ID)
 	}
-	qs := m.install(q, nil)
+	qs := m.install(q, topk.ResultSet{})
 	m.rebuild(qs, m.registerTarget(qs))
 	m.markDirty(qs)
 	return nil
@@ -754,7 +751,7 @@ func (m *Maintainer) markDirty(qs *queryState) {
 func (m *Maintainer) WarmViews() {
 	for _, qs := range m.pubDirty {
 		if qs.live && qs.pubDirty {
-			qs.r.Freeze(qs.q.K)
+			qs.r.Freeze(qs.q)
 		}
 	}
 }
@@ -775,7 +772,7 @@ func (m *Maintainer) Publish() {
 	}
 	for i, qs := range m.pubDirty {
 		if qs.live && qs.pubDirty {
-			m.views.publish(qs.id, qs.r.Freeze(qs.q.K))
+			m.views.publish(qs.id, qs.r.Freeze(qs.q))
 		}
 		qs.pubDirty = false
 		m.pubDirty[i] = nil // drop the reference: don't pin dead queries

@@ -51,7 +51,7 @@ func (v *naiveViews) Each(fn func(id model.QueryID, top *topk.Frozen)) {
 
 type naiveState struct {
 	q    *model.Query
-	view *topk.ResultSet
+	view topk.ResultSet
 	kmax int
 	// fence is the least upper bound on the score of any valid document
 	// outside the view: min of the initial top-kmax at the last rescan,
@@ -114,7 +114,6 @@ func (e *Naive) Register(q *model.Query) error {
 	}
 	st := &naiveState{
 		q:    q,
-		view: topk.NewResultSet(q.ID),
 		kmax: e.kmaxFn(q.K),
 	}
 	if st.kmax < q.K {
@@ -185,7 +184,7 @@ func (e *Naive) ProcessEpoch(docs []*model.Document) error {
 func (e *Naive) PublishViews() ViewReader {
 	m := make(map[model.QueryID]*topk.Frozen, len(e.queries))
 	for id, st := range e.queries {
-		m[id] = st.view.Freeze(st.q.K)
+		m[id] = st.view.Freeze(st.q)
 	}
 	e.views.cur.Store(&m)
 	return &e.views
@@ -221,7 +220,7 @@ func (e *Naive) expireWhile(now time.Time) {
 // the kmax highest-scoring documents.
 func (e *Naive) rescan(st *naiveState) {
 	e.stats.Rescans++
-	st.view = topk.NewResultSet(st.q.ID)
+	st.view = topk.ResultSet{}
 	e.store.Docs(func(d *model.Document) {
 		e.stats.ScoreComputations++
 		score := model.Score(st.q, d)

@@ -9,6 +9,7 @@ import (
 
 	"ita/internal/invindex"
 	"ita/internal/model"
+	"ita/internal/topk"
 )
 
 // rebuildPerRead is the threshold-algorithm scan as it was before the
@@ -83,7 +84,7 @@ func rebuildPerRead(m *Maintainer, qs *queryState, target int) {
 // refRegister is Register with the reference rebuild, to the register
 // target.
 func refRegister(m *Maintainer, q *model.Query) {
-	qs := m.install(q, nil)
+	qs := m.install(q, topk.ResultSet{})
 	rebuildPerRead(m, qs, m.registerTarget(qs))
 }
 

@@ -67,7 +67,7 @@ func (m *Maintainer) RestoreQuery(q *model.Query, st QueryState) error {
 	// All-or-nothing: validate into locals first, claim an arena slot
 	// and mutate shared structures only afterwards, so a rejected state
 	// leaves the maintainer untouched.
-	r := topk.NewResultSet(q.ID)
+	var r topk.ResultSet
 	for _, sd := range st.R {
 		if sd.Score < st.F {
 			return fmt.Errorf("core: restore query %d: result doc %d scores %g below floor %g", q.ID, sd.Doc, sd.Score, st.F)

@@ -23,9 +23,9 @@ import (
 // publication surface is a few thousand contiguous slabs. Dense ids are
 // recycled on Unregister, so a reader racing a slot reuse could load a
 // snapshot that now belongs to a different query; every published
-// snapshot therefore carries the external id of its owner
-// (topk.Frozen.Query), and readers discard a snapshot whose owner is
-// not the query they asked for. The slab directory is grow-only and
+// snapshot therefore carries its query (topk.Frozen.Query: id, k,
+// terms and text), and readers discard a snapshot whose query id is not
+// the one they asked for. The slab directory is grow-only and
 // published atomically, and a lookup entry is stored only after its
 // slab exists, so a reader that resolves a dense id always finds its
 // slab.
@@ -106,7 +106,7 @@ func (v *Views) Result(id model.QueryID) (*topk.Frozen, bool) {
 		return nil, false
 	}
 	f := v.load(d.(uint32))
-	if f == nil || f.Query != id {
+	if f == nil || f.Query.ID != id {
 		return nil, false
 	}
 	return f, true
@@ -119,7 +119,7 @@ func (v *Views) Result(id model.QueryID) (*topk.Frozen, bool) {
 func (v *Views) Each(fn func(id model.QueryID, top *topk.Frozen)) {
 	v.lookup.Range(func(k, d any) bool {
 		id := k.(model.QueryID)
-		if f := v.load(d.(uint32)); f != nil && f.Query == id {
+		if f := v.load(d.(uint32)); f != nil && f.Query.ID == id {
 			fn(id, f)
 		}
 		return true

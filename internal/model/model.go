@@ -142,11 +142,13 @@ type QueryTerm struct {
 // Query is a registered continuous text search query: a set of weighted
 // terms and the requested result size K. Terms are sorted by ascending
 // TermID with strictly positive weights and no duplicates; NewQuery
-// enforces these invariants.
+// enforces these invariants. Text is the text the terms were analysed
+// from; engines carry it but never read it.
 type Query struct {
 	ID    QueryID
 	K     int
 	Terms []QueryTerm
+	Text  string
 }
 
 // NewQuery validates and builds a Query. The terms slice is sorted in

@@ -32,7 +32,7 @@ func TestTieredResultSetMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
-			rs := NewResultSet(42)
+			rs := new(ResultSet)
 			ref := &refSet{m: make(map[model.DocID]float64)}
 			var live []model.DocID
 			next := model.DocID(1)
@@ -116,15 +116,16 @@ func TestTieredResultSetMatchesReference(t *testing.T) {
 				step(1)
 			}
 			check(op)
-			f1 := rs.Freeze(5)
-			if f2 := rs.Freeze(5); f1 != f2 {
+			q := &model.Query{ID: 42, K: 5}
+			f1 := rs.Freeze(q)
+			if f2 := rs.Freeze(q); f1 != f2 {
 				t.Fatal("Freeze not cached while unmutated")
 			}
-			if f1.Query != 42 {
-				t.Fatalf("Frozen.Query = %d, want 42", f1.Query)
+			if f1.Query != q {
+				t.Fatalf("Frozen.Query = %v, want the frozen query", f1.Query)
 			}
 			rs.Add(next, 0.5)
-			if f3 := rs.Freeze(5); f3 == f1 {
+			if f3 := rs.Freeze(q); f3 == f1 {
 				t.Fatal("Freeze cache not invalidated by Add")
 			}
 		})
@@ -137,12 +138,12 @@ func TestTieredResultSetMatchesReference(t *testing.T) {
 // stay pinned once the floor raise drops the documents again.
 func TestResultSetShrinksAfterDrain(t *testing.T) {
 	const small = 14
-	fresh := NewResultSet(1)
+	fresh := new(ResultSet)
 	for i := 0; i < small; i++ {
 		fresh.Add(model.DocID(i+1), float64(i%7))
 	}
 
-	rs := NewResultSet(1)
+	rs := new(ResultSet)
 	for i := 0; i < 2000; i++ {
 		rs.Add(model.DocID(i+1), float64(i%7))
 	}
@@ -169,7 +170,7 @@ func TestResultSetShrinksAfterDrain(t *testing.T) {
 // nothing, so the shrink rule can never thrash between growing and
 // releasing its arrays.
 func TestResultSetSteadyChurnAllocFree(t *testing.T) {
-	drained := NewResultSet(1)
+	drained := new(ResultSet)
 	for i := 0; i < 2000; i++ {
 		drained.Add(model.DocID(i+1), float64(i%7))
 	}
@@ -179,7 +180,7 @@ func TestResultSetSteadyChurnAllocFree(t *testing.T) {
 	}
 	sets := map[string]*ResultSet{"drained-to-14": drained}
 	for _, n := range []int{16, 33, 64, 1000} {
-		rs := NewResultSet(1)
+		rs := new(ResultSet)
 		for i := 0; i < n; i++ {
 			rs.Add(model.DocID(i+1), float64(i%7))
 		}

@@ -36,11 +36,8 @@ func entryLess(a, b entry) bool {
 	return a.doc < b.doc
 }
 
-// ResultSet is R for a single query. The zero value is not usable; call
-// NewResultSet.
+// ResultSet is R for a single query. The zero value is an empty set.
 type ResultSet struct {
-	owner model.QueryID
-
 	// order is R in result order: score desc, doc asc.
 	order []entry
 
@@ -48,38 +45,32 @@ type ResultSet struct {
 	// mutation. Freezing an unchanged result set returns the same
 	// pointer, which is what makes per-epoch publication cost
 	// proportional to the queries an epoch actually touched.
-	frozen  *Frozen
-	frozenK int
+	frozen *Frozen
 }
 
 // Frozen is an immutable snapshot of a result set's top-k, taken at a
 // publication boundary. Holders may read it from any goroutine without
 // synchronization; nobody may mutate it.
 type Frozen struct {
-	// Query is the external id of the query the snapshot belongs to.
-	// Readers resolving a query through a reused dense publication slot
-	// validate ownership against it (see internal/core/view.go).
-	Query model.QueryID
+	// Query is the query the snapshot belongs to, so a published
+	// snapshot carries its query's id, k, terms and text. Readers
+	// resolving a query through a reused dense publication slot
+	// validate ownership against Query.ID (see internal/core/view.go).
+	Query *model.Query
 	// Docs is the top-k in descending score order (ties by ascending
 	// document id), never nil.
 	Docs []model.ScoredDoc
 }
 
-// NewResultSet returns an empty result set owned by query owner.
-func NewResultSet(owner model.QueryID) *ResultSet {
-	return &ResultSet{owner: owner}
-}
-
-// Freeze returns an immutable snapshot of the current top-k. The
-// snapshot is cached: freezing again without an intervening Add or
-// Remove returns the identical *Frozen, so publishing an untouched
-// query is a pointer comparison away from free.
-func (r *ResultSet) Freeze(k int) *Frozen {
-	if r.frozen != nil && r.frozenK == k {
-		return r.frozen
+// Freeze returns an immutable snapshot of q's current top-k (q.K
+// documents). The snapshot is cached: freezing for the same q again
+// without an intervening Add or Remove returns the identical *Frozen,
+// so publishing an untouched query is a pointer comparison away from
+// free.
+func (r *ResultSet) Freeze(q *model.Query) *Frozen {
+	if r.frozen == nil || r.frozen.Query != q {
+		r.frozen = &Frozen{Query: q, Docs: r.Top(q.K)}
 	}
-	r.frozen = &Frozen{Query: r.owner, Docs: r.Top(k)}
-	r.frozenK = k
 	return r.frozen
 }
 

@@ -30,7 +30,7 @@ func sameDocs(got []model.ScoredDoc, want ...model.DocID) bool {
 // TestAddRemoveScoreRank checks membership, scores and the rank each
 // document takes in Each order across an Add/Remove sequence.
 func TestAddRemoveScoreRank(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	r.Add(10, 0.5)
 	r.Add(20, 0.9)
 	r.Add(30, 0.7)
@@ -58,7 +58,7 @@ func TestAddRemoveScoreRank(t *testing.T) {
 }
 
 func TestKth(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	if r.Kth(1) != 0 {
 		t.Fatal("Kth on empty should be 0")
 	}
@@ -80,7 +80,7 @@ func TestKth(t *testing.T) {
 }
 
 func TestTopOrderAndTieBreak(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	r.Add(5, 0.5)
 	r.Add(3, 0.5) // tie: lower doc id ranks first
 	r.Add(9, 0.9)
@@ -102,7 +102,7 @@ func TestTopOrderAndTieBreak(t *testing.T) {
 }
 
 func TestWorst(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	if _, ok := r.Worst(); ok {
 		t.Fatal("Worst on empty succeeded")
 	}
@@ -121,13 +121,13 @@ func TestDoubleAddPanics(t *testing.T) {
 			t.Fatal("double Add did not panic")
 		}
 	}()
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	r.Add(1, 0.5)
 	r.Add(1, 0.6)
 }
 
 func TestEachVisitsInOrder(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 200; i++ {
 		r.Add(model.DocID(i), rng.Float64())
@@ -151,7 +151,7 @@ func TestEachVisitsInOrder(t *testing.T) {
 // under random add/remove workloads with tied scores.
 func TestAgainstSliceModel(t *testing.T) {
 	f := func(ops []uint16) bool {
-		r := NewResultSet(1)
+		r := new(ResultSet)
 		ref := map[model.DocID]float64{}
 		for _, op := range ops {
 			doc := model.DocID(op & 0x3f)
@@ -196,7 +196,7 @@ func TestAgainstSliceModel(t *testing.T) {
 // Guard against float subtleties: scores of 0 are legal in the set even
 // though engines never store them; ordering must remain total.
 func TestZeroScores(t *testing.T) {
-	r := NewResultSet(1)
+	r := new(ResultSet)
 	r.Add(1, 0)
 	r.Add(2, 0)
 	r.Add(3, 0.5)
@@ -210,26 +210,29 @@ func TestZeroScores(t *testing.T) {
 }
 
 // TestFreezeCaching checks the copy-on-publish contract: freezing an
-// unmutated set returns the identical snapshot pointer (publication of
-// an untouched query is free), any mutation invalidates the cache, and
-// a frozen snapshot is immune to later mutations.
+// unmutated set for the same query returns the identical snapshot
+// pointer (publication of an untouched query is free), any mutation or
+// another query invalidates the cache, and a frozen snapshot is immune
+// to later mutations.
 func TestFreezeCaching(t *testing.T) {
-	r := NewResultSet(1)
+	q2, q1 := &model.Query{ID: 1, K: 2}, &model.Query{ID: 1, K: 1}
+	var r ResultSet
 	r.Add(10, 0.5)
 	r.Add(20, 0.9)
-	f1 := r.Freeze(2)
-	if len(f1.Docs) != 2 || f1.Docs[0].Doc != 20 || f1.Docs[1].Doc != 10 {
-		t.Fatalf("Freeze = %v", f1.Docs)
+	f1 := r.Freeze(q2)
+	if len(f1.Docs) != 2 || f1.Docs[0].Doc != 20 || f1.Docs[1].Doc != 10 || f1.Query != q2 {
+		t.Fatalf("Freeze = %v for %v", f1.Docs, f1.Query)
 	}
-	if f2 := r.Freeze(2); f2 != f1 {
+	if f2 := r.Freeze(q2); f2 != f1 {
 		t.Fatal("Freeze of an unmutated set returned a new snapshot")
 	}
-	// A different k must not serve the cached snapshot.
-	if f2 := r.Freeze(1); f2 == f1 || len(f2.Docs) != 1 {
-		t.Fatalf("Freeze(1) = %v", f2.Docs)
+	// Another query (here a different k) must not serve the cached
+	// snapshot.
+	if f2 := r.Freeze(q1); f2 == f1 || len(f2.Docs) != 1 || f2.Query != q1 {
+		t.Fatalf("Freeze(k=1) = %v", f2.Docs)
 	}
 	r.Add(30, 0.7)
-	f3 := r.Freeze(2)
+	f3 := r.Freeze(q2)
 	if f3 == f1 {
 		t.Fatal("Add did not invalidate the frozen snapshot")
 	}
@@ -241,12 +244,13 @@ func TestFreezeCaching(t *testing.T) {
 		t.Fatalf("old snapshot mutated: %v", f1.Docs)
 	}
 	r.Remove(20)
-	if f4 := r.Freeze(2); f4 == f3 || f4.Docs[0].Doc != 30 {
+	if f4 := r.Freeze(q2); f4 == f3 || f4.Docs[0].Doc != 30 {
 		t.Fatalf("Freeze after Remove = %v", f4.Docs)
 	}
-	// Freezing deeper than Len returns what exists, non-nil.
-	empty := NewResultSet(1)
-	if f := empty.Freeze(3); f == nil || f.Docs == nil || len(f.Docs) != 0 {
+	// Freezing deeper than Len returns what exists, non-nil; the zero
+	// ResultSet is an empty set.
+	var empty ResultSet
+	if f := empty.Freeze(&model.Query{ID: 1, K: 3}); f == nil || f.Docs == nil || len(f.Docs) != 0 {
 		t.Fatalf("empty Freeze = %#v", f)
 	}
 }

@@ -59,8 +59,12 @@ func captureClusterState(t *testing.T, context string, engs ...*Engine) engineSt
 	}
 	merged := parts[0]
 	merged.Results = nil
+	texts := make(map[QueryID]string)
 	for i, p := range parts {
 		merged.Results = append(merged.Results, p.Results...)
+		for j, r := range p.Results {
+			texts[r.Query] = p.Texts[j]
+		}
 		if i == 0 {
 			continue
 		}
@@ -78,6 +82,10 @@ func captureClusterState(t *testing.T, context string, engs ...*Engine) engineSt
 	}
 	merged.Stats = ms
 	sortQueryResults(merged.Results)
+	merged.Texts = make([]string, len(merged.Results))
+	for i, r := range merged.Results {
+		merged.Texts[i] = texts[r.Query]
+	}
 	return merged
 }
 

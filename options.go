@@ -42,17 +42,16 @@ func (a Algorithm) String() string {
 }
 
 type config struct {
-	policy        window.Policy
-	algorithm     Algorithm
-	weighter      vsm.Weighter
-	stemming      bool
-	stopwords     bool
-	retainText    bool
-	disableRollup bool
-	scanTrees     bool // scan-all probe trees (equivalence testing)
-	floorTarget   int  // floor margin overrides; 0 = engine default
-	floorRaise    int
-	shards        int // ITA query shards; 0 = one per CPU, resolved by build
+	policy      window.Policy
+	algorithm   Algorithm
+	weighter    vsm.Weighter
+	stemming    bool
+	stopwords   bool
+	retainText  bool
+	scanTrees   bool // scan-all probe trees (equivalence testing)
+	floorTarget int  // floor margin overrides; 0 = engine default
+	floorRaise  int
+	shards      int // ITA query shards; 0 = one per CPU, resolved by build
 
 	// Durability (see durable.go). walAttach marks a config built by the
 	// Open recovery path itself, where New must not recurse into Open.
@@ -295,12 +294,6 @@ func WithTextRetention() Option {
 	return func(c *config) error { c.retainText = true; return nil }
 }
 
-// WithoutRollup disables ITA's threshold roll-up; exposed for the
-// ablation experiments, not recommended for production use.
-func WithoutRollup() Option {
-	return func(c *config) error { c.disableRollup = true; return nil }
-}
-
 // withScanAllTrees pins the ITA engines' probe trees to the scan-all
 // representation, where a probe visits every query registered on the
 // term instead of only the θ-ordered beatable prefix. Unexported: it
@@ -336,9 +329,6 @@ func (c *config) build() (core.ServingEngine, error) {
 		c.shards = runtime.GOMAXPROCS(0) // resolved here so snapshots record it
 	}
 	opts := []core.ITAOption{core.WithShards(c.shards)}
-	if c.disableRollup {
-		opts = append(opts, core.WithoutRollup())
-	}
 	if c.scanTrees {
 		opts = append(opts, core.WithScanAllTrees())
 	}

@@ -517,16 +517,7 @@ func (e *Engine) adoptLocked(ne *Engine) {
 	e.pipeline = ne.pipeline
 	e.nextDoc, e.nextQuery, e.lastAt = ne.nextDoc, ne.nextQuery, ne.lastAt
 	e.texts = ne.texts
-	e.interned = ne.interned
 	e.wal = ne.wal
-	e.queryText.Range(func(k, _ any) bool {
-		e.queryText.Delete(k)
-		return true
-	})
-	ne.queryText.Range(func(k, v any) bool {
-		e.queryText.Store(k, v)
-		return true
-	})
 	// e.pub is NOT replaced: publishLocked (inside the caller's
 	// collectDeltas) republishes from the adopted inner engine under e's
 	// own monotonic sequence, so wait-free readers never see the

@@ -139,11 +139,10 @@ func (e *Engine) encodeSnapshotLocked(w io.Writer) error {
 
 	exporter, exact := e.inner.(core.StateSnapshotter)
 	e.inner.EachQuery(func(q *model.Query) {
-		text, _ := e.QueryText(q.ID)
 		sq := snapshotQuery{
 			ID:    uint64(q.ID),
 			K:     q.K,
-			Text:  text,
+			Text:  q.Text,
 			Terms: q.Terms,
 		}
 		if exact {
@@ -277,16 +276,9 @@ func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Duplicate query texts share one canonical term vector, as
-			// they would have had every query been registered live.
-			if terms := e.internedTermsLocked(sq.Text); terms != nil {
-				q.Terms = terms
-			}
 			if err := restorer.RestoreQueryState(q, st); err != nil {
 				return nil, fmt.Errorf("ita: restore query %d: %w", sq.ID, err)
 			}
-			e.queryText.Store(model.QueryID(sq.ID), sq.Text)
-			e.internStoreLocked(sq.Text, q.Terms)
 		}
 		restorer.SetStats(s.Counters)
 	} else {
@@ -294,18 +286,13 @@ func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
 		// empty window and are cheap), then the window replays in arrival
 		// order.
 		for _, sq := range s.Queries {
-			q, err := model.NewQuery(model.QueryID(sq.ID), sq.K, sq.Terms)
+			q, err := sq.decode()
 			if err != nil {
-				return nil, fmt.Errorf("ita: restore query %d: %w", sq.ID, err)
-			}
-			if terms := e.internedTermsLocked(sq.Text); terms != nil {
-				q.Terms = terms
+				return nil, err
 			}
 			if err := e.inner.Register(q); err != nil {
 				return nil, fmt.Errorf("ita: restore query %d: %w", sq.ID, err)
 			}
-			e.queryText.Store(model.QueryID(sq.ID), sq.Text)
-			e.internStoreLocked(sq.Text, q.Terms)
 		}
 		for _, doc := range docs {
 			if err := e.inner.Process(doc); err != nil {
@@ -328,11 +315,21 @@ func restoreSnapshot(s *snapshot, extraOpts []Option) (*Engine, error) {
 	return e, nil
 }
 
-// decodeState validates and decodes one query's exact state.
-func (sq *snapshotQuery) decodeState() (*model.Query, core.QueryState, error) {
+// decode validates and decodes one query, text included.
+func (sq *snapshotQuery) decode() (*model.Query, error) {
 	q, err := model.NewQuery(model.QueryID(sq.ID), sq.K, sq.Terms)
 	if err != nil {
-		return nil, core.QueryState{}, fmt.Errorf("ita: restore query %d: %w", sq.ID, err)
+		return nil, fmt.Errorf("ita: restore query %d: %w", sq.ID, err)
+	}
+	q.Text = sq.Text
+	return q, nil
+}
+
+// decodeState validates and decodes one query and its exact state.
+func (sq *snapshotQuery) decodeState() (*model.Query, core.QueryState, error) {
+	q, err := sq.decode()
+	if err != nil {
+		return nil, core.QueryState{}, err
 	}
 	if len(sq.RDoc) != len(sq.RScore) {
 		return nil, core.QueryState{}, fmt.Errorf("ita: restore query %d: mismatched state arrays", sq.ID)
