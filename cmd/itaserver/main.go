@@ -469,32 +469,11 @@ func main() {
 			log.Fatalf("itaserver: %v", err)
 		}
 		log.Printf("cluster router over %d nodes listening on %s", router.Size(), *addr)
-		srv := &http.Server{
-			Addr:              *addr,
-			Handler:           limitBodies(newRouterMux(&routerServer{router: router})),
-			ReadHeaderTimeout: 5 * time.Second,
-			ReadTimeout:       30 * time.Second,
-			WriteTimeout:      60 * time.Second,
-			IdleTimeout:       120 * time.Second,
-		}
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		done := make(chan error, 1)
-		go func() { done <- srv.ListenAndServe() }()
-		select {
-		case err := <-done:
-			log.Fatal(err)
-		case sig := <-stop:
-			log.Printf("received %s, shutting down", sig)
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(ctx); err != nil {
-				log.Printf("itaserver: drain: %v", err)
-			}
+		serve(*addr, newRouterMux(&routerServer{router: router}), func() {
 			if err := router.Close(); err != nil {
 				log.Printf("itaserver: close: %v", err)
 			}
-		}
+		})
 		return
 	}
 
@@ -543,9 +522,31 @@ func main() {
 	}
 
 	log.Printf("continuous text search server (%s) listening on %s", eng.Algorithm(), *addr)
+	// After the drain, a final checkpoint lets the next start restore
+	// instantly instead of replaying the log tail. A SIGKILL skips all of
+	// this — which is exactly what the WAL is for.
+	serve(*addr, newMux(s), func() {
+		if *walDir != "" {
+			// A still-standby follower cannot checkpoint (its mirror must
+			// track the primary's rotations exactly); its WAL is already
+			// durable, so skipping is correct, not a degraded shutdown.
+			if err := eng.Checkpoint(); err != nil && !errors.Is(err, ita.ErrReadOnly) {
+				log.Printf("itaserver: shutdown checkpoint: %v", err)
+			}
+		}
+		if err := eng.Close(); err != nil {
+			log.Printf("itaserver: close: %v", err)
+		}
+	})
+}
+
+// serve answers HTTP on addr with handler until SIGINT or SIGTERM, then
+// drains in-flight requests for up to 5 s and calls closeFn. A listener
+// failure is fatal.
+func serve(addr string, handler http.Handler, closeFn func()) {
 	srv := &http.Server{
-		Addr:    *addr,
-		Handler: limitBodies(newMux(s)),
+		Addr:    addr,
+		Handler: limitBodies(handler),
 		// Slow-client hygiene: a stalled request cannot hold a handler
 		// forever, a stalled response write is bounded, and idle
 		// keep-alives are reaped.
@@ -554,10 +555,6 @@ func main() {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-
-	// Graceful shutdown: drain HTTP, then write a final checkpoint so the
-	// next start restores instantly instead of replaying the log tail. A
-	// SIGKILL skips all of this — which is exactly what the WAL is for.
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
@@ -572,17 +569,7 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			log.Printf("itaserver: drain: %v", err)
 		}
-		if *walDir != "" {
-			// A still-standby follower cannot checkpoint (its mirror must
-			// track the primary's rotations exactly); its WAL is already
-			// durable, so skipping is correct, not a degraded shutdown.
-			if err := eng.Checkpoint(); err != nil && !errors.Is(err, ita.ErrReadOnly) {
-				log.Printf("itaserver: shutdown checkpoint: %v", err)
-			}
-		}
-		if err := eng.Close(); err != nil {
-			log.Printf("itaserver: close: %v", err)
-		}
+		closeFn()
 	}
 }
 

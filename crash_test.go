@@ -5,7 +5,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"sync"
 	"testing"
+	"time"
 
 	"ita/internal/faults"
 	"ita/internal/wal"
@@ -362,6 +365,116 @@ func TestCheckpointPhaseCrashes(t *testing.T) {
 	for _, want := range []string{"begin", "written", "renamed", "rotated", "done"} {
 		if !phasesSeen[want] {
 			t.Fatalf("phase %q never photographed (saw %v)", want, phasesSeen)
+		}
+	}
+}
+
+// TestFollowerCheckpointPhaseCrashes photographs a standby's directory
+// between every crash-atomic phase of the checkpoints it writes: the
+// one it bootstraps from, the ones it mirrors from its primary's
+// rotations, and the one a forced resync writes. Each photograph must
+// recover with Open to a state the primary passed through.
+func TestFollowerCheckpointPhaseCrashes(t *testing.T) {
+	pdir, fdir, shots := t.TempDir(), t.TempDir(), t.TempDir()
+	type shot struct{ stage, phase, dir string }
+	var (
+		mu    sync.Mutex
+		stage string
+		taken []shot
+	)
+	setStage := func(s string) {
+		mu.Lock()
+		stage = s
+		mu.Unlock()
+	}
+	hooks := &walTestHooks{
+		checkpointPhase: func(phase string) {
+			mu.Lock()
+			defer mu.Unlock()
+			sdir := filepath.Join(shots, fmt.Sprintf("s%d_%s_%s", len(taken), stage, phase))
+			if err := copyDir(fdir, sdir); err != nil {
+				t.Errorf("photograph %s %s: %v", stage, phase, err)
+				return
+			}
+			taken = append(taken, shot{stage, phase, sdir})
+		},
+	}
+	// Retention of one segment: a standby that misses two rotations has
+	// to resync.
+	p, err := Open(pdir, WithCountWindow(8), WithDurability(DurabilityOff), WithCheckpointEvery(4),
+		WithReplicationRetention(1), testReplTuning("primary"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	addr, err := p.StartReplication("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newEngine(t, WithCountWindow(8))
+	defer ref.Close()
+	refStates := []engineState{captureState(ref)}
+	drive := func(from, to int) {
+		for i := from; i < to; i++ {
+			driveOps(t, i, i+1, p, ref)
+			refStates = append(refStates, captureState(ref))
+		}
+	}
+	openFollower := func() *Engine {
+		f, err := OpenFollower(fdir, addr.String(), WithDurability(DurabilityOff),
+			testReplTuning("standby"), withWALHooks(hooks))
+		if err != nil {
+			t.Fatalf("open follower: %v", err)
+		}
+		return f
+	}
+
+	drive(0, 20)
+	setStage("bootstrap")
+	f := openFollower()
+	setStage("rotate")
+	drive(20, 40)
+	waitReplCaughtUp(t, f, p, 10*time.Second)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	drive(40, 70)
+	setStage("resync")
+	f = openFollower()
+	waitReplCaughtUp(t, f, p, 10*time.Second)
+	requireSameState(t, captureState(f), captureState(ref), "resynced follower vs reference")
+	if rs := f.ReplicationStats(); rs.Resyncs == 0 {
+		t.Fatalf("the rejoin resumed instead of resyncing: %+v", rs)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	seen := map[string]bool{}
+	for _, s := range taken {
+		seen[s.stage+"/"+s.phase] = true
+		r, err := Open(s.dir, WithCountWindow(8))
+		if err != nil {
+			t.Fatalf("recover %s photograph at phase %s: %v", s.stage, s.phase, err)
+		}
+		got := captureState(r)
+		r.crashForTest()
+		if !slices.ContainsFunc(refStates, func(want engineState) bool { return statesEqual(got, want) }) {
+			t.Fatalf("%s photograph at phase %s recovered a state the primary never passed through: %+v", s.stage, s.phase, got)
+		}
+	}
+	want := map[string][]string{
+		"bootstrap": {"begin", "written", "renamed"},
+		"rotate":    {"begin", "written", "renamed", "rotated", "done"},
+		"resync":    {"begin", "written", "renamed", "rotated", "done"},
+	}
+	for st, phases := range want {
+		for _, ph := range phases {
+			if !seen[st+"/"+ph] {
+				t.Errorf("%s phase %q never photographed (saw %v)", st, ph, seen)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ita
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -17,7 +18,11 @@ import (
 // boundaries append a marker (the fsync point under
 // DurabilityEpochSync), and every N boundaries the engine checkpoints —
 // writes a full snapshot next to the log, rotates to a fresh segment
-// and deletes the old one.
+// and deletes the old one. One writer commits every checkpoint file
+// (walState.writeCheckpoint) and one rotation starts every segment
+// (rotateLocked): a primary's own checkpoints, and a standby's
+// bootstrap, mirrored rotations and resync, all take the same steps and
+// report the same crash phases to the test hooks.
 //
 // Recovery (Open) loads the newest checkpoint, replays the segment's
 // record tail through the very same locked operation paths used live
@@ -110,13 +115,15 @@ func (h *walTestHooks) phase(p string) {
 // is an error; WithShards, WithDurability and WithCheckpointEvery are
 // runtime settings and may differ freely between runs.
 func Open(dir string, opts ...Option) (*Engine, error) {
-	return openDurable(dir, opts, false)
+	return openDurable(dir, opts, "")
 }
 
-// openDurable creates or recovers the engine in dir. A standby leaves
-// its log exactly as replicated; anyone else seals it (see
+// openDurable creates or recovers the engine in dir. With primaryAddr
+// set it opens a standby of that primary: a directory without a
+// checkpoint bootstraps from the primary's current one, and the log
+// stays exactly as replicated. Anyone else seals the log (see
 // walSealLocked) before appending resumes.
-func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
+func openDurable(dir string, opts []Option, primaryAddr string) (*Engine, error) {
 	// Probe the caller's options once, both for the WAL knobs and for
 	// the compatibility check against a recovered configuration. A
 	// negative algorithm or shard count means the caller did not choose
@@ -137,15 +144,12 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ita: scan wal dir: %w", err)
 	}
-
-	mode := probe.walDurability.wal()
-	every := 256
+	w := &walState{dir: dir, mode: probe.walDurability.wal(), every: 256, retain: probe.replRetain, tune: probe.replTune}
 	if probe.walEverySet {
-		every = probe.walEvery
+		w.every = probe.walEvery
 	}
-	var hooks walTestHooks
 	if probe.walHooks != nil {
-		hooks = *probe.walHooks
+		w.hooks = *probe.walHooks
 	}
 
 	// Startup cleanup: a crash can orphan checkpoint temporaries and —
@@ -172,6 +176,18 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 	}
 
 	latest, found := st.Latest()
+	if !found && primaryAddr != "" {
+		// A fresh standby writes the primary's current checkpoint as its
+		// own, and recovery below does the rest.
+		seq, data, err := fetchSnapshotRetry(followerClientConfig(dir, primaryAddr, w.tune))
+		if err != nil {
+			return nil, fmt.Errorf("ita: bootstrap from primary: %w", err)
+		}
+		if err := w.writeCheckpoint(seq, writeBytes(data)); err != nil {
+			return nil, err
+		}
+		latest, found = seq, true
+	}
 	if !found {
 		if len(st.Segments) > 0 {
 			return nil, fmt.Errorf("ita: wal dir %q has segments but no checkpoint; refusing to guess", dir)
@@ -182,7 +198,7 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		e.wal = &walState{dir: dir, mode: mode, every: every, retain: probe.replRetain, tune: probe.replTune, hooks: hooks}
+		e.wal = w
 		if err := e.writeCheckpointLocked(0); err != nil {
 			return nil, err
 		}
@@ -206,10 +222,7 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &walState{
-		dir: dir, mode: mode, every: every, retain: probe.replRetain, tune: probe.replTune, hooks: hooks,
-		epochSeq: snap.EpochSeq, markerSeq: snap.EpochSeq, ckptSeq: latest,
-	}
+	w.epochSeq, w.markerSeq, w.ckptSeq = snap.EpochSeq, snap.EpochSeq, latest
 	e.wal = w
 
 	// ...replay the segment tail through the live operation paths...
@@ -225,7 +238,10 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 			return nil, fmt.Errorf("ita: replay record %d: %w", i, err)
 		}
 	}
-	w.recovering = false
+	// A standby's apply mode is recovery mode made permanent: records
+	// arrive from the wire already logged (byte-mirrored), so the replay
+	// paths must not re-append them.
+	w.recovering = primaryAddr != ""
 
 	// ...and truncate the torn tail (if any) before appending resumes.
 	sf, err := os.OpenFile(segPath, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
@@ -238,8 +254,8 @@ func openDurable(dir string, opts []Option, standby bool) (*Engine, error) {
 			return nil, fmt.Errorf("ita: truncate torn tail: %w", err)
 		}
 	}
-	w.log = wal.NewLog(sf, res.Clean, mode)
-	if !standby {
+	w.log = wal.NewLog(sf, res.Clean, w.mode)
+	if primaryAddr == "" {
 		if err := e.walSealLocked(); err != nil {
 			w.log.Close()
 			return nil, fmt.Errorf("ita: seal recovered log: %w", err)
@@ -446,15 +462,12 @@ func (e *Engine) maybeCheckpointLocked() {
 // are deleted. Use it before a planned shutdown to make the next Open
 // instantaneous. It is an error on an engine without a WAL.
 func (e *Engine) Checkpoint() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.gateWriteLocked(); err != nil {
-		return err
-	}
-	if e.wal == nil {
-		return errors.New("ita: Checkpoint requires a durable engine (ita.Open or WithWAL)")
-	}
-	return e.checkpointLocked()
+	return e.mutate(func() error {
+		if e.wal == nil {
+			return errors.New("ita: Checkpoint requires a durable engine (ita.Open or WithWAL)")
+		}
+		return e.checkpointLocked()
+	})
 }
 
 // checkpointLocked snapshots the current boundary and rotates the log.
@@ -480,15 +493,41 @@ func (e *Engine) checkpointLocked() error {
 //	(3) the fresh segment is created and the old files deleted — a
 //	    crash before or during this leaves stale files recovery
 //	    ignores and garbage-collects.
+//
+// writeCheckpoint takes steps (1) and (2) and rotateLocked step (3); a
+// standby's bootstrap and resync take the same steps through them.
 func (e *Engine) writeCheckpointLocked(seq uint64) error {
 	w := e.wal
+	if err := w.writeCheckpoint(seq, e.encodeSnapshotLocked); err != nil {
+		return err
+	}
+	if err := e.rotateLocked(seq, false); err != nil {
+		// The checkpoint committed but the new segment could not be
+		// created: recovery handles exactly this state (no segment for
+		// the newest checkpoint), but the running engine must not keep
+		// logging — appends would land in the old segment, which the next
+		// recovery ignores and deletes, silently dropping acknowledged
+		// operations. Poison the log so every later mutation fails loudly
+		// instead.
+		if w.log != nil {
+			w.log.Poison(err)
+		}
+		return err
+	}
+	return nil
+}
+
+// writeCheckpoint commits checkpoint-<seq>.ckpt, whose bytes encode
+// writes: steps (1) and (2) of writeCheckpointLocked. It is the only
+// writer of checkpoint files.
+func (w *walState) writeCheckpoint(seq uint64, encode func(io.Writer) error) error {
 	w.hooks.phase("begin")
 	tmp := wal.CheckpointTmpPath(w.dir, seq)
 	f, err := w.hooks.createFile(tmp)
 	if err != nil {
 		return fmt.Errorf("ita: checkpoint: %w", err)
 	}
-	if err := e.encodeSnapshotLocked(f); err != nil {
+	if err := encode(f); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("ita: checkpoint: %w", err)
@@ -509,20 +548,30 @@ func (e *Engine) writeCheckpointLocked(seq uint64) error {
 	}
 	wal.SyncDir(w.dir)
 	w.hooks.phase("renamed")
+	return nil
+}
+
+// writeBytes is the encoder of checkpoint bytes a standby fetched from
+// its primary.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// rotateLocked is step (3) of writeCheckpointLocked for the committed
+// checkpoint of boundary seq: it creates the fresh segment
+// wal-<seq>.log, swaps the log to it and collects what the checkpoint
+// retires. Older segments inside the replication retention window
+// survive, unless resync is set: a standby that took its primary's
+// checkpoint has no use for its own older history. Must be called with
+// e.mu held.
+func (e *Engine) rotateLocked(seq uint64, resync bool) error {
+	w := e.wal
 	sf, err := w.hooks.createFile(wal.SegmentPath(w.dir, seq))
 	if err != nil {
-		// The checkpoint committed but the new segment could not be
-		// created: recovery handles exactly this state (no segment for
-		// the newest checkpoint), but the running engine must not keep
-		// logging — appends would land in the old segment, which the next
-		// recovery ignores and deletes, silently dropping acknowledged
-		// operations. Poison the log so every later mutation fails loudly
-		// instead.
-		err = fmt.Errorf("ita: rotate segment: %w", err)
-		if w.log != nil {
-			w.log.Poison(err)
-		}
-		return err
+		return fmt.Errorf("ita: rotate segment: %w", err)
 	}
 	wal.SyncDir(w.dir)
 	if w.log != nil {
@@ -531,7 +580,11 @@ func (e *Engine) writeCheckpointLocked(seq uint64) error {
 	w.log = wal.NewLog(sf, 0, w.mode)
 	w.hooks.phase("rotated")
 	if st, err := wal.ScanDir(w.dir); err == nil {
-		wal.Retain(w.dir, st, seq, e.walKeepSegLocked(st, seq))
+		var keep func(uint64) bool
+		if !resync {
+			keep = e.walKeepSegLocked(st, seq)
+		}
+		wal.Retain(w.dir, st, seq, keep)
 	}
 	w.ckptSeq = seq
 	e.replPublishLocked()

@@ -118,7 +118,7 @@ func New(opts ...Option) (*Engine, error) {
 	}
 	if cfg.walDir != "" && !cfg.walAttach {
 		// A durable engine: creation and recovery share one entry point.
-		return openDurable(cfg.walDir, opts, false)
+		return openDurable(cfg.walDir, opts, "")
 	}
 	if cfg.policy == nil {
 		return nil, errors.New("ita: a window option is required (WithCountWindow or WithTimeWindow)")
@@ -395,6 +395,23 @@ func (e *Engine) gateWriteLocked() error {
 	return nil
 }
 
+// mutate runs one public mutating operation other than an ingest: under
+// e.mu it gates the engine, runs op and, when op succeeds, a due
+// auto-checkpoint; then it delivers the watch deltas op queued.
+func (e *Engine) mutate(op func() error) error {
+	defer e.deliverQueued()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.gateWriteLocked(); err != nil {
+		return err
+	}
+	err := op()
+	if err == nil {
+		e.maybeCheckpointLocked()
+	}
+	return err
+}
+
 // Close releases engine resources: the write-ahead log of a durable
 // engine, and the server or client of a replicating one. An engine with
 // neither holds no goroutine between calls (sharded maintenance joins
@@ -442,19 +459,11 @@ func (e *Engine) Close() error {
 // Advance moves the stream clock forward without an arrival, expiring
 // documents from time-based windows. Count-based windows are unaffected.
 func (e *Engine) Advance(now time.Time) error {
-	e.mu.Lock()
-	if err := e.gateWriteLocked(); err != nil {
-		e.mu.Unlock()
+	return e.mutate(func() error {
+		deltas, err := e.advanceLocked(now)
+		e.queueDeltasLocked(deltas)
 		return err
-	}
-	deltas, err := e.advanceLocked(now)
-	e.queueDeltasLocked(deltas)
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
-	e.mu.Unlock()
-	e.deliverQueued()
-	return err
+	})
 }
 
 func (e *Engine) advanceLocked(now time.Time) ([]pendingDelta, error) {
@@ -477,16 +486,11 @@ func (e *Engine) advanceLocked(now time.Time) ([]pendingDelta, error) {
 // queryText are maintained from now on. Term frequency in the query
 // text weights the terms, as in the paper's {white white tower} example.
 // The initial top-k search sees every document ingested before the call.
-func (e *Engine) Register(queryText string, k int) (QueryID, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.gateWriteLocked(); err != nil {
-		return 0, err
-	}
-	id, err := e.registerAtLocked(e.nextQuery, queryText, k)
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
+func (e *Engine) Register(queryText string, k int) (id QueryID, err error) {
+	err = e.mutate(func() (err error) {
+		id, err = e.registerAtLocked(e.nextQuery, queryText, k)
+		return err
+	})
 	return id, err
 }
 
@@ -535,16 +539,10 @@ func (e *Engine) registerAtLocked(id QueryID, queryText string, k int) (QueryID,
 // running the full query set. Single-process callers should use
 // Register, which assigns ids densely.
 func (e *Engine) RegisterWithID(id QueryID, queryText string, k int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.gateWriteLocked(); err != nil {
+	return e.mutate(func() error {
+		_, err := e.registerAtLocked(id, queryText, k)
 		return err
-	}
-	_, err := e.registerAtLocked(id, queryText, k)
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
-	return err
+	})
 }
 
 // AlignRegister is the non-owning side of a cluster registration: the
@@ -556,16 +554,7 @@ func (e *Engine) RegisterWithID(id QueryID, queryText string, k int) error {
 // operation is WAL-logged and replays through recovery and replication
 // like any other.
 func (e *Engine) AlignRegister(id QueryID, queryText string) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.gateWriteLocked(); err != nil {
-		return err
-	}
-	err := e.alignRegisterLocked(id, queryText)
-	if err == nil {
-		e.maybeCheckpointLocked()
-	}
-	return err
+	return e.mutate(func() error { return e.alignRegisterLocked(id, queryText) })
 }
 
 func (e *Engine) alignRegisterLocked(id QueryID, queryText string) error {
@@ -598,16 +587,13 @@ func (e *Engine) NextQueryID() QueryID {
 
 // Unregister removes a query and any watcher on it, reporting whether
 // the query existed.
-func (e *Engine) Unregister(id QueryID) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.gateWriteLocked() != nil {
-		// The bool signature cannot carry ErrReadOnly/ErrClosed; a gated
-		// engine simply reports the query as not removed.
-		return false
-	}
-	ok := e.unregisterLocked(id)
-	e.maybeCheckpointLocked()
+func (e *Engine) Unregister(id QueryID) (ok bool) {
+	// The bool signature cannot carry ErrReadOnly/ErrClosed; a gated
+	// engine simply reports the query as not removed.
+	e.mutate(func() error {
+		ok = e.unregisterLocked(id)
+		return nil
+	})
 	return ok
 }
 

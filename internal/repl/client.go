@@ -33,15 +33,11 @@ type Applier interface {
 	// for boundary seq and starts a fresh segment seq.
 	ApplySnapshot(seq uint64, data []byte) error
 	// ApplyChunk appends raw frames starting at (seq, off) and applies
-	// the records. It returns how many records it applied. head is the
-	// primary's epoch at send time, for lag accounting.
-	ApplyChunk(seq uint64, off int64, head uint64, data []byte) (int, error)
+	// the records. It returns how many records it applied.
+	ApplyChunk(seq uint64, off int64, data []byte) (int, error)
 	// Rotate mirrors the primary's checkpoint at boundary seq: write a
 	// local checkpoint and start fresh segment seq.
 	Rotate(seq uint64) error
-	// ObserveHead records the primary's head position (from heartbeats
-	// and records messages), for lag reporting.
-	ObserveHead(p Position)
 }
 
 // ClientConfig parameterizes a follower client. Addr and ID are
@@ -129,7 +125,7 @@ type ClientStats struct {
 	Resyncs        uint64 // snapshot applications
 	AppliedRecords uint64
 	LastAck        Position
-	Head           Position
+	Head           Position // the primary's newest reported position, for lag
 	LastError      string
 }
 
@@ -330,7 +326,7 @@ func (c *Client) session(conn net.Conn) (applied int, err error) {
 			c.mu.Unlock()
 			applied++
 		case msgRecords:
-			n, err := c.app.ApplyChunk(m.Seq, m.Off, m.Epoch, m.Data)
+			n, err := c.app.ApplyChunk(m.Seq, m.Off, m.Data)
 			c.mu.Lock()
 			c.stats.AppliedRecords += uint64(n)
 			c.mu.Unlock()
@@ -356,7 +352,6 @@ func (c *Client) session(conn net.Conn) (applied int, err error) {
 }
 
 func (c *Client) observeHead(p Position) {
-	c.app.ObserveHead(p)
 	c.mu.Lock()
 	if c.stats.Head.Less(p) {
 		c.stats.Head = p

@@ -141,7 +141,6 @@ type mirror struct {
 	off     int64
 	epoch   uint64
 	has     bool
-	head    Position
 	resyncs int
 }
 
@@ -179,7 +178,7 @@ func (m *mirror) ApplySnapshot(seq uint64, data []byte) error {
 	return nil
 }
 
-func (m *mirror) ApplyChunk(seq uint64, off int64, head uint64, data []byte) (int, error) {
+func (m *mirror) ApplyChunk(seq uint64, off int64, data []byte) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if seq != m.seq || off != m.off {
@@ -218,14 +217,6 @@ func (m *mirror) Rotate(seq uint64) error {
 	}
 	m.seq, m.off = seq, 0
 	return nil
-}
-
-func (m *mirror) ObserveHead(p Position) {
-	m.mu.Lock()
-	if m.head.Less(p) {
-		m.head = p
-	}
-	m.mu.Unlock()
 }
 
 func waitMirror(t *testing.T, tr *Tracker, m *mirror) {

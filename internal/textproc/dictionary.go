@@ -140,14 +140,18 @@ func (d *Dictionary) MemoryBytes() uint64 {
 
 // reset empties d for reuse as a scratch table that hashes as o does.
 // Its id table shrinks under trim's policy, counting in low, and its slot
-// table with it; its arena keeps one chunk.
+// table with it: in the round trim shrinks the ids, a larger slot table
+// is cut to the size the new id table wants, and in any other round only
+// one more than twice that size is, so a warm round never reallocates.
+// Its arena keeps one chunk.
 func (d *Dictionary) reset(o *Dictionary, low *int) {
+	had := cap(d.locs)
 	d.locs = trim(d.locs, low)
 	n := minSlots
 	for 3*n < 4*cap(d.locs) {
 		n *= 2
 	}
-	if len(d.slots) == 0 || len(d.slots) > 2*n {
+	if len(d.slots) == 0 || len(d.slots) > 2*n || cap(d.locs) < had && len(d.slots) > n {
 		d.slots = make([]slot, n)
 	} else {
 		clear(d.slots)

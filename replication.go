@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"net"
 	"os"
+	"slices"
 	"time"
 
 	"ita/internal/core"
@@ -27,7 +28,11 @@ import (
 // its local tail — is what reconnection negotiates from: matching tail
 // bytes resume the stream exactly there, anything else (divergence
 // after a promote, a resume position past the primary's retention cap)
-// falls back to a full checkpoint fetch and tail replay.
+// falls back to a full checkpoint fetch and tail replay. The follower
+// writes the fetched checkpoint, and the ones it mirrors at the
+// primary's rotations, through the primary's own checkpoint writer and
+// segment rotation (durable.go); a resync keeps the follower's log
+// attachment and collects every older segment.
 
 // Errors of the replication API. The canonical values live in
 // internal/core so the cluster router can match them without importing
@@ -63,9 +68,7 @@ type replState struct {
 	tracker *repl.Tracker
 	server  *repl.Server
 	// Follower side.
-	client   *repl.Client
-	head     repl.Position // last observed primary head
-	promoted bool
+	client *repl.Client
 }
 
 // replPublishLocked publishes the clean end of the log to the
@@ -76,8 +79,13 @@ func (e *Engine) replPublishLocked() {
 	if e.repl == nil || e.repl.tracker == nil {
 		return
 	}
-	w := e.wal
-	e.repl.tracker.Set(repl.Position{Seq: w.ckptSeq, Off: w.log.Offset(), Epoch: w.epochSeq})
+	e.repl.tracker.Set(e.wal.position())
+}
+
+// position is the log's clean end as a replication position: the
+// current segment, the offset in it and the boundary count.
+func (w *walState) position() repl.Position {
+	return repl.Position{Seq: w.ckptSeq, Off: w.log.Offset(), Epoch: w.epochSeq}
 }
 
 // walKeepSegLocked builds the segment-retention predicate for a
@@ -90,33 +98,18 @@ func (e *Engine) walKeepSegLocked(st wal.DirState, cur uint64) func(uint64) bool
 	if w == nil || w.retain <= 0 {
 		return nil
 	}
-	var older []uint64
-	for _, s := range st.Segments {
-		if s < cur {
-			older = append(older, s)
-		}
+	// The window is [lo, cur): Segments is sorted, and the newest retain
+	// of those older than cur start at lo.
+	lo := cur
+	if i, _ := slices.BinarySearch(st.Segments, cur); i > 0 {
+		lo = st.Segments[max(0, i-w.retain)]
 	}
-	if len(older) > w.retain {
-		older = older[len(older)-w.retain:]
-	}
-	window := make(map[uint64]bool, len(older))
-	for _, s := range older {
-		window[s] = true
-	}
+	// Before any follower has acked, the floor stays 0: all grace.
 	var floor uint64
-	haveFloor := false
 	if e.repl != nil && e.repl.server != nil {
-		floor, haveFloor = e.repl.server.MinPinnedSeq()
+		floor, _ = e.repl.server.MinPinnedSeq()
 	}
-	return func(seq uint64) bool {
-		if !window[seq] {
-			return false
-		}
-		if !haveFloor {
-			return true
-		}
-		return seq >= floor
-	}
+	return func(seq uint64) bool { return seq >= max(lo, floor) && seq < cur }
 }
 
 // StartReplication makes a durable primary stream its WAL to followers:
@@ -160,7 +153,7 @@ func (e *Engine) startReplicationOn(l net.Listener) error {
 	if e.repl == nil {
 		e.repl = &replState{}
 	}
-	tr := repl.NewTracker(repl.Position{Seq: w.ckptSeq, Off: w.log.Offset(), Epoch: w.epochSeq})
+	tr := repl.NewTracker(w.position())
 	cfg := repl.ServerConfig{Dir: w.dir, Tracker: tr}
 	if t := w.tune; t != nil {
 		cfg.Heartbeat = t.heartbeat
@@ -184,45 +177,14 @@ func (e *Engine) startReplicationOn(l net.Listener) error {
 // shard count the checkpoint recorded, so a standby sizes itself to its
 // own machine, across resyncs too.
 func OpenFollower(dir, primaryAddr string, opts ...Option) (*Engine, error) {
-	probe := config{stemming: true, stopwords: true}
-	for _, o := range opts {
-		if err := o(&probe); err != nil {
-			return nil, err
-		}
-	}
-	ccfg := followerClientConfig(dir, primaryAddr, probe.replTune)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("ita: open follower dir: %w", err)
-	}
-	st, err := wal.ScanDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("ita: scan follower dir: %w", err)
-	}
-	if _, found := st.Latest(); !found {
-		// Fresh directory: bootstrap from the primary's checkpoint so
-		// Open's recovery path does the rest. Written with the same
-		// tmp-rename discipline as a local checkpoint.
-		seq, data, err := fetchSnapshotRetry(ccfg)
-		if err != nil {
-			return nil, fmt.Errorf("ita: bootstrap from primary: %w", err)
-		}
-		if err := writeCheckpointFile(dir, seq, data); err != nil {
-			return nil, err
-		}
-	}
-	e, err := openDurable(dir, opts, true)
+	e, err := openDurable(dir, opts, primaryAddr)
 	if err != nil {
 		return nil, err
 	}
 	e.mu.Lock()
 	e.readOnly = true
-	// Follower apply mode is recovery mode made permanent: records
-	// arrive from the wire already logged (byte-mirrored), so the replay
-	// paths must not re-append them.
-	e.wal.recovering = true
-	e.repl = &replState{}
-	cli := repl.NewClient(ccfg, &followerApplier{e: e})
-	e.repl.client = cli
+	cli := repl.NewClient(followerClientConfig(dir, primaryAddr, e.wal.tune), &followerApplier{e: e})
+	e.repl = &replState{client: cli}
 	e.mu.Unlock()
 	cli.Start()
 	return e, nil
@@ -265,36 +227,6 @@ func fetchSnapshotRetry(cfg repl.ClientConfig) (uint64, []byte, error) {
 	return 0, nil, lastErr
 }
 
-// writeCheckpointFile persists checkpoint bytes crash-atomically:
-// tmp, fsync, rename, directory fsync.
-func writeCheckpointFile(dir string, seq uint64, data []byte) error {
-	tmp := wal.CheckpointTmpPath(dir, seq)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("ita: write checkpoint: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ita: write checkpoint: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ita: sync checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ita: close checkpoint: %w", err)
-	}
-	if err := os.Rename(tmp, wal.CheckpointPath(dir, seq)); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ita: rename checkpoint: %w", err)
-	}
-	wal.SyncDir(dir)
-	return nil
-}
-
 // Promote turns a follower into a writable primary. The replication
 // client is stopped first, so the promoted state is exactly the replay
 // of a clean prefix of the primary's WAL — the same guarantee crash
@@ -305,29 +237,23 @@ func writeCheckpointFile(dir string, seq uint64, data []byte) error {
 // the same kind.
 func (e *Engine) Promote() error {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
-	}
-	if !e.readOnly {
-		e.mu.Unlock()
-		return errors.New("ita: Promote on an engine that is not a follower")
-	}
+	closed := e.closed
 	var cli *repl.Client
-	if e.repl != nil {
+	if e.readOnly {
 		cli = e.repl.client
 	}
 	e.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	if cli == nil {
+		return errors.New("ita: Promote on an engine that is not a follower")
+	}
 	// Stop the stream outside the lock (the applier's calls take e.mu);
 	// after Stop returns no further apply can be in flight.
-	if cli != nil {
-		cli.Stop()
-	}
+	cli.Stop()
 	e.mu.Lock()
-	if e.repl != nil {
-		e.repl.client = nil
-		e.repl.promoted = true
-	}
+	e.repl.client = nil
 	e.readOnly = false
 	e.wal.recovering = false
 	// The primary may have died between an operation's record and its
@@ -347,6 +273,24 @@ type followerApplier struct {
 	e *Engine
 }
 
+// apply runs one replicated operation on the follower's log, the
+// follower's counterpart of mutate: under e.mu it refuses a closed
+// engine and one that is no follower (any more), then runs op; after
+// unlocking it delivers the watch deltas op queued.
+func (a *followerApplier) apply(op func(w *walState) error) error {
+	e := a.e
+	defer e.deliverQueued()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.closed {
+		return ErrClosed
+	}
+	if e.wal == nil || !e.readOnly {
+		return errors.New("ita: replicated apply on a non-follower")
+	}
+	return op(e.wal)
+}
+
 func (a *followerApplier) Position() (repl.Position, bool) {
 	e := a.e
 	e.mu.Lock()
@@ -355,7 +299,7 @@ func (a *followerApplier) Position() (repl.Position, bool) {
 	if w == nil || w.log == nil {
 		return repl.Position{}, false
 	}
-	return repl.Position{Seq: w.ckptSeq, Off: w.log.Offset(), Epoch: w.epochSeq}, true
+	return w.position(), true
 }
 
 func (a *followerApplier) TailCRC(maxBytes int64) (uint32, int64) {
@@ -367,112 +311,83 @@ func (a *followerApplier) TailCRC(maxBytes int64) (uint32, int64) {
 		return 0, 0
 	}
 	off := w.log.Offset()
-	data, err := os.ReadFile(wal.SegmentPath(w.dir, w.ckptSeq))
-	if err != nil || int64(len(data)) < off {
+	f, err := os.Open(wal.SegmentPath(w.dir, w.ckptSeq))
+	if err != nil {
 		return 0, 0
 	}
-	n := maxBytes
-	if n > off {
-		n = off
+	defer f.Close()
+	tail := make([]byte, min(maxBytes, off))
+	if _, err := f.ReadAt(tail, off-int64(len(tail))); err != nil {
+		return 0, 0
 	}
-	return crc32.Checksum(data[off-n:off], crc32.MakeTable(crc32.Castagnoli)), n
+	return crc32.Checksum(tail, crc32.MakeTable(crc32.Castagnoli)), int64(len(tail))
 }
 
-func (a *followerApplier) ApplyChunk(seq uint64, off int64, head uint64, data []byte) (int, error) {
-	e := a.e
-	e.mu.Lock()
-	n, err := e.applyChunkLocked(seq, off, data)
-	e.mu.Unlock()
-	e.deliverQueued()
-	return n, err
-}
-
-// applyChunkLocked byte-mirrors one chunk of primary segment bytes and
+// ApplyChunk byte-mirrors one chunk of primary segment bytes and
 // replays its records. Log-before-apply holds on the follower too: the
 // bytes land in the local segment before the first record mutates
 // state, so a follower crash recovers to a state the ack stream
 // covers.
-func (e *Engine) applyChunkLocked(seq uint64, off int64, data []byte) (int, error) {
-	if e.closed {
-		return 0, ErrClosed
-	}
-	w := e.wal
-	if w == nil || !e.readOnly {
-		return 0, errors.New("ita: chunk apply on a non-follower")
-	}
-	if seq != w.ckptSeq || off != w.log.Offset() {
-		return 0, repl.ErrNeedSnapshot
-	}
-	res := wal.Scan(data)
-	if res.Torn || res.Clean != int64(len(data)) {
-		return 0, fmt.Errorf("ita: replicated chunk is not frame-aligned")
-	}
-	if err := w.log.AppendRaw(data); err != nil {
-		return 0, err
-	}
-	synced := w.mode != wal.DurabilityEpochSync // Always synced in AppendRaw; Off never
-	for i := range res.Records {
-		if err := e.replayRecord(&res.Records[i]); err != nil {
-			return i, fmt.Errorf("ita: apply replicated record: %w", err)
+func (a *followerApplier) ApplyChunk(seq uint64, off int64, data []byte) (n int, err error) {
+	err = a.apply(func(w *walState) error {
+		if seq != w.ckptSeq || off != w.log.Offset() {
+			return repl.ErrNeedSnapshot
 		}
-		if !synced && res.Records[i].Kind == wal.KindEpoch {
-			// Epoch-durability parity with the primary: the chunk carries a
-			// boundary, so it must be on stable storage before the ack
-			// claims it.
-			if err := w.log.Sync(); err != nil {
-				return i, err
+		res := wal.Scan(data)
+		if res.Torn || res.Clean != int64(len(data)) {
+			return fmt.Errorf("ita: replicated chunk is not frame-aligned")
+		}
+		if err := w.log.AppendRaw(data); err != nil {
+			return err
+		}
+		synced := w.mode != wal.DurabilityEpochSync // Always synced in AppendRaw; Off never
+		for n = range res.Records {
+			if err := a.e.replayRecord(&res.Records[n]); err != nil {
+				return fmt.Errorf("ita: apply replicated record: %w", err)
 			}
-			synced = true
+			if !synced && res.Records[n].Kind == wal.KindEpoch {
+				// Epoch-durability parity with the primary: the chunk carries a
+				// boundary, so it must be on stable storage before the ack
+				// claims it.
+				if err := w.log.Sync(); err != nil {
+					return err
+				}
+				synced = true
+			}
 		}
-	}
-	return len(res.Records), nil
+		n = len(res.Records)
+		return nil
+	})
+	return n, err
 }
 
 func (a *followerApplier) Rotate(seq uint64) error {
-	e := a.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return ErrClosed
-	}
-	w := e.wal
-	if w == nil || !e.readOnly {
-		return errors.New("ita: rotate on a non-follower")
-	}
-	// The primary checkpoints only at a boundary; a mirrored follower is
-	// at the same one. Anything else means the streams diverged.
-	if w.epochSeq != seq {
-		return repl.ErrNeedSnapshot
-	}
-	return e.writeCheckpointLocked(seq)
+	return a.apply(func(w *walState) error {
+		// The primary checkpoints only at a boundary; a mirrored follower
+		// is at the same one. Anything else means the streams diverged.
+		if w.epochSeq != seq {
+			return repl.ErrNeedSnapshot
+		}
+		return a.e.writeCheckpointLocked(seq)
+	})
 }
 
 func (a *followerApplier) ApplySnapshot(seq uint64, data []byte) error {
-	e := a.e
-	e.mu.Lock()
-	err := e.applySnapshotLocked(seq, data)
-	e.mu.Unlock()
-	e.deliverQueued()
-	return err
+	return a.apply(func(w *walState) error { return a.e.applySnapshotLocked(w, seq, data) })
 }
 
 // applySnapshotLocked is the follower's full resync: persist the
 // primary's checkpoint, rebuild an engine from it and graft that
 // engine's state into this one in place, preserving the facade identity
-// (watchers, published-view continuity) the caller holds.
-func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
-	if e.closed {
-		return ErrClosed
-	}
-	w := e.wal
-	if w == nil || !e.readOnly {
-		return errors.New("ita: snapshot apply on a non-follower")
-	}
+// (watchers, published-view continuity) the caller holds. It takes a
+// local checkpoint's steps: the checkpoint bytes are the primary's, and
+// the rotation collects every older segment.
+func (e *Engine) applySnapshotLocked(w *walState, seq uint64, data []byte) error {
 	snap, err := decodeSnapshot(bytes.NewReader(data))
 	if err != nil {
 		return fmt.Errorf("ita: replicated checkpoint: %w", err)
 	}
-	if err := writeCheckpointFile(w.dir, seq, data); err != nil {
+	if err := w.writeCheckpoint(seq, writeBytes(data)); err != nil {
 		return err
 	}
 	// Thread the runtime settings through like Open's recovery does: the
@@ -483,20 +398,11 @@ func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	sf, err := w.hooks.createFile(wal.SegmentPath(w.dir, seq))
-	if err != nil {
-		return fmt.Errorf("ita: create segment: %w", err)
+	if err := e.rotateLocked(seq, true); err != nil {
+		return err
 	}
-	wal.SyncDir(w.dir)
-	ne.wal = &walState{
-		dir: w.dir, mode: w.mode, every: w.every, retain: w.retain, tune: w.tune, hooks: w.hooks,
-		epochSeq: snap.EpochSeq, markerSeq: snap.EpochSeq, ckptSeq: seq,
-		recovering: true, log: wal.NewLog(sf, 0, w.mode),
-	}
+	w.epochSeq, w.markerSeq = snap.EpochSeq, snap.EpochSeq
 	e.adoptLocked(ne)
-	if st, err := wal.ScanDir(e.wal.dir); err == nil {
-		wal.GC(e.wal.dir, st, seq)
-	}
 	// Watchers observe the resync as one coalesced delta per query
 	// (collectDeltas diffs against their pre-resync baselines and drops
 	// watches on queries that no longer exist).
@@ -505,32 +411,19 @@ func (e *Engine) applySnapshotLocked(seq uint64, data []byte) error {
 }
 
 // adoptLocked grafts a freshly restored engine's state into e, keeping
-// e's identity: its mutex, its watch subscriptions, its published-view
-// sequence and the delivery queue keep flowing across the swap. The old
-// log is closed. Must be called with e.mu held.
+// e's identity: its mutex, its log, its watch subscriptions, its
+// published-view sequence and the delivery queue keep flowing across
+// the swap. Must be called with e.mu held.
 func (e *Engine) adoptLocked(ne *Engine) {
-	if e.wal != nil && e.wal.log != nil {
-		e.wal.log.Close()
-	}
 	e.cfg = ne.cfg
 	e.inner = ne.inner
 	e.pipeline = ne.pipeline
 	e.nextDoc, e.nextQuery, e.lastAt = ne.nextDoc, ne.nextQuery, ne.lastAt
 	e.texts = ne.texts
-	e.wal = ne.wal
 	// e.pub is NOT replaced: publishLocked (inside the caller's
 	// collectDeltas) republishes from the adopted inner engine under e's
 	// own monotonic sequence, so wait-free readers never see the
 	// sequence jump backwards.
-}
-
-func (a *followerApplier) ObserveHead(p repl.Position) {
-	e := a.e
-	e.mu.Lock()
-	if e.repl != nil && e.repl.head.Less(p) {
-		e.repl.head = p
-	}
-	e.mu.Unlock()
 }
 
 // FollowerInfo is the primary's view of one follower.
@@ -579,16 +472,14 @@ type ReplicationStats struct {
 func (e *Engine) ReplicationStats() ReplicationStats {
 	e.mu.Lock()
 	r := e.repl
-	readOnly := e.readOnly
 	var cur repl.Position
 	if e.wal != nil && e.wal.log != nil {
-		cur = repl.Position{Seq: e.wal.ckptSeq, Off: e.wal.log.Offset(), Epoch: e.wal.epochSeq}
+		cur = e.wal.position()
 	}
-	var head repl.Position
 	var cli *repl.Client
 	var srv *repl.Server
 	if r != nil {
-		head, cli, srv = r.head, r.client, r.server
+		cli, srv = r.client, r.server
 	}
 	e.mu.Unlock()
 
@@ -597,16 +488,15 @@ func (e *Engine) ReplicationStats() ReplicationStats {
 	case r == nil:
 		out.Role = "none"
 		return out
-	case readOnly || cli != nil:
+	case cli != nil: // Promote clears the client
 		out.Role = "follower"
-		if cli != nil {
-			cs := cli.Stats()
-			out.Connected = cs.Connected
-			out.Reconnects = cs.Reconnects
-			out.Resyncs = cs.Resyncs
-			out.AppliedRecords = cs.AppliedRecords
-			out.LastError = cs.LastError
-		}
+		cs := cli.Stats()
+		head := cs.Head
+		out.Connected = cs.Connected
+		out.Reconnects = cs.Reconnects
+		out.Resyncs = cs.Resyncs
+		out.AppliedRecords = cs.AppliedRecords
+		out.LastError = cs.LastError
 		out.AppliedSeq, out.AppliedOff, out.AppliedEpoch = cur.Seq, cur.Off, cur.Epoch
 		out.HeadSeq, out.HeadOff, out.HeadEpoch = head.Seq, head.Off, head.Epoch
 		if head.Epoch > cur.Epoch {
