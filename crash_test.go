@@ -29,7 +29,9 @@ import (
 //   - interrupted checkpoints (TestCheckpointPhaseCrashes): the
 //     directory is photographed between every crash-atomic phase of a
 //     checkpoint (tmp written, renamed, segment rotated, GC'd) and each
-//     photograph must recover the same state as the uninterrupted run.
+//     photograph must recover the same state as the uninterrupted run;
+//     TestFollowerCheckpointPhaseCrashes does the same for a standby's
+//     bootstrap, mirrored rotations and resync.
 
 // withWALHooks injects test hooks into a durable engine's config.
 func withWALHooks(h *walTestHooks) Option {
